@@ -35,6 +35,7 @@ from .experiments import (
     TrialStats,
     aggregate,
     default_method_list,
+    evaluate_methods,
     figure2_experiment,
     parity_vacuity_slack,
     pathology_memorizer,
@@ -159,6 +160,7 @@ __all__ = [
     "TrialStats",
     "CoverageReport",
     "aggregate",
+    "evaluate_methods",
     "run_trial",
     "default_method_list",
     "figure2_experiment",

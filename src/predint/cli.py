@@ -17,33 +17,20 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .audit import VARIANTS, run_audit
-from .dataset import SplitSpec, gen_gaussian_linear, load_csv, load_features_csv
+from .dataset import gen_gaussian_linear, load_csv, load_features_csv
 from .errors import ConfigError, DataError, PredintError
 from .experiments import (
     MethodSpec,
+    default_method_list,
+    evaluate_methods,
     figure2_experiment,
     pathology_memorizer,
     pathology_parity,
     run_coverage_mc,
 )
-from .intervals import (
-    METHOD_TOKENS,
-    GridSpec,
-    IntervalSpec,
-    PredictionSet,
-    build_loo_cache,
-    cross_conformal_set,
-    cv_plus,
-    full_conformal_set,
-    interval_about,
-    jackknife_minmax,
-    jackknife_plus,
-)
+from .intervals import METHOD_TOKENS, GridSpec, IntervalSpec, PredictionSet
 from .regressors import REGRESSOR_TOKENS, make_regressor
-from .rng import derive_rng, derive_seed
 from .stability import KINDS, coverage_lower_bounds, estimate_stability
 
 EXPERIMENTS = ("figure2", "coverage-mc", "pathology-memorizer", "pathology-parity")
@@ -140,96 +127,26 @@ def _regressor_echo(args) -> dict:
 def cmd_intervals(args) -> int:
     train = load_csv(args.train, args.target)
     X_test, y_test = load_features_csv(args.test, args.target)
-    if X_test.shape[1] != train.d:
-        raise DataError(
-            f"test file has {X_test.shape[1]} feature columns, train has {train.d}"
-        )
-    methods = args.method or ["jackknife+"]
-    for token in methods:
-        if token not in METHOD_TOKENS:
-            raise ConfigError(
-                f"unknown method {token!r}; expected one of {', '.join(METHOD_TOKENS)}"
-            )
+    tokens = args.method or ["jackknife+"]
+    grid = GridSpec(num_points=args.grid_points, lower=args.grid_lower, upper=args.grid_upper)
+    methods = [
+        MethodSpec(token, k_folds=args.k, split_holdout=args.split_fraction, grid=grid)
+        for token in tokens
+    ]
     spec = IntervalSpec(
         alpha=args.alpha,
         alpha_lo=args.alpha_lo,
         alpha_hi=args.alpha_hi,
         inflation_eps=args.eps,
     )
-    regressor = _regressor_from_args(args)
-    grid = GridSpec(num_points=args.grid_points, lower=args.grid_lower, upper=args.grid_upper)
-    n = train.n
-
-    caches: dict[int, object] = {}
-
-    def cache_for(k: int):
-        if k not in caches:
-            caches[k] = build_loo_cache(
-                train,
-                regressor,
-                k,
-                fold_seed=derive_seed(args.seed, f"folds/{k}"),
-                strict=args.strict_folds,
-            )
-        return caches[k]
-
-    taus = None
-
-    def tau_for(j: int) -> float:
-        nonlocal taus
-        if taus is None:
-            taus = derive_rng(args.seed, "tau").random(len(X_test))
-        return float(taus[j])
-
-    full_model = None
-
-    def get_full_model():
-        nonlocal full_model
-        if full_model is None:
-            full_model = caches[n].full_model if n in caches else regressor.fit(train)
-        return full_model
-
-    split_parts = None
-
-    def get_split_parts():
-        nonlocal split_parts
-        if split_parts is None:
-            split = SplitSpec(
-                holdout_fraction=args.split_fraction, seed=derive_seed(args.seed, "split")
-            )
-            fit_idx, hold_idx = split.resolve(n)
-            model = regressor.fit(train.take(fit_idx))
-            holdout = train.take(hold_idx)
-            signed = holdout.responses - model.predict_many(holdout.features)
-            split_parts = (model, signed)
-        return split_parts
-
-    def evaluate(token: str, j: int):
-        x = X_test[j]
-        if token == "naive":
-            model = get_full_model()
-            signed = train.responses - model.predict_many(train.features)
-            return interval_about(model, signed, spec, x)
-        if token == "split":
-            model, signed = get_split_parts()
-            return interval_about(model, signed, spec, x)
-        if token == "jackknife":
-            cache = cache_for(n)
-            return interval_about(cache.full_model, cache.signed_residuals, spec, x)
-        if token == "jackknife+":
-            return jackknife_plus(cache_for(n), spec, x)
-        if token == "jackknife-mm":
-            return jackknife_minmax(cache_for(n), spec, x)
-        if token == "cv+":
-            return cv_plus(cache_for(args.k or n), spec, x)
-        if token == "cross-conformal":
-            return cross_conformal_set(cache_for(args.k or n), spec, x, tau_for(j))
-        return full_conformal_set(train, regressor, spec, x, grid)
-
+    objects = evaluate_methods(
+        train, X_test, _regressor_from_args(args), methods, [spec], args.seed,
+        strict=args.strict_folds,
+    )
     rows = []
     for j in range(len(X_test)):
-        for token in methods:
-            obj = evaluate(token, j)
+        for token, (per_row,) in zip(tokens, objects):
+            obj = per_row[j]
             lower, upper, comps = format_object(obj)
             covered = "" if y_test is None else ("1" if obj.contains(float(y_test[j])) else "0")
             rows.append([j, token, _fmt(spec.alpha), lower, upper, comps, covered])
@@ -241,7 +158,7 @@ def cmd_intervals(args) -> int:
         "eps": args.eps,
         "grid_points": args.grid_points,
         "k": args.k if args.k else "n",
-        "methods": ";".join(methods),
+        "methods": ";".join(tokens),
         "seed": args.seed,
         "split_fraction": args.split_fraction,
         "strict_folds": args.strict_folds,
@@ -264,13 +181,15 @@ def cmd_simulate(args) -> int:
     echo = {"experiment": args.experiment, "seed": args.seed}
     if args.experiment == "figure2":
         d_list = _int_list(args.d_list)
+        methods = default_method_list(args.n, args.k)
+        k_ran = next(m.k_folds for m in methods if m.method == "cv+")
         echo.update(
             n=args.n, d_list=args.d_list, trials=args.trials, n_test=args.n_test,
-            alpha=args.alpha, k=args.k,
+            alpha=args.alpha, k=k_ran or "n",
         )
         results = figure2_experiment(
             n=args.n, d_list=d_list, trials=args.trials, n_test=args.n_test,
-            alpha=args.alpha, seed=args.seed,
+            alpha=args.alpha, seed=args.seed, methods=methods,
         )
         rows = []
         for d in d_list:

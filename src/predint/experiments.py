@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, SplitSpec, attach_tau, gen_gaussian_linear, gen_pathological_abc
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .intervals import (
     METHOD_TOKENS,
     GridSpec,
@@ -31,6 +31,7 @@ from .intervals import (
     cv_plus,
     full_conformal_set,
     interval_about,
+    jackknife_from_cache,
     jackknife_minmax,
     jackknife_plus,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "TrialStats",
     "CoverageReport",
     "aggregate",
+    "evaluate_methods",
     "run_trial",
     "figure2_experiment",
     "run_coverage_mc",
@@ -58,7 +60,7 @@ class MethodSpec:
     method: str
     k_folds: int | None = None
     split_holdout: float = 0.5
-    grid_points: int = 200
+    grid: GridSpec = GridSpec()
 
     def __post_init__(self):
         if self.method not in METHOD_TOKENS:
@@ -162,6 +164,97 @@ def _object_width(obj) -> tuple[float, bool]:
     return w, False
 
 
+def _cache_k(mspec: MethodSpec, n: int) -> int | None:
+    """Fold count of the cache a method reads, or None when it reads none."""
+    if mspec.method in ("cv+", "cross-conformal"):
+        return mspec.k_folds or n
+    if mspec.method in ("jackknife", "jackknife+", "jackknife-mm"):
+        return n
+    return None
+
+
+_FROM_CACHE = {
+    "jackknife": jackknife_from_cache,
+    "jackknife+": jackknife_plus,
+    "jackknife-mm": jackknife_minmax,
+    "cv+": cv_plus,
+}
+
+
+def evaluate_methods(
+    train: Dataset,
+    X_test,
+    regressor: Regressor,
+    methods: list[MethodSpec],
+    specs: list[IntervalSpec],
+    seed: int = 0,
+    *,
+    strict: bool = False,
+) -> list:
+    """Prediction objects of every method at every level and query row.
+
+    Returns ``out[m][s][j]``: the interval or set of ``methods[m]`` at
+    ``specs[s]`` for row j of ``X_test``. Entries follow list positions, so a
+    repeated method gives repeated entries. Fits are shared: one cache per
+    distinct K (fold seed ``derive_seed(seed, f"folds/{K}")``, ``strict`` as
+    in :func:`build_loo_cache`), the full model of any cache (one extra fit
+    only when no method needs a cache), one split fit per holdout fraction
+    (seed ``derive_seed(seed, "split")``), and one cross-conformal tau per
+    query row from ``derive_rng(seed, "tau")``, shared across levels.
+    """
+    X_test = np.asarray(X_test, dtype=float)
+    if X_test.ndim != 2 or X_test.shape[1] != train.d:
+        raise DataError(
+            f"query points must form a 2-D array with {train.d} columns, got shape {X_test.shape}"
+        )
+    if not np.isfinite(X_test).all():
+        raise DataError("query points must be finite (no NaN or infinities)")
+    n = train.n
+    tokens = {m.method for m in methods}
+    caches = {
+        k: build_loo_cache(
+            train, regressor, k, fold_seed=derive_seed(seed, f"folds/{k}"), strict=strict
+        )
+        for k in dict.fromkeys(_cache_k(m, n) for m in methods)
+        if k is not None
+    }
+    full_model = next((c.full_model for c in caches.values()), None)
+    if full_model is None and "naive" in tokens:
+        full_model = regressor.fit(train)
+    splits = {}
+    for holdout in dict.fromkeys(m.split_holdout for m in methods if m.method == "split"):
+        fit_idx, hold_idx = SplitSpec(
+            holdout_fraction=holdout, seed=derive_seed(seed, "split")
+        ).resolve(n)
+        model = regressor.fit(train.take(fit_idx))
+        held = train.take(hold_idx)
+        splits[holdout] = (model, held.responses - model.predict_many(held.features))
+    taus = derive_rng(seed, "tau").random(len(X_test)) if "cross-conformal" in tokens else None
+
+    def construction(mspec: MethodSpec):
+        """(spec, j) -> object for one method."""
+        token = mspec.method
+        if token == "naive":
+            signed = train.responses - full_model.predict_many(train.features)
+            return lambda spec, j: interval_about(full_model, signed, spec, X_test[j])
+        if token == "split":
+            model, signed = splits[mspec.split_holdout]
+            return lambda spec, j: interval_about(model, signed, spec, X_test[j])
+        if token == "full-conformal":
+            return lambda spec, j: full_conformal_set(train, regressor, spec, X_test[j], mspec.grid)
+        cache = caches[_cache_k(mspec, n)]
+        if token == "cross-conformal":
+            return lambda spec, j: cross_conformal_set(cache, spec, X_test[j], taus[j])
+        fn = _FROM_CACHE[token]
+        return lambda spec, j: fn(cache, spec, X_test[j])
+
+    rows = range(len(X_test))
+    return [
+        [[make(spec, j) for j in rows] for spec in specs]
+        for make in map(construction, methods)
+    ]
+
+
 def run_trial(
     train: Dataset,
     test: Dataset,
@@ -172,10 +265,8 @@ def run_trial(
 ) -> dict:
     """Evaluate every (method, spec) on one train/test draw.
 
-    Returns ``{(label, spec_index): TrialStats}``. Fold models are fitted
-    once per distinct K and shared across methods and levels. For
-    cross-conformal, one tau per test point is drawn from the trial's seed
-    stream and reused across levels.
+    Returns ``{(label, spec_index): TrialStats}``. The objects come from
+    :func:`evaluate_methods`, so fits are shared across methods and levels.
     """
     if not methods or not specs:
         raise ConfigError("need at least one method and one spec")
@@ -183,94 +274,18 @@ def run_trial(
     if len(set(labels)) != len(labels):
         raise ConfigError(f"duplicate method labels: {labels}")
 
-    n = train.n
-    caches: dict[int, object] = {}
-
-    def cache_for(k: int):
-        if k not in caches:
-            caches[k] = build_loo_cache(
-                train, regressor, k, fold_seed=derive_seed(seed, f"folds/{k}")
-            )
-        return caches[k]
-
-    def full_model():
-        if caches:
-            return next(iter(caches.values())).full_model
-        return cache_for(n).full_model if n >= 1 else None
-
-    taus = None
+    objects = evaluate_methods(train, test.features, regressor, methods, specs, seed)
     results = {}
-    X_test = test.features
-    y_test = test.responses
-    n_test = test.n
-
-    for mspec in methods:
-        token = mspec.method
-        # Accumulators indexed by spec.
-        covered = np.zeros((len(specs), n_test), dtype=bool)
-        widths = np.full((len(specs), n_test), math.nan)
-        inf_counts = np.zeros(len(specs), dtype=int)
-
-        def record(si, j, obj):
-            covered[si, j] = obj.contains(y_test[j])
-            w, is_inf = _object_width(obj)
-            widths[si, j] = w
-            if is_inf:
-                inf_counts[si] += 1
-
-        if token in ("naive", "split", "jackknife"):
-            # One fit per trial; the residual vector is fixed and only the
-            # center moves across test points.
-            if token == "naive":
-                model = full_model()
-                signed = train.responses - model.predict_many(train.features)
-            elif token == "split":
-                split = SplitSpec(
-                    holdout_fraction=mspec.split_holdout,
-                    seed=derive_seed(seed, "split"),
-                )
-                fit_idx, hold_idx = split.resolve(n)
-                model = regressor.fit(train.take(fit_idx))
-                holdout = train.take(hold_idx)
-                signed = holdout.responses - model.predict_many(holdout.features)
-            else:
-                cache = cache_for(n)
-                model = cache.full_model
-                signed = cache.signed_residuals
-            for j in range(n_test):
-                for si, spec in enumerate(specs):
-                    record(si, j, interval_about(model, signed, spec, X_test[j]))
-
-        elif token in ("jackknife+", "cv+", "jackknife-mm"):
-            k = mspec.k_folds or n if token == "cv+" else n
-            cache = cache_for(k)
-            fn = {"jackknife+": jackknife_plus, "cv+": cv_plus, "jackknife-mm": jackknife_minmax}[token]
-            for j in range(n_test):
-                for si, spec in enumerate(specs):
-                    record(si, j, fn(cache, spec, X_test[j]))
-
-        elif token == "cross-conformal":
-            cache = cache_for(mspec.k_folds or n)
-            if taus is None:
-                taus = derive_rng(seed, "tau").random(n_test)
-            for j in range(n_test):
-                for si, spec in enumerate(specs):
-                    record(si, j, cross_conformal_set(cache, spec, X_test[j], taus[j]))
-
-        elif token == "full-conformal":
-            grid = GridSpec(num_points=mspec.grid_points)
-            for j in range(n_test):
-                for si, spec in enumerate(specs):
-                    record(si, j, full_conformal_set(train, regressor, spec, X_test[j], grid))
-
-        for si in range(len(specs)):
-            w = widths[si]
-            finite = w[~np.isnan(w)]
-            results[(mspec.label, si)] = TrialStats(
-                coverage=float(np.mean(covered[si])),
-                width_mean=float(np.mean(finite)) if finite.size else math.nan,
-                infinite_count=int(inf_counts[si]),
-                n_test=n_test,
+    for label, per_spec in zip(labels, objects):
+        for si, objs in enumerate(per_spec):
+            hits = [obj.contains(y) for obj, y in zip(objs, test.responses)]
+            widths = [_object_width(obj) for obj in objs]
+            finite = [w for w, _ in widths if not math.isnan(w)]
+            results[(label, si)] = TrialStats(
+                coverage=float(np.mean(hits)),
+                width_mean=float(np.mean(finite)) if finite else math.nan,
+                infinite_count=sum(is_inf for _, is_inf in widths),
+                n_test=test.n,
             )
     return results
 
@@ -278,6 +293,8 @@ def run_trial(
 def default_method_list(n: int, k_folds: int = 10) -> list[MethodSpec]:
     """The six default comparison methods (full conformal costs n_grid fits
     per test point and is opt-in)."""
+    if k_folds < 1:
+        raise ConfigError(f"k_folds must be >= 1, got {k_folds}")
     k = k_folds if k_folds <= n and n % k_folds == 0 else None
     return [
         MethodSpec("naive"),

@@ -83,12 +83,12 @@ class IntervalSpec:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.inflation_eps < 0.0:
+        if not self.inflation_eps >= 0.0:
             raise ConfigError(f"inflation_eps must be >= 0, got {self.inflation_eps}")
         if (self.alpha_lo is None) != (self.alpha_hi is None):
             raise ConfigError("asymmetric mode needs both alpha_lo and alpha_hi")
         if self.alpha_lo is not None:
-            if self.alpha_lo <= 0.0 or self.alpha_hi <= 0.0:
+            if not (self.alpha_lo > 0.0 and self.alpha_hi > 0.0):
                 raise ConfigError("alpha_lo and alpha_hi must be positive")
             if abs((self.alpha_lo + self.alpha_hi) - self.alpha) > 1e-12:
                 raise ConfigError(
@@ -115,6 +115,9 @@ class GridSpec:
     def __post_init__(self):
         if self.num_points < 2:
             raise ConfigError(f"grid needs at least 2 points, got {self.num_points}")
+        for bound in (self.lower, self.upper):
+            if bound is not None and not math.isfinite(bound):
+                raise ConfigError(f"grid bounds must be finite, got {bound}")
         if self.lower is not None and self.upper is not None and self.lower > self.upper:
             raise ConfigError("grid lower bound exceeds upper bound")
 
@@ -313,12 +316,6 @@ def naive_interval(
     and produces a zero-width interval.
     """
     model = regressor.fit(train)
-    return naive_from_model(model, train, spec, x)
-
-
-def naive_from_model(
-    model: FittedModel, train: Dataset, spec: IntervalSpec, x
-) -> PredictionInterval:
     signed = train.responses - model.predict_many(train.features)
     return interval_about(model, signed, spec, x)
 

@@ -4,7 +4,30 @@ import math
 
 import pytest
 
-from predint import PredictionInterval, PredictionSet, coverage_lower_bounds
+from predint import (
+    GridSpec,
+    IntervalSpec,
+    MinNormOLS,
+    PredictionInterval,
+    PredictionSet,
+    SplitSpec,
+    build_loo_cache,
+    coverage_lower_bounds,
+    cross_conformal_set,
+    cv_plus,
+    derive_rng,
+    derive_seed,
+    full_conformal_set,
+    gen_gaussian_linear,
+    jackknife,
+    jackknife_minmax,
+    jackknife_plus,
+    load_csv,
+    load_features_csv,
+    naive_interval,
+    save_csv,
+    split_conformal,
+)
 from predint.cli import format_object, main
 
 WORKED_TRAIN = "x,y\n0,0\n1,0\n2,3\n"
@@ -117,6 +140,74 @@ class TestIntervalsCommand:
         assert comments == sorted(comments)
 
 
+INTERVAL_METHODS = ("naive", "split", "jackknife", "jackknife+", "jackknife-mm", "cv+")
+ALL_METHODS = INTERVAL_METHODS + ("cross-conformal", "full-conformal")
+
+
+class TestIntervalsOracle:
+    """Every `intervals` row equals the one-shot library function it names."""
+
+    SEED = 5
+    K = 2
+
+    @pytest.fixture
+    def seeded_files(self, tmp_path):
+        data, _ = gen_gaussian_linear(16, 2, seed=21)
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        save_csv(data.head(12), str(train))
+        save_csv(data.tail_from(12), str(test))
+        return str(train), str(test)
+
+    def reference_rows(self, train_path, test_path, spec, methods):
+        train = load_csv(train_path, "y")
+        X_test, _ = load_features_csv(test_path, "y")
+        reg = MinNormOLS()
+        loo = build_loo_cache(train, reg)
+        folds = build_loo_cache(
+            train, reg, self.K, fold_seed=derive_seed(self.SEED, f"folds/{self.K}")
+        )
+        taus = derive_rng(self.SEED, "tau").random(len(X_test))
+        split = SplitSpec(holdout_fraction=0.5, seed=derive_seed(self.SEED, "split"))
+        one_shot = {
+            "naive": lambda x, tau: naive_interval(train, reg, spec, x),
+            "split": lambda x, tau: split_conformal(train, reg, spec, split, x),
+            "jackknife": lambda x, tau: jackknife(train, reg, spec, x),
+            "jackknife+": lambda x, tau: jackknife_plus(loo, spec, x),
+            "jackknife-mm": lambda x, tau: jackknife_minmax(loo, spec, x),
+            "cv+": lambda x, tau: cv_plus(folds, spec, x),
+            "cross-conformal": lambda x, tau: cross_conformal_set(folds, spec, x, tau),
+            "full-conformal": lambda x, tau: full_conformal_set(train, reg, spec, x, GridSpec()),
+        }
+        return [
+            [str(j), m, *format_object(one_shot[m](x, float(taus[j])))]
+            for j, x in enumerate(X_test)
+            for m in methods
+        ]
+
+    @pytest.mark.parametrize(
+        "levels, methods",
+        [
+            (dict(alpha=0.2), ALL_METHODS),
+            (dict(alpha=0.2, alpha_lo=0.08, alpha_hi=0.12), INTERVAL_METHODS),
+        ],
+        ids=["symmetric", "asymmetric"],
+    )
+    def test_rows_match_the_one_shot_functions(self, tmp_path, seeded_files, levels, methods):
+        train, test = seeded_files
+        argv = ["intervals", "--train", train, "--test", test, "--k", str(self.K),
+                "--seed", str(self.SEED)]
+        for key, value in levels.items():
+            argv += [f"--{key.replace('_', '-')}", str(value)]
+        for m in methods:
+            argv += ["--method", m]
+        rc, text = run_to_file(tmp_path, argv)
+        assert rc == 0
+        _, rows = data_rows(text)
+        got = [[r[0], r[1], r[3], r[4], r[5]] for r in rows]
+        spec = IntervalSpec(**levels)
+        assert got == self.reference_rows(train, test, spec, methods)
+
+
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path, worked_files):
         _, test = worked_files
@@ -150,6 +241,12 @@ class TestExitCodes:
         )
         assert rc == 2
         capsys.readouterr()
+
+    def test_nan_inflation_is_a_configuration_error(self, worked_files, capsys):
+        train, test = worked_files
+        rc = main(["intervals", "--train", train, "--test", test, "--eps", "nan"])
+        assert rc == 2
+        assert "inflation_eps" in capsys.readouterr().err
 
     def test_strict_folds_propagates(self, worked_files, capsys):
         train, test = worked_files
@@ -229,6 +326,18 @@ class TestSimulateCommand:
         assert sorted({r[0] for r in rows}) == ["2", "4"]
         for r in rows:
             assert 0.0 <= float(r[2]) <= 1.0
+
+    @pytest.mark.parametrize("k, label, echoed", [("5", "cv+(K=5)", "5"), ("7", "cv+", "n")])
+    def test_figure2_uses_and_echoes_the_fold_count(self, tmp_path, k, label, echoed):
+        rc, text = run_to_file(
+            tmp_path,
+            ["simulate", "--experiment", "figure2", "--n", "100", "--d-list", "2",
+             "--trials", "1", "--n-test", "2", "--k", k],
+        )
+        assert rc == 0
+        assert f"# k={echoed}" in text.splitlines()
+        _, rows = data_rows(text)
+        assert rows[-1][1] == label
 
     def test_coverage_mc_row_layout(self, tmp_path):
         rc, text = run_to_file(

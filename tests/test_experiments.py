@@ -5,21 +5,26 @@ import math
 import numpy as np
 import pytest
 
+import predint.cli
 from predint import (
     ConfigError,
     ConstantMean,
     CoverageReport,
+    DataError,
     Dataset,
+    GridSpec,
     IntervalSpec,
     MethodSpec,
     MinNormOLS,
     ParityAdversary,
+    Regressor,
     TrialStats,
     aggregate,
     attach_tau,
     build_loo_cache,
     default_method_list,
     derive_rng,
+    evaluate_methods,
     figure2_experiment,
     gen_gaussian_linear,
     gen_pathological_abc,
@@ -114,7 +119,7 @@ class TestRunTrial:
             MethodSpec("jackknife+"),
             MethodSpec("jackknife-mm"),
             MethodSpec("cv+", k_folds=2),
-            MethodSpec("full-conformal", grid_points=50),
+            MethodSpec("full-conformal", grid=GridSpec(50)),
         ]
         stats = run_trial(train, test, MEAN, methods, [IntervalSpec(0.25)], seed=1)
         assert len(stats) == len(methods)
@@ -181,6 +186,65 @@ class TestRunTrial:
             )
 
 
+class CountingRegressor(Regressor):
+    """Passes every fit through to ``inner`` and counts it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.fits = 0
+
+    def fit(self, train):
+        self.fits += 1
+        return self.inner.fit(train)
+
+
+class TestEvaluateMethods:
+    @pytest.mark.parametrize(
+        "X_test",
+        [np.zeros((2, 2)), np.array([[0.0, math.nan, 0.0]]), np.array([[0.0, math.inf, 0.0]])],
+        ids=["two-columns", "nan", "inf"],
+    )
+    def test_bad_query_points_fail_before_any_fit(self, X_test):
+        train, _ = gaussian_split(8, 1, 3, seed=9)
+        reg = CountingRegressor(MinNormOLS())
+        with pytest.raises(DataError, match="query points"):
+            evaluate_methods(train, X_test, reg, [MethodSpec("jackknife+")], [IntervalSpec(0.2)])
+        assert reg.fits == 0
+
+    def test_run_trial_rejects_a_test_set_of_another_width(self):
+        train, _ = gaussian_split(8, 1, 3, seed=9)
+        _, test = gaussian_split(8, 2, 2, seed=9)
+        with pytest.raises(DataError, match="query points"):
+            run_trial(train, test, MEAN, [MethodSpec("jackknife+")], [IntervalSpec(0.2)])
+
+    def test_repeated_methods_give_repeated_entries(self):
+        train, test = gaussian_split(8, 3, 2, seed=10)
+        methods = [MethodSpec("naive"), MethodSpec("cv+", k_folds=2), MethodSpec("naive")]
+        specs = [IntervalSpec(0.2), IntervalSpec(0.4)]
+        out = evaluate_methods(train, test.features, MEAN, methods, specs, seed=1)
+        assert [len(per_spec) for per_spec in out] == [2, 2, 2]
+        assert all(len(objs) == 3 for per_spec in out for objs in per_spec)
+        assert out[0] == out[2]
+
+    def test_naive_alone_fits_once(self):
+        train, test = gaussian_split(10, 3, 2, seed=12)
+        reg = CountingRegressor(MinNormOLS())
+        run_trial(train, test, reg, [MethodSpec("naive")], [IntervalSpec(0.2)])
+        assert reg.fits == 1
+
+    def test_cli_naive_and_jackknife_share_the_full_fit(self, monkeypatch, tmp_path, capsys):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        train.write_text("x,y\n0,0\n1,0\n2,3\n")
+        test.write_text("x,y\n1,0\n")
+        reg = CountingRegressor(MinNormOLS())
+        monkeypatch.setattr(predint.cli, "make_regressor", lambda *a, **kw: reg)
+        rc = predint.cli.main(["intervals", "--train", str(train), "--test", str(test),
+                               "--alpha", "0.25", "--method", "naive", "--method", "jackknife"])
+        capsys.readouterr()
+        assert rc == 0
+        assert reg.fits == 3 + 1  # one fit per left-out row, one full fit
+
+
 class TestDefaultMethodList:
     def test_divisible_n_gets_k_fold_cv(self):
         labels = [m.label for m in default_method_list(20)]
@@ -191,6 +255,10 @@ class TestDefaultMethodList:
     def test_awkward_n_falls_back_to_loo(self):
         assert default_method_list(7)[-1].label == "cv+"
         assert default_method_list(5)[-1].label == "cv+"  # K=10 > n
+
+    def test_fold_count_must_be_positive(self):
+        with pytest.raises(ConfigError, match="k_folds"):
+            default_method_list(10, 0)
 
 
 class TestFigure2:

@@ -81,6 +81,8 @@ class TestIntervalSpec:
             IntervalSpec(0.2, alpha_lo=0.1)
         with pytest.raises(ConfigError, match="positive"):
             IntervalSpec(0.2, alpha_lo=0.2, alpha_hi=0.0)
+        with pytest.raises(ConfigError, match="positive"):
+            IntervalSpec(0.2, alpha_lo=math.nan, alpha_hi=0.2)
         with pytest.raises(ConfigError, match="does not match"):
             IntervalSpec(0.2, alpha_lo=0.05, alpha_hi=0.05)
         assert IntervalSpec(0.2, alpha_lo=0.15, alpha_hi=0.05).asymmetric
@@ -88,6 +90,8 @@ class TestIntervalSpec:
     def test_inflation_sign(self):
         with pytest.raises(ConfigError):
             IntervalSpec(0.1, inflation_eps=-1e-9)
+        with pytest.raises(ConfigError, match="inflation_eps"):
+            IntervalSpec(0.1, inflation_eps=math.nan)
 
 
 class TestPredictionInterval:
@@ -491,6 +495,11 @@ class TestFullConformal:
             GridSpec(num_points=1)
         with pytest.raises(ConfigError):
             GridSpec(num_points=10, lower=2.0, upper=1.0)
+        for bound in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="finite"):
+                GridSpec(lower=bound)
+            with pytest.raises(ConfigError, match="finite"):
+                GridSpec(upper=bound)
 
 
 def test_contains_dispatch(worked_cache):
