@@ -35,8 +35,7 @@ from .intervals import (
     jackknife_minmax,
     jackknife_plus,
 )
-from .quantiles import lower_index, upper_index
-from .regressors import Memorizer, MinNormOLS, Regressor, make_regressor
+from .regressors import Memorizer, MinNormOLS, ParityAdversary, Regressor, make_regressor
 from .rng import derive_rng, derive_seed
 
 __all__ = [
@@ -153,17 +152,6 @@ def aggregate(reports) -> CoverageReport:
     )
 
 
-def _object_width(obj) -> tuple[float, bool]:
-    """(finite total width or NaN, is_infinite) for an interval or set."""
-    if isinstance(obj, PredictionInterval):
-        w = obj.width
-    else:
-        w = obj.total_width
-    if math.isinf(w):
-        return math.nan, True
-    return w, False
-
-
 def _cache_k(mspec: MethodSpec, n: int) -> int | None:
     """Fold count of the cache a method reads, or None when it reads none."""
     if mspec.method in ("cv+", "cross-conformal"):
@@ -197,8 +185,9 @@ def evaluate_methods(
     ``specs[s]`` for row j of ``X_test``. Entries follow list positions, so a
     repeated method gives repeated entries. Fits are shared: one cache per
     distinct K (fold seed ``derive_seed(seed, f"folds/{K}")``, ``strict`` as
-    in :func:`build_loo_cache`), the full model of any cache (one extra fit
-    only when no method needs a cache), one split fit per holdout fraction
+    in :func:`build_loo_cache`), one full fit, made only when naive or
+    jackknife reads it and shared through the leave-one-out cache when there
+    is one, one split fit per holdout fraction
     (seed ``derive_seed(seed, "split")``), and one cross-conformal tau per
     query row from ``derive_rng(seed, "tau")``, shared across levels.
     """
@@ -218,9 +207,9 @@ def evaluate_methods(
         for k in dict.fromkeys(_cache_k(m, n) for m in methods)
         if k is not None
     }
-    full_model = next((c.full_model for c in caches.values()), None)
-    if full_model is None and "naive" in tokens:
-        full_model = regressor.fit(train)
+    full_model = None
+    if "naive" in tokens:
+        full_model = caches[n].full_model if n in caches else regressor.fit(train)
     splits = {}
     for holdout in dict.fromkeys(m.split_holdout for m in methods if m.method == "split"):
         fit_idx, hold_idx = SplitSpec(
@@ -275,19 +264,24 @@ def run_trial(
         raise ConfigError(f"duplicate method labels: {labels}")
 
     objects = evaluate_methods(train, test.features, regressor, methods, specs, seed)
-    results = {}
-    for label, per_spec in zip(labels, objects):
-        for si, objs in enumerate(per_spec):
-            hits = [obj.contains(y) for obj, y in zip(objs, test.responses)]
-            widths = [_object_width(obj) for obj in objs]
-            finite = [w for w, _ in widths if not math.isnan(w)]
-            results[(label, si)] = TrialStats(
-                coverage=float(np.mean(hits)),
-                width_mean=float(np.mean(finite)) if finite else math.nan,
-                infinite_count=sum(is_inf for _, is_inf in widths),
-                n_test=test.n,
-            )
-    return results
+    return {
+        (label, si): _trial_stats(objs, test.responses)
+        for label, per_spec in zip(labels, objects)
+        for si, objs in enumerate(per_spec)
+    }
+
+
+def _trial_stats(objs, responses) -> TrialStats:
+    """Coverage and width summary of the objects built for one test draw."""
+    hits = [obj.contains(y) for obj, y in zip(objs, responses)]
+    widths = [o.width if isinstance(o, PredictionInterval) else o.total_width for o in objs]
+    finite = [w for w in widths if math.isfinite(w)]
+    return TrialStats(
+        coverage=float(np.mean(hits)),
+        width_mean=float(np.mean(finite)) if finite else math.nan,
+        infinite_count=sum(map(math.isinf, widths)),
+        n_test=len(objs),
+    )
 
 
 def default_method_list(n: int, k_folds: int = 10) -> list[MethodSpec]:
@@ -469,29 +463,6 @@ def parity_vacuity_slack(n: int) -> float:
     return 6.0 * math.sqrt(math.log(n) / n)
 
 
-def _parity_loo_arrays(train: Dataset, tau: float):
-    b = train.features[:, 1]
-    # Leave-one-out sign products in O(n): prod_{j != i} B_j = (prod B) * B_i.
-    b_minus = float(np.prod(b)) * b
-    preds_self = tau * train.features[:, 0] * train.features[:, 2] * b_minus
-    resid = np.abs(train.responses - preds_self)
-    return b_minus, resid
-
-
-def _parity_interval(b_minus, resid, tau, x, alpha, eps):
-    """epsilon-inflated jackknife+ endpoints, identical floats to the generic
-    cache path (same multiply order, same order statistics)."""
-    loo = tau * x[0] * x[2] * b_minus
-    uppers = loo + resid
-    lowers = loo - resid
-    n = resid.size
-    k = upper_index(n, alpha)
-    j = lower_index(n, alpha)
-    hi = math.inf if k > n else (-math.inf if k < 1 else float(np.partition(uppers, k - 1)[k - 1]))
-    lo = -math.inf if j < 1 else (math.inf if j > n else float(np.partition(lowers, j - 1)[j - 1]))
-    return lo - eps, hi + eps
-
-
 def pathology_parity(
     n: int = 100_000,
     alpha: float = 0.25,
@@ -509,8 +480,10 @@ def pathology_parity(
     slack 6*sqrt(log(n)/n) exceeds alpha, since the coverage window is then
     too loose to demonstrate anything.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ConfigError(f"eps must be > 0, got {eps}")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     slack = parity_vacuity_slack(n)
     if slack > alpha:
         raise ConfigError(
@@ -524,6 +497,9 @@ def pathology_parity(
     if tau is None:
         tau = eps * n
 
+    regressor = ParityAdversary(tau)
+    methods = [MethodSpec("jackknife+")]
+    specs = [IntervalSpec(alpha, inflation_eps=eps)]
     stats = []
     for t in range(trials):
         train = attach_tau(
@@ -532,35 +508,11 @@ def pathology_parity(
         test = attach_tau(
             gen_pathological_abc(n_test, alpha, gamma, derive_seed(seed, "parity-test", t)), tau
         )
-        b_minus, resid = _parity_loo_arrays(train, tau)
-        covered = 0
-        width_sum = 0.0
-        width_count = 0
-        inf_count = 0
-        zero_case = None  # the interval is the same for every A = 0 test row
-        for j in range(test.n):
-            x = test.features[j]
-            if x[0] == 0.0 and zero_case is not None:
-                lo, hi = zero_case
-            else:
-                lo, hi = _parity_interval(b_minus, resid, tau, x, alpha, eps)
-                if x[0] == 0.0:
-                    zero_case = (lo, hi)
-            if lo <= test.responses[j] <= hi:
-                covered += 1
-            if math.isinf(hi - lo):
-                inf_count += 1
-            else:
-                width_sum += hi - lo
-                width_count += 1
-        stats.append(
-            TrialStats(
-                coverage=covered / test.n,
-                width_mean=width_sum / width_count if width_count else math.nan,
-                infinite_count=inf_count,
-                n_test=test.n,
-            )
-        )
+        # Every A = 0 test row gets the same interval: evaluate one of them.
+        keys = np.where(test.features[:, 0] == 0.0, -1, np.arange(test.n))
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        objs = evaluate_methods(train, test.features[first], regressor, methods, specs)[0][0]
+        stats.append(_trial_stats([objs[i] for i in inverse], test.responses))
     report = CoverageReport.from_trials("jackknife+", alpha, stats)
     return ParityResult(
         n=n,

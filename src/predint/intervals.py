@@ -20,6 +20,7 @@ methods are rank tests on absolute residuals and reject both options.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -195,36 +196,42 @@ def contains(obj, y: float) -> bool:
 class LooCache:
     """Fitted fold models and residuals, shared across interval constructions.
 
-    For ``k_folds == n`` the folds are singletons and the cache holds the
-    classic leave-one-out fits. Immutable once built; all downstream methods
-    read from it without refitting.
+    ``models`` are the distinct models fitted without some fold and
+    ``model_of[i]`` indexes the one fitted without row i's fold, as returned
+    by :meth:`Regressor.fit_folds`. For ``k_folds == n`` the folds are
+    singletons and the cache holds the classic leave-one-out fits. The full
+    model is fitted on first use only. Immutable once built; all downstream
+    methods read from it without refitting.
     """
 
-    def __init__(self, train, regressor, k_folds, fold_of, fold_models, full_model):
+    def __init__(self, train, regressor, k_folds, fold_of, models, model_of):
         self.train = train
         self.regressor = regressor
         self.k_folds = k_folds
         self.fold_of = fold_of
-        self.fold_models = fold_models
-        self.full_model = full_model
+        self.models = models
+        self.model_of = model_of
         preds = np.empty(train.n)
-        for k, model in enumerate(fold_models):
-            mask = fold_of == k
+        for j, model in enumerate(models):
+            mask = model_of == j
             preds[mask] = model.predict_many(train.features[mask])
         self.signed_residuals = train.responses - preds
         self.residuals = np.abs(self.signed_residuals)
-        self.signed_residuals.flags.writeable = False
-        self.residuals.flags.writeable = False
-        fold_of.flags.writeable = False
+        for arr in (self.signed_residuals, self.residuals, fold_of, self.model_of):
+            arr.flags.writeable = False
 
     @property
     def n(self) -> int:
         return self.train.n
 
+    @functools.cached_property
+    def full_model(self) -> FittedModel:
+        return self.regressor.fit(self.train)
+
     def predictions_at(self, x) -> np.ndarray:
         """Per-row fold predictions mu_{-fold(i)}(x), one entry per row."""
-        per_fold = np.array([m.predict(x) for m in self.fold_models], dtype=float)
-        return per_fold[self.fold_of]
+        per_model = np.array([m.predict(x) for m in self.models], dtype=float)
+        return per_model[self.model_of]
 
 
 def build_loo_cache(
@@ -236,7 +243,8 @@ def build_loo_cache(
     strict: bool = False,
     fold_assignment=None,
 ) -> LooCache:
-    """Fit the K fold models (K defaults to n, i.e. leave-one-out).
+    """Fit the K fold models (K defaults to n, i.e. leave-one-out) through
+    :meth:`Regressor.fit_folds`.
 
     The fold partition is dealt uniformly at random (seeded) over the
     canonical row order, so it is a function of row content, not row order.
@@ -274,10 +282,7 @@ def build_loo_cache(
             fold_of[deal[start : start + size]] = j
             start += size
 
-    fold_models = []
-    for j in range(k):
-        fold_models.append(regressor.fit(train.drop(np.flatnonzero(fold_of == j))))
-    return LooCache(train, regressor, k, fold_of, fold_models, regressor.fit(train))
+    return LooCache(train, regressor, k, fold_of, *regressor.fit_folds(train, fold_of, k))
 
 
 def _symmetric_interval(center_lo, center_hi, residuals, spec):

@@ -79,7 +79,7 @@ def upper_quantile(values, alpha: float) -> float:
         return math.inf
     if k < 1:
         return -math.inf
-    return float(np.sort(arr)[k - 1])
+    return float(np.partition(arr, k - 1)[k - 1])
 
 
 def lower_quantile(values, alpha: float) -> float:
@@ -94,4 +94,4 @@ def lower_quantile(values, alpha: float) -> float:
         return -math.inf
     if j > arr.size:
         return math.inf
-    return float(np.sort(arr)[j - 1])
+    return float(np.partition(arr, j - 1)[j - 1])

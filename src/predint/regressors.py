@@ -8,8 +8,8 @@ set yields the zero function; that convention keeps leave-one-out and
 leave-pair-out machinery total without special cases.
 
 Prediction is pure: repeated calls with the same input return the identical
-float. ``predict_many`` is defined as a row loop over ``predict`` on purpose,
-so batch and single evaluations agree exactly.
+float. ``predict_many`` is a row loop over ``predict``, or repeats its
+arithmetic in the same order, so batch and single evaluations agree exactly.
 """
 
 from __future__ import annotations
@@ -116,6 +116,10 @@ class ParityModel(FittedModel):
         x = np.asarray(x, dtype=float)
         return float(self.tau * x[0] * x[2] * self.sign_product)
 
+    def predict_many(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        return self.tau * X[:, 0] * X[:, 2] * self.sign_product
+
 
 @dataclass(frozen=True)
 class Regressor:
@@ -129,6 +133,13 @@ class Regressor:
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> FittedModel:
         raise NotImplementedError
+
+    def fit_folds(self, train: Dataset, fold_of: np.ndarray, k: int):
+        """``(models, model_of)``: the distinct models fitted without some fold,
+        and per row i the index of the one fitted without row i's fold. This
+        reference refits every fold, so ``model_of`` is ``fold_of``."""
+        models = [self.fit(train.drop(np.flatnonzero(fold_of == j))) for j in range(k)]
+        return models, fold_of
 
 
 @dataclass(frozen=True)
@@ -269,12 +280,27 @@ class ParityAdversary(Regressor):
         m = len(y)
         if m == 0:
             return ConstantModel(0.0, 0)
-        if X.shape[1] != 3:
-            raise ConfigError(f"parity regressor needs exactly 3 features, got {X.shape[1]}")
-        b = X[:, 1]
-        if not np.all(np.abs(b) == 1.0):
-            raise ConfigError("parity regressor needs the second feature in {-1, +1}")
-        return ParityModel(self.tau, float(np.prod(b)), m)
+        return ParityModel(self.tau, float(np.prod(_parity_signs(X))), m)
+
+    def fit_folds(self, train, fold_of, k):
+        """Leave-one-out in O(n): dropping row i divides prod(B) by B_i = +-1,
+        so the n fits take only the two signs. Other partitions refit."""
+        n = train.n
+        if k != n or n < 2 or np.bincount(fold_of).max() != 1:
+            return super().fit_folds(train, fold_of, k)
+        b = _parity_signs(train.features)
+        models = [ParityModel(self.tau, sign, n - 1) for sign in (1.0, -1.0)]
+        return models, (np.prod(b) * b < 0).astype(np.intp)
+
+
+def _parity_signs(X: np.ndarray) -> np.ndarray:
+    """The B column of a parity design, after checking its shape and values."""
+    if X.shape[1] != 3:
+        raise ConfigError(f"parity regressor needs exactly 3 features, got {X.shape[1]}")
+    b = X[:, 1]
+    if not np.all(np.abs(b) == 1.0):
+        raise ConfigError("parity regressor needs the second feature in {-1, +1}")
+    return b
 
 
 REGRESSOR_TOKENS = ("ols", "ridge", "knn", "mean", "memorizer", "parity")

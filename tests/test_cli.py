@@ -270,6 +270,14 @@ class TestExitCodes:
         assert rc == 2
         assert "vacuous" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, message", [("--eps", "eps must be > 0"), ("--alpha", "alpha must be in (0, 1)")]
+    )
+    def test_nan_parity_configuration(self, flag, message, capsys):
+        rc = main(["simulate", "--experiment", "pathology-parity", "--n", "100000", flag, "nan"])
+        assert rc == 2
+        assert f"{message}, got nan" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert main(["intervals", "--help"]) == 0

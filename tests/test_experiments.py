@@ -21,21 +21,19 @@ from predint import (
     TrialStats,
     aggregate,
     attach_tau,
-    build_loo_cache,
     default_method_list,
     derive_rng,
+    derive_seed,
     evaluate_methods,
     figure2_experiment,
     gen_gaussian_linear,
     gen_pathological_abc,
-    jackknife_plus,
     parity_vacuity_slack,
     pathology_memorizer,
     pathology_parity,
     run_coverage_mc,
     run_trial,
 )
-from predint.experiments import _parity_interval, _parity_loo_arrays
 
 MEAN = ConstantMean()
 
@@ -244,6 +242,14 @@ class TestEvaluateMethods:
         assert rc == 0
         assert reg.fits == 3 + 1  # one fit per left-out row, one full fit
 
+    def test_methods_that_skip_the_full_model_never_fit_it(self):
+        train, test = gaussian_split(20, 3, 2, seed=13)
+        reg = CountingRegressor(MinNormOLS())
+        methods = [MethodSpec("jackknife+"), MethodSpec("jackknife-mm"), MethodSpec("split")]
+        methods += [MethodSpec("cv+", k_folds=k) for k in (2, 5, None)]
+        run_trial(train, test, reg, methods, [IntervalSpec(0.1), IntervalSpec(0.2)])
+        assert reg.fits == 2 + 5 + 20 + 1  # fold fits per K, one split fit
+
 
 class TestDefaultMethodList:
     def test_divisible_n_gets_k_fold_cv(self):
@@ -315,24 +321,26 @@ class TestMemorizerPathology:
 
 
 class TestParityPathology:
-    def test_specialized_path_matches_the_generic_one_bitwise(self):
-        tau = 5.0
-        train = attach_tau(gen_pathological_abc(40, 0.25, 0.3, seed=9), tau)
-        cache = build_loo_cache(train, ParityAdversary(tau=tau))
-        b_minus, resid = _parity_loo_arrays(train, tau)
-
-        np.testing.assert_array_equal(resid, cache.residuals)
-        spec = IntervalSpec(0.25, inflation_eps=0.01)
-        rng = derive_rng(10, "parity-probe")
-        for _ in range(20):
-            j = int(rng.integers(0, 40))
-            x = train.features[j]
-            lo, hi = _parity_interval(b_minus, resid, tau, x, 0.25, 0.01)
-            iv = jackknife_plus(cache, spec, x)
-            assert (lo, hi) == (iv.lower, iv.upper)
-            # The O(n) leave-one-out sign products match the fitted models.
-            preds = cache.predictions_at(x)
-            np.testing.assert_array_equal(preds, tau * x[0] * x[2] * b_minus)
+    def test_matches_run_trial_on_every_test_row(self):
+        # pathology_parity evaluates one A = 0 test row for all of them;
+        # run_trial evaluates every row through the same engine.
+        n, alpha, seed = 40_000, 0.25, 4
+        res = pathology_parity(n=n, alpha=alpha, trials=1, n_test=300, seed=seed)
+        train = attach_tau(
+            gen_pathological_abc(n, alpha, res.gamma, derive_seed(seed, "parity-train", 0)),
+            res.tau,
+        )
+        test = attach_tau(
+            gen_pathological_abc(300, alpha, res.gamma, derive_seed(seed, "parity-test", 0)),
+            res.tau,
+        )
+        assert np.count_nonzero(test.features[:, 0] == 0.0) > 1
+        stats = run_trial(
+            train, test, ParityAdversary(res.tau), [MethodSpec("jackknife+")],
+            [IntervalSpec(alpha, inflation_eps=res.eps)],
+        )
+        expected = CoverageReport.from_trials("jackknife+", alpha, [stats[("jackknife+", 0)]])
+        assert res.report == expected
 
     def test_vacuous_configurations_are_rejected(self):
         with pytest.raises(ConfigError, match="vacuous"):

@@ -15,10 +15,14 @@ from predint import (
     ConfigError,
     ConstantMean,
     Dataset,
+    LooCache,
     Memorizer,
     MinNormOLS,
     ParityAdversary,
+    Regressor,
     Ridge,
+    attach_tau,
+    build_loo_cache,
     canonical_order,
     derive_rng,
     gen_gaussian_linear,
@@ -201,6 +205,44 @@ class TestParityAdversary:
             ParityAdversary().fit(Dataset([[1.0, 0.5, 1.0]], [0.0]))
         with pytest.raises(ConfigError):
             ParityAdversary(tau=math.inf)
+        # The leave-one-out shortcut checks the design as the refits would.
+        with pytest.raises(ConfigError, match="3 features"):
+            build_loo_cache(Dataset([[1.0, -1.0], [1.0, 1.0]], [0.0, 0.0]), ParityAdversary())
+        with pytest.raises(ConfigError, match="second feature"):
+            build_loo_cache(Dataset([[1.0, 0.5, 1.0], [1.0, 1.0, 1.0]], [0.0, 0.0]),
+                            ParityAdversary())
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["default", "shuffled"])
+    def test_leave_one_out_folds_match_refits_bitwise(self, shuffled):
+        tau = 5.0
+        train = attach_tau(gen_pathological_abc(40, 0.25, 0.3, seed=9), tau)
+        reg = ParityAdversary(tau=tau)
+        fold_of = derive_rng(3, "parity-folds").permutation(40) if shuffled else np.arange(40)
+        fast = build_loo_cache(train, reg, fold_assignment=fold_of)
+        refit = LooCache(train, reg, 40, fold_of.copy(),
+                         *Regressor.fit_folds(reg, train, fold_of.copy(), 40))
+        assert len(fast.models) == 2 and len(refit.models) == 40
+        np.testing.assert_array_equal(fast.signed_residuals, refit.signed_residuals)
+        np.testing.assert_array_equal(fast.residuals, refit.residuals)
+        probes = gen_pathological_abc(20, 0.25, 0.3, seed=10).features
+        assert (probes[:, 0] == 0.0).any() and (probes[:, 0] != 0.0).any()
+        for x in probes:
+            np.testing.assert_array_equal(fast.predictions_at(x), refit.predictions_at(x))
+
+    def test_other_partitions_refit(self):
+        train = attach_tau(gen_pathological_abc(6, 0.25, 0.3, seed=2), 2.0)
+        reg = ParityAdversary(tau=2.0)
+        x = [1.0, 1.0, 0.5]
+        for k, fold_of in ((3, np.array([0, 1, 2, 0, 1, 2])), (6, np.array([0, 0, 1, 1, 2, 2]))):
+            models, model_of = reg.fit_folds(train, fold_of, k)
+            assert len(models) == k and model_of is fold_of
+            for j, model in enumerate(models):
+                refit = reg.fit(train.drop(np.flatnonzero(fold_of == j)))
+                assert model.predict(x) == refit.predict(x)
+        one = Dataset([[1.0, -1.0, 0.5]], [2.0])
+        models, model_of = reg.fit_folds(one, np.zeros(1, dtype=int), 1)
+        assert len(models) == 1 and model_of.tolist() == [0]
+        assert models[0].predict(x) == 0.0  # fitted on no rows: the zero function
 
 
 ALL_REGRESSORS = [
@@ -236,9 +278,15 @@ def test_parity_fit_is_permutation_invariant_bitwise():
         assert np.array_equal(reg.fit(shuffled).predict_many(probes), baseline)
 
 
-@pytest.mark.parametrize("reg", ALL_REGRESSORS, ids=lambda r: r.token + str(getattr(r, "intercept", "")))
+@pytest.mark.parametrize(
+    "reg", ALL_REGRESSORS + [ParityAdversary(tau=2.7)],
+    ids=lambda r: r.token + str(getattr(r, "intercept", "")),
+)
 def test_predict_many_is_the_row_loop(reg):
-    data = gaussian(10, 3, seed=25)
+    if isinstance(reg, ParityAdversary):
+        data = gen_pathological_abc(10, alpha=0.25, gamma=0.1, seed=25)
+    else:
+        data = gaussian(10, 3, seed=25)
     model = reg.fit(data)
     probes = gaussian(4, 3, seed=26).features
     batch = model.predict_many(probes)
