@@ -284,10 +284,13 @@ def gen_pathological_abc(n: int, alpha: float, gamma: float, seed: int) -> Datas
             f"need 0 < 2*alpha*(1-gamma) < 1; got {p} from alpha={alpha}, gamma={gamma}"
         )
     rng = np.random.default_rng(seed)
-    a = (rng.random(n) < p).astype(float)
-    b = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
-    c = rng.uniform(-1.0, 1.0, size=n)
-    return Dataset(np.column_stack([a, b, c]), np.zeros(n))
+    X = np.empty((n, 3))
+    X[:, 0] = rng.random(n) < p
+    X[:, 1] = rng.integers(0, 2, size=n)
+    X[:, 1] *= 2.0
+    X[:, 1] -= 1.0
+    X[:, 2] = rng.uniform(-1.0, 1.0, size=n)
+    return Dataset(X, np.zeros(n))
 
 
 def attach_tau(data: Dataset, tau: float) -> Dataset:

@@ -463,6 +463,25 @@ def parity_vacuity_slack(n: int) -> float:
     return 6.0 * math.sqrt(math.log(n) / n)
 
 
+def _parity_trial(n, n_test, gamma, tau, spec, seed, t) -> TrialStats:
+    """One parity trial. Its train, test and objects are freed on return,
+    before the next trial draws."""
+    alpha = spec.alpha
+    train = attach_tau(
+        gen_pathological_abc(n, alpha, gamma, derive_seed(seed, "parity-train", t)), tau
+    )
+    test = attach_tau(
+        gen_pathological_abc(n_test, alpha, gamma, derive_seed(seed, "parity-test", t)), tau
+    )
+    # Every A = 0 test row gets the same interval: evaluate one of them.
+    keys = np.where(test.features[:, 0] == 0.0, -1, np.arange(test.n))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    objs = evaluate_methods(
+        train, test.features[first], ParityAdversary(tau), [MethodSpec("jackknife+")], [spec]
+    )[0][0]
+    return _trial_stats([objs[i] for i in inverse], test.responses)
+
+
 def pathology_parity(
     n: int = 100_000,
     alpha: float = 0.25,
@@ -482,6 +501,8 @@ def pathology_parity(
     """
     if not eps > 0:
         raise ConfigError(f"eps must be > 0, got {eps}")
+    if not math.isfinite(eps):
+        raise ConfigError(f"eps must be finite, got {eps}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     slack = parity_vacuity_slack(n)
@@ -497,22 +518,8 @@ def pathology_parity(
     if tau is None:
         tau = eps * n
 
-    regressor = ParityAdversary(tau)
-    methods = [MethodSpec("jackknife+")]
-    specs = [IntervalSpec(alpha, inflation_eps=eps)]
-    stats = []
-    for t in range(trials):
-        train = attach_tau(
-            gen_pathological_abc(n, alpha, gamma, derive_seed(seed, "parity-train", t)), tau
-        )
-        test = attach_tau(
-            gen_pathological_abc(n_test, alpha, gamma, derive_seed(seed, "parity-test", t)), tau
-        )
-        # Every A = 0 test row gets the same interval: evaluate one of them.
-        keys = np.where(test.features[:, 0] == 0.0, -1, np.arange(test.n))
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        objs = evaluate_methods(train, test.features[first], regressor, methods, specs)[0][0]
-        stats.append(_trial_stats([objs[i] for i in inverse], test.responses))
+    spec = IntervalSpec(alpha, inflation_eps=eps)
+    stats = [_parity_trial(n, n_test, gamma, tau, spec, seed, t) for t in range(trials)]
     report = CoverageReport.from_trials("jackknife+", alpha, stats)
     return ParityResult(
         n=n,

@@ -29,8 +29,8 @@ from fractions import Fraction
 import numpy as np
 
 from .dataset import Dataset, SplitSpec
-from .errors import ConfigError
-from .quantiles import lower_quantile, upper_quantile
+from .errors import ConfigError, DataError
+from .quantiles import _select_inplace, lower_index, lower_quantile, upper_index, upper_quantile
 from .regressors import FittedModel, Regressor, canonical_order
 
 __all__ = [
@@ -202,22 +202,38 @@ class LooCache:
     singletons and the cache holds the classic leave-one-out fits. The full
     model is fitted on first use only. Immutable once built; all downstream
     methods read from it without refitting.
+
+    Invariant: the in-sample residuals are finite; a fit that makes any of
+    them infinite or NaN raises :class:`DataError` when the cache is built.
+    Each query checks the predictions of the distinct models at x (one value
+    per entry of ``models``, not one per row) and raises ``DataError`` unless
+    they are finite. Together the two checks keep NaN out of every shifted
+    vector ``prediction +- residual``, so queries need no per-row NaN scan.
     """
 
     def __init__(self, train, regressor, k_folds, fold_of, models, model_of):
         self.train = train
         self.regressor = regressor
         self.k_folds = k_folds
-        self.fold_of = fold_of
         self.models = models
-        self.model_of = model_of
+        # np.take copies a read-only index array, so queries gather through
+        # this private reference; the public index arrays are frozen views.
+        self._gather_index = model_of
+        self.fold_of, self.model_of = fold_of.view(), model_of.view()
+        if model_of.min() < 0 or model_of.max() >= len(models):
+            raise ConfigError("model_of must index into models")
         preds = np.empty(train.n)
         for j, model in enumerate(models):
             mask = model_of == j
             preds[mask] = model.predict_many(train.features[mask])
         self.signed_residuals = train.responses - preds
+        if not np.isfinite(self.signed_residuals).all():
+            raise DataError("the fold models' in-sample residuals are not finite")
         self.residuals = np.abs(self.signed_residuals)
-        for arr in (self.signed_residuals, self.residuals, fold_of, self.model_of):
+        # Models some row maps to; with empty folds the others go unused.
+        self._mapped_models = np.flatnonzero(np.bincount(model_of, minlength=len(models)))
+        for arr in (self.signed_residuals, self.residuals, self.fold_of, self.model_of,
+                    self._mapped_models):
             arr.flags.writeable = False
 
     @property
@@ -228,10 +244,19 @@ class LooCache:
     def full_model(self) -> FittedModel:
         return self.regressor.fit(self.train)
 
+    def model_predictions(self, x) -> np.ndarray:
+        """Predictions of the distinct models at x, one per entry of ``models``.
+
+        Raises :class:`DataError` unless every one is finite.
+        """
+        per_model = np.array([m.predict(x) for m in self.models], dtype=float)
+        if not np.isfinite(per_model).all():
+            raise DataError("fold-model predictions at the query point are not finite")
+        return per_model
+
     def predictions_at(self, x) -> np.ndarray:
         """Per-row fold predictions mu_{-fold(i)}(x), one entry per row."""
-        per_model = np.array([m.predict(x) for m in self.models], dtype=float)
-        return per_model[self.model_of]
+        return self.model_predictions(x)[self.model_of]
 
 
 def build_loo_cache(
@@ -307,6 +332,8 @@ def interval_about(model: FittedModel, signed_residuals, spec: IntervalSpec, x) 
     differs between the three.
     """
     center = model.predict(x)
+    if not math.isfinite(center):
+        raise DataError(f"the prediction at the query point is not finite, got {center}")
     if spec.asymmetric:
         return _asymmetric_interval(center, center, signed_residuals, spec)
     return _symmetric_interval(center, center, np.abs(signed_residuals), spec)
@@ -355,22 +382,33 @@ def cv_plus(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval:
     """Quantiles of the per-row fold predictions shifted by their residuals.
 
     With K = n folds this is exactly jackknife+; the two share this code path
-    bit for bit.
+    bit for bit. Each endpoint is selected from one n-length work buffer,
+    filled in place from the distinct models' predictions at x, so a query
+    allocates one n-vector however large n is.
     """
     if cache.k_folds < 2:
         raise ConfigError("cv+ needs at least 2 folds (K=1 is leave-all-out)")
-    m = cache.predictions_at(x)
-    eps = spec.inflation_eps
+    per_model = cache.model_predictions(x)
+    n = cache.n
+    buf = np.empty(n)
+
+    def order_statistic(shift, residuals, k: int) -> float:
+        """k-th smallest of shift(prediction_i, residual_i) over the rows."""
+        # mode="clip" skips the bounds check, which with mode="raise" writes
+        # through a hidden copy of ``out``; model_of was range-checked when
+        # the cache was built.
+        np.take(per_model, cache._gather_index, out=buf, mode="clip")
+        shift(buf, residuals, out=buf)
+        return _select_inplace(buf, k)
+
     if spec.asymmetric:
-        shifted = m + cache.signed_residuals
-        return PredictionInterval(
-            lower_quantile(shifted, spec.alpha_lo) - eps,
-            upper_quantile(shifted, spec.alpha_hi) + eps,
-        )
-    return PredictionInterval(
-        lower_quantile(m - cache.residuals, spec.alpha) - eps,
-        upper_quantile(m + cache.residuals, spec.alpha) + eps,
-    )
+        lo = order_statistic(np.add, cache.signed_residuals, lower_index(n, spec.alpha_lo))
+        hi = order_statistic(np.add, cache.signed_residuals, upper_index(n, spec.alpha_hi))
+    else:
+        lo = order_statistic(np.subtract, cache.residuals, lower_index(n, spec.alpha))
+        hi = order_statistic(np.add, cache.residuals, upper_index(n, spec.alpha))
+    eps = spec.inflation_eps
+    return PredictionInterval(lo - eps, hi + eps)
 
 
 def jackknife_plus(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval:
@@ -381,7 +419,7 @@ def jackknife_plus(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval
 def jackknife_minmax(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval:
     """Residual quantile around the extreme leave-one-out predictions."""
     _require_loo(cache, "jackknife-mm")
-    m = cache.predictions_at(x)
+    m = cache.model_predictions(x)[cache._mapped_models]
     lo, hi = float(np.min(m)), float(np.max(m))
     if spec.asymmetric:
         return _asymmetric_interval(lo, hi, cache.signed_residuals, spec)

@@ -15,10 +15,16 @@ is 9). Exactness also guarantees the identity
     lower_quantile(v, alpha) == -upper_quantile(-v, alpha)
 
 holds bitwise, not merely approximately.
+
+Indices are memoised per (n, alpha), and every selection runs through one
+in-place ``np.partition`` helper, so callers that stream many queries
+through a reusable buffer (jackknife+ and CV+) share the public operators'
+selection code.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -40,12 +46,42 @@ def _check_alpha(alpha: float) -> Fraction:
 
 
 def _check_values(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    """A fresh float copy of ``values``, free to partition in place."""
+    arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ConfigError("values must be a non-empty one-dimensional sequence")
     if np.isnan(arr).any():
         raise ConfigError("values must not contain NaN")
     return arr
+
+
+@functools.lru_cache(maxsize=1024)
+def _memo_indices(n: int, alpha) -> tuple[int, int]:
+    # A failed check raises and stores nothing, so the memo holds validated
+    # levels only. Equal keys have equal exact values: Python compares int,
+    # float, Fraction and Decimal exactly.
+    frac = _check_alpha(alpha)
+    return math.ceil((1 - frac) * (n + 1)), math.floor(frac * (n + 1))
+
+
+def _indices(n: int, alpha) -> tuple[int, int]:
+    """(upper, lower) 1-based order-statistic indices at level alpha."""
+    try:
+        hash(alpha)
+    except TypeError:  # unhashable, so not a number Fraction accepts
+        raise ConfigError(f"alpha must be a real number, got {alpha!r}") from None
+    return _memo_indices(n, alpha)
+
+
+def _select_inplace(buf: np.ndarray, k: int) -> float:
+    """The k-th smallest entry of ``buf`` (1-based), partitioning it in place;
+    -inf when k < 1 and +inf when k > buf.size."""
+    if k < 1:
+        return -math.inf
+    if k > buf.size:
+        return math.inf
+    buf.partition(k - 1)
+    return float(buf[k - 1])
 
 
 def upper_index(n: int, alpha: float) -> int:
@@ -54,12 +90,12 @@ def upper_index(n: int, alpha: float) -> int:
     May be 0 (alpha = 1) or n + 1 (alpha < 1/(n+1)); callers map those to
     -inf and +inf respectively.
     """
-    return math.ceil((1 - _check_alpha(alpha)) * (n + 1))
+    return _indices(n, alpha)[0]
 
 
 def lower_index(n: int, alpha: float) -> int:
     """The 1-based order-statistic index floor(alpha(n+1)), computed exactly."""
-    return math.floor(_check_alpha(alpha) * (n + 1))
+    return _indices(n, alpha)[1]
 
 
 def upper_quantile(values, alpha: float) -> float:
@@ -74,12 +110,7 @@ def upper_quantile(values, alpha: float) -> float:
         Miscoverage level in [0, 1].
     """
     arr = _check_values(values)
-    k = upper_index(arr.size, alpha)
-    if k > arr.size:
-        return math.inf
-    if k < 1:
-        return -math.inf
-    return float(np.partition(arr, k - 1)[k - 1])
+    return _select_inplace(arr, upper_index(arr.size, alpha))
 
 
 def lower_quantile(values, alpha: float) -> float:
@@ -89,9 +120,4 @@ def lower_quantile(values, alpha: float) -> float:
     ``lower_quantile(v, a) == -upper_quantile(-v, a)`` exactly.
     """
     arr = _check_values(values)
-    j = lower_index(arr.size, alpha)
-    if j < 1:
-        return -math.inf
-    if j > arr.size:
-        return math.inf
-    return float(np.partition(arr, j - 1)[j - 1])
+    return _select_inplace(arr, lower_index(arr.size, alpha))

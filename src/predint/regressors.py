@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 __all__ = [
     "FittedModel",
@@ -181,7 +181,13 @@ class Ridge(Regressor):
         m = len(y)
         if m == 0:
             return ConstantModel(0.0, 0)
-        lam = self.lambda_rel * float(np.linalg.norm(X, 2)) ** 2
+        try:
+            scale = float(np.linalg.norm(X, 2)) ** 2
+        except OverflowError:
+            scale = math.inf
+        if not math.isfinite(scale):
+            raise DataError(f"ridge penalty scale sigma_max(X)^2 is not finite, got {scale}")
+        lam = self.lambda_rel * scale
         if self.intercept:
             x_bar = X.mean(axis=0)
             y_bar = float(y.mean())

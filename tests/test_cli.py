@@ -271,12 +271,40 @@ class TestExitCodes:
         assert "vacuous" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag, message", [("--eps", "eps must be > 0"), ("--alpha", "alpha must be in (0, 1)")]
+        "flag, message, value",
+        [("--eps", "eps must be > 0", "nan"), ("--alpha", "alpha must be in (0, 1)", "nan"),
+         ("--eps", "eps must be finite", "inf")],
+        ids=["--eps-eps must be > 0", "--alpha-alpha must be in (0, 1)", "--eps-inf"],
     )
-    def test_nan_parity_configuration(self, flag, message, capsys):
-        rc = main(["simulate", "--experiment", "pathology-parity", "--n", "100000", flag, "nan"])
+    def test_nan_parity_configuration(self, flag, message, value, capsys):
+        rc = main(["simulate", "--experiment", "pathology-parity", "--n", "100000", flag, value])
         assert rc == 2
-        assert f"{message}, got nan" in capsys.readouterr().err
+        assert f"{message}, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["jackknife+", "naive", "full-conformal"])
+    def test_ridge_penalty_overflow_is_a_data_error(self, tmp_path, method, capsys):
+        # sigma_max(X) is about 1e201, so sigma_max(X)^2 overflows a double.
+        rng = derive_rng(2, "huge-features")
+        rows = [f"{1e200 * a:.17g},{1e200 * b:.17g},{c:.17g}"
+                for a, b, c in rng.standard_normal((20, 3))]
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        train.write_text("x1,x2,y\n" + "\n".join(rows) + "\n")
+        test.write_text("x1,x2\n1e200,-1e200\n")
+        rc = main(["intervals", "--train", str(train), "--test", str(test),
+                   "--regressor", "ridge", "--method", method, "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        assert "ridge penalty scale" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_prediction_is_a_data_error(self, tmp_path, capsys):
+        data, _ = gen_gaussian_linear(20, 2, seed=4)
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        save_csv(data, str(train))
+        test.write_text("x1,x2\n1e308,1e308\n")
+        rc = main(["intervals", "--train", str(train), "--test", str(test),
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        assert "not finite" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

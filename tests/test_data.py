@@ -243,6 +243,15 @@ class TestPathologicalDesign:
         # P(A = 1) = 2 alpha (1 - gamma) = 0.45.
         assert float(a.mean()) == pytest.approx(0.45, abs=0.025)
 
+    def test_draws_match_the_column_stack_reference(self):
+        n, alpha, gamma, seed = 500, 0.25, 0.1, 3
+        rng = np.random.default_rng(seed)
+        a = (rng.random(n) < 2.0 * alpha * (1.0 - gamma)).astype(float)
+        b = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
+        c = rng.uniform(-1.0, 1.0, size=n)
+        data = gen_pathological_abc(n, alpha, gamma, seed)
+        assert data.features.tobytes() == np.column_stack([a, b, c]).tobytes()
+
     def test_rate_validation(self):
         with pytest.raises(ConfigError, match="2\\*alpha"):
             gen_pathological_abc(10, alpha=0.5, gamma=0.0, seed=0)  # p = 1

@@ -209,6 +209,21 @@ class TestEvaluateMethods:
             evaluate_methods(train, X_test, reg, [MethodSpec("jackknife+")], [IntervalSpec(0.2)])
         assert reg.fits == 0
 
+    @pytest.mark.parametrize(
+        "mspec",
+        [MethodSpec("naive"), MethodSpec("split"), MethodSpec("jackknife"),
+         MethodSpec("jackknife+"), MethodSpec("jackknife-mm"), MethodSpec("cv+", k_folds=3),
+         MethodSpec("cross-conformal", k_folds=3)],
+        ids=lambda m: m.method,
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_predictions_are_a_data_error(self, mspec):
+        # ||beta||^2 = 10, so some coefficient exceeds 2 and x . beta overflows.
+        train, _ = gaussian_split(12, 1, 2, seed=14)
+        with pytest.raises(DataError, match="not finite"):
+            evaluate_methods(train, np.array([[1e308, 1e308]]), MinNormOLS(), [mspec],
+                             [IntervalSpec(0.2)])
+
     def test_run_trial_rejects_a_test_set_of_another_width(self):
         train, _ = gaussian_split(8, 1, 3, seed=9)
         _, test = gaussian_split(8, 2, 2, seed=9)

@@ -12,6 +12,7 @@ paper:
 """
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -24,13 +25,18 @@ from predint import (
     KNN,
     ConfigError,
     ConstantMean,
+    DataError,
     Dataset,
     GridSpec,
     IntervalSpec,
+    LooCache,
+    Memorizer,
     MinNormOLS,
+    ParityAdversary,
     PredictionInterval,
     PredictionSet,
     SplitSpec,
+    attach_tau,
     build_loo_cache,
     contains,
     cross_conformal_set,
@@ -38,10 +44,12 @@ from predint import (
     derive_rng,
     full_conformal_set,
     gen_gaussian_linear,
+    gen_pathological_abc,
     jackknife,
     jackknife_from_cache,
     jackknife_minmax,
     jackknife_plus,
+    lower_quantile,
     naive_interval,
     split_conformal,
     upper_quantile,
@@ -342,6 +350,19 @@ class TestCacheConstruction:
         with pytest.raises(ConfigError, match="at least 2"):
             jackknife(Dataset([[0.0]], [1.0]), MEAN, IntervalSpec(0.25), X_PROBE)
 
+    def test_model_indices_are_range_checked(self, worked):
+        models = [MEAN.fit(worked)]
+        for model_of in ([0, 1, 0], [0, -1, 0]):
+            with pytest.raises(ConfigError, match="model_of"):
+                LooCache(worked, MEAN, 3, np.arange(3), models, np.array(model_of))
+
+    def test_non_finite_residuals_are_rejected(self):
+        # Each leave-one-out memorizer predicts (1 + eps)(n - 1) = inf on its
+        # left-out row, so every in-sample residual is -inf.
+        data, _ = gen_gaussian_linear(4, 1, seed=3)
+        with pytest.raises(DataError, match="residuals are not finite"):
+            build_loo_cache(data, Memorizer(eps=1e308))
+
 
 def random_case(seed, n=None, reg=None):
     rng = derive_rng(seed, "case")
@@ -423,6 +444,115 @@ class TestStructuralRelations:
                 for iv in cross_conformal_set(c2, spec, x, 0.37).intervals
             ]
             assert got == base["cc"]
+
+
+def reference_cv_plus(cache, spec, x):
+    """cv+ from freshly built per-row vectors and the public quantiles."""
+    m = cache.predictions_at(x)
+    eps = spec.inflation_eps
+    if spec.asymmetric:
+        shifted = m + cache.signed_residuals
+        return PredictionInterval(
+            lower_quantile(shifted, spec.alpha_lo) - eps,
+            upper_quantile(shifted, spec.alpha_hi) + eps,
+        )
+    return PredictionInterval(
+        lower_quantile(m - cache.residuals, spec.alpha) - eps,
+        upper_quantile(m + cache.residuals, spec.alpha) + eps,
+    )
+
+
+def reference_minmax(cache, spec, x):
+    m = cache.predictions_at(x)
+    lo, hi = float(np.min(m)), float(np.max(m))
+    eps = spec.inflation_eps
+    if spec.asymmetric:
+        return PredictionInterval(
+            lo + lower_quantile(cache.signed_residuals, spec.alpha_lo) - eps,
+            hi + upper_quantile(cache.signed_residuals, spec.alpha_hi) + eps,
+        )
+    q = upper_quantile(cache.residuals, spec.alpha)
+    return PredictionInterval(lo - q - eps, hi + q + eps)
+
+
+def bits(iv):
+    return (iv.lower.hex(), iv.upper.hex())
+
+
+class TestStreamingKernel:
+    """cv+, jackknife+ and jackknife-mm select from one reusable buffer; they
+    must equal, bit for bit, the quantile operators applied to freshly built
+    ``predictions_at(x) +- residuals``."""
+
+    N = 20
+    # alpha = 0.04 < 1/(n+1) overflows the indices, alpha = 1 underflows them.
+    SPECS = [
+        IntervalSpec(0.04),
+        IntervalSpec(0.1),
+        IntervalSpec(0.25, inflation_eps=0.5),
+        IntervalSpec(1.0),
+        IntervalSpec(0.2, alpha_lo=0.05, alpha_hi=0.15),
+        IntervalSpec(0.04, alpha_lo=0.02, alpha_hi=0.02),
+        IntervalSpec(0.3, alpha_lo=0.1, alpha_hi=0.2, inflation_eps=0.25),
+    ]
+
+    @pytest.fixture
+    def tied(self):
+        """Integer features and responses: many tied predictions and residuals."""
+        rng = derive_rng(8, "tied")
+        X = rng.integers(-2, 3, size=(self.N + 6, 2)).astype(float)
+        y = rng.integers(0, 4, size=self.N + 6).astype(float)
+        return Dataset(X[: self.N], y[: self.N]), X[self.N :]
+
+    def check(self, cache, probes):
+        for x in probes:
+            for spec in self.SPECS:
+                assert bits(cv_plus(cache, spec, x)) == bits(reference_cv_plus(cache, spec, x))
+                if cache.k_folds == cache.n:
+                    assert bits(jackknife_plus(cache, spec, x)) == bits(
+                        reference_cv_plus(cache, spec, x))
+                    assert bits(jackknife_minmax(cache, spec, x)) == bits(
+                        reference_minmax(cache, spec, x))
+
+    @pytest.mark.parametrize("k", [2, 5, N])
+    @pytest.mark.parametrize("reg", [MEAN, MinNormOLS(), Memorizer(eps=0.5)],
+                             ids=["mean", "ols", "memorizer"])
+    def test_matches_the_quantile_operators(self, tied, reg, k):
+        train, probes = tied
+        self.check(build_loo_cache(train, reg, k, fold_seed=3), probes)
+
+    def test_shuffled_assignment_with_empty_folds(self, tied):
+        train, probes = tied
+        fold_of = derive_rng(4, "empty-folds").integers(0, self.N, size=self.N)
+        unused = np.setdiff1d(np.arange(self.N), fold_of)
+        assert unused.size > 0
+        reg = Memorizer(eps=0.5)
+        cache = build_loo_cache(train, reg, fold_assignment=fold_of)
+        # The model of an empty fold is the full fit, whose fresh prediction
+        # (1 + eps) n exceeds every fold model's: min/max must skip it.
+        x = probes[0] + 0.5
+        assert cache.models[unused[0]].predict(x) > cache.predictions_at(x).max()
+        self.check(cache, [x, *probes])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [IntervalSpec(0.25, inflation_eps=0.01),
+         IntervalSpec(0.25, alpha_lo=0.1, alpha_hi=0.15, inflation_eps=0.01)],
+        ids=["symmetric", "asymmetric"],
+    )
+    def test_a_query_allocates_one_work_buffer(self, spec):
+        n = 100_000
+        train = attach_tau(gen_pathological_abc(n, 0.25, 0.05, seed=6), 1000.0)
+        cache = build_loo_cache(train, ParityAdversary(1000.0))
+        x = np.array([1.0, -1.0, 0.5])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            jackknife_plus(cache, spec, x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n
 
 
 class TestCrossConformalSweep:

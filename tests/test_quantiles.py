@@ -90,10 +90,12 @@ def test_infinite_entries_are_ordinary_values():
     assert upper_quantile(v, 0.5) == 0.0
 
 
-@pytest.mark.parametrize("bad_alpha", [-0.1, 1.1, math.nan])
+@pytest.mark.parametrize("bad_alpha", [-0.1, 1.1, math.nan, [0.1]])
 def test_alpha_out_of_range(bad_alpha):
     with pytest.raises(ConfigError):
         upper_quantile([1.0], bad_alpha)
+    with pytest.raises(ConfigError):
+        lower_index(3, bad_alpha)
 
 
 def test_bad_values_rejected():
