@@ -26,8 +26,13 @@ import numpy as np
 
 from .dataset import Dataset, gen_gaussian_linear
 from .errors import ConfigError
-from .intervals import PredictionInterval
-from .quantiles import lower_quantile, upper_quantile
+from .intervals import (
+    IntervalSpec,
+    LooCache,
+    PredictionInterval,
+    jackknife_minmax,
+    jackknife_plus,
+)
 from .regressors import Regressor
 from .rng import derive_seed
 
@@ -148,13 +153,13 @@ def audit_instance(
     report = AuditReport(n=n, alpha=alpha, variant=variant)
     count = Fraction(m)
 
-    # Leave-one-out ingredients for the test row come from the (i, last) fits.
+    # The (i, test) fits are the leave-one-out fits of the n training rows;
+    # the intervals at the test row come from the library's own methods.
+    loo = [models[(i, last)] for i in range(n)]
+    cache = LooCache(data.head(n), regressor, n, np.arange(n), loo, np.arange(n))
+    spec = IntervalSpec(alpha)
     x_test = data.features[last]
     y_test = data.responses[last]
-    loo_preds = np.array(
-        [models[(i, last)].predict(x_test) for i in range(n)], dtype=float
-    )
-    loo_resid = R[:last, last]
 
     if variant in ("plus", "both"):
         A = comparison_matrix(R, "plus")
@@ -164,10 +169,7 @@ def audit_instance(
                 f"plus strange set has {len(report.strange_plus)} rows, "
                 f"needs fewer than 2*alpha*(n+1) = {float(2 * alpha * m)}"
             )
-        report.interval_plus = PredictionInterval(
-            lower_quantile(loo_preds - loo_resid, alpha),
-            upper_quantile(loo_preds + loo_resid, alpha),
-        )
+        report.interval_plus = jackknife_plus(cache, spec, x_test)
         report.covered_plus = report.interval_plus.contains(y_test)
         if not report.covered_plus and last not in report.strange_plus:
             report.violations.append(
@@ -182,10 +184,7 @@ def audit_instance(
                 f"minmax strange set has {len(report.strange_minmax)} rows, "
                 f"needs at most alpha*(n+1) = {float(alpha * m)}"
             )
-        q = upper_quantile(loo_resid, alpha)
-        report.interval_minmax = PredictionInterval(
-            float(np.min(loo_preds)) - q, float(np.max(loo_preds)) + q
-        )
+        report.interval_minmax = jackknife_minmax(cache, spec, x_test)
         report.covered_minmax = report.interval_minmax.contains(y_test)
         if not report.covered_minmax and last not in report.strange_minmax:
             report.violations.append(

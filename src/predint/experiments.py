@@ -3,9 +3,10 @@
 A trial is the unit of randomness: each trial owns a seed derived from the
 experiment's master seed by purpose tag and trial index, draws its own data
 (including a fresh coefficient vector where applicable), and reports the
-coverage fraction and mean width over its test points. Reports aggregate
-per-trial rows in trial order, so results are reproducible regardless of how
-work is batched.
+coverage fraction and mean width over its test points. One driver runs the
+trials of every experiment, one at a time, and pools the per-trial rows into
+reports in trial order, so results are reproducible regardless of how work
+is batched.
 
 Widths are totals of finite component lengths; infinite-width intervals are
 counted separately and excluded from width means (they still count toward
@@ -37,6 +38,7 @@ from .intervals import (
 )
 from .regressors import Memorizer, MinNormOLS, ParityAdversary, Regressor, make_regressor
 from .rng import derive_rng, derive_seed
+from .stability import coverage_lower_bounds
 
 __all__ = [
     "MethodSpec",
@@ -259,6 +261,8 @@ def run_trial(
     """
     if not methods or not specs:
         raise ConfigError("need at least one method and one spec")
+    if test.n < 1:
+        raise ConfigError("n_test must be >= 1: the test set is empty")
     labels = [m.label for m in methods]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"duplicate method labels: {labels}")
@@ -300,6 +304,26 @@ def default_method_list(n: int, k_folds: int = 10) -> list[MethodSpec]:
     ]
 
 
+def _coverage_reports(trials: int, specs: list[IntervalSpec], trial) -> dict:
+    """Run trials 0..trials-1 one at a time and pool their rows.
+
+    ``trial(t)`` returns :func:`run_trial`'s ``{(label, spec index):
+    TrialStats}`` for trial t. Returns ``{(label, spec index):
+    CoverageReport}`` in the key order of the first trial, each report
+    listing its rows in trial order.
+    """
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    rows: dict = {}
+    for t in range(trials):
+        for key, stats in trial(t).items():
+            rows.setdefault(key, []).append(stats)
+    return {
+        (label, si): CoverageReport.from_trials(label, specs[si].alpha, stats)
+        for (label, si), stats in rows.items()
+    }
+
+
 def figure2_experiment(
     n: int = 100,
     d_list=(20, 100, 180),
@@ -320,38 +344,24 @@ def figure2_experiment(
         regressor = MinNormOLS()
     if methods is None:
         methods = default_method_list(n)
-    spec = IntervalSpec(alpha)
+    specs = [IntervalSpec(alpha)]
+
+    def trial(d, t):
+        data, _ = gen_gaussian_linear(n + n_test, d, derive_seed(seed, f"figure2/d={d}", t))
+        return run_trial(data.head(n), data.tail_from(n), regressor, methods, specs,
+                         seed=derive_seed(seed, f"figure2-trial/d={d}", t))
+
     out: dict = {}
     for d in d_list:
-        per_method: dict = {m.label: [] for m in methods}
-        for t in range(trials):
-            data, _ = gen_gaussian_linear(n + n_test, d, derive_seed(seed, f"figure2/d={d}", t))
-            stats = run_trial(
-                data.head(n),
-                data.tail_from(n),
-                regressor,
-                methods,
-                [spec],
-                seed=derive_seed(seed, f"figure2-trial/d={d}", t),
-            )
-            for m in methods:
-                per_method[m.label].append(stats[(m.label, 0)])
-        out[d] = {
-            label: CoverageReport.from_trials(label, alpha, rows)
-            for label, rows in per_method.items()
-        }
+        reports = _coverage_reports(trials, specs, lambda t: trial(d, t))
+        out[d] = {label: report for (label, _), report in reports.items()}
     return out
 
 
-def _bound_for(label: str, alpha: float, n: int) -> float:
-    if label.startswith("cv+"):
-        return 1.0 - 2.0 * alpha - math.sqrt(2.0 / n)
-    lookup = {
-        "jackknife+": 1.0 - 2.0 * alpha,
-        "jackknife-mm": 1.0 - alpha,
-        "split": 1.0 - alpha,
-    }
-    return lookup.get(label, math.nan)
+# The coverage_lower_bounds entry of each coverage-mc method; cv+ reads the
+# floor that holds at every K.
+_FLOOR_KEY = {"jackknife+": "jackknife_plus", "jackknife-mm": "jackknife_minmax",
+              "split": "split_conformal", "cv+": "cv_plus_floor"}
 
 
 def run_coverage_mc(
@@ -371,41 +381,29 @@ def run_coverage_mc(
     alpha) with the matching assumption-free lower bound.
     """
     methods = [MethodSpec("jackknife+"), MethodSpec("jackknife-mm"), MethodSpec("split")]
-    for k in k_list:
-        methods.append(MethodSpec("cv+", k_folds=k))
+    methods += [MethodSpec("cv+", k_folds=k) for k in k_list]
     specs = [IntervalSpec(a) for a in alphas]
+    floors = [coverage_lower_bounds(spec.alpha, 0.0, n, n) for spec in specs]
 
     rows = []
     for token in regressors:
         reg = make_regressor(token) if isinstance(token, str) else token
         name = token if isinstance(token, str) else reg.token
-        per_key: dict = {(m.label, si): [] for m in methods for si in range(len(specs))}
-        for t in range(trials):
+
+        def trial(t):
             data, _ = gen_gaussian_linear(
                 n + n_test, d, derive_seed(seed, f"coverage-mc/{name}", t)
             )
-            stats = run_trial(
-                data.head(n),
-                data.tail_from(n),
-                reg,
-                methods,
-                specs,
-                seed=derive_seed(seed, f"coverage-mc-trial/{name}", t),
-            )
-            for key, value in stats.items():
-                per_key[key].append(value)
-        for m in methods:
-            for si, spec in enumerate(specs):
-                report = CoverageReport.from_trials(m.label, spec.alpha, per_key[(m.label, si)])
-                rows.append(
-                    {
-                        "regressor": name,
-                        "method": m.label,
-                        "alpha": spec.alpha,
-                        "report": report,
-                        "bound": _bound_for(m.label, spec.alpha, n),
-                    }
-                )
+            return run_trial(data.head(n), data.tail_from(n), reg, methods, specs,
+                             seed=derive_seed(seed, f"coverage-mc-trial/{name}", t))
+
+        reports = _coverage_reports(trials, specs, trial)
+        rows += [
+            {"regressor": name, "method": m.label, "alpha": spec.alpha,
+             "report": reports[(m.label, si)], "bound": floors[si][_FLOOR_KEY[m.method]]}
+            for m in methods
+            for si, spec in enumerate(specs)
+        ]
     return rows
 
 
@@ -424,26 +422,16 @@ def pathology_memorizer(
     """
     regressor = Memorizer(eps=eps)
     methods = [MethodSpec("naive"), MethodSpec("jackknife"), MethodSpec("jackknife+")]
-    spec = IntervalSpec(alpha)
-    per_method: dict = {m.label: [] for m in methods}
-    for t in range(trials):
-        rng = derive_rng(seed, "memorizer", t)
-        X = rng.standard_normal((n + n_test, 1))
+    specs = [IntervalSpec(alpha)]
+
+    def trial(t):
+        X = derive_rng(seed, "memorizer", t).standard_normal((n + n_test, 1))
         data = Dataset(X, np.zeros(n + n_test))
-        stats = run_trial(
-            data.head(n),
-            data.tail_from(n),
-            regressor,
-            methods,
-            [spec],
-            seed=derive_seed(seed, "memorizer-trial", t),
-        )
-        for m in methods:
-            per_method[m.label].append(stats[(m.label, 0)])
-    return {
-        label: CoverageReport.from_trials(label, alpha, rows)
-        for label, rows in per_method.items()
-    }
+        return run_trial(data.head(n), data.tail_from(n), regressor, methods, specs,
+                         seed=derive_seed(seed, "memorizer-trial", t))
+
+    reports = _coverage_reports(trials, specs, trial)
+    return {label: report for (label, _), report in reports.items()}
 
 
 @dataclass(frozen=True)
@@ -463,9 +451,10 @@ def parity_vacuity_slack(n: int) -> float:
     return 6.0 * math.sqrt(math.log(n) / n)
 
 
-def _parity_trial(n, n_test, gamma, tau, spec, seed, t) -> TrialStats:
-    """One parity trial. Its train, test and objects are freed on return,
-    before the next trial draws."""
+def _parity_trial(n, n_test, gamma, tau, spec, seed, t) -> dict:
+    """One parity trial in :func:`run_trial`'s shape, ``{("jackknife+", 0):
+    TrialStats}``. Its train, test and objects are freed on return, before
+    the next trial draws."""
     alpha = spec.alpha
     train = attach_tau(
         gen_pathological_abc(n, alpha, gamma, derive_seed(seed, "parity-train", t)), tau
@@ -479,7 +468,7 @@ def _parity_trial(n, n_test, gamma, tau, spec, seed, t) -> TrialStats:
     objs = evaluate_methods(
         train, test.features[first], ParityAdversary(tau), [MethodSpec("jackknife+")], [spec]
     )[0][0]
-    return _trial_stats([objs[i] for i in inverse], test.responses)
+    return {("jackknife+", 0): _trial_stats([objs[i] for i in inverse], test.responses)}
 
 
 def pathology_parity(
@@ -518,15 +507,16 @@ def pathology_parity(
     if tau is None:
         tau = eps * n
 
-    spec = IntervalSpec(alpha, inflation_eps=eps)
-    stats = [_parity_trial(n, n_test, gamma, tau, spec, seed, t) for t in range(trials)]
-    report = CoverageReport.from_trials("jackknife+", alpha, stats)
+    specs = [IntervalSpec(alpha, inflation_eps=eps)]
+    reports = _coverage_reports(
+        trials, specs, lambda t: _parity_trial(n, n_test, gamma, tau, specs[0], seed, t)
+    )
     return ParityResult(
         n=n,
         alpha=alpha,
         eps=eps,
         gamma=gamma,
         tau=tau,
-        report=report,
+        report=reports[("jackknife+", 0)],
         bound_upper=1.0 - 2.0 * alpha + slack,
     )

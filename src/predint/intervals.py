@@ -21,6 +21,7 @@ methods are rank tests on absolute residuals and reject both options.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -489,20 +490,7 @@ def cross_conformal_set(
         right = breaks[i + 1] if i + 1 < len(breaks) else math.inf
         cells.append((float(b), float(right), accepted_on_gap(float(b), float(right))))
 
-    intervals = []
-    run_start = None
-    run_end = None
-    for left, right, ok in cells:
-        if ok:
-            if run_start is None:
-                run_start = left
-            run_end = right
-        elif run_start is not None:
-            intervals.append(PredictionInterval(run_start, run_end))
-            run_start = None
-    if run_start is not None:
-        intervals.append(PredictionInterval(run_start, run_end))
-    return PredictionSet.from_intervals(intervals)
+    return _merge_runs(cells)
 
 
 def full_conformal_set(
@@ -537,14 +525,12 @@ def full_conformal_set(
         resid = np.abs(train.responses - model.predict_many(train.features))
         accepted[idx] = abs(y - model.predict(x)) <= upper_quantile(resid, spec.alpha)
 
-    intervals = []
-    start = None
-    for idx, ok in enumerate(accepted):
-        if ok and start is None:
-            start = idx
-        elif not ok and start is not None:
-            intervals.append(PredictionInterval(float(ys[start]), float(ys[idx - 1])))
-            start = None
-    if start is not None:
-        intervals.append(PredictionInterval(float(ys[start]), float(ys[-1])))
-    return PredictionSet.from_intervals(intervals)
+    return _merge_runs((float(y), float(y), ok) for y, ok in zip(ys, accepted))
+
+
+def _merge_runs(cells) -> PredictionSet:
+    """The set whose components are the closed hulls of the maximal runs of
+    accepted cells; ``cells`` yields ``(left, right, accepted)`` in
+    increasing order."""
+    runs = [list(run) for ok, run in itertools.groupby(cells, key=lambda c: c[2]) if ok]
+    return PredictionSet.from_intervals(PredictionInterval(r[0][0], r[-1][1]) for r in runs)

@@ -174,8 +174,8 @@ class Ridge(Regressor):
     intercept: bool = True
 
     def __post_init__(self):
-        if self.lambda_rel < 0:
-            raise ConfigError(f"lambda_rel must be >= 0, got {self.lambda_rel}")
+        if not (math.isfinite(self.lambda_rel) and self.lambda_rel >= 0):
+            raise ConfigError(f"ridge lambda_rel must be finite and >= 0, got {self.lambda_rel}")
 
     def _fit(self, X, y):
         m = len(y)
@@ -255,8 +255,8 @@ class Memorizer(Regressor):
     eps: float = 1.0
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be > 0, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError(f"memorizer eps must be finite and > 0, got {self.eps}")
 
     def _fit(self, X, y):
         m = len(y)

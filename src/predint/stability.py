@@ -70,8 +70,8 @@ def estimate_stability(
     """
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
-    if epsilon < 0:
-        raise ConfigError(f"epsilon must be >= 0, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ConfigError(f"epsilon must be finite and >= 0, got {epsilon}")
     if n < 2:
         raise ConfigError(f"n must be >= 2, got {n}")
     if trials < 1:

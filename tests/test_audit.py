@@ -25,11 +25,16 @@ from predint import (
     ConfigError,
     ConstantMean,
     Dataset,
+    IntervalSpec,
     MinNormOLS,
+    Ridge,
     audit_instance,
+    build_loo_cache,
     comparison_matrix,
     derive_rng,
     gen_gaussian_linear,
+    jackknife_minmax,
+    jackknife_plus,
     residual_matrix,
     run_audit,
     strange_set,
@@ -226,6 +231,22 @@ class TestAuditInstance:
             if rep2.covered_minmax is False:
                 assert last in rep2.strange_minmax
             assert rep2.ok
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.25, 1 / 3, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "reg", [MEAN, MinNormOLS(), KNN(k=1), Ridge(lambda_rel=0.1)], ids=lambda r: r.token
+    )
+    def test_intervals_are_the_library_methods(self, reg, alpha):
+        # The audit's (i, test) fits are the leave-one-out fits of the
+        # training rows, so its intervals are jackknife+ and jackknife-mm.
+        for seed in range(4):
+            data, _ = gen_gaussian_linear(4 + 2 * seed, 2, seed=seed)
+            n = data.n - 1
+            rep = audit_instance(data, reg, alpha)
+            cache = build_loo_cache(data.head(n), reg)
+            spec, x = IntervalSpec(alpha), data.features[n]
+            assert rep.interval_plus == jackknife_plus(cache, spec, x)
+            assert rep.interval_minmax == jackknife_minmax(cache, spec, x)
 
     def test_validation(self, worked):
         with pytest.raises(ConfigError, match="variant"):

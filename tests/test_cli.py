@@ -28,7 +28,7 @@ from predint import (
     save_csv,
     split_conformal,
 )
-from predint.cli import format_object, main
+from predint.cli import EXPERIMENTS, format_object, main
 
 WORKED_TRAIN = "x,y\n0,0\n1,0\n2,3\n"
 WORKED_TEST = "x,y\n1,0\n"
@@ -280,6 +280,48 @@ class TestExitCodes:
         rc = main(["simulate", "--experiment", "pathology-parity", "--n", "100000", flag, value])
         assert rc == 2
         assert f"{message}, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--regressor", "memorizer", "--memorizer-eps", value], "memorizer eps")
+         for value in ("nan", "inf")]
+        + [(["--regressor", "ridge", "--ridge-lambda", value], "ridge lambda_rel")
+           for value in ("nan", "inf")],
+        ids=["memorizer-eps-nan", "memorizer-eps-inf", "ridge-lambda-nan", "ridge-lambda-inf"],
+    )
+    def test_non_finite_regressor_setting(self, worked_files, argv, message, tmp_path, capsys):
+        train, test = worked_files
+        out = tmp_path / "o.csv"
+        rc = main(["intervals", "--train", train, "--test", test, "--method", "naive",
+                   "--out", str(out)] + argv)
+        assert rc == 2
+        assert f"{message} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_stability_epsilon(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = main(["stability", "--epsilon", "nan", "--trials", "5", "--out", str(out)])
+        assert rc == 2
+        assert "epsilon must be finite and >= 0, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_simulate_needs_a_trial(self, experiment, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = main(["simulate", "--experiment", experiment, "--trials", "0", "--n", "40000",
+                   "--alpha", "0.25", "--out", str(out)])
+        assert rc == 2
+        assert "trials must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["figure2", "coverage-mc", "pathology-memorizer"])
+    def test_simulate_needs_a_test_row(self, experiment, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = main(["simulate", "--experiment", experiment, "--n-test", "0", "--n", "10",
+                   "--d-list", "2", "--d", "2", "--trials", "2", "--out", str(out)])
+        assert rc == 2
+        assert "n_test must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", ["jackknife+", "naive", "full-conformal"])
     def test_ridge_penalty_overflow_is_a_data_error(self, tmp_path, method, capsys):

@@ -14,6 +14,7 @@ from predint import (
     Dataset,
     GridSpec,
     IntervalSpec,
+    Memorizer,
     MethodSpec,
     MinNormOLS,
     ParityAdversary,
@@ -28,6 +29,7 @@ from predint import (
     figure2_experiment,
     gen_gaussian_linear,
     gen_pathological_abc,
+    make_regressor,
     parity_vacuity_slack,
     pathology_memorizer,
     pathology_parity,
@@ -280,6 +282,87 @@ class TestDefaultMethodList:
     def test_fold_count_must_be_positive(self):
         with pytest.raises(ConfigError, match="k_folds"):
             default_method_list(10, 0)
+
+
+def hand_reports(trials, draw, regressor, methods, specs, n, seed_label):
+    """Reports from a plain loop of run_trial, one list of rows per key."""
+    rows = {}
+    for t in range(trials):
+        data = draw(t)
+        stats = run_trial(data.head(n), data.tail_from(n), regressor, methods, specs,
+                          seed=derive_seed(*seed_label, t))
+        for (label, si), row in stats.items():
+            rows.setdefault((label, si), []).append(row)
+    return {
+        key: CoverageReport.from_trials(key[0], specs[key[1]].alpha, rs)
+        for key, rs in rows.items()
+    }
+
+
+class TestTrialDriver:
+    """Each experiment equals a hand loop of run_trial over its seed labels."""
+
+    def test_figure2_matches_run_trial(self):
+        n, n_test, trials, seed = 10, 4, 3, 6
+        methods = default_method_list(n, 5)
+        out = figure2_experiment(n=n, d_list=(2, 12), trials=trials, n_test=n_test,
+                                 alpha=0.2, seed=seed, methods=methods)
+        for d in (2, 12):
+            tag = f"figure2/d={d}"
+            expected = hand_reports(
+                trials, lambda t: gen_gaussian_linear(n + n_test, d, derive_seed(seed, tag, t))[0],
+                MinNormOLS(), methods, [IntervalSpec(0.2)], n, (seed, f"figure2-trial/d={d}"),
+            )
+            assert out[d] == {label: rep for (label, _), rep in expected.items()}
+
+    def test_coverage_mc_matches_run_trial(self):
+        n, d, n_test, trials, seed = 8, 2, 3, 3, 9
+        alphas = (0.1, 0.25)
+        rows = run_coverage_mc(n=n, d=d, trials=trials, n_test=n_test, alphas=alphas,
+                               regressors=("mean", "ols"), k_list=(2, None), seed=seed)
+        methods = [MethodSpec("jackknife+"), MethodSpec("jackknife-mm"), MethodSpec("split"),
+                   MethodSpec("cv+", k_folds=2), MethodSpec("cv+")]
+        specs = [IntervalSpec(a) for a in alphas]
+        expected = []
+        for name in ("mean", "ols"):
+            tag = f"coverage-mc/{name}"
+            reports = hand_reports(
+                trials, lambda t: gen_gaussian_linear(n + n_test, d, derive_seed(seed, tag, t))[0],
+                make_regressor(name), methods, specs, n, (seed, f"coverage-mc-trial/{name}"),
+            )
+            expected += [(name, m.label, a, reports[(m.label, si)])
+                         for m in methods for si, a in enumerate(alphas)]
+        assert [(r["regressor"], r["method"], r["alpha"], r["report"]) for r in rows] == expected
+
+    def test_memorizer_matches_run_trial(self):
+        n, n_test, trials, seed = 5, 4, 4, 3
+        out = pathology_memorizer(n=n, eps=0.5, trials=trials, n_test=n_test, alpha=0.2, seed=seed)
+
+        def draw(t):
+            X = derive_rng(seed, "memorizer", t).standard_normal((n + n_test, 1))
+            return Dataset(X, np.zeros(n + n_test))
+
+        methods = [MethodSpec("naive"), MethodSpec("jackknife"), MethodSpec("jackknife+")]
+        expected = hand_reports(trials, draw, Memorizer(eps=0.5), methods, [IntervalSpec(0.2)],
+                                n, (seed, "memorizer-trial"))
+        assert out == {label: rep for (label, _), rep in expected.items()}
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_every_experiment_needs_a_trial(self, trials):
+        runs = [
+            lambda: figure2_experiment(n=6, d_list=(2,), trials=trials, n_test=2),
+            lambda: run_coverage_mc(n=6, d=2, trials=trials, n_test=2),
+            lambda: pathology_memorizer(n=4, trials=trials, n_test=2),
+            lambda: pathology_parity(n=40_000, trials=trials, n_test=10),
+        ]
+        for run in runs:
+            with pytest.raises(ConfigError, match=f"trials must be >= 1, got {trials}"):
+                run()
+
+    def test_run_trial_needs_a_test_row(self):
+        data, _ = gen_gaussian_linear(6, 2, seed=1)
+        with pytest.raises(ConfigError, match="n_test must be >= 1"):
+            run_trial(data, data.tail_from(6), MEAN, [MethodSpec("naive")], [IntervalSpec(0.2)])
 
 
 class TestFigure2:
