@@ -156,7 +156,8 @@ def audit_instance(
     # The (i, test) fits are the leave-one-out fits of the n training rows;
     # the intervals at the test row come from the library's own methods.
     loo = [models[(i, last)] for i in range(n)]
-    cache = LooCache(data.head(n), regressor, n, np.arange(n), loo, np.arange(n))
+    in_sample = np.array([loo[i].predict(data.features[i]) for i in range(n)])
+    cache = LooCache(data.head(n), regressor, n, np.arange(n), loo, np.arange(n), in_sample)
     spec = IntervalSpec(alpha)
     x_test = data.features[last]
     y_test = data.responses[last]
@@ -208,6 +209,8 @@ def run_audit(
     Returns a list of violation records (empty means the audit passed); each
     record carries the full instance so it can be replayed.
     """
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     if n > 30:
         raise ConfigError("audit is limited to n <= 30 (pairwise fits are direct)")
     if n < 2:

@@ -68,6 +68,8 @@ class MethodSpec:
             raise ConfigError(
                 f"unknown method {self.method!r}; expected one of {', '.join(METHOD_TOKENS)}"
             )
+        if self.k_folds is not None and self.k_folds < 1:
+            raise ConfigError(f"k_folds must be >= 1, got {self.k_folds}")
 
     @property
     def label(self) -> str:
@@ -157,7 +159,7 @@ def aggregate(reports) -> CoverageReport:
 def _cache_k(mspec: MethodSpec, n: int) -> int | None:
     """Fold count of the cache a method reads, or None when it reads none."""
     if mspec.method in ("cv+", "cross-conformal"):
-        return mspec.k_folds or n
+        return n if mspec.k_folds is None else mspec.k_folds
     if mspec.method in ("jackknife", "jackknife+", "jackknife-mm"):
         return n
     return None
@@ -262,7 +264,7 @@ def run_trial(
     if not methods or not specs:
         raise ConfigError("need at least one method and one spec")
     if test.n < 1:
-        raise ConfigError("n_test must be >= 1: the test set is empty")
+        raise ConfigError(f"n_test must be >= 1, got {test.n}")
     labels = [m.label for m in methods]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"duplicate method labels: {labels}")
@@ -494,6 +496,8 @@ def pathology_parity(
         raise ConfigError(f"eps must be finite, got {eps}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+    if n_test < 1:
+        raise ConfigError(f"n_test must be >= 1, got {n_test}")
     slack = parity_vacuity_slack(n)
     if slack > alpha:
         raise ConfigError(

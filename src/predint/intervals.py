@@ -197,12 +197,12 @@ def contains(obj, y: float) -> bool:
 class LooCache:
     """Fitted fold models and residuals, shared across interval constructions.
 
-    ``models`` are the distinct models fitted without some fold and
-    ``model_of[i]`` indexes the one fitted without row i's fold, as returned
-    by :meth:`Regressor.fit_folds`. For ``k_folds == n`` the folds are
-    singletons and the cache holds the classic leave-one-out fits. The full
-    model is fitted on first use only. Immutable once built; all downstream
-    methods read from it without refitting.
+    ``models``, ``model_of`` and ``in_sample`` come from :meth:`Regressor.fit_folds`:
+    ``models[model_of[i]]``, fitted without row i's fold, predicts
+    ``in_sample[i]`` at row i, and every model is some row's. With
+    ``k_folds == n`` the folds are singletons: the classic leave-one-out fits.
+    The full model is fitted on first use only. Immutable once built; all
+    downstream methods read from it without refitting.
 
     Invariant: the in-sample residuals are finite; a fit that makes any of
     them infinite or NaN raises :class:`DataError` when the cache is built.
@@ -212,7 +212,7 @@ class LooCache:
     vector ``prediction +- residual``, so queries need no per-row NaN scan.
     """
 
-    def __init__(self, train, regressor, k_folds, fold_of, models, model_of):
+    def __init__(self, train, regressor, k_folds, fold_of, models, model_of, in_sample):
         self.train = train
         self.regressor = regressor
         self.k_folds = k_folds
@@ -223,18 +223,13 @@ class LooCache:
         self.fold_of, self.model_of = fold_of.view(), model_of.view()
         if model_of.min() < 0 or model_of.max() >= len(models):
             raise ConfigError("model_of must index into models")
-        preds = np.empty(train.n)
-        for j, model in enumerate(models):
-            mask = model_of == j
-            preds[mask] = model.predict_many(train.features[mask])
-        self.signed_residuals = train.responses - preds
+        if not np.bincount(model_of, minlength=len(models)).all():
+            raise ConfigError("model_of must use every one of models")
+        self.signed_residuals = train.responses - in_sample
         if not np.isfinite(self.signed_residuals).all():
             raise DataError("the fold models' in-sample residuals are not finite")
         self.residuals = np.abs(self.signed_residuals)
-        # Models some row maps to; with empty folds the others go unused.
-        self._mapped_models = np.flatnonzero(np.bincount(model_of, minlength=len(models)))
-        for arr in (self.signed_residuals, self.residuals, self.fold_of, self.model_of,
-                    self._mapped_models):
+        for arr in (self.signed_residuals, self.residuals, self.fold_of, self.model_of):
             arr.flags.writeable = False
 
     @property
@@ -302,13 +297,9 @@ def build_loo_cache(
         order = canonical_order(train.features, train.responses)
         deal = order[np.random.default_rng(fold_seed).permutation(n)]
         fold_of = np.empty(n, dtype=int)
-        sizes = [n // k + (1 if j < n % k else 0) for j in range(k)]
-        start = 0
-        for j, size in enumerate(sizes):
-            fold_of[deal[start : start + size]] = j
-            start += size
+        fold_of[deal] = np.repeat(np.arange(k), n // k + (np.arange(k) < n % k))
 
-    return LooCache(train, regressor, k, fold_of, *regressor.fit_folds(train, fold_of, k))
+    return LooCache(train, regressor, k, fold_of, *regressor.fit_folds(train, fold_of))
 
 
 def _symmetric_interval(center_lo, center_hi, residuals, spec):
@@ -420,7 +411,7 @@ def jackknife_plus(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval
 def jackknife_minmax(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval:
     """Residual quantile around the extreme leave-one-out predictions."""
     _require_loo(cache, "jackknife-mm")
-    m = cache.model_predictions(x)[cache._mapped_models]
+    m = cache.model_predictions(x)
     lo, hi = float(np.min(m)), float(np.max(m))
     if spec.asymmetric:
         return _asymmetric_interval(lo, hi, cache.signed_residuals, spec)

@@ -46,8 +46,6 @@ def canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
 class FittedModel:
     """A fitted prediction rule. Evaluation is pure and deterministic."""
 
-    training_size: int = 0
-
     def predict(self, x) -> float:
         raise NotImplementedError
 
@@ -57,19 +55,17 @@ class FittedModel:
 
 
 class ConstantModel(FittedModel):
-    def __init__(self, value: float, training_size: int):
+    def __init__(self, value: float):
         self.value = float(value)
-        self.training_size = training_size
 
     def predict(self, x) -> float:
         return self.value
 
 
 class LinearModel(FittedModel):
-    def __init__(self, coef: np.ndarray, intercept: float, training_size: int):
+    def __init__(self, coef: np.ndarray, intercept: float):
         self.coef = np.asarray(coef, dtype=float)
         self.intercept = float(intercept)
-        self.training_size = training_size
 
     def predict(self, x) -> float:
         return float(np.dot(np.asarray(x, dtype=float), self.coef) + self.intercept)
@@ -80,7 +76,6 @@ class KnnModel(FittedModel):
         self.X = X
         self.y = y
         self.k = k
-        self.training_size = len(y)
 
     def predict(self, x) -> float:
         diff = self.X - np.asarray(x, dtype=float)
@@ -91,11 +86,10 @@ class KnnModel(FittedModel):
 
 
 class MemorizerModel(FittedModel):
-    def __init__(self, rows: frozenset, d: int, fresh_value: float, training_size: int):
+    def __init__(self, rows: frozenset, d: int, fresh_value: float):
         self.rows = rows
         self.d = d
         self.fresh_value = float(fresh_value)
-        self.training_size = training_size
 
     def predict(self, x) -> float:
         row = np.ascontiguousarray(np.asarray(x, dtype=float))
@@ -107,10 +101,9 @@ class MemorizerModel(FittedModel):
 
 
 class ParityModel(FittedModel):
-    def __init__(self, tau: float, sign_product: float, training_size: int):
+    def __init__(self, tau: float, sign_product: float):
         self.tau = float(tau)
         self.sign_product = float(sign_product)
-        self.training_size = training_size
 
     def predict(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -134,12 +127,19 @@ class Regressor:
     def _fit(self, X: np.ndarray, y: np.ndarray) -> FittedModel:
         raise NotImplementedError
 
-    def fit_folds(self, train: Dataset, fold_of: np.ndarray, k: int):
-        """``(models, model_of)``: the distinct models fitted without some fold,
-        and per row i the index of the one fitted without row i's fold. This
-        reference refits every fold, so ``model_of`` is ``fold_of``."""
-        models = [self.fit(train.drop(np.flatnonzero(fold_of == j))) for j in range(k)]
-        return models, fold_of
+    def fit_folds(self, train: Dataset, fold_of: np.ndarray):
+        """``(models, model_of, in_sample)``: per row i, ``models[model_of[i]]``
+        is fitted without row i's fold and predicts ``in_sample[i]`` at row i.
+        Every model is some row's. This reference refits each nonempty fold."""
+        model_of = np.empty(train.n, dtype=np.intp)
+        in_sample = np.empty(train.n)
+        models = []
+        for j, fold in enumerate(np.flatnonzero(np.bincount(fold_of))):
+            rows = np.flatnonzero(fold_of == fold)
+            model_of[rows] = j
+            models.append(self.fit(train.drop(rows)))
+            in_sample[rows] = models[-1].predict_many(train.features[rows])
+        return models, model_of, in_sample
 
 
 @dataclass(frozen=True)
@@ -155,9 +155,9 @@ class MinNormOLS(Regressor):
 
     def _fit(self, X, y):
         if len(y) == 0:
-            return ConstantModel(0.0, 0)
+            return ConstantModel(0.0)
         coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-        return LinearModel(coef, 0.0, len(y))
+        return LinearModel(coef, 0.0)
 
 
 @dataclass(frozen=True)
@@ -178,9 +178,8 @@ class Ridge(Regressor):
             raise ConfigError(f"ridge lambda_rel must be finite and >= 0, got {self.lambda_rel}")
 
     def _fit(self, X, y):
-        m = len(y)
-        if m == 0:
-            return ConstantModel(0.0, 0)
+        if len(y) == 0:
+            return ConstantModel(0.0)
         try:
             scale = float(np.linalg.norm(X, 2)) ** 2
         except OverflowError:
@@ -194,9 +193,9 @@ class Ridge(Regressor):
             Xc = X - x_bar
             yc = y - y_bar
             coef = self._solve(Xc, yc, lam)
-            return LinearModel(coef, y_bar - float(x_bar @ coef), m)
+            return LinearModel(coef, y_bar - float(x_bar @ coef))
         coef = self._solve(X, y, lam)
-        return LinearModel(coef, 0.0, m)
+        return LinearModel(coef, 0.0)
 
     @staticmethod
     def _solve(X, y, lam):
@@ -225,7 +224,7 @@ class KNN(Regressor):
     def _fit(self, X, y):
         m = len(y)
         if m == 0:
-            return ConstantModel(0.0, 0)
+            return ConstantModel(0.0)
         if self.k > m:
             raise ConfigError(f"k={self.k} exceeds training size {m}")
         return KnnModel(X, y, self.k)
@@ -239,8 +238,8 @@ class ConstantMean(Regressor):
 
     def _fit(self, X, y):
         if len(y) == 0:
-            return ConstantModel(0.0, 0)
-        return ConstantModel(float(np.mean(y)), len(y))
+            return ConstantModel(0.0)
+        return ConstantModel(float(np.mean(y)))
 
 
 @dataclass(frozen=True)
@@ -261,9 +260,9 @@ class Memorizer(Regressor):
     def _fit(self, X, y):
         m = len(y)
         if m == 0:
-            return ConstantModel(0.0, 0)
+            return ConstantModel(0.0)
         rows = frozenset(np.ascontiguousarray(row).tobytes() for row in X)
-        return MemorizerModel(rows, X.shape[1], (1.0 + self.eps) * m, m)
+        return MemorizerModel(rows, X.shape[1], (1.0 + self.eps) * m)
 
 
 @dataclass(frozen=True)
@@ -283,20 +282,22 @@ class ParityAdversary(Regressor):
             raise ConfigError(f"tau must be finite, got {self.tau}")
 
     def _fit(self, X, y):
-        m = len(y)
-        if m == 0:
-            return ConstantModel(0.0, 0)
-        return ParityModel(self.tau, float(np.prod(_parity_signs(X))), m)
+        if len(y) == 0:
+            return ConstantModel(0.0)
+        return ParityModel(self.tau, float(np.prod(_parity_signs(X))))
 
-    def fit_folds(self, train, fold_of, k):
+    def fit_folds(self, train, fold_of):
         """Leave-one-out in O(n): dropping row i divides prod(B) by B_i = +-1,
-        so the n fits take only the two signs. Other partitions refit."""
-        n = train.n
-        if k != n or n < 2 or np.bincount(fold_of).max() != 1:
-            return super().fit_folds(train, fold_of, k)
-        b = _parity_signs(train.features)
-        models = [ParityModel(self.tau, sign, n - 1) for sign in (1.0, -1.0)]
-        return models, (np.prod(b) * b < 0).astype(np.intp)
+        so the n fits take at most two signs. Other partitions refit."""
+        if train.n < 2 or np.bincount(fold_of).max() != 1:
+            return super().fit_folds(train, fold_of)
+        X = train.features
+        b = _parity_signs(X)
+        loo_sign = np.prod(b) * b
+        models = [ParityModel(self.tau, s) for s in (1.0, -1.0) if (loo_sign == s).any()]
+        model_of = (loo_sign != models[0].sign_product).astype(np.intp)
+        # tau * A * C * sign in ParityModel.predict_many's order: refit bits, no row copy.
+        return models, model_of, self.tau * X[:, 0] * X[:, 2] * loo_sign
 
 
 def _parity_signs(X: np.ndarray) -> np.ndarray:

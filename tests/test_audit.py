@@ -274,6 +274,11 @@ class TestRunAudit:
         with pytest.raises(ConfigError, match="n >= 2"):
             run_audit(trials=1, n=1, alpha=0.1, regressor=MEAN)
 
+    def test_needs_a_trial(self):
+        for trials in (0, -3):
+            with pytest.raises(ConfigError, match=f"trials must be >= 1, got {trials}"):
+                run_audit(trials=trials, n=5, alpha=0.1, regressor=MEAN)
+
 
 def test_report_ok_reflects_violations():
     rep = AuditReport(n=3, alpha=0.1, variant="both")

@@ -314,13 +314,36 @@ class TestExitCodes:
         assert "trials must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("experiment", ["figure2", "coverage-mc", "pathology-memorizer"])
+    @pytest.mark.parametrize("experiment", ["figure2", "coverage-mc", "pathology-memorizer",
+                                            "pathology-parity"])
     def test_simulate_needs_a_test_row(self, experiment, tmp_path, capsys):
         out = tmp_path / "o.csv"
         rc = main(["simulate", "--experiment", experiment, "--n-test", "0", "--n", "10",
                    "--d-list", "2", "--d", "2", "--trials", "2", "--out", str(out)])
         assert rc == 2
-        assert "n_test must be >= 1" in capsys.readouterr().err
+        assert "n_test must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_audit_needs_a_trial(self, trials, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = main(["audit", "--trials", trials, "--n", "5", "--out", str(out)])
+        assert rc == 2
+        assert f"trials must be >= 1, got {trials}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--experiment", "coverage-mc", "--k-list", "0", "--trials", "2"],
+        ["intervals", "--method", "cv+", "--k", "0"],
+    ], ids=["coverage-mc", "intervals"])
+    def test_zero_folds(self, argv, worked_files, tmp_path, capsys):
+        train, test = worked_files
+        if argv[0] == "intervals":
+            argv = argv + ["--train", train, "--test", test]
+        out = tmp_path / "o.csv"
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 2
+        assert "k_folds must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("method", ["jackknife+", "naive", "full-conformal"])

@@ -58,6 +58,12 @@ class TestMethodSpec:
         with pytest.raises(ConfigError, match="unknown method"):
             MethodSpec("midpoint")
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_fold_count_must_be_positive(self, k):
+        with pytest.raises(ConfigError, match=f"k_folds must be >= 1, got {k}"):
+            MethodSpec("cv+", k_folds=k)
+        assert MethodSpec("cv+", k_folds=1).k_folds == 1
+
 
 class TestCoverageReport:
     def test_summary_arithmetic(self):
@@ -363,6 +369,12 @@ class TestTrialDriver:
         data, _ = gen_gaussian_linear(6, 2, seed=1)
         with pytest.raises(ConfigError, match="n_test must be >= 1"):
             run_trial(data, data.tail_from(6), MEAN, [MethodSpec("naive")], [IntervalSpec(0.2)])
+
+    def test_parity_needs_a_test_row_before_anything_else(self):
+        # n = 10 is vacuous, so only a check made first names n_test.
+        for n in (10, 40_000):
+            with pytest.raises(ConfigError, match="n_test must be >= 1, got 0"):
+                pathology_parity(n=n, trials=1, n_test=0)
 
 
 class TestFigure2:

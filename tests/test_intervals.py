@@ -352,9 +352,13 @@ class TestCacheConstruction:
 
     def test_model_indices_are_range_checked(self, worked):
         models = [MEAN.fit(worked)]
+        in_sample = models[0].predict_many(worked.features)
         for model_of in ([0, 1, 0], [0, -1, 0]):
-            with pytest.raises(ConfigError, match="model_of"):
-                LooCache(worked, MEAN, 3, np.arange(3), models, np.array(model_of))
+            with pytest.raises(ConfigError, match="model_of must index"):
+                LooCache(worked, MEAN, 3, np.arange(3), models, np.array(model_of), in_sample)
+        # A model that no row uses would widen jackknife-minmax.
+        with pytest.raises(ConfigError, match="model_of must use every"):
+            LooCache(worked, MEAN, 3, np.arange(3), models * 2, np.zeros(3, dtype=int), in_sample)
 
     def test_non_finite_residuals_are_rejected(self):
         # Each leave-one-out memorizer predicts (1 + eps)(n - 1) = inf on its
@@ -528,10 +532,12 @@ class TestStreamingKernel:
         assert unused.size > 0
         reg = Memorizer(eps=0.5)
         cache = build_loo_cache(train, reg, fold_assignment=fold_of)
-        # The model of an empty fold is the full fit, whose fresh prediction
-        # (1 + eps) n exceeds every fold model's: min/max must skip it.
+        # Empty folds get no model. Theirs would be the full fit, whose fresh
+        # prediction (1 + eps) n exceeds every fold model's, so keeping one
+        # would widen jackknife-minmax past the per-row reference in check().
+        assert len(cache.models) == self.N - unused.size
         x = probes[0] + 0.5
-        assert cache.models[unused[0]].predict(x) > cache.predictions_at(x).max()
+        assert reg.fit(train).predict(x) > cache.model_predictions(x).max()
         self.check(cache, [x, *probes])
 
     @pytest.mark.parametrize(

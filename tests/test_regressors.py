@@ -220,7 +220,7 @@ class TestParityAdversary:
         fold_of = derive_rng(3, "parity-folds").permutation(40) if shuffled else np.arange(40)
         fast = build_loo_cache(train, reg, fold_assignment=fold_of)
         refit = LooCache(train, reg, 40, fold_of.copy(),
-                         *Regressor.fit_folds(reg, train, fold_of.copy(), 40))
+                         *Regressor.fit_folds(reg, train, fold_of.copy()))
         assert len(fast.models) == 2 and len(refit.models) == 40
         np.testing.assert_array_equal(fast.signed_residuals, refit.signed_residuals)
         np.testing.assert_array_equal(fast.residuals, refit.residuals)
@@ -233,15 +233,19 @@ class TestParityAdversary:
         train = attach_tau(gen_pathological_abc(6, 0.25, 0.3, seed=2), 2.0)
         reg = ParityAdversary(tau=2.0)
         x = [1.0, 1.0, 0.5]
-        for k, fold_of in ((3, np.array([0, 1, 2, 0, 1, 2])), (6, np.array([0, 0, 1, 1, 2, 2]))):
-            models, model_of = reg.fit_folds(train, fold_of, k)
-            assert len(models) == k and model_of is fold_of
+        # Three folds of two rows each, dealt two ways; the second leaves
+        # folds 3-5 of a K=6 assignment empty, and they get no model.
+        for fold_of in (np.array([0, 1, 2, 0, 1, 2]), np.array([0, 0, 1, 1, 2, 2])):
+            models, model_of, in_sample = reg.fit_folds(train, fold_of)
+            assert len(models) == 3 and model_of.tolist() == fold_of.tolist()
             for j, model in enumerate(models):
-                refit = reg.fit(train.drop(np.flatnonzero(fold_of == j)))
+                rows = np.flatnonzero(fold_of == j)
+                refit = reg.fit(train.drop(rows))
                 assert model.predict(x) == refit.predict(x)
+                assert in_sample[rows].tobytes() == refit.predict_many(train.features[rows]).tobytes()
         one = Dataset([[1.0, -1.0, 0.5]], [2.0])
-        models, model_of = reg.fit_folds(one, np.zeros(1, dtype=int), 1)
-        assert len(models) == 1 and model_of.tolist() == [0]
+        models, model_of, in_sample = reg.fit_folds(one, np.zeros(1, dtype=int))
+        assert len(models) == 1 and model_of.tolist() == [0] and in_sample.tolist() == [0.0]
         assert models[0].predict(x) == 0.0  # fitted on no rows: the zero function
 
 
@@ -253,6 +257,57 @@ ALL_REGRESSORS = [
     ConstantMean(),
     Memorizer(eps=0.7),
 ]
+
+
+def fold_assignments(n):
+    """K = 2, 5 and n dealt in shuffled order, a shuffled leave-one-out, and
+    one with empty folds."""
+    rng = derive_rng(5, "fold-protocol")
+    empty = rng.integers(0, n, size=n)
+    assert np.setdiff1d(np.arange(n), empty).size > 0
+    return {"K=2": rng.permutation(np.arange(n) % 2), "K=5": rng.permutation(np.arange(n) % 5),
+            "K=n": np.arange(n), "loo-shuffled": rng.permutation(n), "empty-folds": empty}
+
+
+@pytest.mark.parametrize("folds", ["K=2", "K=5", "K=n", "loo-shuffled", "empty-folds"])
+@pytest.mark.parametrize(
+    "reg", ALL_REGRESSORS + [ParityAdversary(tau=2.7)],
+    ids=lambda r: r.token + str(getattr(r, "intercept", "")),
+)
+def test_fit_folds_is_one_refit_per_fold(reg, folds):
+    """Each model is the refit without its rows' fold, bitwise at probe
+    points, ``in_sample`` is its prediction at each row, and only folds that
+    hold a row get a model (parity's leave-one-out: one per sign in use)."""
+    if isinstance(reg, ParityAdversary):
+        train = attach_tau(gen_pathological_abc(15, 0.25, 0.3, seed=31), reg.tau)
+        probes = attach_tau(gen_pathological_abc(6, 0.25, 0.3, seed=32), reg.tau).features
+    else:
+        train, probes = gaussian(15, 3, seed=31), gaussian(6, 3, seed=32).features
+    fold_of = fold_assignments(train.n)[folds]
+    models, model_of, in_sample = reg.fit_folds(train, fold_of.copy())
+    for i in range(train.n):
+        model = models[model_of[i]]
+        assert in_sample[i].tobytes() == np.float64(model.predict(train.features[i])).tobytes()
+        refit = reg.fit(train.drop(np.flatnonzero(fold_of == fold_of[i])))
+        assert model.predict_many(probes).tobytes() == refit.predict_many(probes).tobytes()
+    assert sorted(set(model_of.tolist())) == list(range(len(models)))
+    if isinstance(reg, ParityAdversary) and folds in ("K=n", "loo-shuffled"):
+        assert len(models) == 2
+    else:
+        assert len(models) == len(np.unique(fold_of))
+
+
+@pytest.mark.parametrize("b", [1.0, -1.0])
+def test_parity_leave_one_out_with_one_sign(b):
+    """With every leave-one-out product of one sign, the shortcut returns the
+    one model that sign gives, as the refits do."""
+    train = Dataset([[1.5, b, 2.0], [-0.5, b, 1.0], [2.0, b, -3.0], [1.0, b, 0.5]], np.zeros(4))
+    reg = ParityAdversary(tau=3.0)
+    models, model_of, in_sample = reg.fit_folds(train, np.arange(4))
+    assert len(models) == 1 and model_of.tolist() == [0, 0, 0, 0]
+    assert models[0].sign_product == b  # prod(B) / B_i over four equal signs
+    refits = Regressor.fit_folds(reg, train, np.arange(4))
+    assert in_sample.tobytes() == refits[2].tobytes()
 
 
 @pytest.mark.parametrize("reg", ALL_REGRESSORS, ids=lambda r: r.token + str(getattr(r, "intercept", "")))
