@@ -157,7 +157,7 @@ def audit_instance(
     # the intervals at the test row come from the library's own methods.
     loo = [models[(i, last)] for i in range(n)]
     in_sample = np.array([loo[i].predict(data.features[i]) for i in range(n)])
-    cache = LooCache(data.head(n), regressor, n, np.arange(n), loo, np.arange(n), in_sample)
+    cache = LooCache(data.head(n), regressor, np.arange(n), loo, np.arange(n), in_sample)
     spec = IntervalSpec(alpha)
     x_test = data.features[last]
     y_test = data.responses[last]

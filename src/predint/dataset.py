@@ -140,17 +140,10 @@ def load_csv(path: str, target_column: str) -> Dataset:
     in file order. Raises :class:`DataError` with the offending row and column
     named for any malformed cell, and rejects nan/inf tokens outright.
     """
-    header, table = _read_table(path)
-    hits = [j for j, name in enumerate(header) if name == target_column]
-    if not hits:
+    features, responses = load_features_csv(path, target_column)
+    if responses is None:
         raise DataError(f"{path}: target column {target_column!r} not found")
-    if len(hits) > 1:
-        raise DataError(f"{path}: target column {target_column!r} appears twice")
-    target = hits[0]
-    feature_cols = [j for j in range(len(header)) if j != target]
-    if not feature_cols:
-        raise DataError(f"{path}: no feature columns besides the target")
-    return Dataset(table[:, feature_cols], table[:, target])
+    return Dataset(features, responses)
 
 
 def load_features_csv(path: str, target_column: str | None = None):
@@ -160,16 +153,15 @@ def load_features_csv(path: str, target_column: str | None = None):
     true response is optional.
     """
     header, table = _read_table(path)
-    if target_column is not None and target_column in header:
-        hits = [j for j, name in enumerate(header) if name == target_column]
-        if len(hits) > 1:
-            raise DataError(f"{path}: target column {target_column!r} appears twice")
-        target = hits[0]
-        feature_cols = [j for j in range(len(header)) if j != target]
-        if not feature_cols:
-            raise DataError(f"{path}: no feature columns besides the target")
-        return table[:, feature_cols], table[:, target]
-    return table, None
+    hits = [j for j, name in enumerate(header) if name == target_column]
+    if not hits:
+        return table, None
+    if len(hits) > 1:
+        raise DataError(f"{path}: target column {target_column!r} appears twice")
+    feature_cols = [j for j in range(len(header)) if j != hits[0]]
+    if not feature_cols:
+        raise DataError(f"{path}: no feature columns besides the target")
+    return table[:, feature_cols], table[:, hits[0]]
 
 
 def save_csv(

@@ -342,6 +342,8 @@ def figure2_experiment(
     linear model (the coefficient vector is redrawn every trial). Returns
     ``{d: {label: CoverageReport}}``.
     """
+    if not d_list:
+        raise ConfigError("d_list must name at least one feature dimension")
     if regressor is None:
         regressor = MinNormOLS()
     if methods is None:
@@ -382,6 +384,8 @@ def run_coverage_mc(
     ``k_list`` (None means K = n). Returns one row per (regressor, method,
     alpha) with the matching assumption-free lower bound.
     """
+    if not regressors:
+        raise ConfigError("regressors must name at least one regressor")
     methods = [MethodSpec("jackknife+"), MethodSpec("jackknife-mm"), MethodSpec("split")]
     methods += [MethodSpec("cv+", k_folds=k) for k in k_list]
     specs = [IntervalSpec(a) for a in alphas]

@@ -32,7 +32,7 @@ import numpy as np
 from .dataset import Dataset, SplitSpec
 from .errors import ConfigError, DataError
 from .quantiles import _select_inplace, lower_index, lower_quantile, upper_index, upper_quantile
-from .regressors import FittedModel, Regressor, canonical_order
+from .regressors import FittedModel, Regressor, _fold_sizes, canonical_order
 
 __all__ = [
     "IntervalSpec",
@@ -199,10 +199,11 @@ class LooCache:
 
     ``models``, ``model_of`` and ``in_sample`` come from :meth:`Regressor.fit_folds`:
     ``models[model_of[i]]``, fitted without row i's fold, predicts
-    ``in_sample[i]`` at row i, and every model is some row's. With
-    ``k_folds == n`` the folds are singletons: the classic leave-one-out fits.
-    The full model is fitted on first use only. Immutable once built; all
-    downstream methods read from it without refitting.
+    ``in_sample[i]`` at row i, and every model is some row's. ``k_folds``
+    counts the labels of ``fold_of`` that hold a row; at ``k_folds == n`` the
+    folds are singletons: the classic leave-one-out fits. The full model is
+    fitted on first use only. Immutable once built; all downstream methods
+    read from it without refitting.
 
     Invariant: the in-sample residuals are finite; a fit that makes any of
     them infinite or NaN raises :class:`DataError` when the cache is built.
@@ -212,15 +213,15 @@ class LooCache:
     vector ``prediction +- residual``, so queries need no per-row NaN scan.
     """
 
-    def __init__(self, train, regressor, k_folds, fold_of, models, model_of, in_sample):
+    def __init__(self, train, regressor, fold_of, models, model_of, in_sample):
         self.train = train
         self.regressor = regressor
-        self.k_folds = k_folds
         self.models = models
         # np.take copies a read-only index array, so queries gather through
         # this private reference; the public index arrays are frozen views.
         self._gather_index = model_of
-        self.fold_of, self.model_of = fold_of.view(), model_of.view()
+        self.fold_of, self.model_of = np.asarray(fold_of).view(), model_of.view()
+        self.k_folds = int(np.count_nonzero(_fold_sizes(self.fold_of, train.n)))
         if model_of.min() < 0 or model_of.max() >= len(models):
             raise ConfigError("model_of must index into models")
         if not np.bincount(model_of, minlength=len(models)).all():
@@ -262,7 +263,6 @@ def build_loo_cache(
     *,
     fold_seed: int = 0,
     strict: bool = False,
-    fold_assignment=None,
 ) -> LooCache:
     """Fit the K fold models (K defaults to n, i.e. leave-one-out) through
     :meth:`Regressor.fit_folds`.
@@ -270,8 +270,8 @@ def build_loo_cache(
     The fold partition is dealt uniformly at random (seeded) over the
     canonical row order, so it is a function of row content, not row order.
     With ``strict`` set, K must divide n; otherwise fold sizes may differ by
-    one and a warning is emitted. ``fold_assignment`` overrides the partition
-    with an explicit per-row fold index array (mainly for worked examples).
+    one and a warning is emitted. For an explicit partition ``fold_of``, build
+    ``LooCache(train, regressor, fold_of, *regressor.fit_folds(train, fold_of))``.
     """
     n = train.n
     if n < 1:
@@ -280,11 +280,7 @@ def build_loo_cache(
     if not 1 <= k <= n:
         raise ConfigError(f"k_folds must be in [1, {n}], got {k}")
 
-    if fold_assignment is not None:
-        fold_of = np.asarray(fold_assignment, dtype=int).copy()
-        if fold_of.shape != (n,) or fold_of.min() < 0 or fold_of.max() >= k:
-            raise ConfigError("fold_assignment must map each row into range(k_folds)")
-    elif k == n:
+    if k == n:
         fold_of = np.arange(n)
     else:
         if n % k != 0:
@@ -299,22 +295,21 @@ def build_loo_cache(
         fold_of = np.empty(n, dtype=int)
         fold_of[deal] = np.repeat(np.arange(k), n // k + (np.arange(k) < n % k))
 
-    return LooCache(train, regressor, k, fold_of, *regressor.fit_folds(train, fold_of))
+    return LooCache(train, regressor, fold_of, *regressor.fit_folds(train, fold_of))
 
 
-def _symmetric_interval(center_lo, center_hi, residuals, spec):
-    """[center_lo - q_hi, center_hi + q_hi] from absolute residuals."""
-    q = upper_quantile(residuals, spec.alpha)
+def _fixed_center_interval(center_lo, center_hi, signed_residuals, spec, residuals=None):
+    """[center_lo + q_lo - eps, center_hi + q_hi + eps]: signed-residual quantiles
+    at alpha_lo and alpha_hi, or -q and q for q the absolute one at alpha."""
+    if spec.asymmetric:
+        q_lo = lower_quantile(signed_residuals, spec.alpha_lo)
+        q_hi = upper_quantile(signed_residuals, spec.alpha_hi)
+    else:
+        absolute = np.abs(signed_residuals) if residuals is None else residuals
+        q_hi = upper_quantile(absolute, spec.alpha)
+        q_lo = -q_hi
     eps = spec.inflation_eps
-    return PredictionInterval(center_lo - q - eps, center_hi + q + eps)
-
-
-def _asymmetric_interval(center_lo, center_hi, signed_residuals, spec):
-    """Signed-residual endpoints: lower tail at alpha_lo, upper at alpha_hi."""
-    lo = lower_quantile(signed_residuals, spec.alpha_lo)
-    hi = upper_quantile(signed_residuals, spec.alpha_hi)
-    eps = spec.inflation_eps
-    return PredictionInterval(center_lo + lo - eps, center_hi + hi + eps)
+    return PredictionInterval(center_lo + q_lo - eps, center_hi + q_hi + eps)
 
 
 def interval_about(model: FittedModel, signed_residuals, spec: IntervalSpec, x) -> PredictionInterval:
@@ -326,9 +321,7 @@ def interval_about(model: FittedModel, signed_residuals, spec: IntervalSpec, x) 
     center = model.predict(x)
     if not math.isfinite(center):
         raise DataError(f"the prediction at the query point is not finite, got {center}")
-    if spec.asymmetric:
-        return _asymmetric_interval(center, center, signed_residuals, spec)
-    return _symmetric_interval(center, center, np.abs(signed_residuals), spec)
+    return _fixed_center_interval(center, center, signed_residuals, spec)
 
 
 def naive_interval(
@@ -359,10 +352,7 @@ def jackknife(
     train: Dataset, regressor: Regressor, spec: IntervalSpec, x
 ) -> PredictionInterval:
     """Full-fit prediction plus a leave-one-out residual quantile."""
-    if train.n < 2:
-        raise ConfigError("jackknife needs at least 2 training rows")
-    cache = build_loo_cache(train, regressor)
-    return jackknife_from_cache(cache, spec, x)
+    return jackknife_from_cache(build_loo_cache(train, regressor), spec, x)
 
 
 def jackknife_from_cache(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval:
@@ -413,12 +403,12 @@ def jackknife_minmax(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterv
     _require_loo(cache, "jackknife-mm")
     m = cache.model_predictions(x)
     lo, hi = float(np.min(m)), float(np.max(m))
-    if spec.asymmetric:
-        return _asymmetric_interval(lo, hi, cache.signed_residuals, spec)
-    return _symmetric_interval(lo, hi, cache.residuals, spec)
+    return _fixed_center_interval(lo, hi, cache.signed_residuals, spec, cache.residuals)
 
 
 def _require_loo(cache: LooCache, name: str) -> None:
+    if cache.n < 2:
+        raise ConfigError(f"{name} needs at least 2 training rows")
     if cache.k_folds != cache.n:
         raise ConfigError(f"{name} needs a leave-one-out cache (k_folds == n)")
 

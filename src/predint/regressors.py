@@ -127,14 +127,15 @@ class Regressor:
     def _fit(self, X: np.ndarray, y: np.ndarray) -> FittedModel:
         raise NotImplementedError
 
-    def fit_folds(self, train: Dataset, fold_of: np.ndarray):
+    def fit_folds(self, train: Dataset, fold_of):
         """``(models, model_of, in_sample)``: per row i, ``models[model_of[i]]``
         is fitted without row i's fold and predicts ``in_sample[i]`` at row i.
         Every model is some row's. This reference refits each nonempty fold."""
+        fold_of = np.asarray(fold_of)
         model_of = np.empty(train.n, dtype=np.intp)
         in_sample = np.empty(train.n)
         models = []
-        for j, fold in enumerate(np.flatnonzero(np.bincount(fold_of))):
+        for j, fold in enumerate(np.flatnonzero(_fold_sizes(fold_of, train.n))):
             rows = np.flatnonzero(fold_of == fold)
             model_of[rows] = j
             models.append(self.fit(train.drop(rows)))
@@ -289,7 +290,7 @@ class ParityAdversary(Regressor):
     def fit_folds(self, train, fold_of):
         """Leave-one-out in O(n): dropping row i divides prod(B) by B_i = +-1,
         so the n fits take at most two signs. Other partitions refit."""
-        if train.n < 2 or np.bincount(fold_of).max() != 1:
+        if train.n < 2 or _fold_sizes(fold_of, train.n).max() != 1:
             return super().fit_folds(train, fold_of)
         X = train.features
         b = _parity_signs(X)
@@ -298,6 +299,15 @@ class ParityAdversary(Regressor):
         model_of = (loo_sign != models[0].sign_product).astype(np.intp)
         # tau * A * C * sign in ParityModel.predict_many's order: refit bits, no row copy.
         return models, model_of, self.tau * X[:, 0] * X[:, 2] * loo_sign
+
+
+def _fold_sizes(fold_of, n: int) -> np.ndarray:
+    """Rows per label of ``fold_of``, checked to be n integer labels in range(n)."""
+    fold_of = np.asarray(fold_of)
+    if (fold_of.shape != (n,) or not np.issubdtype(fold_of.dtype, np.integer)
+            or ((fold_of < 0) | (fold_of >= n)).any()):
+        raise ConfigError(f"fold_of must map each of the {n} rows to a label in range({n})")
+    return np.bincount(fold_of)
 
 
 def _parity_signs(X: np.ndarray) -> np.ndarray:

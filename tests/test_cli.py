@@ -324,6 +324,25 @@ class TestExitCodes:
         assert "n_test must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--experiment", "figure2", "--d-list", ""], "d_list must name at least one"),
+        (["--experiment", "coverage-mc", "--regressors", ""], "regressors must name at least one"),
+    ], ids=["d-list", "regressors"])
+    def test_simulate_needs_an_experiment_list_entry(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = main(["simulate", *argv, "--trials", "2", "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_leave_one_out_needs_two_rows(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = main(["simulate", "--experiment", "pathology-memorizer", "--n", "1",
+                   "--trials", "2", "--out", str(out)])
+        assert rc == 2
+        assert "jackknife needs at least 2 training rows" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_audit_needs_a_trial(self, trials, tmp_path, capsys):
         out = tmp_path / "o.csv"

@@ -73,6 +73,11 @@ def endpoints(iv):
     return (iv.lower, iv.upper)
 
 
+def partition_cache(train, reg, fold_of):
+    """A cache over an explicit fold partition."""
+    return LooCache(train, reg, fold_of, *reg.fit_folds(train, fold_of))
+
+
 class TestIntervalSpec:
     def test_symmetric_defaults(self):
         spec = IntervalSpec(0.1)
@@ -188,7 +193,7 @@ class TestWorkedExamples:
 
     def test_cv_plus_two_folds(self):
         data = Dataset([[0.0], [1.0], [2.0], [3.0]], [0.0, 0.0, 3.0, 9.0])
-        cache = build_loo_cache(data, MEAN, 2, fold_assignment=[0, 0, 1, 1])
+        cache = partition_cache(data, MEAN, [0, 0, 1, 1])
         # Fold models: without fold 0 -> mean 6, without fold 1 -> mean 0.
         # m = (6, 6, 0, 0), R = (6, 6, 3, 9); at alpha = 0.25 the upper index
         # is ceil(0.75*5) = 4 and the lower floor(0.25*5) = 1.
@@ -326,11 +331,36 @@ class TestCacheConstruction:
         }
         assert key_a == key_b
 
-    def test_fold_assignment_override(self, worked):
-        cache = build_loo_cache(worked, MEAN, 2, fold_assignment=[0, 1, 0])
-        assert cache.fold_of.tolist() == [0, 1, 0]
-        with pytest.raises(ConfigError, match="fold_assignment"):
-            build_loo_cache(worked, MEAN, 2, fold_assignment=[0, 1, 2])
+    def test_explicit_partition(self, worked):
+        cache = partition_cache(worked, MEAN, [0, 1, 0])
+        assert cache.fold_of.tolist() == [0, 1, 0] and cache.k_folds == 2
+        assert not cache.fold_of.flags.writeable
+        models, model_of, in_sample = MEAN.fit_folds(worked, [0, 1, 0])
+        with pytest.raises(ConfigError, match="fold_of"):
+            LooCache(worked, MEAN, [0, 1, 3], models, model_of, in_sample)
+
+    def test_k_is_read_from_the_partition(self):
+        data = Dataset([[0.0], [1.0], [2.0], [3.0]], [0.0, 0.0, 3.0, 9.0])
+        spec = IntervalSpec(0.25)
+        two = partition_cache(data, MEAN, [0, 0, 1, 1])
+        assert two.k_folds == 2
+        for method in (jackknife_from_cache, jackknife_plus, jackknife_minmax):
+            with pytest.raises(ConfigError, match="leave-one-out"):
+                method(two, spec, X_PROBE)
+        one = partition_cache(data, MEAN, [2, 2, 2, 2])
+        assert one.k_folds == 1
+        with pytest.raises(ConfigError, match="2 folds"):
+            cv_plus(one, spec, X_PROBE)
+        with pytest.raises(ConfigError, match="2 folds"):
+            cross_conformal_set(one, spec, X_PROBE, tau=0.5)
+
+    @pytest.mark.parametrize("k", [2, 5, 12])
+    def test_dealt_folds_give_the_requested_k(self, k):
+        data, _ = gen_gaussian_linear(12, 2, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # K = 5 does not divide 12
+            cache = build_loo_cache(data, MEAN, k, fold_seed=1)
+        assert cache.k_folds == len(cache.models) == k
 
     def test_k_bounds(self, worked):
         with pytest.raises(ConfigError):
@@ -339,7 +369,7 @@ class TestCacheConstruction:
             build_loo_cache(worked, MEAN, 4)
 
     def test_guards(self, worked):
-        cache2 = build_loo_cache(worked, MEAN, 2, fold_assignment=[0, 1, 0])
+        cache2 = partition_cache(worked, MEAN, [0, 1, 0])
         with pytest.raises(ConfigError, match="leave-one-out"):
             jackknife_plus(cache2, IntervalSpec(0.25), X_PROBE)
         with pytest.raises(ConfigError, match="leave-one-out"):
@@ -349,16 +379,18 @@ class TestCacheConstruction:
             cv_plus(loo1, IntervalSpec(0.25), X_PROBE)
         with pytest.raises(ConfigError, match="at least 2"):
             jackknife(Dataset([[0.0]], [1.0]), MEAN, IntervalSpec(0.25), X_PROBE)
+        with pytest.raises(ConfigError, match=r"jackknife\+ needs at least 2 training rows"):
+            jackknife_plus(loo1, IntervalSpec(0.25), X_PROBE)
 
     def test_model_indices_are_range_checked(self, worked):
         models = [MEAN.fit(worked)]
         in_sample = models[0].predict_many(worked.features)
         for model_of in ([0, 1, 0], [0, -1, 0]):
             with pytest.raises(ConfigError, match="model_of must index"):
-                LooCache(worked, MEAN, 3, np.arange(3), models, np.array(model_of), in_sample)
+                LooCache(worked, MEAN, np.arange(3), models, np.array(model_of), in_sample)
         # A model that no row uses would widen jackknife-minmax.
         with pytest.raises(ConfigError, match="model_of must use every"):
-            LooCache(worked, MEAN, 3, np.arange(3), models * 2, np.zeros(3, dtype=int), in_sample)
+            LooCache(worked, MEAN, np.arange(3), models * 2, np.zeros(3, dtype=int), in_sample)
 
     def test_non_finite_residuals_are_rejected(self):
         # Each leave-one-out memorizer predicts (1 + eps)(n - 1) = inf on its
@@ -531,14 +563,14 @@ class TestStreamingKernel:
         unused = np.setdiff1d(np.arange(self.N), fold_of)
         assert unused.size > 0
         reg = Memorizer(eps=0.5)
-        cache = build_loo_cache(train, reg, fold_assignment=fold_of)
-        # Empty folds get no model. Theirs would be the full fit, whose fresh
-        # prediction (1 + eps) n exceeds every fold model's, so keeping one
-        # would widen jackknife-minmax past the per-row reference in check().
-        assert len(cache.models) == self.N - unused.size
+        cache = partition_cache(train, reg, fold_of)
+        # Empty folds get no model and do not count toward K.
+        assert len(cache.models) == cache.k_folds == self.N - unused.size
         x = probes[0] + 0.5
-        assert reg.fit(train).predict(x) > cache.model_predictions(x).max()
         self.check(cache, [x, *probes])
+        # Labels in range(n) with some unused are not leave-one-out.
+        with pytest.raises(ConfigError, match="leave-one-out"):
+            jackknife_minmax(cache, self.SPECS[0], x)
 
     @pytest.mark.parametrize(
         "spec",

@@ -218,10 +218,11 @@ class TestParityAdversary:
         train = attach_tau(gen_pathological_abc(40, 0.25, 0.3, seed=9), tau)
         reg = ParityAdversary(tau=tau)
         fold_of = derive_rng(3, "parity-folds").permutation(40) if shuffled else np.arange(40)
-        fast = build_loo_cache(train, reg, fold_assignment=fold_of)
-        refit = LooCache(train, reg, 40, fold_of.copy(),
+        fast = LooCache(train, reg, fold_of, *reg.fit_folds(train, fold_of))
+        refit = LooCache(train, reg, fold_of.copy(),
                          *Regressor.fit_folds(reg, train, fold_of.copy()))
         assert len(fast.models) == 2 and len(refit.models) == 40
+        assert fast.k_folds == refit.k_folds == 40
         np.testing.assert_array_equal(fast.signed_residuals, refit.signed_residuals)
         np.testing.assert_array_equal(fast.residuals, refit.residuals)
         probes = gen_pathological_abc(20, 0.25, 0.3, seed=10).features
@@ -247,6 +248,28 @@ class TestParityAdversary:
         models, model_of, in_sample = reg.fit_folds(one, np.zeros(1, dtype=int))
         assert len(models) == 1 and model_of.tolist() == [0] and in_sample.tolist() == [0.0]
         assert models[0].predict(x) == 0.0  # fitted on no rows: the zero function
+
+
+BAD_PARTITIONS = {
+    "short": [0, 1],
+    "2-D": [[0, 1], [2, 3]],
+    "negative": [0, 1, -1, 2],
+    "float": [0.0, 1.0, 2.0, 3.0],
+    "label-n": [0, 1, 2, 4],
+}
+
+
+@pytest.mark.parametrize("fold_of", BAD_PARTITIONS.values(), ids=BAD_PARTITIONS)
+def test_partitions_are_checked(fold_of):
+    """A fold partition of n rows is n integer labels in range(n); fit_folds
+    (the reference loop and parity's shortcut) and LooCache say so by name."""
+    train = attach_tau(gen_pathological_abc(4, 0.25, 0.3, seed=5), 1.0)
+    for reg in (ConstantMean(), ParityAdversary()):
+        with pytest.raises(ConfigError, match="fold_of"):
+            reg.fit_folds(train, fold_of)
+    models, model_of, in_sample = ConstantMean().fit_folds(train, np.arange(4))
+    with pytest.raises(ConfigError, match="fold_of"):
+        LooCache(train, ConstantMean(), fold_of, models, model_of, in_sample)
 
 
 ALL_REGRESSORS = [
