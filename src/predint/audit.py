@@ -13,7 +13,8 @@ test row not covered by the matching interval is always strange; the audit
 checks both facts on concrete instances with exact rational thresholds.
 
 Everything here fits the pairwise models directly (no sharing tricks);
-intended for n + 1 up to a few dozen rows.
+intended for n + 1 up to a few dozen rows. The audited intervals come from
+the library's ``build_loo_cache``, so an instance costs n(n+3)/2 fits.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .dataset import Dataset, gen_gaussian_linear
 from .errors import ConfigError
 from .intervals import (
     IntervalSpec,
-    LooCache,
     PredictionInterval,
+    build_loo_cache,
     jackknife_minmax,
     jackknife_plus,
 )
@@ -57,20 +58,15 @@ def _pairwise_models(data: Dataset, regressor: Regressor) -> dict:
     return models
 
 
-def _residuals_from_models(data: Dataset, models: dict) -> np.ndarray:
-    m = data.n
-    R = np.full((m, m), math.inf)
-    for (i, j), model in models.items():
-        R[i, j] = abs(data.responses[i] - model.predict(data.features[i]))
-        R[j, i] = abs(data.responses[j] - model.predict(data.features[j]))
-    return R
-
-
 def residual_matrix(data: Dataset, regressor: Regressor) -> np.ndarray:
     """The pairwise-deletion residual matrix with +inf on the diagonal."""
     if data.n < 3:
         raise ConfigError("residual matrix needs at least 3 rows")
-    return _residuals_from_models(data, _pairwise_models(data, regressor))
+    R = np.full((data.n, data.n), math.inf)
+    for (i, j), model in _pairwise_models(data, regressor).items():
+        R[i, j] = abs(data.responses[i] - model.predict(data.features[i]))
+        R[j, i] = abs(data.responses[j] - model.predict(data.features[j]))
+    return R
 
 
 def comparison_matrix(R: np.ndarray, variant: str = "plus") -> np.ndarray:
@@ -133,8 +129,8 @@ def audit_instance(
     variant:
 
     * plus:   |S| < 2 alpha (n+1), and if the test response lies outside the
-      jackknife+ interval built from the same (i, test) fits, the test row is
-      in S.
+      jackknife+ interval of ``build_loo_cache`` on the n training rows,
+      whose fits should be the (i, test) fits, the test row is in S.
     * minmax: |S| <= alpha (n+1), with the analogous implication for the
       minmax interval.
     """
@@ -148,16 +144,13 @@ def audit_instance(
     m = data.n            # rows including the test point
     n = m - 1             # training rows
     last = m - 1
-    models = _pairwise_models(data, regressor)
-    R = _residuals_from_models(data, models)
+    R = residual_matrix(data, regressor)
     report = AuditReport(n=n, alpha=alpha, variant=variant)
     count = Fraction(m)
 
-    # The (i, test) fits are the leave-one-out fits of the n training rows;
-    # the intervals at the test row come from the library's own methods.
-    loo = [models[(i, last)] for i in range(n)]
-    in_sample = np.array([loo[i].predict(data.features[i]) for i in range(n)])
-    cache = LooCache(data.head(n), regressor, np.arange(n), loo, np.arange(n), in_sample)
+    # The intervals come from the library's leave-one-out fits of the n
+    # training rows (n more fits), checked against the direct (i, test) refits.
+    cache = build_loo_cache(data.head(n), regressor)
     spec = IntervalSpec(alpha)
     x_test = data.features[last]
     y_test = data.responses[last]

@@ -18,7 +18,7 @@ import math
 import sys
 
 from .audit import VARIANTS, run_audit
-from .dataset import gen_gaussian_linear, load_csv, load_features_csv
+from .dataset import _load_columns, gen_gaussian_linear, load_csv, load_features_csv
 from .errors import ConfigError, DataError, PredintError
 from .experiments import (
     MethodSpec,
@@ -126,6 +126,13 @@ def _regressor_echo(args) -> dict:
 
 def cmd_intervals(args) -> int:
     train = load_csv(args.train, args.target)
+    # Test columns are fed by position, so their names must match; the
+    # loaders return no names, so both headers are read again.
+    names, test_names = (_load_columns(path, args.target, header_only=True)[0]
+                         for path in (args.train, args.test))
+    if test_names != names:
+        raise DataError(f"{args.test}: feature columns {test_names} do not match "
+                        f"the training file's {names}")
     X_test, y_test = load_features_csv(args.test, args.target)
     tokens = args.method or ["jackknife+"]
     grid = GridSpec(num_points=args.grid_points, lower=args.grid_lower, upper=args.grid_upper)
@@ -156,7 +163,9 @@ def cmd_intervals(args) -> int:
         "alpha_lo": args.alpha_lo,
         "alpha_hi": args.alpha_hi,
         "eps": args.eps,
+        "grid_lower": args.grid_lower,
         "grid_points": args.grid_points,
+        "grid_upper": args.grid_upper,
         "k": args.k if args.k else "n",
         "methods": ";".join(tokens),
         "seed": args.seed,

@@ -103,7 +103,8 @@ def _parse_cell(token: str, row: int, column: str) -> float:
     return value
 
 
-def _read_table(path: str):
+def _read_table(path: str, header_only: bool = False):
+    """The stripped header names and the parsed data rows (none if ``header_only``)."""
     try:
         handle = open(path, newline="")
     except OSError as exc:
@@ -117,6 +118,8 @@ def _read_table(path: str):
         header = [name.strip() for name in header]
         if any(not name for name in header):
             raise DataError(f"{path}: header has an empty column name")
+        if header_only:
+            return header, np.empty((0, len(header)))
         rows = []
         for number, raw in enumerate(reader, start=1):
             if not raw or all(not cell.strip() for cell in raw):
@@ -133,6 +136,24 @@ def _read_table(path: str):
     return header, np.array(rows, dtype=float)
 
 
+def _load_columns(path: str, target_column: str | None, header_only: bool = False):
+    """``(feature names, features, responses or None)`` of a CSV file.
+
+    The target column, if present, is split off; the other columns are the
+    features, in file order.
+    """
+    header, table = _read_table(path, header_only)
+    hits = [j for j, name in enumerate(header) if name == target_column]
+    if not hits:
+        return header, table, None
+    if len(hits) > 1:
+        raise DataError(f"{path}: target column {target_column!r} appears twice")
+    feature_cols = [j for j in range(len(header)) if j != hits[0]]
+    if not feature_cols:
+        raise DataError(f"{path}: no feature columns besides the target")
+    return [header[j] for j in feature_cols], table[:, feature_cols], table[:, hits[0]]
+
+
 def load_csv(path: str, target_column: str) -> Dataset:
     """Load a CSV with a header row into a Dataset.
 
@@ -140,7 +161,7 @@ def load_csv(path: str, target_column: str) -> Dataset:
     in file order. Raises :class:`DataError` with the offending row and column
     named for any malformed cell, and rejects nan/inf tokens outright.
     """
-    features, responses = load_features_csv(path, target_column)
+    _, features, responses = _load_columns(path, target_column)
     if responses is None:
         raise DataError(f"{path}: target column {target_column!r} not found")
     return Dataset(features, responses)
@@ -152,16 +173,7 @@ def load_features_csv(path: str, target_column: str | None = None):
     Returns ``(features, responses_or_None)``. Used for test files, where the
     true response is optional.
     """
-    header, table = _read_table(path)
-    hits = [j for j, name in enumerate(header) if name == target_column]
-    if not hits:
-        return table, None
-    if len(hits) > 1:
-        raise DataError(f"{path}: target column {target_column!r} appears twice")
-    feature_cols = [j for j in range(len(header)) if j != hits[0]]
-    if not feature_cols:
-        raise DataError(f"{path}: no feature columns besides the target")
-    return table[:, feature_cols], table[:, hits[0]]
+    return _load_columns(path, target_column)[1:]
 
 
 def save_csv(

@@ -344,6 +344,8 @@ def figure2_experiment(
     """
     if not d_list:
         raise ConfigError("d_list must name at least one feature dimension")
+    if len(set(d_list)) != len(d_list):
+        raise ConfigError(f"d_list must not repeat a dimension, got {list(d_list)}")
     if regressor is None:
         regressor = MinNormOLS()
     if methods is None:
@@ -386,15 +388,18 @@ def run_coverage_mc(
     """
     if not regressors:
         raise ConfigError("regressors must name at least one regressor")
+    names = [t if isinstance(t, str) else t.token for t in regressors]
+    for what, values in (("regressors", names), ("alphas", list(alphas))):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{what} must not repeat an entry, got {values}")
     methods = [MethodSpec("jackknife+"), MethodSpec("jackknife-mm"), MethodSpec("split")]
     methods += [MethodSpec("cv+", k_folds=k) for k in k_list]
     specs = [IntervalSpec(a) for a in alphas]
     floors = [coverage_lower_bounds(spec.alpha, 0.0, n, n) for spec in specs]
 
     rows = []
-    for token in regressors:
+    for token, name in zip(regressors, names):
         reg = make_regressor(token) if isinstance(token, str) else token
-        name = token if isinstance(token, str) else reg.token
 
         def trial(t):
             data, _ = gen_gaussian_linear(

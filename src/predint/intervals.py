@@ -85,8 +85,8 @@ class IntervalSpec:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not self.inflation_eps >= 0.0:
-            raise ConfigError(f"inflation_eps must be >= 0, got {self.inflation_eps}")
+        if not (math.isfinite(self.inflation_eps) and self.inflation_eps >= 0.0):
+            raise ConfigError(f"inflation_eps must be finite and >= 0, got {self.inflation_eps}")
         if (self.alpha_lo is None) != (self.alpha_hi is None):
             raise ConfigError("asymmetric mode needs both alpha_lo and alpha_hi")
         if self.alpha_lo is not None:
@@ -195,33 +195,36 @@ def contains(obj, y: float) -> bool:
 
 
 class LooCache:
-    """Fitted fold models and residuals, shared across interval constructions.
+    """Fold models and residuals, shared across interval constructions.
 
-    ``models``, ``model_of`` and ``in_sample`` come from :meth:`Regressor.fit_folds`:
-    ``models[model_of[i]]``, fitted without row i's fold, predicts
-    ``in_sample[i]`` at row i, and every model is some row's. ``k_folds``
-    counts the labels of ``fold_of`` that hold a row; at ``k_folds == n`` the
-    folds are singletons: the classic leave-one-out fits. The full model is
-    fitted on first use only. Immutable once built; all downstream methods
-    read from it without refitting.
+    The cache fits its own models: ``LooCache(train, regressor, fold_of)``
+    calls :meth:`Regressor.fit_folds` once on its checked partition, so
+    ``models[model_of[i]]`` is fitted without row i's fold by construction,
+    and ``signed_residuals[i]`` is row i's response minus its prediction
+    there. ``k_folds`` counts the labels of ``fold_of`` that hold a row; at
+    ``k_folds == n`` the folds are singletons: the classic leave-one-out fits.
+    The full model is fitted on first use only. Immutable once built.
 
-    Invariant: the in-sample residuals are finite; a fit that makes any of
-    them infinite or NaN raises :class:`DataError` when the cache is built.
-    Each query checks the predictions of the distinct models at x (one value
-    per entry of ``models``, not one per row) and raises ``DataError`` unless
-    they are finite. Together the two checks keep NaN out of every shifted
-    vector ``prediction +- residual``, so queries need no per-row NaN scan.
+    ``fit_folds`` is an override point, so its result is checked: every model
+    is some row's (``ConfigError``) and the in-sample residuals are finite
+    (:class:`DataError`). Each query checks the predictions of the distinct
+    models at x (one value per entry of ``models``, not one per row) and
+    raises ``DataError`` unless they are finite. Together the two finiteness
+    checks keep NaN out of every vector ``prediction +- residual``, so queries
+    need no per-row NaN scan.
     """
 
-    def __init__(self, train, regressor, fold_of, models, model_of, in_sample):
+    def __init__(self, train, regressor, fold_of):
+        fold_of = np.asarray(fold_of)
+        self.k_folds = int(np.count_nonzero(_fold_sizes(fold_of, train.n)))
+        models, model_of, in_sample = regressor.fit_folds(train, fold_of)
         self.train = train
         self.regressor = regressor
         self.models = models
         # np.take copies a read-only index array, so queries gather through
         # this private reference; the public index arrays are frozen views.
         self._gather_index = model_of
-        self.fold_of, self.model_of = np.asarray(fold_of).view(), model_of.view()
-        self.k_folds = int(np.count_nonzero(_fold_sizes(self.fold_of, train.n)))
+        self.fold_of, self.model_of = fold_of.view(), model_of.view()
         if model_of.min() < 0 or model_of.max() >= len(models):
             raise ConfigError("model_of must index into models")
         if not np.bincount(model_of, minlength=len(models)).all():
@@ -271,7 +274,7 @@ def build_loo_cache(
     canonical row order, so it is a function of row content, not row order.
     With ``strict`` set, K must divide n; otherwise fold sizes may differ by
     one and a warning is emitted. For an explicit partition ``fold_of``, build
-    ``LooCache(train, regressor, fold_of, *regressor.fit_folds(train, fold_of))``.
+    ``LooCache(train, regressor, fold_of)``.
     """
     n = train.n
     if n < 1:
@@ -295,7 +298,7 @@ def build_loo_cache(
         fold_of = np.empty(n, dtype=int)
         fold_of[deal] = np.repeat(np.arange(k), n // k + (np.arange(k) < n % k))
 
-    return LooCache(train, regressor, fold_of, *regressor.fit_folds(train, fold_of))
+    return LooCache(train, regressor, fold_of)
 
 
 def _fixed_center_interval(center_lo, center_hi, signed_residuals, spec, residuals=None):

@@ -237,8 +237,8 @@ class TestAuditInstance:
         "reg", [MEAN, MinNormOLS(), KNN(k=1), Ridge(lambda_rel=0.1)], ids=lambda r: r.token
     )
     def test_intervals_are_the_library_methods(self, reg, alpha):
-        # The audit's (i, test) fits are the leave-one-out fits of the
-        # training rows, so its intervals are jackknife+ and jackknife-mm.
+        # The audit's intervals are the library's jackknife+ and jackknife-mm
+        # on a leave-one-out cache of the training rows.
         for seed in range(4):
             data, _ = gen_gaussian_linear(4 + 2 * seed, 2, seed=seed)
             n = data.n - 1
@@ -247,6 +247,36 @@ class TestAuditInstance:
             spec, x = IntervalSpec(alpha), data.features[n]
             assert rep.interval_plus == jackknife_plus(cache, spec, x)
             assert rep.interval_minmax == jackknife_minmax(cache, spec, x)
+
+    def test_flags_fold_fits_that_see_their_own_row(self):
+        # fit_folds is the hook a closed form plugs into; this one returns the
+        # full fit for every row, so its "leave-one-out" residuals are
+        # in-sample ones and its intervals are too narrow.
+        class LeakyOLS(MinNormOLS):
+            def fit_folds(self, train, fold_of):
+                full = self.fit(train)
+                return [full], np.zeros(train.n, dtype=np.intp), full.predict_many(train.features)
+
+        def flagged(reg):
+            return sum(not audit_instance(gen_gaussian_linear(9, 3, seed)[0], reg, 0.2).ok
+                       for seed in range(50))
+
+        assert flagged(LeakyOLS()) >= 1
+        assert flagged(MinNormOLS()) == 0
+
+    def test_fit_count(self):
+        fits = [0]
+
+        class Counting(MinNormOLS):
+            def fit(self, train):
+                fits[0] += 1
+                return super().fit(train)
+
+        for n in (2, 5, 8):
+            fits[0] = 0
+            audit_instance(gen_gaussian_linear(n + 1, 2, n)[0], Counting(), 0.25)
+            # n(n+1)/2 pairwise fits, then n leave-one-out fits of the cache
+            assert fits[0] == n * (n + 3) // 2
 
     def test_validation(self, worked):
         with pytest.raises(ConfigError, match="variant"):

@@ -139,6 +139,19 @@ class TestIntervalsCommand:
         assert "# knn_k=2" in comments
         assert comments == sorted(comments)
 
+    def test_echo_records_the_grid_bounds(self, tmp_path, worked_files):
+        train, test = worked_files
+        argv = ["intervals", "--train", train, "--test", test, "--regressor", "mean",
+                "--alpha", "0.25", "--method", "full-conformal"]
+        echoes = []
+        for bounds in ([], ["--grid-lower", "-5", "--grid-upper", "5"]):
+            rc, text = run_to_file(tmp_path, argv + bounds)
+            assert rc == 0
+            echoes.append([ln for ln in text.splitlines() if ln.startswith("#")])
+        assert "# grid_lower=None" in echoes[0] and "# grid_upper=None" in echoes[0]
+        assert echoes[0] != echoes[1]
+        assert "# grid_lower=-5.0" in echoes[1] and "# grid_upper=5.0" in echoes[1]
+
 
 INTERVAL_METHODS = ("naive", "split", "jackknife", "jackknife+", "jackknife-mm", "cv+")
 ALL_METHODS = INTERVAL_METHODS + ("cross-conformal", "full-conformal")
@@ -242,11 +255,32 @@ class TestExitCodes:
         assert rc == 2
         capsys.readouterr()
 
-    def test_nan_inflation_is_a_configuration_error(self, worked_files, capsys):
+    def test_nan_inflation_is_a_configuration_error(self, worked_files, tmp_path, capsys):
         train, test = worked_files
-        rc = main(["intervals", "--train", train, "--test", test, "--eps", "nan"])
-        assert rc == 2
-        assert "inflation_eps" in capsys.readouterr().err
+        out = tmp_path / "o.csv"
+        for eps in ("nan", "inf"):
+            rc = main(["intervals", "--train", train, "--test", test, "--method", "naive",
+                       "--eps", eps, "--out", str(out)])
+            assert rc == 2
+            assert "inflation_eps" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("header", ["x2,x1", "foo,bar"], ids=["swapped", "renamed"])
+    def test_test_columns_must_match_the_training_columns(self, header, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        train.write_text("x1,x2,y\n0,1,0\n1,0,1\n2,2,3\n")
+        test = tmp_path / "test.csv"
+        test.write_text(f"{header}\n1,2\n")
+        out = tmp_path / "o.csv"
+        rc = main(["intervals", "--train", str(train), "--test", str(test),
+                   "--regressor", "mean", "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(header.split(",")) in err and "['x1', 'x2']" in err
+        assert not out.exists()
+        test.write_text("y,x1,x2\n5,1,2\n")  # the same names, target anywhere
+        assert main(["intervals", "--train", str(train), "--test", str(test),
+                     "--regressor", "mean", "--out", str(out)]) == 0
 
     def test_strict_folds_propagates(self, worked_files, capsys):
         train, test = worked_files
@@ -329,6 +363,19 @@ class TestExitCodes:
         (["--experiment", "coverage-mc", "--regressors", ""], "regressors must name at least one"),
     ], ids=["d-list", "regressors"])
     def test_simulate_needs_an_experiment_list_entry(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = main(["simulate", *argv, "--trials", "2", "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--experiment", "figure2", "--d-list", "20,20"], "d_list must not repeat"),
+        (["--experiment", "coverage-mc", "--regressors", "mean,mean"],
+         "regressors must not repeat"),
+        (["--experiment", "coverage-mc", "--alphas", "0.1,0.1"], "alphas must not repeat"),
+    ], ids=["d-list", "regressors", "alphas"])
+    def test_simulate_rejects_a_repeated_list_entry(self, argv, message, tmp_path, capsys):
         out = tmp_path / "o.csv"
         rc = main(["simulate", *argv, "--trials", "2", "--out", str(out)])
         assert rc == 2

@@ -73,11 +73,6 @@ def endpoints(iv):
     return (iv.lower, iv.upper)
 
 
-def partition_cache(train, reg, fold_of):
-    """A cache over an explicit fold partition."""
-    return LooCache(train, reg, fold_of, *reg.fit_folds(train, fold_of))
-
-
 class TestIntervalSpec:
     def test_symmetric_defaults(self):
         spec = IntervalSpec(0.1)
@@ -103,8 +98,9 @@ class TestIntervalSpec:
     def test_inflation_sign(self):
         with pytest.raises(ConfigError):
             IntervalSpec(0.1, inflation_eps=-1e-9)
-        with pytest.raises(ConfigError, match="inflation_eps"):
-            IntervalSpec(0.1, inflation_eps=math.nan)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="inflation_eps"):
+                IntervalSpec(0.1, inflation_eps=eps)
 
 
 class TestPredictionInterval:
@@ -193,7 +189,7 @@ class TestWorkedExamples:
 
     def test_cv_plus_two_folds(self):
         data = Dataset([[0.0], [1.0], [2.0], [3.0]], [0.0, 0.0, 3.0, 9.0])
-        cache = partition_cache(data, MEAN, [0, 0, 1, 1])
+        cache = LooCache(data, MEAN, [0, 0, 1, 1])
         # Fold models: without fold 0 -> mean 6, without fold 1 -> mean 0.
         # m = (6, 6, 0, 0), R = (6, 6, 3, 9); at alpha = 0.25 the upper index
         # is ceil(0.75*5) = 4 and the lower floor(0.25*5) = 1.
@@ -332,22 +328,35 @@ class TestCacheConstruction:
         assert key_a == key_b
 
     def test_explicit_partition(self, worked):
-        cache = partition_cache(worked, MEAN, [0, 1, 0])
+        cache = LooCache(worked, MEAN, [0, 1, 0])
         assert cache.fold_of.tolist() == [0, 1, 0] and cache.k_folds == 2
         assert not cache.fold_of.flags.writeable
-        models, model_of, in_sample = MEAN.fit_folds(worked, [0, 1, 0])
         with pytest.raises(ConfigError, match="fold_of"):
-            LooCache(worked, MEAN, [0, 1, 3], models, model_of, in_sample)
+            LooCache(worked, MEAN, [0, 1, 3])
+
+    def test_cache_fits_its_own_partition(self, worked):
+        calls = []
+
+        class Spy(ConstantMean):
+            def fit_folds(self, train, fold_of):
+                calls.append(np.array(fold_of))
+                return super().fit_folds(train, fold_of)
+
+        cache = LooCache(worked, Spy(), [0, 1, 0])
+        assert len(calls) == 1 and calls[0].tolist() == cache.fold_of.tolist() == [0, 1, 0]
+        # Fold models from another partition cannot be handed in.
+        with pytest.raises(TypeError):
+            LooCache(worked, MEAN, np.arange(3), *MEAN.fit_folds(worked, [0, 0, 1]))
 
     def test_k_is_read_from_the_partition(self):
         data = Dataset([[0.0], [1.0], [2.0], [3.0]], [0.0, 0.0, 3.0, 9.0])
         spec = IntervalSpec(0.25)
-        two = partition_cache(data, MEAN, [0, 0, 1, 1])
+        two = LooCache(data, MEAN, [0, 0, 1, 1])
         assert two.k_folds == 2
         for method in (jackknife_from_cache, jackknife_plus, jackknife_minmax):
             with pytest.raises(ConfigError, match="leave-one-out"):
                 method(two, spec, X_PROBE)
-        one = partition_cache(data, MEAN, [2, 2, 2, 2])
+        one = LooCache(data, MEAN, [2, 2, 2, 2])
         assert one.k_folds == 1
         with pytest.raises(ConfigError, match="2 folds"):
             cv_plus(one, spec, X_PROBE)
@@ -369,7 +378,7 @@ class TestCacheConstruction:
             build_loo_cache(worked, MEAN, 4)
 
     def test_guards(self, worked):
-        cache2 = partition_cache(worked, MEAN, [0, 1, 0])
+        cache2 = LooCache(worked, MEAN, [0, 1, 0])
         with pytest.raises(ConfigError, match="leave-one-out"):
             jackknife_plus(cache2, IntervalSpec(0.25), X_PROBE)
         with pytest.raises(ConfigError, match="leave-one-out"):
@@ -385,12 +394,19 @@ class TestCacheConstruction:
     def test_model_indices_are_range_checked(self, worked):
         models = [MEAN.fit(worked)]
         in_sample = models[0].predict_many(worked.features)
+
+        def folds_returning(models, model_of):
+            class Fixed(ConstantMean):
+                def fit_folds(self, train, fold_of):
+                    return models, np.array(model_of), in_sample
+            return Fixed()
+
         for model_of in ([0, 1, 0], [0, -1, 0]):
             with pytest.raises(ConfigError, match="model_of must index"):
-                LooCache(worked, MEAN, np.arange(3), models, np.array(model_of), in_sample)
+                LooCache(worked, folds_returning(models, model_of), np.arange(3))
         # A model that no row uses would widen jackknife-minmax.
         with pytest.raises(ConfigError, match="model_of must use every"):
-            LooCache(worked, MEAN, np.arange(3), models * 2, np.zeros(3, dtype=int), in_sample)
+            LooCache(worked, folds_returning(models * 2, [0, 0, 0]), np.arange(3))
 
     def test_non_finite_residuals_are_rejected(self):
         # Each leave-one-out memorizer predicts (1 + eps)(n - 1) = inf on its
@@ -563,7 +579,7 @@ class TestStreamingKernel:
         unused = np.setdiff1d(np.arange(self.N), fold_of)
         assert unused.size > 0
         reg = Memorizer(eps=0.5)
-        cache = partition_cache(train, reg, fold_of)
+        cache = LooCache(train, reg, fold_of)
         # Empty folds get no model and do not count toward K.
         assert len(cache.models) == cache.k_folds == self.N - unused.size
         x = probes[0] + 0.5

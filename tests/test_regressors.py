@@ -35,6 +35,12 @@ def gaussian(n, d, seed=0):
     return gen_gaussian_linear(n, d, seed)[0]
 
 
+class RefitParity(ParityAdversary):
+    """The parity regressor with its fold shortcut replaced by the reference refits."""
+
+    fit_folds = Regressor.fit_folds
+
+
 class TestMinNormOLS:
     def test_square_system(self):
         data = Dataset([[1.0, 0.0], [0.0, 1.0]], [2.0, 3.0])
@@ -218,9 +224,8 @@ class TestParityAdversary:
         train = attach_tau(gen_pathological_abc(40, 0.25, 0.3, seed=9), tau)
         reg = ParityAdversary(tau=tau)
         fold_of = derive_rng(3, "parity-folds").permutation(40) if shuffled else np.arange(40)
-        fast = LooCache(train, reg, fold_of, *reg.fit_folds(train, fold_of))
-        refit = LooCache(train, reg, fold_of.copy(),
-                         *Regressor.fit_folds(reg, train, fold_of.copy()))
+        fast = LooCache(train, reg, fold_of)
+        refit = LooCache(train, RefitParity(tau=tau), fold_of.copy())
         assert len(fast.models) == 2 and len(refit.models) == 40
         assert fast.k_folds == refit.k_folds == 40
         np.testing.assert_array_equal(fast.signed_residuals, refit.signed_residuals)
@@ -267,9 +272,8 @@ def test_partitions_are_checked(fold_of):
     for reg in (ConstantMean(), ParityAdversary()):
         with pytest.raises(ConfigError, match="fold_of"):
             reg.fit_folds(train, fold_of)
-    models, model_of, in_sample = ConstantMean().fit_folds(train, np.arange(4))
     with pytest.raises(ConfigError, match="fold_of"):
-        LooCache(train, ConstantMean(), fold_of, models, model_of, in_sample)
+        LooCache(train, ConstantMean(), fold_of)
 
 
 ALL_REGRESSORS = [
