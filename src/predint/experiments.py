@@ -188,7 +188,8 @@ def evaluate_methods(
     Returns ``out[m][s][j]``: the interval or set of ``methods[m]`` at
     ``specs[s]`` for row j of ``X_test``. Entries follow list positions, so a
     repeated method gives repeated entries. Fits are shared: one cache per
-    distinct K (fold seed ``derive_seed(seed, f"folds/{K}")``, ``strict`` as
+    distinct K (fold seed ``derive_seed(seed, f"folds/{K}")``, derived for
+    K < n only, since a leave-one-out cache deals no folds; ``strict`` as
     in :func:`build_loo_cache`), one full fit, made only when naive or
     jackknife reads it and shared through the leave-one-out cache when there
     is one, one split fit per holdout fraction
@@ -206,7 +207,8 @@ def evaluate_methods(
     tokens = {m.method for m in methods}
     caches = {
         k: build_loo_cache(
-            train, regressor, k, fold_seed=derive_seed(seed, f"folds/{k}"), strict=strict
+            train, regressor, k, strict=strict,
+            fold_seed=derive_seed(seed, f"folds/{k}") if k < n else 0,
         )
         for k in dict.fromkeys(_cache_k(m, n) for m in methods)
         if k is not None

@@ -205,8 +205,9 @@ class LooCache:
     ``k_folds == n`` the folds are singletons: the classic leave-one-out fits.
     The full model is fitted on first use only. Immutable once built.
 
-    ``fit_folds`` is an override point, so its result is checked: every model
-    is some row's (``ConfigError``) and the in-sample residuals are finite
+    ``fit_folds`` is an override point, so its result is checked: ``model_of``
+    (integer) and ``in_sample`` are 1-D arrays of length n and every model is
+    some row's (``ConfigError``), and the in-sample residuals are finite
     (:class:`DataError`). Each query checks the predictions of the distinct
     models at x (one value per entry of ``models``, not one per row) and
     raises ``DataError`` unless they are finite. Together the two finiteness
@@ -215,9 +216,15 @@ class LooCache:
     """
 
     def __init__(self, train, regressor, fold_of):
+        n = train.n
         fold_of = np.asarray(fold_of)
-        self.k_folds = int(np.count_nonzero(_fold_sizes(fold_of, train.n)))
+        self.k_folds = int(np.count_nonzero(_fold_sizes(fold_of, n)))
         models, model_of, in_sample = regressor.fit_folds(train, fold_of)
+        if not (isinstance(model_of, np.ndarray) and model_of.shape == (n,)
+                and np.issubdtype(model_of.dtype, np.integer)):
+            raise ConfigError(f"model_of must be a 1-D integer array of length {n}")
+        if not (isinstance(in_sample, np.ndarray) and in_sample.shape == (n,)):
+            raise ConfigError(f"in_sample must be a 1-D array of length {n}")
         self.train = train
         self.regressor = regressor
         self.models = models
@@ -272,7 +279,8 @@ def build_loo_cache(
 
     The fold partition is dealt uniformly at random (seeded) over the
     canonical row order, so it is a function of row content, not row order.
-    With ``strict`` set, K must divide n; otherwise fold sizes may differ by
+    At K = n every fold is a singleton, so ``fold_seed`` is unused. With
+    ``strict`` set, K must divide n; otherwise fold sizes may differ by
     one and a warning is emitted. For an explicit partition ``fold_of``, build
     ``LooCache(train, regressor, fold_of)``.
     """

@@ -7,8 +7,6 @@ new consumer or reordering work never silently shifts another stream.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 
@@ -18,6 +16,8 @@ def derive_seed(master: int, tag: str, index: int = 0) -> int:
     Pure function of its arguments; uses SHA-256 so results do not depend on
     the process, platform, or Python hash randomization.
     """
+    import hashlib  # loads OpenSSL (~3.3 MB resident), so only runs that derive a seed pay it
+
     digest = hashlib.sha256(f"{master}:{tag}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

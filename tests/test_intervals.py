@@ -408,6 +408,23 @@ class TestCacheConstruction:
         with pytest.raises(ConfigError, match="model_of must use every"):
             LooCache(worked, folds_returning(models * 2, [0, 0, 0]), np.arange(3))
 
+    def test_fold_results_are_length_n_arrays(self, worked):
+        def folds_reshaped(model_of_as=np.asarray, in_sample_as=np.asarray):
+            class Reshaped(ConstantMean):
+                def fit_folds(self, train, fold_of):
+                    models, model_of, in_sample = super().fit_folds(train, fold_of)
+                    return models, model_of_as(model_of), in_sample_as(in_sample)
+            return Reshaped()
+
+        # A scalar in-sample prediction would broadcast to every row.
+        for in_sample_as in (lambda a: 2.0, lambda a: a[:, None]):
+            with pytest.raises(ConfigError, match="in_sample must be a 1-D array of length 3"):
+                LooCache(worked, folds_reshaped(in_sample_as=in_sample_as), np.arange(3))
+        for model_of_as in (list, lambda a: a[:2], lambda a: a.astype(float)):
+            with pytest.raises(ConfigError, match="model_of must be a 1-D integer array"):
+                LooCache(worked, folds_reshaped(model_of_as=model_of_as), np.arange(3))
+        assert LooCache(worked, folds_reshaped(), np.arange(3)).n == 3
+
     def test_non_finite_residuals_are_rejected(self):
         # Each leave-one-out memorizer predicts (1 + eps)(n - 1) = inf on its
         # left-out row, so every in-sample residual is -inf.
