@@ -32,7 +32,6 @@ from .experiments import (
     CoverageReport,
     MethodSpec,
     ParityResult,
-    TrialStats,
     aggregate,
     default_method_list,
     evaluate_methods,
@@ -157,7 +156,6 @@ __all__ = [
     "KINDS",
     # experiments
     "MethodSpec",
-    "TrialStats",
     "CoverageReport",
     "aggregate",
     "evaluate_methods",

@@ -44,28 +44,23 @@ __all__ = [
     "AuditReport",
     "audit_instance",
     "run_audit",
+    "VARIANTS",
 ]
 
 VARIANTS = ("plus", "minmax", "both")
 
 
-def _pairwise_models(data: Dataset, regressor: Regressor) -> dict:
-    """Fit mu_{-(i,j)} for every unordered pair i < j."""
-    models = {}
-    for i in range(data.n):
-        for j in range(i + 1, data.n):
-            models[(i, j)] = regressor.fit(data.drop([i, j]))
-    return models
-
-
 def residual_matrix(data: Dataset, regressor: Regressor) -> np.ndarray:
-    """The pairwise-deletion residual matrix with +inf on the diagonal."""
+    """The pairwise-deletion residual matrix with +inf on the diagonal: one fit
+    of mu_{-(i,j)} per unordered pair i < j, read at rows i and j."""
     if data.n < 3:
         raise ConfigError("residual matrix needs at least 3 rows")
     R = np.full((data.n, data.n), math.inf)
-    for (i, j), model in _pairwise_models(data, regressor).items():
-        R[i, j] = abs(data.responses[i] - model.predict(data.features[i]))
-        R[j, i] = abs(data.responses[j] - model.predict(data.features[j]))
+    for i in range(data.n):
+        for j in range(i + 1, data.n):
+            model = regressor.fit(data.drop([i, j]))
+            R[i, j] = abs(data.responses[i] - model.predict(data.features[i]))
+            R[j, i] = abs(data.responses[j] - model.predict(data.features[j]))
     return R
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 
 class PredintError(Exception):
     """Base class for errors raised by this package."""
@@ -11,3 +13,11 @@ class ConfigError(PredintError):
 
 class DataError(PredintError):
     """Input data is missing, malformed, or out of contract."""
+
+
+def _require_int(name: str, value):
+    """``value`` itself if it is a Python or numpy integer (not a bool), else a
+    ConfigError naming the setting ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value

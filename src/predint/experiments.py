@@ -2,11 +2,11 @@
 
 A trial is the unit of randomness: each trial owns a seed derived from the
 experiment's master seed by purpose tag and trial index, draws its own data
-(including a fresh coefficient vector where applicable), and reports the
-coverage fraction and mean width over its test points. One driver runs the
-trials of every experiment, one at a time, and pools the per-trial rows into
-reports in trial order, so results are reproducible regardless of how work
-is batched.
+(including a fresh coefficient vector where applicable), and reports a
+one-row CoverageReport per (method, level): coverage and mean width over its
+test points. One driver runs every experiment's trials one at a time and
+pools the rows with :func:`aggregate` in trial order, so results do not
+depend on how work is batched.
 
 Widths are totals of finite component lengths; infinite-width intervals are
 counted separately and excluded from width means (they still count toward
@@ -21,12 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, SplitSpec, attach_tau, gen_gaussian_linear, gen_pathological_abc
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _require_int
 from .intervals import (
     METHOD_TOKENS,
     GridSpec,
     IntervalSpec,
-    PredictionInterval,
     build_loo_cache,
     cross_conformal_set,
     cv_plus,
@@ -42,16 +41,17 @@ from .stability import coverage_lower_bounds
 
 __all__ = [
     "MethodSpec",
-    "TrialStats",
     "CoverageReport",
     "aggregate",
     "evaluate_methods",
     "run_trial",
+    "default_method_list",
     "figure2_experiment",
     "run_coverage_mc",
     "pathology_memorizer",
     "pathology_parity",
     "ParityResult",
+    "parity_vacuity_slack",
 ]
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class MethodSpec:
             raise ConfigError(
                 f"unknown method {self.method!r}; expected one of {', '.join(METHOD_TOKENS)}"
             )
-        if self.k_folds is not None and self.k_folds < 1:
+        if self.k_folds is not None and _require_int("k_folds", self.k_folds) < 1:
             raise ConfigError(f"k_folds must be >= 1, got {self.k_folds}")
 
     @property
@@ -79,18 +79,9 @@ class MethodSpec:
 
 
 @dataclass(frozen=True)
-class TrialStats:
-    """Coverage and width summary of one trial for one (method, spec)."""
-
-    coverage: float
-    width_mean: float  # mean finite width over test points; NaN when none finite
-    infinite_count: int
-    n_test: int
-
-
-@dataclass(frozen=True)
 class CoverageReport:
-    """Per-trial coverage rows for one method at one level."""
+    """Per-trial coverage rows for one method at one level. A trial's result
+    is a one-row report (``trials == 1``); :func:`aggregate` pools them."""
 
     method: str
     alpha: float
@@ -123,16 +114,6 @@ class CoverageReport:
         if len(finite) < 2:
             return 0.0
         return float(np.std(finite, ddof=1) / math.sqrt(len(finite)))
-
-    @staticmethod
-    def from_trials(method: str, alpha: float, stats: list[TrialStats]) -> "CoverageReport":
-        return CoverageReport(
-            method=method,
-            alpha=alpha,
-            coverages=tuple(s.coverage for s in stats),
-            widths=tuple(s.width_mean for s in stats),
-            infinite_count=sum(s.infinite_count for s in stats),
-        )
 
 
 def aggregate(reports) -> CoverageReport:
@@ -260,8 +241,10 @@ def run_trial(
 ) -> dict:
     """Evaluate every (method, spec) on one train/test draw.
 
-    Returns ``{(label, spec_index): TrialStats}``. The objects come from
-    :func:`evaluate_methods`, so fits are shared across methods and levels.
+    Returns ``{(label, spec_index): CoverageReport}``, each a one-row report
+    (``trials == 1``): the coverage fraction and mean finite width over the
+    test points. The objects come from :func:`evaluate_methods`, so fits are
+    shared across methods and levels.
     """
     if not methods or not specs:
         raise ConfigError("need at least one method and one spec")
@@ -273,29 +256,27 @@ def run_trial(
 
     objects = evaluate_methods(train, test.features, regressor, methods, specs, seed)
     return {
-        (label, si): _trial_stats(objs, test.responses)
+        (label, si): _trial_report(label, specs[si].alpha, objs, test.responses)
         for label, per_spec in zip(labels, objects)
         for si, objs in enumerate(per_spec)
     }
 
 
-def _trial_stats(objs, responses) -> TrialStats:
-    """Coverage and width summary of the objects built for one test draw."""
-    hits = [obj.contains(y) for obj, y in zip(objs, responses)]
-    widths = [o.width if isinstance(o, PredictionInterval) else o.total_width for o in objs]
+def _trial_report(label: str, alpha: float, objs, responses) -> CoverageReport:
+    """One-row report of the objects built for one test draw: coverage, mean
+    finite width (NaN when none is finite) and the count of infinite widths."""
+    hits = [o.contains(y) for o, y in zip(objs, responses)]
+    widths = [o.width for o in objs]
     finite = [w for w in widths if math.isfinite(w)]
-    return TrialStats(
-        coverage=float(np.mean(hits)),
-        width_mean=float(np.mean(finite)) if finite else math.nan,
-        infinite_count=sum(map(math.isinf, widths)),
-        n_test=len(objs),
-    )
+    width_mean = float(np.mean(finite)) if finite else math.nan
+    return CoverageReport(label, alpha, (float(np.mean(hits)),), (width_mean,),
+                          sum(map(math.isinf, widths)))
 
 
 def default_method_list(n: int, k_folds: int = 10) -> list[MethodSpec]:
     """The six default comparison methods (full conformal costs n_grid fits
     per test point and is opt-in)."""
-    if k_folds < 1:
+    if _require_int("k_folds", k_folds) < 1:
         raise ConfigError(f"k_folds must be >= 1, got {k_folds}")
     k = k_folds if k_folds <= n and n % k_folds == 0 else None
     return [
@@ -308,24 +289,21 @@ def default_method_list(n: int, k_folds: int = 10) -> list[MethodSpec]:
     ]
 
 
-def _coverage_reports(trials: int, specs: list[IntervalSpec], trial) -> dict:
-    """Run trials 0..trials-1 one at a time and pool their rows.
+def _coverage_reports(trials: int, trial) -> dict:
+    """Run trials 0..trials-1 one at a time and pool their one-row reports.
 
     ``trial(t)`` returns :func:`run_trial`'s ``{(label, spec index):
-    TrialStats}`` for trial t. Returns ``{(label, spec index):
-    CoverageReport}`` in the key order of the first trial, each report
+    CoverageReport}`` for trial t. Returns each key's reports pooled by
+    :func:`aggregate`, in the key order of the first trial, each report
     listing its rows in trial order.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rows: dict = {}
     for t in range(trials):
-        for key, stats in trial(t).items():
-            rows.setdefault(key, []).append(stats)
-    return {
-        (label, si): CoverageReport.from_trials(label, specs[si].alpha, stats)
-        for (label, si), stats in rows.items()
-    }
+        for key, report in trial(t).items():
+            rows.setdefault(key, []).append(report)
+    return {key: aggregate(reports) for key, reports in rows.items()}
 
 
 def figure2_experiment(
@@ -361,7 +339,7 @@ def figure2_experiment(
 
     out: dict = {}
     for d in d_list:
-        reports = _coverage_reports(trials, specs, lambda t: trial(d, t))
+        reports = _coverage_reports(trials, lambda t: trial(d, t))
         out[d] = {label: report for (label, _), report in reports.items()}
     return out
 
@@ -410,7 +388,7 @@ def run_coverage_mc(
             return run_trial(data.head(n), data.tail_from(n), reg, methods, specs,
                              seed=derive_seed(seed, f"coverage-mc-trial/{name}", t))
 
-        reports = _coverage_reports(trials, specs, trial)
+        reports = _coverage_reports(trials, trial)
         rows += [
             {"regressor": name, "method": m.label, "alpha": spec.alpha,
              "report": reports[(m.label, si)], "bound": floors[si][_FLOOR_KEY[m.method]]}
@@ -443,7 +421,7 @@ def pathology_memorizer(
         return run_trial(data.head(n), data.tail_from(n), regressor, methods, specs,
                          seed=derive_seed(seed, "memorizer-trial", t))
 
-    reports = _coverage_reports(trials, specs, trial)
+    reports = _coverage_reports(trials, trial)
     return {label: report for (label, _), report in reports.items()}
 
 
@@ -466,8 +444,8 @@ def parity_vacuity_slack(n: int) -> float:
 
 def _parity_trial(n, n_test, gamma, tau, spec, seed, t) -> dict:
     """One parity trial in :func:`run_trial`'s shape, ``{("jackknife+", 0):
-    TrialStats}``. Its train, test and objects are freed on return, before
-    the next trial draws."""
+    CoverageReport}``. Its train, test and objects are freed on return,
+    before the next trial draws."""
     alpha = spec.alpha
     train = attach_tau(
         gen_pathological_abc(n, alpha, gamma, derive_seed(seed, "parity-train", t)), tau
@@ -481,7 +459,8 @@ def _parity_trial(n, n_test, gamma, tau, spec, seed, t) -> dict:
     objs = evaluate_methods(
         train, test.features[first], ParityAdversary(tau), [MethodSpec("jackknife+")], [spec]
     )[0][0]
-    return {("jackknife+", 0): _trial_stats([objs[i] for i in inverse], test.responses)}
+    return {("jackknife+", 0): _trial_report(
+        "jackknife+", alpha, [objs[i] for i in inverse], test.responses)}
 
 
 def pathology_parity(
@@ -522,10 +501,8 @@ def pathology_parity(
     if tau is None:
         tau = eps * n
 
-    specs = [IntervalSpec(alpha, inflation_eps=eps)]
-    reports = _coverage_reports(
-        trials, specs, lambda t: _parity_trial(n, n_test, gamma, tau, specs[0], seed, t)
-    )
+    spec = IntervalSpec(alpha, inflation_eps=eps)
+    reports = _coverage_reports(trials, lambda t: _parity_trial(n, n_test, gamma, tau, spec, seed, t))
     return ParityResult(
         n=n,
         alpha=alpha,

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dataset import Dataset, SplitSpec
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _require_int
 from .quantiles import _select_inplace, lower_index, lower_quantile, upper_index, upper_quantile
 from .regressors import FittedModel, Regressor, _fold_sizes, canonical_order
 
@@ -115,7 +115,7 @@ class GridSpec:
     upper: float | None = None
 
     def __post_init__(self):
-        if self.num_points < 2:
+        if _require_int("num_points", self.num_points) < 2:
             raise ConfigError(f"grid needs at least 2 points, got {self.num_points}")
         for bound in (self.lower, self.upper):
             if bound is not None and not math.isfinite(bound):
@@ -147,11 +147,6 @@ class PredictionInterval:
     def contains(self, y: float) -> bool:
         return bool(not self.is_empty and self.lower <= y <= self.upper)
 
-    def inflate(self, eps: float) -> "PredictionInterval":
-        if eps == 0.0:
-            return self
-        return PredictionInterval(self.lower - eps, self.upper + eps)
-
 
 @dataclass(frozen=True)
 class PredictionSet:
@@ -182,7 +177,7 @@ class PredictionSet:
         return not self.intervals
 
     @property
-    def total_width(self) -> float:
+    def width(self) -> float:
         return float(sum(iv.width for iv in self.intervals))
 
     def contains(self, y: float) -> bool:
@@ -287,7 +282,7 @@ def build_loo_cache(
     n = train.n
     if n < 1:
         raise ConfigError("cannot build a cache from an empty training set")
-    k = n if k_folds is None else k_folds
+    k = n if k_folds is None else _require_int("k_folds", k_folds)
     if not 1 <= k <= n:
         raise ConfigError(f"k_folds must be in [1, {n}], got {k}")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _require_int
 
 __all__ = [
     "FittedModel",
@@ -219,7 +219,7 @@ class KNN(Regressor):
     k: int = 5
 
     def __post_init__(self):
-        if self.k < 1:
+        if _require_int("k", self.k) < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
 
     def _fit(self, X, y):

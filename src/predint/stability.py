@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .regressors import Regressor
 from .rng import derive_seed
 
-__all__ = ["StabilityEstimate", "estimate_stability", "coverage_lower_bounds"]
+__all__ = ["StabilityEstimate", "estimate_stability", "coverage_lower_bounds", "KINDS"]
 
 KINDS = ("out_of_sample", "in_sample")
 

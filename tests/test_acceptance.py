@@ -234,7 +234,7 @@ def test_07_knn_stability(capsys):
                     seed=derive_seed(2026, f"acc-cov-trial/{k}/{n}", t),
                 )
                 for m in methods:
-                    per[m.label].append(stats[(m.label, 0)].coverage)
+                    per[m.label].append(stats[(m.label, 0)].coverage_mean)
             jk = float(np.mean(per["jackknife"]))
             jkp = float(np.mean(per["jackknife+"]))
             if jk < 1 - alpha - 2 * math.sqrt(q) - 0.02:

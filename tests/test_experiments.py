@@ -19,7 +19,6 @@ from predint import (
     MinNormOLS,
     ParityAdversary,
     Regressor,
-    TrialStats,
     aggregate,
     attach_tau,
     default_method_list,
@@ -131,9 +130,9 @@ class TestRunTrial:
         assert len(stats) == len(methods)
         for (label, si), row in stats.items():
             assert si == 0
-            assert row.coverage == 1.0, label
+            assert row.coverage_mean == 1.0, label
             assert row.width_mean == 0.0, label
-            assert row.infinite_count == 0 and row.n_test == 4
+            assert row.infinite_count == 0 and row.trials == 1
 
     def test_alpha_zero_everything_infinite(self):
         train, test = gaussian_split(6, 3, 2, seed=4)
@@ -147,7 +146,7 @@ class TestRunTrial:
         ]
         stats = run_trial(train, test, MEAN, methods, [IntervalSpec(0.0)], seed=2)
         for (label, _), row in stats.items():
-            assert row.coverage == 1.0, label
+            assert row.coverage_mean == 1.0, label
             assert row.infinite_count == 3, label
             assert math.isnan(row.width_mean), label
 
@@ -169,7 +168,7 @@ class TestRunTrial:
             >= stats[("jackknife+", 0)].width_mean
         )
         assert (
-            stats[("jackknife-mm", 0)].coverage >= stats[("jackknife+", 0)].coverage
+            stats[("jackknife-mm", 0)].coverage_mean >= stats[("jackknife+", 0)].coverage_mean
         )
 
     def test_determinism(self):
@@ -299,10 +298,7 @@ def hand_reports(trials, draw, regressor, methods, specs, n, seed_label):
                           seed=derive_seed(*seed_label, t))
         for (label, si), row in stats.items():
             rows.setdefault((label, si), []).append(row)
-    return {
-        key: CoverageReport.from_trials(key[0], specs[key[1]].alpha, rs)
-        for key, rs in rows.items()
-    }
+    return {key: aggregate(rs) for key, rs in rows.items()}
 
 
 class TestTrialDriver:
@@ -449,8 +445,7 @@ class TestParityPathology:
             train, test, ParityAdversary(res.tau), [MethodSpec("jackknife+")],
             [IntervalSpec(alpha, inflation_eps=res.eps)],
         )
-        expected = CoverageReport.from_trials("jackknife+", alpha, [stats[("jackknife+", 0)]])
-        assert res.report == expected
+        assert res.report == stats[("jackknife+", 0)]
 
     def test_vacuous_configurations_are_rejected(self):
         with pytest.raises(ConfigError, match="vacuous"):
@@ -475,8 +470,3 @@ class TestParityPathology:
         assert res.report.trials == 2
         # Coverage sits in the anti-concentration window, far below 1 - alpha.
         assert 0.35 <= res.report.coverage_mean <= res.bound_upper
-
-
-def test_trial_stats_is_plain_data():
-    row = TrialStats(coverage=0.5, width_mean=1.0, infinite_count=0, n_test=4)
-    assert row == TrialStats(0.5, 1.0, 0, 4)

@@ -114,11 +114,6 @@ class TestPredictionInterval:
         assert iv.is_empty and iv.width == 0.0
         assert not iv.contains(1.5)
 
-    def test_inflate(self):
-        iv = PredictionInterval(0.0, 1.0).inflate(0.25)
-        assert endpoints(iv) == (-0.25, 1.25)
-        assert PredictionInterval(0.0, 1.0).inflate(0.0) == PredictionInterval(0.0, 1.0)
-
 
 class TestPredictionSet:
     def test_merging_and_ordering(self):
@@ -131,11 +126,11 @@ class TestPredictionSet:
             ]
         )
         assert [endpoints(iv) for iv in s.intervals] == [(0.0, 2.0), (5.0, 6.0)]
-        assert s.total_width == 3.0
+        assert s.width == 3.0
 
     def test_empty_set(self):
         s = PredictionSet.from_intervals([])
-        assert s.is_empty and s.total_width == 0.0
+        assert s.is_empty and s.width == 0.0
         assert not s.contains(0.0)
 
     @settings(deadline=None)

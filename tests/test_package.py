@@ -1,0 +1,67 @@
+"""The package surface: what ``predint`` exports, and integer settings at the
+API boundary."""
+
+import ast
+import importlib
+import pathlib
+
+import numpy as np
+import pytest
+
+import predint
+from predint import (
+    KNN,
+    ConfigError,
+    Dataset,
+    GridSpec,
+    MethodSpec,
+    MinNormOLS,
+    build_loo_cache,
+    default_method_list,
+)
+
+
+def test_all_has_no_duplicates():
+    assert len(predint.__all__) == len(set(predint.__all__))
+
+
+def test_every_entry_of_all_resolves():
+    missing = [name for name in predint.__all__ if not hasattr(predint, name)]
+    assert not missing
+
+
+def test_submodule_imports_are_public_there():
+    # Every name the package takes from a submodule with an __all__ must be
+    # in that __all__, so tools that walk each layer's __all__ see it.
+    tree = ast.parse(pathlib.Path(predint.__file__).read_text())
+    unlisted = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"predint.{node.module}")
+            public = getattr(module, "__all__", None)
+            if public is not None:
+                unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in public]
+    assert not unlisted
+
+
+TRAIN = Dataset(np.arange(12.0).reshape(6, 2), np.arange(6.0))
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("num_points", lambda v: GridSpec(num_points=v)),
+        ("k_folds", lambda v: MethodSpec("cv+", k_folds=v)),
+        ("k_folds", lambda v: build_loo_cache(TRAIN, MinNormOLS(), v)),
+        ("k_folds", lambda v: default_method_list(12, v)),
+        ("k", lambda v: KNN(k=v)),
+    ],
+    ids=["GridSpec.num_points", "MethodSpec.k_folds", "build_loo_cache.k_folds",
+         "default_method_list.k_folds", "KNN.k"],
+)
+def test_integer_settings_reject_non_integers(name, make):
+    for bad in (2.5, 3.0, np.float64(3.0), "3", True):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            make(bad)
+    for good in (3, np.int64(3), np.int32(3)):
+        make(good)
