@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dataset import Dataset, gen_gaussian_linear
-from .errors import ConfigError
+from .errors import ConfigError, _require_int
 from .intervals import (
     IntervalSpec,
     PredictionInterval,
@@ -197,9 +197,10 @@ def run_audit(
     Returns a list of violation records (empty means the audit passed); each
     record carries the full instance so it can be replayed.
     """
-    if trials < 1:
+    if _require_int("trials", trials) < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    if n > 30:
+    _require_int("d", d)
+    if _require_int("n", n) > 30:
         raise ConfigError("audit is limited to n <= 30 (pairwise fits are direct)")
     if n < 2:
         raise ConfigError("audit needs n >= 2 training rows")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _require_int
 
 __all__ = [
     "Dataset",
@@ -39,8 +39,20 @@ class Dataset:
     responses: np.ndarray
 
     def __post_init__(self):
-        X = np.array(self.features, dtype=float, copy=True)
-        y = np.array(self.responses, dtype=float, copy=True)
+        # Copied even when already float and frozen: a view taken before the
+        # caller froze its array could still write to it.
+        self._own(np.array(self.features, dtype=float), np.array(self.responses, dtype=float))
+
+    @classmethod
+    def _adopt(cls, features: np.ndarray, responses: np.ndarray) -> "Dataset":
+        """A Dataset of float arrays that no one else can write to (fresh, or
+        another Dataset's): the constructor's checks, and the arrays are frozen
+        in place instead of copied."""
+        data = object.__new__(cls)
+        data._own(np.asarray(features, dtype=float), np.asarray(responses, dtype=float))
+        return data
+
+    def _own(self, X: np.ndarray, y: np.ndarray) -> None:
         if X.ndim != 2:
             raise DataError(f"features must be 2-dimensional, got shape {X.shape}")
         if y.ndim != 1:
@@ -258,7 +270,7 @@ def gen_gaussian_linear(n: int, d: int, seed: int):
     variance is 10 regardless of d and Var(Y) = 11. Pure function of
     (n, d, seed); returns ``(Dataset, beta)``.
     """
-    if n < 1 or d < 1:
+    if _require_int("n", n) < 1 or _require_int("d", d) < 1:
         raise ConfigError(f"n and d must be positive, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
@@ -280,7 +292,7 @@ def gen_pathological_abc(n: int, alpha: float, gamma: float, seed: int) -> Datas
     [-1, 1], all independent. Responses are a zero placeholder; use
     :func:`attach_tau` to set Y = tau * A.
     """
-    if n < 1:
+    if _require_int("n", n) < 1:
         raise ConfigError(f"n must be positive, got {n}")
     p = 2.0 * alpha * (1.0 - gamma)
     if not 0.0 < p < 1.0:
@@ -294,11 +306,11 @@ def gen_pathological_abc(n: int, alpha: float, gamma: float, seed: int) -> Datas
     X[:, 1] *= 2.0
     X[:, 1] -= 1.0
     X[:, 2] = rng.uniform(-1.0, 1.0, size=n)
-    return Dataset(X, np.zeros(n))
+    return Dataset._adopt(X, np.zeros(n))
 
 
 def attach_tau(data: Dataset, tau: float) -> Dataset:
     """Responses Y_i = tau * A_i, with A the first feature column."""
     if not math.isfinite(tau):
         raise ConfigError(f"tau must be finite, got {tau}")
-    return Dataset(data.features, tau * data.features[:, 0])
+    return Dataset._adopt(data.features, tau * data.features[:, 0])

@@ -26,11 +26,12 @@ from .intervals import (
     METHOD_TOKENS,
     GridSpec,
     IntervalSpec,
+    _about,
+    _ResidualQuantiles,
     build_loo_cache,
     cross_conformal_set,
     cv_plus,
     full_conformal_set,
-    interval_about,
     jackknife_from_cache,
     jackknife_minmax,
     jackknife_plus,
@@ -175,7 +176,8 @@ def evaluate_methods(
     jackknife reads it and shared through the leave-one-out cache when there
     is one, one split fit per holdout fraction
     (seed ``derive_seed(seed, "split")``), and one cross-conformal tau per
-    query row from ``derive_rng(seed, "tau")``, shared across levels.
+    query row from ``derive_rng(seed, "tau")``, shared across levels. Each
+    residual quantile is computed once per residual vector and level.
     """
     X_test = np.asarray(X_test, dtype=float)
     if X_test.ndim != 2 or X_test.shape[1] != train.d:
@@ -204,18 +206,22 @@ def evaluate_methods(
         ).resolve(n)
         model = regressor.fit(train.take(fit_idx))
         held = train.take(hold_idx)
-        splits[holdout] = (model, held.responses - model.predict_many(held.features))
+        splits[holdout] = (
+            model, _ResidualQuantiles(held.responses - model.predict_many(held.features))
+        )
     taus = derive_rng(seed, "tau").random(len(X_test)) if "cross-conformal" in tokens else None
 
     def construction(mspec: MethodSpec):
         """(spec, j) -> object for one method."""
         token = mspec.method
         if token == "naive":
-            signed = train.responses - full_model.predict_many(train.features)
-            return lambda spec, j: interval_about(full_model, signed, spec, X_test[j])
+            quantiles = _ResidualQuantiles(
+                train.responses - full_model.predict_many(train.features)
+            )
+            return lambda spec, j: _about(full_model, quantiles, spec, X_test[j])
         if token == "split":
-            model, signed = splits[mspec.split_holdout]
-            return lambda spec, j: interval_about(model, signed, spec, X_test[j])
+            model, quantiles = splits[mspec.split_holdout]
+            return lambda spec, j: _about(model, quantiles, spec, X_test[j])
         if token == "full-conformal":
             return lambda spec, j: full_conformal_set(train, regressor, spec, X_test[j], mspec.grid)
         cache = caches[_cache_k(mspec, n)]
@@ -297,7 +303,7 @@ def _coverage_reports(trials: int, trial) -> dict:
     :func:`aggregate`, in the key order of the first trial, each report
     listing its rows in trial order.
     """
-    if trials < 1:
+    if _require_int("trials", trials) < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rows: dict = {}
     for t in range(trials):
@@ -453,14 +459,12 @@ def _parity_trial(n, n_test, gamma, tau, spec, seed, t) -> dict:
     test = attach_tau(
         gen_pathological_abc(n_test, alpha, gamma, derive_seed(seed, "parity-test", t)), tau
     )
-    # Every A = 0 test row gets the same interval: evaluate one of them.
-    keys = np.where(test.features[:, 0] == 0.0, -1, np.arange(test.n))
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # Two leave-one-out models, so jackknife+ selects from their sorted
+    # residuals and a query builds no n-vector; every test row is evaluated.
     objs = evaluate_methods(
-        train, test.features[first], ParityAdversary(tau), [MethodSpec("jackknife+")], [spec]
+        train, test.features, ParityAdversary(tau), [MethodSpec("jackknife+")], [spec]
     )[0][0]
-    return {("jackknife+", 0): _trial_report(
-        "jackknife+", alpha, [objs[i] for i in inverse], test.responses)}
+    return {("jackknife+", 0): _trial_report("jackknife+", alpha, objs, test.responses)}
 
 
 def pathology_parity(
@@ -486,8 +490,10 @@ def pathology_parity(
         raise ConfigError(f"eps must be finite, got {eps}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    if n_test < 1:
+    if _require_int("n_test", n_test) < 1:
         raise ConfigError(f"n_test must be >= 1, got {n_test}")
+    if _require_int("n", n) < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
     slack = parity_vacuity_slack(n)
     if slack > alpha:
         raise ConfigError(

@@ -31,7 +31,14 @@ import numpy as np
 
 from .dataset import Dataset, SplitSpec
 from .errors import ConfigError, DataError, _require_int
-from .quantiles import _select_inplace, lower_index, lower_quantile, upper_index, upper_quantile
+from .quantiles import (
+    _select_inplace,
+    _SortedGroups,
+    lower_index,
+    lower_quantile,
+    upper_index,
+    upper_quantile,
+)
 from .regressors import FittedModel, Regressor, _fold_sizes, canonical_order
 
 __all__ = [
@@ -198,7 +205,9 @@ class LooCache:
     and ``signed_residuals[i]`` is row i's response minus its prediction
     there. ``k_folds`` counts the labels of ``fold_of`` that hold a row; at
     ``k_folds == n`` the folds are singletons: the classic leave-one-out fits.
-    The full model is fitted on first use only. Immutable once built.
+    The full model, the absolute ``residuals``, each model's residuals sorted
+    for CV+ (absolute or signed, by the spec's mode) and each residual
+    quantile are computed on first use only. Immutable once built.
 
     ``fit_folds`` is an override point, so its result is checked: ``model_of``
     (integer) and ``in_sample`` are 1-D arrays of length n and every model is
@@ -223,9 +232,10 @@ class LooCache:
         self.train = train
         self.regressor = regressor
         self.models = models
-        # np.take copies a read-only index array, so queries gather through
-        # this private reference; the public index arrays are frozen views.
-        self._gather_index = model_of
+        # np.take copies an index array that is read-only or not intp on every
+        # call, so the buffer path gathers through a private writeable intp
+        # reference (``_gather_index``); the public index arrays are frozen views.
+        self._model_index = model_of
         self.fold_of, self.model_of = fold_of.view(), model_of.view()
         if model_of.min() < 0 or model_of.max() >= len(models):
             raise ConfigError("model_of must index into models")
@@ -234,9 +244,9 @@ class LooCache:
         self.signed_residuals = train.responses - in_sample
         if not np.isfinite(self.signed_residuals).all():
             raise DataError("the fold models' in-sample residuals are not finite")
-        self.residuals = np.abs(self.signed_residuals)
-        for arr in (self.signed_residuals, self.residuals, self.fold_of, self.model_of):
+        for arr in (self.signed_residuals, self.fold_of, self.model_of):
             arr.flags.writeable = False
+        self._quantiles = _ResidualQuantiles(self.signed_residuals)
 
     @property
     def n(self) -> int:
@@ -245,6 +255,37 @@ class LooCache:
     @functools.cached_property
     def full_model(self) -> FittedModel:
         return self.regressor.fit(self.train)
+
+    @functools.cached_property
+    def residuals(self) -> np.ndarray:
+        """Absolute residuals ``|signed_residuals|``, read-only."""
+        residuals = np.abs(self.signed_residuals)
+        residuals.flags.writeable = False
+        return residuals
+
+    @functools.cached_property
+    def _gather_index(self) -> np.ndarray:
+        # A copy only for narrower indices, such as parity's one byte a row.
+        return self._model_index.astype(np.intp, copy=False)
+
+    @functools.cached_property
+    def _sorted_absolute(self) -> _SortedGroups:
+        return self._sorted_groups(absolute=True)
+
+    @functools.cached_property
+    def _sorted_signed(self) -> _SortedGroups:
+        return self._sorted_groups(absolute=False)
+
+    def _sorted_groups(self, absolute: bool) -> _SortedGroups:
+        """Each model's rows' residuals, sorted; one mask and copy per model."""
+        groups = []
+        for g in range(len(self.models)):
+            values = self.signed_residuals[self.model_of == g]
+            if absolute:
+                np.abs(values, out=values)
+            values.sort()
+            groups.append(values)
+        return _SortedGroups(groups)
 
     def model_predictions(self, x) -> np.ndarray:
         """Predictions of the distinct models at x, one per entry of ``models``.
@@ -304,18 +345,42 @@ def build_loo_cache(
     return LooCache(train, regressor, fold_of)
 
 
-def _fixed_center_interval(center_lo, center_hi, signed_residuals, spec, residuals=None):
-    """[center_lo + q_lo - eps, center_hi + q_hi + eps]: signed-residual quantiles
-    at alpha_lo and alpha_hi, or -q and q for q the absolute one at alpha."""
-    if spec.asymmetric:
-        q_lo = lower_quantile(signed_residuals, spec.alpha_lo)
-        q_hi = upper_quantile(signed_residuals, spec.alpha_hi)
-    else:
-        absolute = np.abs(signed_residuals) if residuals is None else residuals
-        q_hi = upper_quantile(absolute, spec.alpha)
-        q_lo = -q_hi
+class _ResidualQuantiles:
+    """``spec -> (q_lo, q_hi)`` for one residual vector, computed once per
+    level: the signed-residual quantiles at alpha_lo and alpha_hi, or -q and q
+    for q the absolute one at alpha."""
+
+    def __init__(self, signed_residuals):
+        self.signed_residuals = signed_residuals
+        self.memo: dict = {}
+
+    def __call__(self, spec: IntervalSpec) -> tuple[float, float]:
+        key = (spec.alpha, spec.alpha_lo, spec.alpha_hi)
+        if key not in self.memo:
+            if spec.asymmetric:
+                self.memo[key] = (lower_quantile(self.signed_residuals, spec.alpha_lo),
+                                  upper_quantile(self.signed_residuals, spec.alpha_hi))
+            else:
+                q = upper_quantile(np.abs(self.signed_residuals), spec.alpha)
+                self.memo[key] = (-q, q)
+        return self.memo[key]
+
+
+def _fixed_center_interval(center_lo, center_hi, quantiles, spec) -> PredictionInterval:
+    """[center_lo + q_lo - eps, center_hi + q_hi + eps] for ``(q_lo, q_hi) =
+    quantiles(spec)``."""
+    q_lo, q_hi = quantiles(spec)
     eps = spec.inflation_eps
     return PredictionInterval(center_lo + q_lo - eps, center_hi + q_hi + eps)
+
+
+def _about(model: FittedModel, quantiles, spec: IntervalSpec, x) -> PredictionInterval:
+    """:func:`interval_about` with the residual quantiles read from
+    ``quantiles``, a :class:`_ResidualQuantiles`."""
+    center = model.predict(x)
+    if not math.isfinite(center):
+        raise DataError(f"the prediction at the query point is not finite, got {center}")
+    return _fixed_center_interval(center, center, quantiles, spec)
 
 
 def interval_about(model: FittedModel, signed_residuals, spec: IntervalSpec, x) -> PredictionInterval:
@@ -324,10 +389,7 @@ def interval_about(model: FittedModel, signed_residuals, spec: IntervalSpec, x) 
     Shared core of naive, split, and jackknife: only the residual source
     differs between the three.
     """
-    center = model.predict(x)
-    if not math.isfinite(center):
-        raise DataError(f"the prediction at the query point is not finite, got {center}")
-    return _fixed_center_interval(center, center, signed_residuals, spec)
+    return _about(model, _ResidualQuantiles(signed_residuals), spec, x)
 
 
 def naive_interval(
@@ -363,38 +425,62 @@ def jackknife(
 
 def jackknife_from_cache(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval:
     _require_loo(cache, "jackknife")
-    return interval_about(cache.full_model, cache.signed_residuals, spec, x)
+    return _about(cache.full_model, cache._quantiles, spec, x)
+
+
+# cv+ selects from each model's sorted residuals when the models have at
+# least this many rows each on average. On a 2-vCPU Xeon a grouped endpoint
+# costs about 20 us plus 5 to 8 us per model and a partition of the n-vector
+# about 5 ns per row, so the two cost the same near n = 4000 + 1000 G; below
+# the rule the buffer path is the faster or about as fast.
+_GROUPED_ROWS_PER_MODEL = 4096
 
 
 def cv_plus(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval:
     """Quantiles of the per-row fold predictions shifted by their residuals.
 
     With K = n folds this is exactly jackknife+; the two share this code path
-    bit for bit. Each endpoint is selected from one n-length work buffer,
-    filled in place from the distinct models' predictions at x, so a query
-    allocates one n-vector however large n is.
+    bit for bit. Each endpoint is an order statistic of the n candidates
+    ``prediction - residual`` or ``prediction + residual``, one per row, from
+    the prediction at x of the model fitted without that row's fold. When the
+    cache has few models against n (at least ``_GROUPED_ROWS_PER_MODEL`` rows
+    per model, as for parity's two models or K folds at large n), it is
+    selected from each model's residuals, sorted once per cache, and a query
+    builds no n-vector. Otherwise it is selected from one n-length work buffer,
+    filled in place from the distinct models' predictions at x. Both paths
+    compute every candidate with the same float operation and agree bit for
+    bit.
     """
     if cache.k_folds < 2:
         raise ConfigError("cv+ needs at least 2 folds (K=1 is leave-all-out)")
     per_model = cache.model_predictions(x)
     n = cache.n
-    buf = np.empty(n)
-
-    def order_statistic(shift, residuals, k: int) -> float:
-        """k-th smallest of shift(prediction_i, residual_i) over the rows."""
-        # mode="clip" skips the bounds check, which with mode="raise" writes
-        # through a hidden copy of ``out``; model_of was range-checked when
-        # the cache was built.
-        np.take(per_model, cache._gather_index, out=buf, mode="clip")
-        shift(buf, residuals, out=buf)
-        return _select_inplace(buf, k)
-
     if spec.asymmetric:
-        lo = order_statistic(np.add, cache.signed_residuals, lower_index(n, spec.alpha_lo))
-        hi = order_statistic(np.add, cache.signed_residuals, upper_index(n, spec.alpha_hi))
+        k_lo, k_hi = lower_index(n, spec.alpha_lo), upper_index(n, spec.alpha_hi)
     else:
-        lo = order_statistic(np.subtract, cache.residuals, lower_index(n, spec.alpha))
-        hi = order_statistic(np.add, cache.residuals, upper_index(n, spec.alpha))
+        k_lo, k_hi = lower_index(n, spec.alpha), upper_index(n, spec.alpha)
+    # Symmetric endpoints are prediction -+ |residual|; asymmetric ones are
+    # prediction + signed residual at both ends.
+    subtract = not spec.asymmetric
+    if len(cache.models) * _GROUPED_ROWS_PER_MODEL <= n:
+        groups = cache._sorted_signed if spec.asymmetric else cache._sorted_absolute
+        lo = groups.select(per_model, subtract, k_lo)
+        hi = groups.select(per_model, False, k_hi)
+    else:
+        residuals = cache.signed_residuals if spec.asymmetric else cache.residuals
+        buf = np.empty(n)
+
+        def order_statistic(shift, k: int) -> float:
+            """k-th smallest of shift(prediction_i, residual_i) over the rows."""
+            # mode="clip" skips the bounds check, which with mode="raise" writes
+            # through a hidden copy of ``out``; model_of was range-checked when
+            # the cache was built.
+            np.take(per_model, cache._gather_index, out=buf, mode="clip")
+            shift(buf, residuals, out=buf)
+            return _select_inplace(buf, k)
+
+        lo = order_statistic(np.subtract if subtract else np.add, k_lo)
+        hi = order_statistic(np.add, k_hi)
     eps = spec.inflation_eps
     return PredictionInterval(lo - eps, hi + eps)
 
@@ -409,7 +495,7 @@ def jackknife_minmax(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterv
     _require_loo(cache, "jackknife-mm")
     m = cache.model_predictions(x)
     lo, hi = float(np.min(m)), float(np.max(m))
-    return _fixed_center_interval(lo, hi, cache.signed_residuals, spec, cache.residuals)
+    return _fixed_center_interval(lo, hi, cache._quantiles, spec)
 
 
 def _require_loo(cache: LooCache, name: str) -> None:

@@ -19,11 +19,14 @@ holds bitwise, not merely approximately.
 Indices are memoised per (n, alpha), and every selection runs through one
 in-place ``np.partition`` helper, so callers that stream many queries
 through a reusable buffer (jackknife+ and CV+) share the public operators'
-selection code.
+selection code. When the n values fall into a few groups that share a shift
+(CV+ with K folds has K), ``_SortedGroups`` sorts each group once and selects
+from the shifted groups without building the n-vector.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from fractions import Fraction
@@ -82,6 +85,91 @@ def _select_inplace(buf: np.ndarray, k: int) -> float:
         return math.inf
     buf.partition(k - 1)
     return float(buf[k - 1])
+
+
+def _first_true(values: np.ndarray, guess: int, holds) -> int:
+    """First index of sorted ``values`` at which ``holds`` is true, for a
+    predicate that is false and then true along them.
+
+    ``guess`` comes from ``searchsorted`` on a rounded threshold, so it may be
+    off by the few values that rounding misplaces. Its two neighbours decide,
+    and only a wrong guess is bisected; equal values are never walked.
+    """
+    if guess < values.size and not holds(float(values[guess])):
+        return bisect.bisect_left(values, True, guess + 1, values.size, key=holds)
+    if guess > 0 and holds(float(values[guess - 1])):
+        return bisect.bisect_left(values, True, 0, guess - 1, key=holds)
+    return guess
+
+
+class _SortedGroups:
+    """Order statistics of the candidates ``shift[g] +- v`` over G sorted groups.
+
+    ``groups[g]`` holds group g's values in ascending order; together they
+    hold n values. A query gives one shift per group and selects the k-th
+    smallest candidate, computed with the same float operation as a buffer
+    ``np.add``/``np.subtract`` of the shift and the value, so it equals
+    ``_select_inplace`` on that n-vector bit for bit. Nothing of length n is
+    built per query.
+
+    Every B-th value of each group (B = isqrt(n / 3G)) forms a skeleton.
+    Each group holds fewer than B values between consecutive skeleton values,
+    and before its first or after its last, so the r-th smallest shifted
+    skeleton value has at least (r - G)B candidates at or below it and fewer
+    than (r - 1 + G)B strictly below it. The (ceil(k/B) + G)-th is therefore
+    an upper bound ``hi`` on the answer and the (floor(k/B) + 1 - G)-th a
+    lower bound ``lo``. Exact counts of the candidates at or below ``lo`` and
+    below ``hi`` settle ties at either bound; otherwise the answer lies among
+    the fewer than 3GB candidates strictly between them.
+    """
+
+    def __init__(self, groups: list):
+        self.groups = groups
+        self.size = sum(g.size for g in groups)
+        self.step = max(1, math.isqrt(self.size // (3 * len(groups))))
+        skeleton = [g[self.step - 1 :: self.step] for g in groups]
+        self.skeleton_sizes = [s.size for s in skeleton]
+        self.skeleton = np.concatenate(skeleton)
+
+    def select(self, shifts: np.ndarray, subtract: bool, k: int) -> float:
+        """k-th smallest (1-based) of ``shifts[g] - v`` (``subtract``) or
+        ``shifts[g] + v`` over every group's values v; -inf when k < 1 and
+        +inf when k > n, as :func:`_select_inplace`."""
+        if k < 1:
+            return -math.inf
+        if k > self.size:
+            return math.inf
+        op = np.subtract if subtract else np.add
+        step, num = self.step, len(self.groups)
+        skeleton = np.repeat(shifts, self.skeleton_sizes)
+        op(skeleton, self.skeleton, out=skeleton)
+        lo = _select_inplace(skeleton, k // step + 1 - num)
+        hi = _select_inplace(skeleton, -(-k // step) + num)
+        below, parts = 0, []
+        for values, p in zip(self.groups, shifts.tolist()):
+            m = values.size
+            # a = candidates <= lo and b = candidates < hi in this group; with
+            # subtraction the candidates fall as the values rise.
+            if subtract:
+                a = m - _first_true(values, int(values.searchsorted(p - lo, "left")),
+                                    lambda v: p - v <= lo)
+                b = m - _first_true(values, int(values.searchsorted(p - hi, "right")),
+                                    lambda v: p - v < hi)
+                parts.append(values[m - b : m - a])
+            else:
+                a = _first_true(values, int(values.searchsorted(lo - p, "right")),
+                                lambda v: p + v > lo)
+                b = _first_true(values, int(values.searchsorted(hi - p, "left")),
+                                lambda v: p + v >= hi)
+                parts.append(values[a:b])
+            below += a
+        if below >= k:
+            return lo
+        between = np.repeat(shifts, [part.size for part in parts])
+        if below + between.size < k:
+            return hi
+        op(between, np.concatenate(parts), out=between)
+        return _select_inplace(between, k - below)
 
 
 def upper_index(n: int, alpha: float) -> int:

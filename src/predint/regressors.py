@@ -296,9 +296,13 @@ class ParityAdversary(Regressor):
         b = _parity_signs(X)
         loo_sign = np.prod(b) * b
         models = [ParityModel(self.tau, s) for s in (1.0, -1.0) if (loo_sign == s).any()]
-        model_of = (loo_sign != models[0].sign_product).astype(np.intp)
-        # tau * A * C * sign in ParityModel.predict_many's order: refit bits, no row copy.
-        return models, model_of, self.tau * X[:, 0] * X[:, 2] * loo_sign
+        model_of = (loo_sign != models[0].sign_product).view(np.uint8)
+        # tau * A * C * sign in ParityModel.predict_many's order, in one buffer:
+        # refit bits (each step rounds as the temporaries would), no row copy.
+        in_sample = np.multiply(self.tau, X[:, 0])
+        in_sample *= X[:, 2]
+        in_sample *= loo_sign
+        return models, model_of, in_sample
 
 
 def _fold_sizes(fold_of, n: int) -> np.ndarray:
@@ -315,7 +319,9 @@ def _parity_signs(X: np.ndarray) -> np.ndarray:
     if X.shape[1] != 3:
         raise ConfigError(f"parity regressor needs exactly 3 features, got {X.shape[1]}")
     b = X[:, 1]
-    if not np.all(np.abs(b) == 1.0):
+    signs = b == 1.0
+    signs |= b == -1.0
+    if not signs.all():
         raise ConfigError("parity regressor needs the second feature in {-1, +1}")
     return b
 

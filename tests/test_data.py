@@ -56,6 +56,22 @@ class TestDataset:
         with pytest.raises(DataError, match="finite"):
             Dataset([[1.0]], [math.inf])
 
+    def test_adopting_path_freezes_in_place_and_checks(self):
+        # The generators' private path: no copy, the same freeze and checks.
+        X = np.array([[1.0, 2.0], [3.0, 4.0]])
+        y = np.array([5.0, 6.0])
+        data = Dataset._adopt(X, y)
+        assert data.features is X and data.responses is y
+        assert not (X.flags.writeable or y.flags.writeable)
+        with pytest.raises(DataError, match="finite"):
+            Dataset._adopt(np.array([[1.0], [math.nan]]), np.zeros(2))
+        with pytest.raises(DataError, match="finite"):
+            Dataset._adopt(np.ones((2, 1)), np.array([0.0, math.inf]))
+        with pytest.raises(DataError, match="row mismatch"):
+            Dataset._adopt(np.ones((2, 1)), np.zeros(3))
+        tagged = attach_tau(gen_pathological_abc(50, 0.25, 0.1, seed=2), 3.0)
+        assert not (tagged.features.flags.writeable or tagged.responses.flags.writeable)
+
     def test_take_drop_head_tail(self):
         data = small()
         assert data.take([2, 0]).responses.tolist() == [3.0, 0.0]

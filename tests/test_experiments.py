@@ -264,6 +264,26 @@ class TestEvaluateMethods:
         assert rc == 0
         assert reg.fits == 3 + 1  # one fit per left-out row, one full fit
 
+    def test_one_residual_quantile_per_vector_and_level(self, monkeypatch):
+        import predint.intervals as intervals
+
+        calls = []
+        for name in ("upper_quantile", "lower_quantile"):
+            def counted(values, alpha, _inner=getattr(intervals, name)):
+                calls.append(alpha)
+                return _inner(values, alpha)
+            monkeypatch.setattr(intervals, name, counted)
+        train, test = gaussian_split(12, 5, 2, seed=15)
+        methods = [MethodSpec(m) for m in ("naive", "split", "jackknife", "jackknife-mm",
+                                           "naive")]
+        specs = [IntervalSpec(0.2), IntervalSpec(0.3, alpha_lo=0.1, alpha_hi=0.2)]
+        out = evaluate_methods(train, test.features, MinNormOLS(), methods, specs, seed=2)
+        # Residual vectors: in-sample once per naive entry, holdout once, and
+        # leave-one-out once for jackknife and jackknife-mm together. Each
+        # takes one quantile at the symmetric level and two at the asymmetric.
+        assert len(calls) == 4 * 3
+        assert out[0] == out[4]
+
     def test_methods_that_skip_the_full_model_never_fit_it(self):
         train, test = gaussian_split(20, 3, 2, seed=13)
         reg = CountingRegressor(MinNormOLS())
@@ -428,8 +448,8 @@ class TestMemorizerPathology:
 
 class TestParityPathology:
     def test_matches_run_trial_on_every_test_row(self):
-        # pathology_parity evaluates one A = 0 test row for all of them;
-        # run_trial evaluates every row through the same engine.
+        # pathology_parity evaluates every test row inside its own trial loop,
+        # which frees each trial's data; run_trial goes through the same engine.
         n, alpha, seed = 40_000, 0.25, 4
         res = pathology_parity(n=n, alpha=alpha, trials=1, n_test=300, seed=seed)
         train = attach_tau(
@@ -456,6 +476,12 @@ class TestParityPathology:
             pathology_parity(
                 n=100_000, alpha=0.25, gamma=1.5, trials=1, n_test=10
             )
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_training_size_below_one_is_a_config_error(self, n):
+        # log(n) in the vacuity check raised a raw ValueError here.
+        with pytest.raises(ConfigError, match=f"n must be >= 1, got {n}"):
+            pathology_parity(n=n, trials=1, n_test=10)
 
     def test_slack_formula(self):
         assert parity_vacuity_slack(100) == 6.0 * math.sqrt(math.log(100) / 100)

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import predint.intervals
 from predint import (
     KNN,
     ConfigError,
@@ -619,6 +620,88 @@ class TestStreamingKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * 8 * n
+
+    def test_a_query_with_many_models_allocates_one_work_buffer(self):
+        # 25 folds of 4000 rows each, below _GROUPED_ROWS_PER_MODEL: cv+ takes
+        # the buffer path. The first query computes the absolute residuals.
+        n = 100_000
+        rng = derive_rng(5, "buffer")
+        cache = build_loo_cache(Dataset(rng.standard_normal((n, 1)), rng.standard_normal(n)),
+                                MEAN, 25)
+        x, spec = np.array([0.5]), IntervalSpec(0.2)
+        cv_plus(cache, spec, x)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cv_plus(cache, spec, x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n
+
+
+class TestGroupedQueries:
+    """cv+ and jackknife+ from each model's sorted residuals, forced onto
+    small caches, against the buffer-and-partition oracle
+    (``reference_cv_plus``), bit for bit."""
+
+    N = 23  # no K below divides it, so fold sizes differ
+    SPECS = TestStreamingKernel.SPECS
+    check = TestStreamingKernel.check
+
+    @pytest.fixture(autouse=True)
+    def grouped(self, monkeypatch):
+        """Every cache with at least one row per model takes the grouped path."""
+        monkeypatch.setattr(predint.intervals, "_GROUPED_ROWS_PER_MODEL", 1)
+
+    @pytest.mark.parametrize("k", [2, 3, 10, N])
+    @pytest.mark.parametrize("reg", [MEAN, Memorizer(eps=0.5)], ids=["mean", "memorizer"])
+    def test_k_fold_caches_with_ties(self, reg, k):
+        # Integer responses give tied and zero residuals; the memorizer gives
+        # every model the same prediction at a new point.
+        rng = derive_rng(9, "grouped")
+        X = rng.integers(-2, 3, size=(self.N + 4, 2)).astype(float)
+        y = rng.integers(0, 4, size=self.N).astype(float)
+        fold_of = np.concatenate([np.arange(k), rng.integers(0, k, size=self.N - k)])
+        cache = LooCache(Dataset(X[: self.N], y), reg, fold_of)
+        assert len(cache.models) == k
+        self.check(cache, [*X[self.N :], X[0], X[0] + 0.5])
+
+    @pytest.mark.parametrize("signs", ["all-plus", "mixed"])
+    def test_parity_with_one_and_two_models(self, signs):
+        train = attach_tau(gen_pathological_abc(40, 0.25, 0.05, seed=11), 10.0)
+        if signs == "all-plus":
+            X = train.features.copy()
+            X[:, 1] = 1.0
+            train = Dataset(X, train.responses)
+        cache = build_loo_cache(train, ParityAdversary(10.0))
+        assert len(cache.models) == (1 if signs == "all-plus" else 2)
+        self.check(cache, [np.array([1.0, b, c]) for b in (-1.0, 1.0) for c in (-0.7, 0.3)])
+
+
+def test_parity_queries_build_no_n_vector():
+    # Two leave-one-out models against n = 20,000 rows: jackknife+ takes the
+    # grouped path. The cache holds the signed residuals, model_of (one byte a
+    # row), fold_of and, from the first query on, the sorted residuals.
+    n = 20_000
+    train = attach_tau(gen_pathological_abc(n, 0.25, 0.05, seed=6), 1000.0)
+    probes = gen_pathological_abc(10, 0.25, 0.05, seed=7).features
+    spec = IntervalSpec(0.25, inflation_eps=0.01)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cache = build_loo_cache(train, ParityAdversary(1000.0))
+        jackknife_plus(cache, spec, probes[0])
+        first_peak = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        settled = tracemalloc.get_traced_memory()[0]
+        for x in probes[1:]:
+            jackknife_plus(cache, spec, x)
+        query_peak = tracemalloc.get_traced_memory()[1] - settled
+    finally:
+        tracemalloc.stop()
+    assert first_peak <= 3.5 * 8 * n
+    assert query_peak <= 0.1 * 8 * n
 
 
 class TestCrossConformalSweep:

@@ -18,6 +18,13 @@ from predint import (
     MinNormOLS,
     build_loo_cache,
     default_method_list,
+    figure2_experiment,
+    gen_gaussian_linear,
+    gen_pathological_abc,
+    pathology_memorizer,
+    pathology_parity,
+    run_audit,
+    run_coverage_mc,
 )
 
 
@@ -65,3 +72,31 @@ def test_integer_settings_reject_non_integers(name, make):
             make(bad)
     for good in (3, np.int64(3), np.int32(3)):
         make(good)
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("trials", lambda v: figure2_experiment(n=10, d_list=(2,), trials=v, n_test=3)),
+        ("trials", lambda v: run_coverage_mc(n=6, d=2, trials=v, n_test=2)),
+        ("trials", lambda v: pathology_memorizer(n=4, trials=v, n_test=2)),
+        ("trials", lambda v: pathology_parity(n=40_000, trials=v, n_test=10)),
+        ("n", lambda v: gen_gaussian_linear(v, 2, 1)),
+        ("d", lambda v: gen_gaussian_linear(5, v, 1)),
+        ("n", lambda v: gen_pathological_abc(v, 0.25, 0.05, 1)),
+        ("n", lambda v: pathology_parity(n=v, trials=1, n_test=10)),
+        ("n_test", lambda v: pathology_parity(n=40_000, trials=1, n_test=v)),
+        ("trials", lambda v: run_audit(v, 3, 0.25, MinNormOLS())),
+        ("n", lambda v: run_audit(1, v, 0.25, MinNormOLS())),
+        ("d", lambda v: run_audit(1, 3, 0.25, MinNormOLS(), d=v)),
+    ],
+    ids=["figure2_experiment.trials", "run_coverage_mc.trials", "pathology_memorizer.trials",
+         "pathology_parity.trials", "gen_gaussian_linear.n", "gen_gaussian_linear.d",
+         "gen_pathological_abc.n", "pathology_parity.n", "pathology_parity.n_test",
+         "run_audit.trials", "run_audit.n", "run_audit.d"],
+)
+def test_integer_sizes_reject_non_integers(name, make):
+    # Sizes reach range() or numpy shapes, which raised a raw TypeError.
+    for bad in (2.5, 40_000.0, np.float64(3.0), "3", True):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            make(bad)

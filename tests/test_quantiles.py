@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predint import ConfigError, lower_index, lower_quantile, upper_index, upper_quantile
+from predint.quantiles import _SortedGroups
 
 
 def brute_upper(values, alpha):
@@ -158,3 +159,79 @@ def test_permutation_invariant(values, alpha):
 def test_numpy_input_accepted():
     arr = np.array([5.0, 1.0, 9.0, 3.0])
     assert upper_quantile(arr, 0.4) == 5.0  # ceil(0.6 * 5) = 3rd smallest
+
+
+def buffer_select(values, group_of, shifts, subtract, k):
+    """The partition path's order statistic, kept as the oracle: each row's
+    group shift gathered into an n-vector, shifted by the row's value in
+    place, partitioned."""
+    buf = shifts[group_of]
+    (np.subtract if subtract else np.add)(buf, values, out=buf)
+    if k < 1:
+        return -math.inf
+    if k > buf.size:
+        return math.inf
+    buf.partition(k - 1)
+    return float(buf[k - 1])
+
+
+class TestSortedGroups:
+    """``_SortedGroups.select`` against the buffer-and-partition oracle at every
+    k from 0 to n + 1, bit for bit (``float.hex`` tells -0.0 from 0.0)."""
+
+    @staticmethod
+    def draw(n, g, values, shifts, seed):
+        rng = np.random.default_rng(seed)
+        # Unequal group sizes: group j is drawn with weight j + 1.
+        weights = np.arange(1, g + 1) / (g * (g + 1) / 2)
+        group_of = np.concatenate([np.arange(g), rng.choice(g, size=n - g, p=weights)])
+        rng.shuffle(group_of)
+        if values == "ties":  # small integers: long runs, many zeros
+            vals = rng.integers(0, 4, size=n).astype(float)
+        elif values == "zeros":  # half exact zeros, as parity's A = 0 rows
+            vals = np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.5)
+        elif values == "rounding":  # shift + value rounds: thresholds miss by ulps
+            vals = np.abs(rng.standard_normal(n)) * 1e-12 * (rng.random(n) < 0.7)
+        else:  # signed residuals, as asymmetric specs use
+            vals = rng.standard_normal(n)
+        if shifts == "equal":
+            per_group = np.full(g, 1.5)
+        elif values == "rounding":
+            per_group = rng.standard_normal(g) * 1e3
+        else:
+            per_group = rng.integers(-2, 3, size=g).astype(float)
+        return vals, group_of, per_group
+
+    @pytest.mark.parametrize("shifts", ["equal", "distinct"])
+    @pytest.mark.parametrize("values", ["ties", "zeros", "rounding", "signed"])
+    @pytest.mark.parametrize("g", [1, 2, 3, 10])
+    @pytest.mark.parametrize("n", [12, 157])
+    def test_matches_the_partition_oracle(self, n, g, values, shifts):
+        vals, group_of, per_group = self.draw(n, g, values, shifts, seed=n * g)
+        groups = _SortedGroups([np.sort(vals[group_of == j]) for j in range(g)])
+        for subtract in (True, False):
+            for k in range(n + 2):
+                got = groups.select(per_group, subtract, k)
+                want = buffer_select(vals, group_of, per_group, subtract, k)
+                assert got.hex() == want.hex(), (subtract, k)
+
+    @pytest.mark.parametrize(
+        "subtract, shifts, groups",
+        [(False, [-1.0, 0.0], [[1 + 2**-52], [1.2e-16]]),
+         (True, [1.0, 0.0], [[1.0], [1e-16]]),
+         (False, [-1.0, 0.0], [[1.0], [5e-17, 1e-16]])],
+        ids=["add-lo", "subtract-lo", "add-hi"],
+    )
+    def test_a_rounded_threshold_is_corrected(self, subtract, shifts, groups):
+        # Group 0's value sits exactly on the threshold fl(bound -+ shift) that
+        # searchsorted uses for a bound taken from group 1's candidates, yet
+        # its own candidate lies on the other side of the bound: above lo
+        # (counting it at or below lo returns lo), or below hi (leaving it out
+        # of the window loses the smallest candidate).
+        shifts = np.array(shifts)
+        values = np.concatenate(groups)
+        group_of = np.repeat([0, 1], [len(g) for g in groups])
+        sorted_groups = _SortedGroups([np.array(g) for g in groups])
+        for k in range(1, values.size + 1):
+            want = buffer_select(values, group_of, shifts, subtract, k)
+            assert sorted_groups.select(shifts, subtract, k).hex() == want.hex(), k

@@ -10,11 +10,13 @@ import math
 import numpy as np
 import pytest
 
+import predint.intervals
 from predint import (
     KNN,
     ConfigError,
     ConstantMean,
     Dataset,
+    IntervalSpec,
     LooCache,
     Memorizer,
     MinNormOLS,
@@ -27,6 +29,7 @@ from predint import (
     derive_rng,
     gen_gaussian_linear,
     gen_pathological_abc,
+    jackknife_plus,
     make_regressor,
 )
 
@@ -234,6 +237,24 @@ class TestParityAdversary:
         assert (probes[:, 0] == 0.0).any() and (probes[:, 0] != 0.0).any()
         for x in probes:
             np.testing.assert_array_equal(fast.predictions_at(x), refit.predictions_at(x))
+
+    @pytest.mark.parametrize("grouped", [False, True], ids=["buffer", "grouped"])
+    def test_jackknife_plus_matches_the_refit_cache(self, grouped, monkeypatch):
+        # The shortcut's one-byte model index, on both query paths, against
+        # 40 refitted models (an intp index and the buffer path).
+        if grouped:
+            monkeypatch.setattr(predint.intervals, "_GROUPED_ROWS_PER_MODEL", 1)
+        tau = 5.0
+        train = attach_tau(gen_pathological_abc(40, 0.25, 0.3, seed=9), tau)
+        fast = build_loo_cache(train, ParityAdversary(tau=tau))
+        refit = build_loo_cache(train, RefitParity(tau=tau))
+        assert fast.model_of.dtype == np.uint8
+        specs = [IntervalSpec(0.25, inflation_eps=0.5),
+                 IntervalSpec(0.3, alpha_lo=0.1, alpha_hi=0.2)]
+        for x in gen_pathological_abc(20, 0.25, 0.3, seed=10).features:
+            for spec in specs:
+                got, want = jackknife_plus(fast, spec, x), jackknife_plus(refit, spec, x)
+                assert (got.lower.hex(), got.upper.hex()) == (want.lower.hex(), want.upper.hex())
 
     def test_other_partitions_refit(self):
         train = attach_tau(gen_pathological_abc(6, 0.25, 0.3, seed=2), 2.0)
