@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 
 from .audit import VARIANTS, run_audit
@@ -86,17 +88,34 @@ def _k_list(text: str) -> list[int | None]:
 
 
 def _write_output(out_path: str | None, echo: dict, subcommand: str, header, rows) -> None:
-    lines = [f"# predint {subcommand}"]
+    """Write the echo lines, the header and each row as it is formatted.
+
+    ``rows`` may be a generator, so no list of lines or joined text is held.
+    If a row fails, ``out_path`` is removed when it names a regular file this
+    call opened, so no partial CSV is left; a path that is a symlink or a
+    device, such as /dev/stdout, is never unlinked.
+    """
+    if not out_path:
+        _write_lines(sys.stdout, echo, subcommand, header, rows)
+        return
+    with open(out_path, "w", newline="") as handle:
+        opened = os.fstat(handle.fileno())
+        try:
+            _write_lines(handle, echo, subcommand, header, rows)
+        except BaseException:
+            handle.close()
+            if stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, os.lstat(out_path)):
+                os.unlink(out_path)
+            raise
+
+
+def _write_lines(handle, echo: dict, subcommand: str, header, rows) -> None:
+    handle.write(f"# predint {subcommand}\n")
     for key in sorted(echo):
-        lines.append(f"# {key}={echo[key]}")
-    lines.append(",".join(header))
-    lines.extend(",".join(str(cell) for cell in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+        handle.write(f"# {key}={echo[key]}\n")
+    handle.write(",".join(header) + "\n")
+    for row in rows:
+        handle.write(",".join(str(cell) for cell in row) + "\n")
 
 
 def _regressor_from_args(args):
@@ -150,13 +169,14 @@ def cmd_intervals(args) -> int:
         train, X_test, _regressor_from_args(args), methods, [spec], args.seed,
         strict=args.strict_folds,
     )
-    rows = []
-    for j in range(len(X_test)):
-        for token, (per_row,) in zip(tokens, objects):
-            obj = per_row[j]
-            lower, upper, comps = format_object(obj)
-            covered = "" if y_test is None else ("1" if obj.contains(float(y_test[j])) else "0")
-            rows.append([j, token, _fmt(spec.alpha), lower, upper, comps, covered])
+
+    def rows():
+        for j in range(len(X_test)):
+            for token, (per_row,) in zip(tokens, objects):
+                obj = per_row[j]
+                lower, upper, comps = format_object(obj)
+                covered = "" if y_test is None else ("1" if obj.contains(float(y_test[j])) else "0")
+                yield [j, token, _fmt(spec.alpha), lower, upper, comps, covered]
 
     echo = {
         "alpha": args.alpha,
@@ -181,7 +201,7 @@ def cmd_intervals(args) -> int:
         echo,
         "intervals",
         ["test_index", "method", "alpha", "lower", "upper", "components", "covered"],
-        rows,
+        rows(),
     )
     return 0
 

@@ -494,6 +494,10 @@ def pathology_parity(
         raise ConfigError(f"n_test must be >= 1, got {n_test}")
     if _require_int("n", n) < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
+    if n == 1:
+        # log(1) = 0 zeroes the slack below, yet jackknife+ needs two rows.
+        raise ConfigError("pathology is vacuous at n=1: jackknife+ needs at least "
+                          "2 training rows; increase n")
     slack = parity_vacuity_slack(n)
     if slack > alpha:
         raise ConfigError(

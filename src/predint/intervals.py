@@ -9,7 +9,10 @@ Eight constructions share the two corrected quantile operators:
                            shifted by their own residuals
 * ``jackknife_minmax``   - residual quantile around the extreme LOO predictions
 * ``cv_plus``            - jackknife+ with K-fold instead of leave-one-out fits
-* ``cross_conformal_set``- exact sweep over the rank-test membership predicate
+* ``cross_conformal_set``- exact rank-test membership set from one sorted
+                           sweep of the 2n breakpoints per query: O(n log n),
+                           plus O(n) per breakpoint between two rejected
+                           gaps; no ``np.unique``
 * ``full_conformal_set`` - refit on the augmented sample per candidate y
 
 All intervals are closed. Empty intervals (lower > upper) are kept explicit
@@ -513,6 +516,13 @@ def _require_plain_spec(spec: IntervalSpec, name: str) -> None:
         raise ConfigError(f"{name} does not define epsilon inflation")
 
 
+# Breakpoints are tested against all n rows in blocks of about this many
+# (breakpoint, row) pairs, at least one breakpoint a block. At n = 500 a block
+# holds 4 breakpoints; blocks of 32 read 0.1 to 0.2 MB higher in peak RSS on
+# the 500 x 20 scoring benchmark (2-vCPU Xeon VM, numpy 2.4).
+_POINT_BLOCK = 2048
+
+
 def cross_conformal_set(
     cache: LooCache, spec: IntervalSpec, x, tau: float
 ) -> PredictionSet:
@@ -525,9 +535,12 @@ def cross_conformal_set(
 
     with m_i the fold prediction at x for row i and R_i its residual. The
     count is piecewise constant between the breakpoints m_i +- R_i, so the
-    predicate is evaluated exactly on every open gap and at every breakpoint,
+    predicate is decided exactly on every open gap and at every breakpoint,
     and adjacent accepted cells are merged. The returned set is the closure
     of the exact membership set (components are closed intervals).
+
+    One sorted sweep of the breakpoints per query, with no ``np.unique``:
+    O(n log n), plus O(n) for each breakpoint between two rejected gaps.
     """
     if cache.k_folds < 2:
         raise ConfigError("cross-conformal needs at least 2 folds")
@@ -537,33 +550,58 @@ def cross_conformal_set(
 
     m = cache.predictions_at(x)
     r = cache.residuals
-    lo_pts = m - r
-    hi_pts = m + r
+    lo, hi = m - r, m + r
     n = cache.n
     tau_frac = Fraction(tau)
     threshold = Fraction(spec.alpha) * (n + 1)
 
-    def accepted_at_point(y: float) -> bool:
-        dist = np.abs(y - m)
-        strict = int(np.count_nonzero(dist < r))
-        equal = int(np.count_nonzero(dist == r))
-        return tau_frac * (1 + equal) + strict > threshold
+    @functools.cache
+    def need(equal: int) -> int:
+        # Fewest strict cases that accept a cell with ``equal`` equality cases:
+        # strict + tau (1 + equal) > alpha (n + 1), in exact rationals.
+        return math.floor(threshold - tau_frac * (1 + equal)) + 1
 
-    def accepted_on_gap(left: float, right: float) -> bool:
-        # For y strictly between consecutive breakpoints, |y - m_i| < R_i
-        # iff lo_i <= left and hi_i >= right; no equality cases can occur.
-        strict = int(np.count_nonzero((lo_pts <= left) & (hi_pts >= right)))
-        return tau_frac + strict > threshold
+    # Distinct breakpoints by a neighbour mask: np.unique imports numpy.ma.
+    breaks = np.concatenate([lo, hi])
+    breaks.sort()
+    breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
+    lo.sort()
+    hi.sort()
+    # Gap j lies between breakpoints j - 1 and j; gap 0 is left of them all
+    # and gap N right of them all. On the gap right of b, row i counts iff
+    # lo_i <= b < hi_i: the rank of b among the lo_i minus its rank among the
+    # hi_i, exact because every lo_i and hi_i is a breakpoint. Where m_i + R_i
+    # overflows to inf, gap N is (inf, inf) and counts 0 here, not the rows
+    # with hi_i = inf; gap N - 1 counts them too, so the closed set is the same.
+    lefts = np.concatenate(([-math.inf], breaks))
+    gap_counts = np.searchsorted(lo, lefts, "right") - np.searchsorted(hi, lefts, "right")
+    gap_ok = gap_counts >= need(0)
 
-    breaks = np.unique(np.concatenate([lo_pts, hi_pts]))
-    cells = []  # (left, right, accepted), in increasing order
-    cells.append((-math.inf, breaks[0], accepted_on_gap(-math.inf, breaks[0])))
-    for i, b in enumerate(breaks):
-        cells.append((float(b), float(b), accepted_at_point(float(b))))
-        right = breaks[i + 1] if i + 1 < len(breaks) else math.inf
-        cells.append((float(b), float(right), accepted_on_gap(float(b), float(right))))
+    # A breakpoint keeps the pointwise float test, since fl(fl(m_i + R_i) - m_i)
+    # need not equal R_i. Next to an accepted gap it cannot change the closed
+    # set, so only breakpoints between two rejected gaps are tested.
+    point_ok = gap_ok[:-1] | gap_ok[1:]
+    tested = np.flatnonzero(~point_ok)
+    step = max(1, _POINT_BLOCK // n)
+    for start in range(0, len(tested), step):
+        idx = tested[start:start + step]
+        dist = np.abs(breaks[idx, None] - m)
+        strict = np.count_nonzero(dist < r, axis=1)
+        equal = np.count_nonzero(dist == r, axis=1)
+        point_ok[idx] = strict >= [need(e) for e in equal.tolist()]
 
-    return _merge_runs(cells)
+    # Cells alternate gap, point, gap, ..., gap; cell c spans
+    # [edges[(c + 1) // 2], edges[c // 2 + 1]].
+    cells = np.empty(2 * len(breaks) + 1, dtype=np.int8)
+    cells[0::2] = gap_ok
+    cells[1::2] = point_ok
+    steps = np.diff(cells, prepend=0, append=0)
+    first, last = np.flatnonzero(steps > 0), np.flatnonzero(steps < 0) - 1
+    edges = np.concatenate((lefts, [math.inf]))
+    return PredictionSet.from_intervals(
+        PredictionInterval(float(edges[(a + 1) // 2]), float(edges[b // 2 + 1]))
+        for a, b in zip(first.tolist(), last.tolist())
+    )
 
 
 def full_conformal_set(

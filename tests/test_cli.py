@@ -5,6 +5,7 @@ import math
 import pytest
 
 from predint import (
+    DataError,
     GridSpec,
     IntervalSpec,
     MinNormOLS,
@@ -28,7 +29,8 @@ from predint import (
     save_csv,
     split_conformal,
 )
-from predint.cli import EXPERIMENTS, format_object, main
+import predint.cli
+from predint.cli import EXPERIMENTS, _write_output, format_object, main
 
 WORKED_TRAIN = "x,y\n0,0\n1,0\n2,3\n"
 WORKED_TEST = "x,y\n1,0\n"
@@ -574,6 +576,110 @@ class TestDeterminism:
         assert first == second
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert a.read_bytes() == b.read_bytes()
+
+
+GOLDEN_INTERVALS = """\
+# predint intervals
+# alpha=0.5
+# alpha_hi=None
+# alpha_lo=None
+# eps=0.0
+# grid_lower=None
+# grid_points=200
+# grid_upper=None
+# k=n
+# methods=naive;jackknife+;cross-conformal
+# regressor=mean
+# seed=3
+# split_fraction=0.5
+# strict_folds=False
+# target=y
+# test={test}
+# train={train}
+test_index,method,alpha,lower,upper,components,covered
+0,naive,0.5,0.0,3.6666666666666665,0.0:3.6666666666666665,1
+0,jackknife+,0.5,0.0,4.4,0.0:4.4,1
+0,cross-conformal,0.5,0.20000000000000018,3.0,0.20000000000000018:3.0,0
+1,naive,0.5,0.0,3.6666666666666665,0.0:3.6666666666666665,1
+1,jackknife+,0.5,0.0,4.4,0.0:4.4,1
+1,cross-conformal,0.5,0.0,4.4,0.0:4.4,1
+"""
+
+GOLDEN_SIMULATE = """\
+# predint simulate
+# alpha=0.1
+# experiment=pathology-memorizer
+# memorizer_eps=1.0
+# n=10
+# n_test=5
+# seed=3
+# trials=2
+method,trials,coverage_mean,coverage_min,coverage_max,width_mean
+naive,2,0.0,0.0,0.0,0.0
+jackknife,2,0.0,0.0,0.0,36.0
+jackknife+,2,1.0,1.0,1.0,36.0
+"""
+
+
+class TestStreamedOutput:
+    """CSVs are written row by row; the bytes are those the commands wrote
+    when the whole text was joined first."""
+
+    @pytest.fixture
+    def golden_cases(self, tmp_path):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        train.write_text("x,y\n0,0\n1,0\n2,3\n3,1\n4,5\n5,2\n")
+        test.write_text("x,y\n1,0\n2.5,1\n")
+        intervals = ["intervals", "--train", str(train), "--test", str(test), "--alpha", "0.5",
+                     "--regressor", "mean", "--method", "naive", "--method", "jackknife+",
+                     "--method", "cross-conformal", "--seed", "3"]
+        simulate = ["simulate", "--experiment", "pathology-memorizer", "--n", "10",
+                    "--trials", "2", "--n-test", "5", "--seed", "3"]
+        return [(intervals, GOLDEN_INTERVALS.format(train=train, test=test)),
+                (simulate, GOLDEN_SIMULATE)]
+
+    def test_stdout_and_out_give_the_golden_bytes(self, golden_cases, tmp_path, capsys):
+        for argv, golden in golden_cases:
+            assert main(argv) == 0
+            assert capsys.readouterr().out == golden
+            out = tmp_path / "out.csv"
+            assert main(argv + ["--out", str(out)]) == 0
+            assert out.read_bytes() == golden.encode()
+
+    def test_rows_may_be_a_generator(self, tmp_path):
+        out = tmp_path / "out.csv"
+        _write_output(str(out), {"b": 2, "a": 1}, "demo", ["h", "k"],
+                      ([i, i * i] for i in range(3)))
+        assert out.read_text() == "# predint demo\n# a=1\n# b=2\nh,k\n0,0\n1,1\n2,4\n"
+
+    @pytest.fixture
+    def failing_row_three(self, monkeypatch, golden_cases):
+        """The intervals argv, with format_object raising on its third call."""
+        calls = []
+
+        def format_or_fail(obj):
+            calls.append(obj)
+            if len(calls) == 3:
+                raise DataError("row 3 cannot be formatted")
+            return format_object(obj)
+
+        monkeypatch.setattr(predint.cli, "format_object", format_or_fail)
+        return golden_cases[0][0]
+
+    def test_a_failing_row_leaves_no_partial_file(self, failing_row_three, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        out.write_text("an older result\n")
+        assert main(failing_row_three + ["--out", str(out)]) == 3
+        assert "row 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_failing_row_never_unlinks_a_symlink(self, failing_row_three, tmp_path, capsys):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("")
+        link.symlink_to(target)
+        assert main(failing_row_three + ["--out", str(link)]) == 3
+        capsys.readouterr()
+        assert link.is_symlink() and target.exists()
 
 
 class TestFormatObject:

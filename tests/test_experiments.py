@@ -483,6 +483,11 @@ class TestParityPathology:
         with pytest.raises(ConfigError, match=f"n must be >= 1, got {n}"):
             pathology_parity(n=n, trials=1, n_test=10)
 
+    def test_a_single_training_row_is_vacuous(self):
+        # log(1) = 0 zeroed the slack, and the default gamma came out 0.
+        with pytest.raises(ConfigError, match="vacuous at n=1"):
+            pathology_parity(n=1, trials=1, n_test=10)
+
     def test_slack_formula(self):
         assert parity_vacuity_slack(100) == 6.0 * math.sqrt(math.log(100) / 100)
 

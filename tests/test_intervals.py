@@ -11,6 +11,7 @@ paper:
         around the extreme LOO predictions               -> minmax    [-3, 4.5]
 """
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -737,6 +738,118 @@ class TestCrossConformalSweep:
     def test_tau_validation(self, worked_cache):
         with pytest.raises(ConfigError, match="tau"):
             cross_conformal_set(worked_cache, IntervalSpec(0.25), X_PROBE, 1.5)
+
+
+def reference_cross_conformal_set(cache, spec, x, tau):
+    """The cross-conformal set from the pointwise predicate on every cell: each
+    open gap between consecutive distinct breakpoints m_i +- R_i and each
+    breakpoint, tested against all n rows in exact rationals, O(n^2)."""
+    m = cache.predictions_at(x)
+    r = cache.residuals
+    lo_pts, hi_pts = m - r, m + r
+    tau_frac = Fraction(tau)
+    threshold = Fraction(spec.alpha) * (cache.n + 1)
+
+    def accepted_at_point(y):
+        dist = np.abs(y - m)
+        strict = int(np.count_nonzero(dist < r))
+        equal = int(np.count_nonzero(dist == r))
+        return tau_frac * (1 + equal) + strict > threshold
+
+    def accepted_on_gap(left, right):
+        # Strictly between consecutive breakpoints, |y - m_i| < R_i iff
+        # lo_i <= left and hi_i >= right; no equality cases occur.
+        strict = int(np.count_nonzero((lo_pts <= left) & (hi_pts >= right)))
+        return tau_frac + strict > threshold
+
+    breaks = np.unique(np.concatenate([lo_pts, hi_pts]))
+    cells = [(-math.inf, breaks[0], accepted_on_gap(-math.inf, breaks[0]))]
+    for i, b in enumerate(breaks):
+        cells.append((float(b), float(b), accepted_at_point(float(b))))
+        right = breaks[i + 1] if i + 1 < len(breaks) else math.inf
+        cells.append((float(b), float(right), accepted_on_gap(float(b), float(right))))
+    runs = [list(run) for ok, run in itertools.groupby(cells, key=lambda c: c[2]) if ok]
+    return PredictionSet.from_intervals(PredictionInterval(r[0][0], r[-1][1]) for r in runs)
+
+
+def set_bits(s):
+    return [bits(iv) for iv in s.intervals]
+
+
+class TestCrossConformalOracle:
+    """The sorted sweep against the pointwise loop, endpoint bits included."""
+
+    N = 11
+    ALPHAS = (0.0, 0.1, 0.5, 1.0)
+    TAUS = (0.0, 0.25, 1.0)
+
+    @staticmethod
+    def data(kind, n):
+        """n training rows and two probes: a fresh point and training row 0.
+
+        ``ties`` rounds everything to 0.1; ``duplicates`` also repeats rows
+        verbatim with response 0, so a 1-NN or memorizer fold model predicts
+        a duplicated row exactly (R_i = 0, lo_i == hi_i)."""
+        rng = derive_rng(n, "cc-oracle", kind)
+        X = rng.standard_normal((n + 1, 2))
+        y = rng.standard_normal(n + 1)
+        if kind != "gaussian":
+            X, y = np.round(X, 1), np.round(y, 1)
+        if kind == "duplicates":
+            X[1:5:2], y[0:4] = X[0:4:2], 0.0
+        return Dataset(X[:n], y[:n]), [X[n], X[0]]
+
+    def check(self, cache, probes, alphas, taus):
+        for x in probes:
+            for alpha in alphas:
+                for tau in taus:
+                    spec = IntervalSpec(alpha)
+                    assert set_bits(cross_conformal_set(cache, spec, x, tau)) == set_bits(
+                        reference_cross_conformal_set(cache, spec, x, tau)), (alpha, tau)
+
+    @staticmethod
+    def partition(n, k):
+        rng = derive_rng(k, "cc-folds")
+        return np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+
+    @pytest.mark.parametrize("block", [None, 1], ids=["default-blocks", "one-per-block"])
+    @pytest.mark.parametrize("k", [2, 3, 10, N])
+    @pytest.mark.parametrize("reg", [MEAN, MinNormOLS(), KNN(k=1)], ids=["mean", "ols", "knn"])
+    @pytest.mark.parametrize("kind", ["gaussian", "ties", "duplicates"])
+    def test_matches_the_pointwise_loop(self, kind, reg, k, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(predint.intervals, "_POINT_BLOCK", block)
+        train, probes = self.data(kind, self.N)
+        cache = LooCache(train, reg, self.partition(self.N, k))
+        self.check(cache, probes, self.ALPHAS, self.TAUS)
+
+    @pytest.mark.parametrize("k", [2, 3, 10, N])
+    def test_zero_residuals_count_once(self, k):
+        train, probes = self.data("duplicates", self.N)
+        for reg in (KNN(k=1), Memorizer(eps=0.5)):
+            cache = LooCache(train, reg, self.partition(self.N, k))
+            if k == self.N:
+                assert np.count_nonzero(cache.residuals == 0.0) >= 2
+            self.check(cache, probes, self.ALPHAS, self.TAUS)
+
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_integer_thresholds(self, k):
+        # alpha (n + 1) = 2, so alpha (n + 1) - tau (1 + e) is an integer at
+        # tau = 0 and 1 for every e, and at tau = 0.25 for e = 3: a cell with
+        # strict count exactly at it must be rejected.
+        train, probes = self.data("ties", 7)
+        for reg in (MEAN, MinNormOLS(), KNN(k=1)):
+            cache = LooCache(train, reg, self.partition(7, k))
+            self.check(cache, probes, [0.25], self.TAUS)
+
+    def test_overflowing_breakpoints(self):
+        # m_i + R_i overflows to inf, so the last gap is (inf, inf), which the
+        # sweep's rank counts get wrong without changing the set.
+        train = Dataset([[0.0], [1.0], [2.0]], [1e308, 1.7e308, 1.6e308])
+        cache, x = build_loo_cache(train, KNN(k=1)), np.array([1.5])
+        with np.errstate(over="ignore"):
+            assert np.isinf(cache.predictions_at(x) + cache.residuals).any()
+            self.check(cache, [x], self.ALPHAS, self.TAUS)
 
 
 class TestFullConformal:

@@ -1,4 +1,5 @@
-"""Seed derivation: golden values, and which runs load a hash or a stream."""
+"""Seed derivation: golden values, and which runs load a hash, a stream or
+``numpy.ma``."""
 
 import os
 import subprocess
@@ -32,19 +33,21 @@ class TestGoldenSeeds:
 
 # The modules that pull in OpenSSL: hashlib directly, numpy.random through
 # its secrets import. _PROBE runs main(argv) in a fresh interpreter and
-# prints its exit code and which of them it loaded.
+# prints its exit code and which of the comma-separated watched modules it
+# loaded.
 _HEAVY = ["hashlib", "_hashlib", "numpy.random"]
-_PROBE = f"""
+_PROBE = """
 import sys
 from predint.cli import main
-rc = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(rc, *(m for m in {_HEAVY!r} if m in sys.modules))
+watched, argv = sys.argv[1].split(","), sys.argv[2:]
+rc = main(argv) if argv else 0
+print(rc, *(m for m in watched if m in sys.modules))
 """
 
 
-def loaded_modules(*argv):
+def loaded_modules(*argv, watched=_HEAVY):
     env = dict(os.environ, PYTHONPATH=str(Path(predint.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
+    done = subprocess.run([sys.executable, "-c", _PROBE, ",".join(watched), *argv], env=env,
                           capture_output=True, text=True, check=True)
     rc, *modules = done.stdout.split()
     assert rc == "0", done.stderr
@@ -71,3 +74,12 @@ class TestImportHygiene:
     def test_a_fold_deal_loads_both(self, intervals_argv):
         argv = intervals_argv + ["--method", "cv+", "--k", "2"]
         assert loaded_modules(*argv) == _HEAVY
+
+    # np.unique imports numpy.ma (its float path asks np.ma.is_masked), which
+    # costs about 1.3 MB resident; the cross-conformal sweep does not call it.
+    def test_importing_the_cli_does_not_load_numpy_ma(self):
+        assert loaded_modules(watched=["numpy.ma"]) == []
+
+    def test_cross_conformal_does_not_load_numpy_ma(self, intervals_argv):
+        argv = intervals_argv + ["--method", "cross-conformal", "--k", "2"]
+        assert loaded_modules(*argv, watched=["numpy.ma"]) == []
