@@ -20,7 +20,7 @@ import stat
 import sys
 
 from .audit import VARIANTS, run_audit
-from .dataset import _load_columns, gen_gaussian_linear, load_csv, load_features_csv
+from .dataset import _load_columns, _load_dataset, gen_gaussian_linear
 from .errors import ConfigError, DataError, PredintError
 from .experiments import (
     MethodSpec,
@@ -57,34 +57,25 @@ def format_object(obj) -> tuple[str, str, str]:
     return _fmt(obj.lower), _fmt(obj.upper), f"{_fmt(obj.lower)}:{_fmt(obj.upper)}"
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated list of numbers, got {text!r}")
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated list of integers, got {text!r}")
-
-
-def _k_list(text: str) -> list[int | None]:
-    out: list[int | None] = []
+def _parse_list(text: str, parse=str, error: str = "") -> list:
+    """The non-blank entries of a comma-separated flag value, each stripped and
+    passed through ``parse``. An entry ``parse`` rejects with ValueError is a
+    ConfigError whose message is ``error`` formatted with the whole value
+    (``text``) and the entry (``token``)."""
+    out = []
     for tok in text.split(","):
         tok = tok.strip()
-        if not tok:
-            continue
-        if tok.lower() == "n":
-            out.append(None)
-        else:
+        if tok:
             try:
-                out.append(int(tok))
+                out.append(parse(tok))
             except ValueError:
-                raise ConfigError(f"fold counts must be integers or 'n', got {tok!r}")
+                raise ConfigError(error.format(text=text, token=tok)) from None
     return out
+
+
+def _fold_count(token: str) -> int | None:
+    """A --k-list entry: an integer K, or 'n' (any case) for K = n, as None."""
+    return None if token.lower() == "n" else int(token)
 
 
 def _write_output(out_path: str | None, echo: dict, subcommand: str, header, rows) -> None:
@@ -144,15 +135,12 @@ def _regressor_echo(args) -> dict:
 
 
 def cmd_intervals(args) -> int:
-    train = load_csv(args.train, args.target)
-    # Test columns are fed by position, so their names must match; the
-    # loaders return no names, so both headers are read again.
-    names, test_names = (_load_columns(path, args.target, header_only=True)[0]
-                         for path in (args.train, args.test))
+    # Test columns are fed by position, so their names must match.
+    names, train = _load_dataset(args.train, args.target)
+    test_names, X_test, y_test = _load_columns(args.test, args.target)
     if test_names != names:
         raise DataError(f"{args.test}: feature columns {test_names} do not match "
                         f"the training file's {names}")
-    X_test, y_test = load_features_csv(args.test, args.target)
     tokens = args.method or ["jackknife+"]
     grid = GridSpec(num_points=args.grid_points, lower=args.grid_lower, upper=args.grid_upper)
     methods = [
@@ -209,7 +197,8 @@ def cmd_intervals(args) -> int:
 def cmd_simulate(args) -> int:
     echo = {"experiment": args.experiment, "seed": args.seed}
     if args.experiment == "figure2":
-        d_list = _int_list(args.d_list)
+        d_list = _parse_list(args.d_list, int,
+                             "expected a comma-separated list of integers, got {text!r}")
         methods = default_method_list(args.n, args.k)
         k_ran = next(m.k_folds for m in methods if m.method == "cv+")
         echo.update(
@@ -235,9 +224,11 @@ def cmd_simulate(args) -> int:
         return 0
 
     if args.experiment == "coverage-mc":
-        alphas = _float_list(args.alphas)
-        k_list = _k_list(args.k_list)
-        regressors = [tok.strip() for tok in args.regressors.split(",") if tok.strip()]
+        alphas = _parse_list(args.alphas, float,
+                             "expected a comma-separated list of numbers, got {text!r}")
+        k_list = _parse_list(args.k_list, _fold_count,
+                             "fold counts must be integers or 'n', got {token!r}")
+        regressors = _parse_list(args.regressors)
         echo.update(
             n=args.n, d=args.d, trials=args.trials, n_test=args.n_test,
             alphas=args.alphas, regressors=args.regressors, k_list=args.k_list,

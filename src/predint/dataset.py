@@ -115,8 +115,8 @@ def _parse_cell(token: str, row: int, column: str) -> float:
     return value
 
 
-def _read_table(path: str, header_only: bool = False):
-    """The stripped header names and the parsed data rows (none if ``header_only``)."""
+def _read_table(path: str):
+    """The stripped header names and the parsed data rows."""
     try:
         handle = open(path, newline="")
     except OSError as exc:
@@ -130,8 +130,6 @@ def _read_table(path: str, header_only: bool = False):
         header = [name.strip() for name in header]
         if any(not name for name in header):
             raise DataError(f"{path}: header has an empty column name")
-        if header_only:
-            return header, np.empty((0, len(header)))
         rows = []
         for number, raw in enumerate(reader, start=1):
             if not raw or all(not cell.strip() for cell in raw):
@@ -148,13 +146,13 @@ def _read_table(path: str, header_only: bool = False):
     return header, np.array(rows, dtype=float)
 
 
-def _load_columns(path: str, target_column: str | None, header_only: bool = False):
+def _load_columns(path: str, target_column: str | None):
     """``(feature names, features, responses or None)`` of a CSV file.
 
     The target column, if present, is split off; the other columns are the
     features, in file order.
     """
-    header, table = _read_table(path, header_only)
+    header, table = _read_table(path)
     hits = [j for j, name in enumerate(header) if name == target_column]
     if not hits:
         return header, table, None
@@ -173,10 +171,16 @@ def load_csv(path: str, target_column: str) -> Dataset:
     in file order. Raises :class:`DataError` with the offending row and column
     named for any malformed cell, and rejects nan/inf tokens outright.
     """
-    _, features, responses = _load_columns(path, target_column)
+    return _load_dataset(path, target_column)[1]
+
+
+def _load_dataset(path: str, target_column: str):
+    """``(feature names, Dataset)`` of a CSV file that must carry the target
+    column; :func:`load_csv` without dropping the names."""
+    names, features, responses = _load_columns(path, target_column)
     if responses is None:
         raise DataError(f"{path}: target column {target_column!r} not found")
-    return Dataset(features, responses)
+    return names, Dataset(features, responses)
 
 
 def load_features_csv(path: str, target_column: str | None = None):

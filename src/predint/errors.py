@@ -2,6 +2,8 @@
 
 import numbers
 
+__all__ = ["PredintError", "ConfigError", "DataError"]
+
 
 class PredintError(Exception):
     """Base class for errors raised by this package."""

@@ -6,7 +6,8 @@ experiment's master seed by purpose tag and trial index, draws its own data
 one-row CoverageReport per (method, level): coverage and mean width over its
 test points. One driver runs every experiment's trials one at a time and
 pools the rows with :func:`aggregate` in trial order, so results do not
-depend on how work is batched.
+depend on how work is batched. Every experiment, the parity pathology
+included, evaluates a trial through :func:`run_trial`.
 
 Widths are totals of finite component lengths; infinite-width intervals are
 counted separately and excluded from width means (they still count toward
@@ -448,25 +449,6 @@ def parity_vacuity_slack(n: int) -> float:
     return 6.0 * math.sqrt(math.log(n) / n)
 
 
-def _parity_trial(n, n_test, gamma, tau, spec, seed, t) -> dict:
-    """One parity trial in :func:`run_trial`'s shape, ``{("jackknife+", 0):
-    CoverageReport}``. Its train, test and objects are freed on return,
-    before the next trial draws."""
-    alpha = spec.alpha
-    train = attach_tau(
-        gen_pathological_abc(n, alpha, gamma, derive_seed(seed, "parity-train", t)), tau
-    )
-    test = attach_tau(
-        gen_pathological_abc(n_test, alpha, gamma, derive_seed(seed, "parity-test", t)), tau
-    )
-    # Two leave-one-out models, so jackknife+ selects from their sorted
-    # residuals and a query builds no n-vector; every test row is evaluated.
-    objs = evaluate_methods(
-        train, test.features, ParityAdversary(tau), [MethodSpec("jackknife+")], [spec]
-    )[0][0]
-    return {("jackknife+", 0): _trial_report("jackknife+", alpha, objs, test.responses)}
-
-
 def pathology_parity(
     n: int = 100_000,
     alpha: float = 0.25,
@@ -511,8 +493,19 @@ def pathology_parity(
     if tau is None:
         tau = eps * n
 
-    spec = IntervalSpec(alpha, inflation_eps=eps)
-    reports = _coverage_reports(trials, lambda t: _parity_trial(n, n_test, gamma, tau, spec, seed, t))
+    methods = [MethodSpec("jackknife+")]
+    specs = [IntervalSpec(alpha, inflation_eps=eps)]
+
+    def draw(size, tag, t):
+        return attach_tau(gen_pathological_abc(size, alpha, gamma, derive_seed(seed, tag, t)), tau)
+
+    def trial(t):
+        # The adversary fits two leave-one-out models, so jackknife+ selects
+        # from their sorted residuals and a query builds no n-vector.
+        return run_trial(draw(n, "parity-train", t), draw(n_test, "parity-test", t),
+                         ParityAdversary(tau), methods, specs)
+
+    reports = _coverage_reports(trials, trial)
     return ParityResult(
         n=n,
         alpha=alpha,

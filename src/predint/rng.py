@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["derive_seed", "derive_rng"]
+
 
 def derive_seed(master: int, tag: str, index: int = 0) -> int:
     """Stable 64-bit seed for substream (tag, index) under ``master``.

@@ -30,6 +30,7 @@ from predint import (
     split_conformal,
 )
 import predint.cli
+import predint.dataset
 from predint.cli import EXPERIMENTS, _write_output, format_object, main
 
 WORKED_TRAIN = "x,y\n0,0\n1,0\n2,3\n"
@@ -140,6 +141,37 @@ class TestIntervalsCommand:
         assert "# regressor=knn" in comments
         assert "# knn_k=2" in comments
         assert comments == sorted(comments)
+
+    def test_each_input_file_is_read_once(self, tmp_path, worked_files, monkeypatch):
+        train, test = worked_files
+        reads = []
+        read_table = predint.dataset._read_table
+
+        def spy(path, *args, **kwargs):
+            reads.append(path)
+            return read_table(path, *args, **kwargs)
+
+        monkeypatch.setattr(predint.dataset, "_read_table", spy)
+        rc, _ = run_to_file(tmp_path, ["intervals", "--train", train, "--test", test,
+                                       "--regressor", "mean", "--alpha", "0.25"])
+        assert rc == 0
+        assert sorted(reads) == sorted([train, test])
+
+    @pytest.mark.parametrize("regressor", ["mean", "ols", "knn", "memorizer"])
+    def test_full_conformal_on_a_one_value_grid(self, regressor, tmp_path, worked_files):
+        # Every grid point is the same candidate, so the set is that point or empty.
+        train, test = worked_files
+        components = []
+        for value in ("0", "1000"):
+            rc, text = run_to_file(
+                tmp_path,
+                ["intervals", "--train", train, "--test", test, "--regressor", regressor,
+                 "--knn-k", "1", "--alpha", "0.25", "--method", "full-conformal",
+                 "--grid-lower", value, "--grid-upper", value],
+            )
+            assert rc == 0
+            components.append(data_rows(text)[1][0][5])
+        assert components == ["0.0:0.0", ""]
 
     def test_echo_records_the_grid_bounds(self, tmp_path, worked_files):
         train, test = worked_files
@@ -382,6 +414,23 @@ class TestExitCodes:
         rc = main(["simulate", *argv, "--trials", "2", "--out", str(out)])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--experiment", "figure2", "--d-list", "20,x"],
+         "expected a comma-separated list of integers, got '20,x'"),
+        (["--experiment", "coverage-mc", "--alphas", "0.1, x"],
+         "expected a comma-separated list of numbers, got '0.1, x'"),
+        (["--experiment", "coverage-mc", "--k-list", "2, 5x"],
+         "fold counts must be integers or 'n', got '5x'"),
+        (["--experiment", "coverage-mc", "--regressors", "tree,mean"],
+         "unknown regressor 'tree'; expected one of ols, ridge, knn, mean, memorizer, parity"),
+    ], ids=["d-list", "alphas", "k-list", "regressors"])
+    def test_simulate_rejects_a_malformed_list_entry(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = main(["simulate", *argv, "--trials", "2", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_leave_one_out_needs_two_rows(self, tmp_path, capsys):

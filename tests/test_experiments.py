@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import predint.cli
+import predint.experiments
 from predint import (
     ConfigError,
     ConstantMean,
@@ -386,6 +387,18 @@ class TestTrialDriver:
         with pytest.raises(ConfigError, match="n_test must be >= 1"):
             run_trial(data, data.tail_from(6), MEAN, [MethodSpec("naive")], [IntervalSpec(0.2)])
 
+    def test_parity_calls_run_trial_once_per_trial(self, monkeypatch):
+        calls = []
+
+        def spy(train, test, regressor, methods, specs, seed=0):
+            calls.append((train.n, test.n, type(regressor), [m.label for m in methods]))
+            return run_trial(train, test, regressor, methods, specs, seed)
+
+        monkeypatch.setattr(predint.experiments, "run_trial", spy)
+        res = pathology_parity(n=40_000, alpha=0.25, trials=3, n_test=10, seed=2)
+        assert calls == [(40_000, 10, ParityAdversary, ["jackknife+"])] * 3
+        assert res.report.trials == 3
+
     def test_parity_needs_a_test_row_before_anything_else(self):
         # n = 10 is vacuous, so only a check made first names n_test.
         for n in (10, 40_000):
@@ -448,8 +461,7 @@ class TestMemorizerPathology:
 
 class TestParityPathology:
     def test_matches_run_trial_on_every_test_row(self):
-        # pathology_parity evaluates every test row inside its own trial loop,
-        # which frees each trial's data; run_trial goes through the same engine.
+        # Each parity trial is one run_trial call on its own draw.
         n, alpha, seed = 40_000, 0.25, 4
         res = pathology_parity(n=n, alpha=alpha, trials=1, n_test=300, seed=seed)
         train = attach_tau(

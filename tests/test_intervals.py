@@ -40,7 +40,6 @@ from predint import (
     SplitSpec,
     attach_tau,
     build_loo_cache,
-    contains,
     cross_conformal_set,
     cv_plus,
     derive_rng,
@@ -897,5 +896,5 @@ class TestFullConformal:
 def test_contains_dispatch(worked_cache):
     iv = jackknife_plus(worked_cache, IntervalSpec(0.25), X_PROBE)
     s = cross_conformal_set(worked_cache, IntervalSpec(0.25), X_PROBE, 1.0)
-    assert contains(iv, 0.0) and contains(s, 0.0)
-    assert not contains(iv, 100.0) and not contains(s, 100.0)
+    assert iv.contains(0.0) and s.contains(0.0)
+    assert not iv.contains(100.0) and not s.contains(100.0)

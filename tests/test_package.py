@@ -37,18 +37,61 @@ def test_every_entry_of_all_resolves():
     assert not missing
 
 
-def test_submodule_imports_are_public_there():
-    # Every name the package takes from a submodule with an __all__ must be
-    # in that __all__, so tools that walk each layer's __all__ see it.
-    tree = ast.parse(pathlib.Path(predint.__file__).read_text())
-    unlisted = []
+# The layers in the order the package lists their names; cli is the front end.
+LAYERS = ("errors", "rng", "quantiles", "dataset", "regressors", "intervals", "audit",
+          "stability", "experiments")
+SOURCES = sorted(pathlib.Path(predint.__file__).parent.glob("*.py"))
+
+
+def test_every_layer_declares_all():
+    modules = {path.stem for path in SOURCES} - {"__init__", "cli"}
+    assert modules == set(LAYERS)
+    missing = [name for name in LAYERS
+               if not hasattr(importlib.import_module(f"predint.{name}"), "__all__")]
+    assert not missing
+
+
+def test_all_is_each_layers_all_in_order():
+    # The package declares no name itself: it re-exports each layer's __all__,
+    # and every name is the layer's own object.
+    layers = [importlib.import_module(f"predint.{name}") for name in LAYERS]
+    assert predint.__all__ == ["__version__", *(name for m in layers for name in m.__all__)]
+    foreign = [f"{m.__name__}.{name}" for m in layers for name in m.__all__
+               if getattr(predint, name) is not getattr(m, name)]
+    assert not foreign
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by module-level imports that the module never reads as a
+    name and does not list in a literal ``__all__``."""
+    tree = ast.parse(source)
+    bound = {}
     for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            module = importlib.import_module(f"predint.{node.module}")
-            public = getattr(module, "__all__", None)
-            if public is not None:
-                unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in public]
-    assert not unlisted
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def test_unused_imports_are_detected():
+    assert unused_imports("import itertools\nfrom .a import b, c\nprint(c)\n") == [
+        "line 1: itertools", "line 2: b"]
+    assert not unused_imports('from .a import b\n__all__ = ["b"]\n')
+    assert not unused_imports("from __future__ import annotations\nimport os.path\nos.sep\n")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_keeps_an_unused_import(path):
+    assert not unused_imports(path.read_text())
 
 
 TRAIN = Dataset(np.arange(12.0).reshape(6, 2), np.arange(6.0))
