@@ -460,7 +460,29 @@ def main(argv=None) -> int:
         return 2
 
 
+def _block_openssl() -> None:
+    """Keep ``_hashlib``, and with it OpenSSL, out of this process.
+
+    Importing numpy.random runs secrets -> hmac -> _hashlib, which maps
+    libcrypto (about 3.3 MB resident), yet predint's one hash is the SHA-256
+    of ``derive_seed``, which CPython also builds in. With ``_hashlib``
+    blocked, hashlib binds its builtin fallbacks and hmac its
+    ``_operator._compare_digest``, so digests and streams are unchanged. If
+    ``_hashlib`` is already loaded or any fallback is missing (a FIPS build,
+    say), OpenSSL stays in.
+    """
+    import importlib.util
+
+    sha2 = ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")
+    fallbacks = ("_md5", "_sha1", *sha2, "_sha3", "_blake2")
+    if "_hashlib" not in sys.modules and all(importlib.util.find_spec(m) for m in fallbacks):
+        sys.modules["_hashlib"] = None
+
+
 def console_main() -> None:
+    """The installed ``predint`` script. It owns its process, so unlike
+    :func:`main` it may keep OpenSSL from loading."""
+    _block_openssl()
     sys.exit(main())
 
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, _require_int
+from .rng import _seeded_rng
 
 __all__ = [
     "Dataset",
@@ -96,21 +97,21 @@ class Dataset:
         return Dataset(self.features[k:], self.responses[k:])
 
 
-def _parse_cell(token: str, row: int, column: str) -> float:
+def _parse_cell(token: str, path: str, row: int, column: str) -> float:
     text = token.strip()
     if text.lower().replace(" ", "") in _NONFINITE_TOKENS:
         raise DataError(
-            f"row {row}, column {column!r}: non-finite value {token!r} not allowed"
+            f"{path}: row {row}, column {column!r}: non-finite value {token!r} not allowed"
         )
     try:
         value = float(text)
     except ValueError as exc:
         raise DataError(
-            f"row {row}, column {column!r}: cannot parse {token!r} as a number"
+            f"{path}: row {row}, column {column!r}: cannot parse {token!r} as a number"
         ) from exc
     if not math.isfinite(value):
         raise DataError(
-            f"row {row}, column {column!r}: non-finite value {token!r} not allowed"
+            f"{path}: row {row}, column {column!r}: non-finite value {token!r} not allowed"
         )
     return value
 
@@ -139,7 +140,7 @@ def _read_table(path: str):
                     f"{path}: row {number} has {len(raw)} cells, expected {len(header)}"
                 )
             rows.append(
-                [_parse_cell(cell, number, header[j]) for j, cell in enumerate(raw)]
+                [_parse_cell(cell, path, number, header[j]) for j, cell in enumerate(raw)]
             )
     if not rows:
         raise DataError(f"{path}: no data rows")
@@ -257,7 +258,7 @@ class SplitSpec:
         size = min(max(size, 1), n - 1)
         if n < 2:
             raise ConfigError("cannot split fewer than 2 rows")
-        perm = np.random.default_rng(self.seed).permutation(n)
+        perm = _seeded_rng(self.seed).permutation(n)
         return np.sort(perm[size:]), np.sort(perm[:size])
 
 
@@ -276,7 +277,7 @@ def gen_gaussian_linear(n: int, d: int, seed: int):
     """
     if _require_int("n", n) < 1 or _require_int("d", d) < 1:
         raise ConfigError(f"n and d must be positive, got n={n}, d={d}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     X = rng.standard_normal((n, d))
     u = rng.standard_normal(d)
     norm = float(np.linalg.norm(u))
@@ -303,7 +304,7 @@ def gen_pathological_abc(n: int, alpha: float, gamma: float, seed: int) -> Datas
         raise ConfigError(
             f"need 0 < 2*alpha*(1-gamma) < 1; got {p} from alpha={alpha}, gamma={gamma}"
         )
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     X = np.empty((n, 3))
     X[:, 0] = rng.random(n) < p
     X[:, 1] = rng.integers(0, 2, size=n)

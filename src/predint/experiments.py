@@ -384,10 +384,12 @@ def run_coverage_mc(
     specs = [IntervalSpec(a) for a in alphas]
     floors = [coverage_lower_bounds(spec.alpha, 0.0, n, n) for spec in specs]
 
-    rows = []
-    for token, name in zip(regressors, names):
-        reg = make_regressor(token) if isinstance(token, str) else token
+    # Every token is checked before the first trial, so a bad one late in
+    # the list fails at once rather than after the earlier regressors' runs.
+    regs = [make_regressor(t) if isinstance(t, str) else t for t in regressors]
 
+    rows = []
+    for reg, name in zip(regs, names):
         def trial(t):
             data, _ = gen_gaussian_linear(
                 n + n_test, d, derive_seed(seed, f"coverage-mc/{name}", t)

@@ -44,6 +44,7 @@ from .quantiles import (
     upper_quantile,
 )
 from .regressors import FittedModel, Regressor, _fold_sizes, canonical_order
+from .rng import _seeded_rng
 
 __all__ = [
     "IntervalSpec",
@@ -336,7 +337,7 @@ def build_loo_cache(
                 stacklevel=2,
             )
         order = canonical_order(train.features, train.responses)
-        deal = order[np.random.default_rng(fold_seed).permutation(n)]
+        deal = order[_seeded_rng(fold_seed, "fold_seed").permutation(n)]
         fold_of = np.empty(n, dtype=int)
         fold_of[deal] = np.repeat(np.arange(k), n // k + (np.arange(k) < n % k))
 

@@ -268,6 +268,16 @@ class TestExitCodes:
         rc = main(["intervals", "--train", train, "--test", str(wide)])
         assert rc == 3
 
+    def test_a_bad_cell_names_its_file(self, tmp_path, worked_files, capsys):
+        train, _ = worked_files
+        bad = tmp_path / "bad_test.csv"
+        bad.write_text("x,z\n1,zz\n")
+        rc = main(["intervals", "--train", train, "--test", str(bad), "--regressor", "mean"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"error: {bad}: row 1, column 'z': cannot parse 'zz'" in err
+        assert train not in err
+
     def test_unknown_method(self, worked_files, capsys):
         train, test = worked_files
         rc = main(["intervals", "--train", train, "--test", test, "--method", "magic"])

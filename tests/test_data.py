@@ -122,8 +122,9 @@ class TestCsv:
     def test_unparsable_cell(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("x1,y\n1,two\n")
-        with pytest.raises(DataError, match="cannot parse 'two'"):
+        with pytest.raises(DataError, match="cannot parse 'two'") as info:
             load_csv(str(path), "y")
+        assert str(info.value) == f"{path}: row 1, column 'y': cannot parse 'two' as a number"
 
     def test_missing_and_duplicate_target(self, tmp_path):
         path = tmp_path / "t.csv"

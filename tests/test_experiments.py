@@ -447,6 +447,18 @@ class TestCoverageMc:
                   regressors=("ols",), k_list=(None,), seed=8)
         assert run_coverage_mc(**kw) == run_coverage_mc(**kw)
 
+    def test_every_regressor_token_is_checked_before_the_first_trial(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return run_trial(*args, **kwargs)
+
+        monkeypatch.setattr(predint.experiments, "run_trial", spy)
+        with pytest.raises(ConfigError, match="unknown regressor 'tree'"):
+            run_coverage_mc(n=6, d=2, trials=2, n_test=2, regressors=("mean", "tree"))
+        assert calls == []
+
 
 class TestMemorizerPathology:
     def test_exact_failure_pattern_at_small_scale(self):

@@ -1,54 +1,128 @@
-"""Seed derivation: golden values, and which runs load a hash, a stream or
-``numpy.ma``."""
+"""Seed derivation: golden values, seed checks, and which runs load a hash,
+a stream, OpenSSL or ``numpy.ma``."""
 
+import importlib
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import predint
-from predint import derive_rng, derive_seed
+import predint.cli
+from predint import (
+    ConfigError,
+    MinNormOLS,
+    SplitSpec,
+    build_loo_cache,
+    derive_rng,
+    derive_seed,
+    gen_gaussian_linear,
+    gen_pathological_abc,
+)
+
+# Every stream in the package hangs off these values; a change to the
+# derivation would silently move every trial, fold deal and tau draw.
+GOLDEN_SEEDS = [
+    ((0, "folds/10"), 1575655606808709932),
+    ((2026, "parity-train", 3), 17824311004721302447),
+    ((-1, "split"), 535778174672633734),
+]
+GOLDEN_TAU = [0.2460920792385044, 0.3834367707579257]  # derive_rng(7, "tau").random(2)
 
 
 class TestGoldenSeeds:
-    """Every stream in the package hangs off these values; a change to the
-    derivation would silently move every trial, fold deal and tau draw."""
-
-    @pytest.mark.parametrize(
-        "args, seed",
-        [
-            ((0, "folds/10"), 1575655606808709932),
-            ((2026, "parity-train", 3), 17824311004721302447),
-            ((-1, "split"), 535778174672633734),
-        ],
-    )
+    @pytest.mark.parametrize("args, seed", GOLDEN_SEEDS)
     def test_derive_seed(self, args, seed):
         assert derive_seed(*args) == seed
 
     def test_derive_rng(self):
-        assert derive_rng(7, "tau").random(2).tolist() == [0.2460920792385044, 0.3834367707579257]
+        assert derive_rng(7, "tau").random(2).tolist() == GOLDEN_TAU
 
 
-# The modules that pull in OpenSSL: hashlib directly, numpy.random through
-# its secrets import. _PROBE runs main(argv) in a fresh interpreter and
-# prints its exit code and which of the comma-separated watched modules it
-# loaded.
+class TestSeedChecks:
+    """A seed that is not an integer, or is negative where numpy needs a
+    non-negative one, is a ConfigError naming the setting."""
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+    def test_generators_and_split(self, seed):
+        with pytest.raises(ConfigError, match="^seed must be"):
+            gen_gaussian_linear(5, 2, seed)
+        with pytest.raises(ConfigError, match="^seed must be"):
+            gen_pathological_abc(5, 0.25, 0.1, seed)
+        with pytest.raises(ConfigError, match="^seed must be"):
+            SplitSpec(seed=seed).resolve(10)
+
+    def test_negative_is_named(self):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -3"):
+            gen_pathological_abc(5, 0.25, 0.1, -3)
+
+    def test_fold_seed(self):
+        train, _ = gen_gaussian_linear(6, 2, 0)
+        with pytest.raises(ConfigError, match="^fold_seed must be a non-negative integer"):
+            build_loo_cache(train, MinNormOLS(), 2, fold_seed=-1)
+        with pytest.raises(ConfigError, match="^fold_seed must be an integer"):
+            build_loo_cache(train, MinNormOLS(), 2, fold_seed=0.5)
+
+    def test_numpy_integers_give_the_same_stream(self):
+        a, _ = gen_gaussian_linear(5, 2, 3)
+        b, _ = gen_gaussian_linear(5, 2, np.uint64(3))
+        assert np.array_equal(a.responses, b.responses)
+        assert derive_seed(np.int64(-1), "split", np.int8(0)) == derive_seed(-1, "split")
+
+    def test_a_string_index_is_a_sub_tag(self):
+        assert derive_seed(3, "cc-oracle", "ties") != derive_seed(3, "cc-oracle")
+
+    @pytest.mark.parametrize("name, args", [("master", (1.5, "x")), ("master", ("1", "x")),
+                                            ("index", (1, "x", 0.0)), ("index", (1, "x", None))])
+    def test_derive_seed_needs_integers(self, name, args):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            derive_seed(*args)
+
+
+# The modules that pull in OpenSSL: hashlib through _hashlib, numpy.random
+# through secrets -> hmac -> _hashlib. _PROBE runs main(argv) in a fresh
+# interpreter and prints its exit code and which of the comma-separated
+# watched modules it loaded; a module blocked with a None entry in
+# sys.modules counts as not loaded.
 _HEAVY = ["hashlib", "_hashlib", "numpy.random"]
 _PROBE = """
 import sys
 from predint.cli import main
 watched, argv = sys.argv[1].split(","), sys.argv[2:]
 rc = main(argv) if argv else 0
-print(rc, *(m for m in watched if m in sys.modules))
+print(rc, *(m for m in watched if sys.modules.get(m) is not None))
+"""
+# Runs the installed script's entry point on argv, then prints a JSON record
+# of how _hashlib stands and whether libcrypto is mapped (None where
+# /proc/self/maps does not exist).
+_CONSOLE_PROBE = """
+import json, os, sys
+from predint.cli import console_main
+sys.argv = ["predint", *sys.argv[1:]]
+try:
+    console_main()
+except SystemExit as exc:
+    rc = exc.code
+maps = "/proc/self/maps"
+libcrypto = ("libcrypto" in open(maps).read()) if os.path.exists(maps) else None
+print(json.dumps({"rc": rc, "blocked": "_hashlib" in sys.modules and sys.modules["_hashlib"] is None,
+                  "libcrypto": libcrypto}))
 """
 
 
-def loaded_modules(*argv, watched=_HEAVY):
+def run_probe(source, *argv):
     env = dict(os.environ, PYTHONPATH=str(Path(predint.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", _PROBE, ",".join(watched), *argv], env=env,
+    return subprocess.run([sys.executable, "-c", source, *argv], env=env,
                           capture_output=True, text=True, check=True)
+
+
+def loaded_modules(*argv, watched=_HEAVY):
+    done = run_probe(_PROBE, ",".join(watched), *argv)
     rc, *modules = done.stdout.split()
     assert rc == "0", done.stderr
     return modules
@@ -83,3 +157,56 @@ class TestImportHygiene:
     def test_cross_conformal_does_not_load_numpy_ma(self, intervals_argv):
         argv = intervals_argv + ["--method", "cross-conformal", "--k", "2"]
         assert loaded_modules(*argv, watched=["numpy.ma"]) == []
+
+    def test_the_console_script_keeps_openssl_out(self, tmp_path):
+        argv = ["simulate", "--experiment", "coverage-mc", "--trials", "1", "--seed", "5"]
+        script, library = tmp_path / "script.csv", tmp_path / "library.csv"
+        done = run_probe(_CONSOLE_PROBE, *argv, "--out", str(script))
+        state = json.loads(done.stdout)
+        assert done.stderr == ""
+        assert state["rc"] == 0 and state["blocked"]
+        # The same run through main(argv), which leaves OpenSSL loadable.
+        assert loaded_modules(*argv, "--out", str(library)) == _HEAVY
+        assert script.read_bytes() == library.read_bytes()
+        if state["libcrypto"] is None:
+            pytest.skip("no /proc/self/maps to read the mapped libraries from")
+        assert not state["libcrypto"]
+
+    def test_golden_values_hold_with_openssl_blocked(self):
+        done = run_probe(
+            "import json, sys\n"
+            "from predint.cli import _block_openssl\n"
+            "_block_openssl()\n"
+            "from predint import derive_rng, derive_seed\n"
+            f"seeds = [derive_seed(*args) for args, _ in {GOLDEN_SEEDS!r}]\n"
+            "print(json.dumps({'blocked': sys.modules['_hashlib'] is None, 'seeds': seeds,\n"
+            "                  'tau': derive_rng(7, 'tau').random(2).tolist()}))\n"
+        )
+        got = json.loads(done.stdout)
+        assert got == {"blocked": True, "seeds": [seed for _, seed in GOLDEN_SEEDS],
+                       "tau": GOLDEN_TAU}
+
+    def test_library_use_keeps_the_real_hashlib(self):
+        done = run_probe(
+            "import sys, types\n"
+            "import predint\n"
+            "predint.derive_rng(1, 'x')\n"
+            "print(isinstance(sys.modules.get('_hashlib'), types.ModuleType))\n"
+        )
+        assert done.stdout.split() == ["True"]
+
+    def test_openssl_stays_in_when_a_builtin_hash_is_missing(self, monkeypatch):
+        real = importlib.util.find_spec
+        monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda name, *a: None if name == "_sha3" else real(name, *a))
+        predint.cli._block_openssl()
+        assert "_hashlib" not in sys.modules
+        monkeypatch.setattr(importlib.util, "find_spec", real)
+        predint.cli._block_openssl()
+        assert sys.modules["_hashlib"] is None  # monkeypatch restores the real module
+
+    def test_an_imported_hashlib_is_left_alone(self):
+        loaded = importlib.import_module("_hashlib")
+        predint.cli._block_openssl()
+        assert sys.modules["_hashlib"] is loaded
