@@ -10,7 +10,8 @@ badly: A_ij = 1{R_ij > R_ji} (plus variant) or 1{min_j' R_ij' > R_ji}
 (minmax variant). A row is "strange" when it wins at least (1-alpha)(n+1)
 contests. Counting arguments bound how many strange rows can exist, and a
 test row not covered by the matching interval is always strange; the audit
-checks both facts on concrete instances with exact rational thresholds.
+checks both facts on concrete instances, comparing counts with thresholds in
+exact integer arithmetic on the level's ratio p/q.
 
 Everything here fits the pairwise models directly (no sharing tricks);
 intended for n + 1 up to a few dozen rows. The audited intervals come from
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .intervals import (
     jackknife_minmax,
     jackknife_plus,
 )
+from .quantiles import _check_alpha
 from .regressors import Regressor
 from .rng import derive_seed
 
@@ -86,13 +87,14 @@ def comparison_matrix(R: np.ndarray, variant: str = "plus") -> np.ndarray:
 def strange_set(A: np.ndarray, alpha: float) -> list[int]:
     """Row indices whose contest-win count reaches (1 - alpha)(n + 1).
 
-    The threshold comparison is exact (rational), never floating-point.
+    With alpha = p/q the test is ``wins * q >= (q - p) * (n + 1)``, exact
+    integer arithmetic, never floating-point.
     """
+    p, q = _check_alpha(alpha)
     A = np.asarray(A)
     m = A.shape[0]  # m = n + 1
-    threshold = (1 - Fraction(alpha)) * m
-    sums = A.sum(axis=1)
-    return [int(i) for i in range(m) if sums[i] >= threshold]
+    threshold = (q - p) * m
+    return [i for i, wins in enumerate(A.sum(axis=1).tolist()) if wins * q >= threshold]
 
 
 @dataclass
@@ -133,15 +135,13 @@ def audit_instance(
         raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if data.n < 3:
         raise ConfigError("audit needs at least 3 rows (2 train + 1 test)")
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
+    p, q = _check_alpha(alpha)
 
     m = data.n            # rows including the test point
     n = m - 1             # training rows
     last = m - 1
     R = residual_matrix(data, regressor)
     report = AuditReport(n=n, alpha=alpha, variant=variant)
-    count = Fraction(m)
 
     # The intervals come from the library's leave-one-out fits of the n
     # training rows (n more fits), checked against the direct (i, test) refits.
@@ -153,7 +153,7 @@ def audit_instance(
     if variant in ("plus", "both"):
         A = comparison_matrix(R, "plus")
         report.strange_plus = strange_set(A, alpha)
-        if len(report.strange_plus) >= 2 * Fraction(alpha) * count:
+        if len(report.strange_plus) * q >= 2 * p * m:
             report.violations.append(
                 f"plus strange set has {len(report.strange_plus)} rows, "
                 f"needs fewer than 2*alpha*(n+1) = {float(2 * alpha * m)}"
@@ -168,7 +168,7 @@ def audit_instance(
     if variant in ("minmax", "both"):
         A = comparison_matrix(R, "minmax")
         report.strange_minmax = strange_set(A, alpha)
-        if len(report.strange_minmax) > Fraction(alpha) * count:
+        if len(report.strange_minmax) * q > p * m:
             report.violations.append(
                 f"minmax strange set has {len(report.strange_minmax)} rows, "
                 f"needs at most alpha*(n+1) = {float(alpha * m)}"

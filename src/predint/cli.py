@@ -13,7 +13,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import stat
@@ -314,6 +313,8 @@ def cmd_audit(args) -> int:
         [[args.trials, args.n, _fmt(args.alpha), args.variant, len(violations)]],
     )
     if violations:
+        import json  # only a failed audit writes JSON; a clean run never loads it
+
         with open(args.replay_out, "w") as handle:
             json.dump(violations, handle, indent=2, sort_keys=True)
         print(

@@ -118,6 +118,8 @@ def _parse_cell(token: str, path: str, row: int, column: str) -> float:
 
 def _read_table(path: str):
     """The stripped header names and the parsed data rows."""
+    from array import array  # loaded by the commands that read a file only
+
     try:
         handle = open(path, newline="")
     except OSError as exc:
@@ -131,7 +133,9 @@ def _read_table(path: str):
         header = [name.strip() for name in header]
         if any(not name for name in header):
             raise DataError(f"{path}: header has an empty column name")
-        rows = []
+        # The cells in row-major order, one 8-byte double each, rather than a
+        # list of Python floats per row.
+        cells = array("d")
         for number, raw in enumerate(reader, start=1):
             if not raw or all(not cell.strip() for cell in raw):
                 continue  # ignore blank lines
@@ -139,12 +143,11 @@ def _read_table(path: str):
                 raise DataError(
                     f"{path}: row {number} has {len(raw)} cells, expected {len(header)}"
                 )
-            rows.append(
-                [_parse_cell(cell, path, number, header[j]) for j, cell in enumerate(raw)]
-            )
-    if not rows:
+            for j, cell in enumerate(raw):
+                cells.append(_parse_cell(cell, path, number, header[j]))
+    if not cells:
         raise DataError(f"{path}: no data rows")
-    return header, np.array(rows, dtype=float)
+    return header, np.frombuffer(cells).reshape(-1, len(header))
 
 
 def _load_columns(path: str, target_column: str | None):

@@ -29,13 +29,14 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .dataset import Dataset, SplitSpec
 from .errors import ConfigError, DataError, _require_int
 from .quantiles import (
+    _check_alpha,
+    _exact_ratio,
     _select_inplace,
     _SortedGroups,
     lower_index,
@@ -85,7 +86,8 @@ class IntervalSpec:
     Symmetric mode uses absolute residuals at level ``alpha``. Asymmetric mode
     splits the budget into ``alpha_lo`` (lower tail) and ``alpha_hi`` (upper
     tail), both positive and summing to alpha, and works with signed
-    residuals. ``inflation_eps`` widens each endpoint outward by eps.
+    residuals. ``inflation_eps`` widens each endpoint outward by eps. Levels
+    are real numbers (not bools or strings), read at their exact values.
     """
 
     alpha: float
@@ -94,19 +96,26 @@ class IntervalSpec:
     inflation_eps: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
+        p, q = _check_alpha(self.alpha)
         if not (math.isfinite(self.inflation_eps) and self.inflation_eps >= 0.0):
             raise ConfigError(f"inflation_eps must be finite and >= 0, got {self.inflation_eps}")
         if (self.alpha_lo is None) != (self.alpha_hi is None):
             raise ConfigError("asymmetric mode needs both alpha_lo and alpha_hi")
         if self.alpha_lo is not None:
-            if not (self.alpha_lo > 0.0 and self.alpha_hi > 0.0):
-                raise ConfigError("alpha_lo and alpha_hi must be positive")
-            if abs((self.alpha_lo + self.alpha_hi) - self.alpha) > 1e-12:
+            try:
+                (lo_p, lo_q), (hi_p, hi_q) = map(_exact_ratio, (self.alpha_lo, self.alpha_hi))
+                positive = lo_p > 0 and hi_p > 0
+            except ConfigError:  # not a real number, or NaN
+                positive = False
+            if not positive:
+                raise ConfigError("alpha_lo and alpha_hi must be positive real numbers, "
+                                  f"got {self.alpha_lo!r} and {self.alpha_hi!r}")
+            # A float tolerance on the correctly rounded values: for float
+            # levels, the same sum and difference as on the levels themselves.
+            total = lo_p / lo_q + hi_p / hi_q
+            if abs(total - p / q) > 1e-12:
                 raise ConfigError(
-                    f"alpha_lo + alpha_hi = {self.alpha_lo + self.alpha_hi} "
-                    f"does not match alpha = {self.alpha}"
+                    f"alpha_lo + alpha_hi = {total} does not match alpha = {self.alpha}"
                 )
 
     @property
@@ -204,6 +213,8 @@ class LooCache:
     and ``signed_residuals[i]`` is row i's response minus its prediction
     there. ``k_folds`` counts the labels of ``fold_of`` that hold a row; at
     ``k_folds == n`` the folds are singletons: the classic leave-one-out fits.
+    ``fold_of=None`` is that partition with no label vector: the cache holds
+    none, and ``fold_of`` reads as ``arange(n)``, built on first read.
     The full model, the absolute ``residuals``, each model's residuals sorted
     for CV+ (absolute or signed, by the spec's mode) and each residual
     quantile are computed on first use only. Immutable once built.
@@ -218,10 +229,13 @@ class LooCache:
     need no per-row NaN scan.
     """
 
-    def __init__(self, train, regressor, fold_of):
+    def __init__(self, train, regressor, fold_of=None):
         n = train.n
-        fold_of = np.asarray(fold_of)
-        self.k_folds = int(np.count_nonzero(_fold_sizes(fold_of, n)))
+        if fold_of is None:
+            self.k_folds = n
+        else:
+            fold_of = np.asarray(fold_of)
+            self.k_folds = int(np.count_nonzero(_fold_sizes(fold_of, n)))
         models, model_of, in_sample = regressor.fit_folds(train, fold_of)
         if not (isinstance(model_of, np.ndarray) and model_of.shape == (n,)
                 and np.issubdtype(model_of.dtype, np.integer)):
@@ -235,7 +249,7 @@ class LooCache:
         # call, so the buffer path gathers through a private writeable intp
         # reference (``_gather_index``); the public index arrays are frozen views.
         self._model_index = model_of
-        self.fold_of, self.model_of = fold_of.view(), model_of.view()
+        self._fold_of, self.model_of = fold_of, model_of.view()
         if model_of.min() < 0 or model_of.max() >= len(models):
             raise ConfigError("model_of must index into models")
         if not np.bincount(model_of, minlength=len(models)).all():
@@ -243,13 +257,20 @@ class LooCache:
         self.signed_residuals = train.responses - in_sample
         if not np.isfinite(self.signed_residuals).all():
             raise DataError("the fold models' in-sample residuals are not finite")
-        for arr in (self.signed_residuals, self.fold_of, self.model_of):
+        for arr in (self.signed_residuals, self.model_of):
             arr.flags.writeable = False
         self._quantiles = _ResidualQuantiles(self.signed_residuals)
 
     @property
     def n(self) -> int:
         return self.train.n
+
+    @functools.cached_property
+    def fold_of(self) -> np.ndarray:
+        """Row i's fold label, read-only."""
+        fold_of = np.arange(self.n) if self._fold_of is None else self._fold_of.view()
+        fold_of.flags.writeable = False
+        return fold_of
 
     @functools.cached_property
     def full_model(self) -> FittedModel:
@@ -327,7 +348,7 @@ def build_loo_cache(
         raise ConfigError(f"k_folds must be in [1, {n}], got {k}")
 
     if k == n:
-        fold_of = np.arange(n)
+        fold_of = None
     else:
         if n % k != 0:
             if strict:
@@ -519,6 +540,23 @@ def _require_plain_spec(spec: IntervalSpec, name: str) -> None:
 _POINT_BLOCK = 2048
 
 
+def _strict_needed(n: int, alpha, tau):
+    """``need(equal)``, memoised: the fewest strict cases that accept a cell
+    with ``equal`` equality cases, i.e. the least integer ``strict`` with
+    strict + tau (1 + equal) > alpha (n + 1). That is
+    floor(alpha (n + 1) - tau (1 + equal)) + 1, computed exactly in integers
+    over the common denominator of the ratios alpha = a / b and tau = t / u."""
+    t, u = _check_alpha(tau, "tau")
+    a, b = _exact_ratio(alpha)
+    threshold = a * (n + 1) * u
+
+    @functools.cache
+    def need(equal: int) -> int:
+        return (threshold - t * (1 + equal) * b) // (b * u) + 1
+
+    return need
+
+
 def cross_conformal_set(
     cache: LooCache, spec: IntervalSpec, x, tau: float
 ) -> PredictionSet:
@@ -541,21 +579,12 @@ def cross_conformal_set(
     if cache.k_folds < 2:
         raise ConfigError("cross-conformal needs at least 2 folds")
     _require_plain_spec(spec, "cross-conformal")
-    if not 0.0 <= tau <= 1.0:
-        raise ConfigError(f"tau must be in [0, 1], got {tau}")
+    need = _strict_needed(cache.n, spec.alpha, tau)
 
     m = cache.predictions_at(x)
     r = cache.residuals
     lo, hi = m - r, m + r
     n = cache.n
-    tau_frac = Fraction(tau)
-    threshold = Fraction(spec.alpha) * (n + 1)
-
-    @functools.cache
-    def need(equal: int) -> int:
-        # Fewest strict cases that accept a cell with ``equal`` equality cases:
-        # strict + tau (1 + equal) > alpha (n + 1), in exact rationals.
-        return math.floor(threshold - tau_frac * (1 + equal)) + 1
 
     # Distinct breakpoints by a neighbour mask: np.unique imports numpy.ma.
     breaks = np.concatenate([lo, hi])

@@ -7,10 +7,11 @@ conservative for exchangeable data of size n plus one unseen point. When the
 index overflows past n the upper quantile is +inf; when it underflows past 1
 the lower quantile is -inf, so both operators are total for alpha in [0, 1].
 
-Index arithmetic is exact: alpha is converted to a Fraction before the
-ceil/floor, which keeps boundary cases honest (with binary floats,
-ceil(0.9 * 10) evaluates to 10, while the exact index for alpha = 0.1, n = 9
-is 9). Exactness also guarantees the identity
+Index arithmetic is exact: alpha is read as the integer ratio p/q of its
+exact value, and the indices are integer ceil/floor divisions,
+-(-(q - p)(n + 1) // q) and p(n + 1) // q. That keeps boundary cases honest
+(with binary floats, ceil(0.9 * 10) evaluates to 10, while the exact index for
+alpha = 0.1, n = 9 is 9). Exactness also guarantees the identity
 
     lower_quantile(v, alpha) == -upper_quantile(-v, alpha)
 
@@ -29,23 +30,43 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from fractions import Fraction
+import numbers
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _require_int
 
 __all__ = ["upper_quantile", "lower_quantile", "upper_index", "lower_index"]
 
 
-def _check_alpha(alpha: float) -> Fraction:
-    try:
-        frac = Fraction(alpha)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"alpha must be a real number, got {alpha!r}") from exc
-    if not 0 <= frac <= 1:
-        raise ConfigError(f"alpha must lie in [0, 1], got {alpha!r}")
-    return frac
+def _exact_ratio(level, name: str = "alpha") -> tuple[int, int]:
+    """``(p, q)`` with q > 0 and p / q exactly the real number ``level``.
+
+    Rationals (Python and numpy integers, ``fractions``) give their numerator
+    and denominator; float, numpy floating and ``Decimal`` their
+    ``as_integer_ratio()``. A bool, string, complex, NaN or infinity is a
+    ConfigError naming ``name``.
+    """
+    if not isinstance(level, bool):
+        if isinstance(level, numbers.Rational):
+            return int(level.numerator), int(level.denominator)
+        as_ratio = getattr(level, "as_integer_ratio", None)
+        if as_ratio is not None:
+            try:
+                p, q = as_ratio()
+            except (ValueError, OverflowError):  # NaN or an infinity
+                pass
+            else:
+                return int(p), int(q)
+    raise ConfigError(f"{name} must be a real number, got {level!r}")
+
+
+def _check_alpha(alpha, name: str = "alpha") -> tuple[int, int]:
+    """The exact ratio ``(p, q)`` of a level in [0, 1], else a ConfigError."""
+    p, q = _exact_ratio(alpha, name)
+    if not 0 <= p <= q:
+        raise ConfigError(f"{name} must be in [0, 1], got {alpha!r}")
+    return p, q
 
 
 def _check_values(values) -> np.ndarray:
@@ -58,20 +79,21 @@ def _check_values(values) -> np.ndarray:
     return arr
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=1024, typed=True)
 def _memo_indices(n: int, alpha) -> tuple[int, int]:
     # A failed check raises and stores nothing, so the memo holds validated
-    # levels only. Equal keys have equal exact values: Python compares int,
-    # float, Fraction and Decimal exactly.
-    frac = _check_alpha(alpha)
-    return math.ceil((1 - frac) * (n + 1)), math.floor(frac * (n + 1))
+    # levels only. Keys are typed, so True never hits the entry of 1; equal
+    # keys of one type have equal exact values.
+    p, q = _check_alpha(alpha)
+    m = int(_require_int("n", n)) + 1
+    return -(-(q - p) * m // q), p * m // q
 
 
 def _indices(n: int, alpha) -> tuple[int, int]:
     """(upper, lower) 1-based order-statistic indices at level alpha."""
     try:
         hash(alpha)
-    except TypeError:  # unhashable, so not a number Fraction accepts
+    except TypeError:  # unhashable, so not a real number
         raise ConfigError(f"alpha must be a real number, got {alpha!r}") from None
     return _memo_indices(n, alpha)
 

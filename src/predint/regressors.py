@@ -127,16 +127,21 @@ class Regressor:
     def _fit(self, X: np.ndarray, y: np.ndarray) -> FittedModel:
         raise NotImplementedError
 
-    def fit_folds(self, train: Dataset, fold_of):
+    def fit_folds(self, train: Dataset, fold_of=None):
         """``(models, model_of, in_sample)``: per row i, ``models[model_of[i]]``
         is fitted without row i's fold and predicts ``in_sample[i]`` at row i.
-        Every model is some row's. This reference refits each nonempty fold."""
-        fold_of = np.asarray(fold_of)
+        Every model is some row's. ``fold_of=None`` is leave-one-out, every
+        row its own fold. This reference refits each nonempty fold."""
+        if fold_of is None:
+            folds = (np.array([i]) for i in range(train.n))
+        else:
+            fold_of = np.asarray(fold_of)
+            folds = (np.flatnonzero(fold_of == fold)
+                     for fold in np.flatnonzero(_fold_sizes(fold_of, train.n)))
         model_of = np.empty(train.n, dtype=np.intp)
         in_sample = np.empty(train.n)
         models = []
-        for j, fold in enumerate(np.flatnonzero(_fold_sizes(fold_of, train.n))):
-            rows = np.flatnonzero(fold_of == fold)
+        for j, rows in enumerate(folds):
             model_of[rows] = j
             models.append(self.fit(train.drop(rows)))
             in_sample[rows] = models[-1].predict_many(train.features[rows])
@@ -287,21 +292,27 @@ class ParityAdversary(Regressor):
             return ConstantModel(0.0)
         return ParityModel(self.tau, float(np.prod(_parity_signs(X))))
 
-    def fit_folds(self, train, fold_of):
+    def fit_folds(self, train, fold_of=None):
         """Leave-one-out in O(n): dropping row i divides prod(B) by B_i = +-1,
-        so the n fits take at most two signs. Other partitions refit."""
-        if train.n < 2 or _fold_sizes(fold_of, train.n).max() != 1:
+        so the n fits take at most two signs, prod(B) * B_i. Other partitions
+        refit."""
+        if train.n < 2 or (fold_of is not None and _fold_sizes(fold_of, train.n).max() != 1):
             return super().fit_folds(train, fold_of)
         X = train.features
         b = _parity_signs(X)
-        loo_sign = np.prod(b) * b
-        models = [ParityModel(self.tau, s) for s in (1.0, -1.0) if (loo_sign == s).any()]
-        model_of = (loo_sign != models[0].sign_product).view(np.uint8)
+        product = float(np.prod(b))
+        # Row i's sign is s iff B_i = s * product, as product is +-1.
+        models = [ParityModel(self.tau, s) for s in (1.0, -1.0) if (b == s * product).any()]
+        model_of = (b != models[0].sign_product * product).view(np.uint8)
         # tau * A * C * sign in ParityModel.predict_many's order, in one buffer:
         # refit bits (each step rounds as the temporaries would), no row copy.
+        # Multiplying by B_i and then by the product is multiplying by the
+        # sign: a factor +-1 only flips the sign bit.
         in_sample = np.multiply(self.tau, X[:, 0])
         in_sample *= X[:, 2]
-        in_sample *= loo_sign
+        in_sample *= b
+        if product < 0:
+            np.negative(in_sample, out=in_sample)
         return models, model_of, in_sample
 
 

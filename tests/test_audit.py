@@ -14,11 +14,13 @@ both variants.
 """
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import predint.audit
 from predint import (
     KNN,
     AuditReport,
@@ -41,6 +43,14 @@ from predint import (
 )
 
 MEAN = ConstantMean()
+# Every kind of real level the thresholds read as an integer ratio.
+EXACT_LEVELS = [0, 1, 1 / 3, 0.1, 0.25, 0.5, Fraction(2, 7), Decimal("0.1"), np.float32(0.1),
+                np.int64(0)]
+
+
+def exact(level) -> Fraction:
+    """The exact value of a level; a float32 widens to a float exactly."""
+    return Fraction(float(level) if isinstance(level, np.floating) else level)
 
 
 @pytest.fixture
@@ -159,6 +169,26 @@ class TestStrangeSet:
             ]
             assert strange_set(A, alpha) == want
 
+    @pytest.mark.parametrize("alpha", EXACT_LEVELS, ids=repr)
+    def test_exact_levels_match_the_rational_reference(self, alpha):
+        rng = derive_rng(6, "strange-levels")
+        for m in range(2, 12):
+            A = rng.integers(0, 2, size=(m, m))
+            np.fill_diagonal(A, 0)
+            sums = A.sum(axis=1)
+            want = [i for i in range(m) if sums[i] >= (1 - exact(alpha)) * m]
+            assert strange_set(A, alpha) == want
+
+    def test_float32_matches_its_float_value(self):
+        A = np.array([[0, 1, 1, 1], [0, 0, 1, 1], [0, 0, 0, 1], [0, 0, 0, 0]])
+        assert strange_set(A, np.float32(0.25)) == strange_set(A, 0.25) == [0]
+
+    @pytest.mark.parametrize("alpha", ["0.5", True, 0.5 + 0j, math.nan], ids=repr)
+    def test_alpha_must_be_a_real_number(self, worked_R, alpha):
+        A = comparison_matrix(worked_R, "plus")
+        with pytest.raises(ConfigError, match="alpha must be a real number"):
+            strange_set(A, alpha)
+
 
 class TestCountingBounds:
     @pytest.mark.parametrize("alpha", [0.1, 0.25, 1 / 3, 0.5, 0.77])
@@ -171,6 +201,20 @@ class TestCountingBounds:
             s_mm = strange_set(comparison_matrix(R, "minmax"), alpha)
             assert Fraction(len(s_plus)) < 2 * Fraction(alpha) * m
             assert Fraction(len(s_mm)) <= Fraction(alpha) * m
+
+    @pytest.mark.parametrize("alpha", EXACT_LEVELS, ids=repr)
+    def test_audited_bounds_match_the_rational_forms(self, alpha, monkeypatch):
+        # The bounds hold on every real instance, so strange sets of each size
+        # are handed in to reach both sides of them.
+        data, _ = gen_gaussian_linear(6, 2, seed=4)
+        m = data.n
+        for size in range(m + 1):
+            monkeypatch.setattr(predint.audit, "strange_set", lambda A, a: list(range(size)))
+            flagged = audit_instance(data, MEAN, alpha).violations
+            plus = any(v.startswith("plus strange set") for v in flagged)
+            minmax = any(v.startswith("minmax strange set") for v in flagged)
+            assert plus == (Fraction(size) >= 2 * exact(alpha) * m), size
+            assert minmax == (Fraction(size) > exact(alpha) * m), size
 
     def test_strange_sets_permute_with_the_rows(self):
         data, _ = gen_gaussian_linear(6, 2, seed=8)

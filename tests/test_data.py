@@ -107,6 +107,16 @@ class TestCsv:
         path.write_text("x,y\n1,2\n\n3,4\n")
         assert load_csv(str(path), "y").n == 2
 
+    def test_table_shape_from_the_cells(self, tmp_path):
+        # The cells are parsed into one flat buffer and reshaped by the header.
+        path = tmp_path / "t.csv"
+        path.write_text("x1\n1\n\n-2.5e-3\n")
+        X, y = load_features_csv(str(path), "y")
+        assert X.shape == (2, 1) and X.tolist() == [[1.0], [-0.0025]] and y is None
+        path.write_text("x1,y\n\n \n")
+        with pytest.raises(DataError, match="no data rows"):
+            load_csv(str(path), "y")
+
     def test_error_names_row_and_column(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("x1,y\n1,2\nnan,4\n")

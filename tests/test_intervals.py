@@ -15,6 +15,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import predint.intervals
+import predint.regressors
 from predint import (
     KNN,
     ConfigError,
@@ -95,6 +97,28 @@ class TestIntervalSpec:
         with pytest.raises(ConfigError, match="does not match"):
             IntervalSpec(0.2, alpha_lo=0.05, alpha_hi=0.05)
         assert IntervalSpec(0.2, alpha_lo=0.15, alpha_hi=0.05).asymmetric
+
+    @pytest.mark.parametrize("level", ["0.1", True, 0.1 + 0j, math.nan], ids=repr)
+    def test_levels_must_be_real_numbers(self, level):
+        with pytest.raises(ConfigError, match="alpha must be a real number"):
+            IntervalSpec(level)
+        with pytest.raises(ConfigError, match="must be positive real numbers"):
+            IntervalSpec(0.2, alpha_lo=level, alpha_hi=0.1)
+        with pytest.raises(ConfigError, match="must be positive real numbers"):
+            IntervalSpec(0.2, alpha_lo=0.1, alpha_hi=level)
+
+    def test_float32_levels_are_read_exactly(self):
+        # The spec accepts what the index arithmetic reads: float32(0.25) is
+        # exactly 0.25, and a float32 tail split matches its float32 total.
+        data, _ = gen_gaussian_linear(9, 2, seed=3)
+        cache = build_loo_cache(data, MEAN)
+        x = data.features[0]
+        quarter = np.float32(0.25)
+        assert cv_plus(cache, IntervalSpec(quarter), x) == cv_plus(cache, IntervalSpec(0.25), x)
+        split = IntervalSpec(np.float32(0.2), alpha_lo=np.float32(0.1), alpha_hi=np.float32(0.1))
+        tail = float(np.float32(0.1))
+        assert cv_plus(cache, split, x) == cv_plus(
+            cache, IntervalSpec(float(np.float32(0.2)), alpha_lo=tail, alpha_hi=tail), x)
 
     def test_inflation_sign(self):
         with pytest.raises(ConfigError):
@@ -287,6 +311,22 @@ class TestCacheConstruction:
         assert cache.k_folds == worked.n
         assert cache.fold_of.tolist() == [0, 1, 2]
         np.testing.assert_array_equal(cache.residuals, [1.5, 1.5, 3.0])
+
+    def test_leave_one_out_holds_no_fold_labels(self, monkeypatch):
+        # An implicit leave-one-out partition is neither stored nor counted;
+        # fold_of is built when read.
+        def no_count(*args):
+            raise AssertionError("counted a leave-one-out partition")
+
+        monkeypatch.setattr(predint.intervals, "_fold_sizes", no_count)
+        monkeypatch.setattr(predint.regressors, "_fold_sizes", no_count)
+        train = attach_tau(gen_pathological_abc(50, 0.25, 0.05, seed=6), 2.0)
+        for reg in (MEAN, ParityAdversary(2.0)):
+            cache = build_loo_cache(train, reg)
+            assert cache.k_folds == 50 and "fold_of" not in vars(cache)
+            assert cache.fold_of.tolist() == list(range(50))
+            assert not cache.fold_of.flags.writeable
+            assert LooCache(train, reg).k_folds == 50
 
     def test_fold_partition_properties(self):
         data, _ = gen_gaussian_linear(17, 2, seed=1)
@@ -682,7 +722,7 @@ class TestGroupedQueries:
 def test_parity_queries_build_no_n_vector():
     # Two leave-one-out models against n = 20,000 rows: jackknife+ takes the
     # grouped path. The cache holds the signed residuals, model_of (one byte a
-    # row), fold_of and, from the first query on, the sorted residuals.
+    # row) and, from the first query on, the sorted residuals; no fold labels.
     n = 20_000
     train = attach_tau(gen_pathological_abc(n, 0.25, 0.05, seed=6), 1000.0)
     probes = gen_pathological_abc(10, 0.25, 0.05, seed=7).features
@@ -700,7 +740,7 @@ def test_parity_queries_build_no_n_vector():
         query_peak = tracemalloc.get_traced_memory()[1] - settled
     finally:
         tracemalloc.stop()
-    assert first_peak <= 3.5 * 8 * n
+    assert first_peak <= 2.5 * 8 * n
     assert query_peak <= 0.1 * 8 * n
 
 
@@ -737,6 +777,41 @@ class TestCrossConformalSweep:
     def test_tau_validation(self, worked_cache):
         with pytest.raises(ConfigError, match="tau"):
             cross_conformal_set(worked_cache, IntervalSpec(0.25), X_PROBE, 1.5)
+
+    @pytest.mark.parametrize("tau", ["0.5", True, 0.5 + 0j, math.nan], ids=repr)
+    def test_tau_must_be_a_real_number(self, worked_cache, tau):
+        with pytest.raises(ConfigError, match="tau must be a real number"):
+            cross_conformal_set(worked_cache, IntervalSpec(0.25), X_PROBE, tau)
+
+    def test_float32_tau_is_read_exactly(self, worked_cache):
+        spec = IntervalSpec(0.25)
+        assert cross_conformal_set(worked_cache, spec, X_PROBE, np.float32(0.5)) == \
+            cross_conformal_set(worked_cache, spec, X_PROBE, 0.5)
+
+
+def exact(level) -> Fraction:
+    """The exact value of a level; a float32 widens to a float exactly."""
+    return Fraction(float(level) if isinstance(level, np.floating) else level)
+
+
+class TestStrictNeeded:
+    """The integer threshold of the cross-conformal rank test against the
+    rational predicate of the pointwise oracle below."""
+
+    @pytest.mark.parametrize("alpha", [0, 1, 1 / 3, 0.1, 0.25, Fraction(2, 7), Decimal("0.1"),
+                                       np.float32(0.1), np.int64(0)], ids=repr)
+    def test_matches_the_rational_predicate(self, alpha):
+        taus = [0, 1, Fraction(1, 3), np.float32(0.3)] + derive_rng(7, "need-tau").random(6).tolist()
+        for n in range(1, 41):
+            threshold = exact(alpha) * (n + 1)
+            for tau in taus:
+                need = predint.intervals._strict_needed(n, alpha, tau)
+                tau_frac = exact(tau)
+                for equal in range(n + 1):
+                    strict = need(equal)
+                    # strict cases accept the cell and one fewer do not
+                    assert tau_frac * (1 + equal) + strict > threshold, (n, tau, equal)
+                    assert not tau_frac * (1 + equal) + strict - 1 > threshold, (n, tau, equal)
 
 
 def reference_cross_conformal_set(cache, spec, x, tau):
@@ -830,6 +905,14 @@ class TestCrossConformalOracle:
             if k == self.N:
                 assert np.count_nonzero(cache.residuals == 0.0) >= 2
             self.check(cache, probes, self.ALPHAS, self.TAUS)
+
+    @pytest.mark.parametrize("alpha", [Fraction(2, 7), Decimal("0.1"), Fraction(1, 4)], ids=str)
+    def test_exact_levels_and_taus(self, alpha):
+        # Levels that are no float, and tau at 0, 1 and random values.
+        train, probes = self.data("ties", self.N)
+        taus = [0.0, 1.0] + derive_rng(3, "cc-taus").random(3).tolist()
+        for k in (3, self.N):
+            self.check(LooCache(train, MEAN, self.partition(self.N, k)), probes, [alpha], taus)
 
     @pytest.mark.parametrize("k", [2, 3, 7])
     def test_integer_thresholds(self, k):

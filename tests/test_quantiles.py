@@ -8,6 +8,7 @@ genuinely wrong on boundary cases (see test_index_arithmetic_is_exact).
 """
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +76,43 @@ def test_overflow_to_infinities():
     # alpha = 1 underflows the other way.
     assert upper_quantile(v, 1.0) == -math.inf
     assert lower_quantile(v, 1.0) == math.inf
+
+
+# Every kind of real level the index arithmetic reads as an integer ratio.
+EXACT_LEVELS = [0, 1, 1 / 3, 0.1, 0.25, Fraction(2, 7), Decimal("0.1"), np.float32(0.1),
+                np.int64(0)]
+
+
+def exact(level) -> Fraction:
+    """The exact value of ``level``; a float32 widens to a float exactly."""
+    return Fraction(float(level) if isinstance(level, np.floating) else level)
+
+
+@pytest.mark.parametrize("alpha", EXACT_LEVELS, ids=repr)
+def test_indices_match_the_rational_formulas(alpha):
+    for n in range(1, 61):
+        assert upper_index(n, alpha) == math.ceil((1 - exact(alpha)) * (n + 1)), n
+        assert lower_index(n, alpha) == math.floor(exact(alpha) * (n + 1)), n
+
+
+def test_float32_levels_are_read_at_their_exact_value():
+    # float32(0.1) is 0.100000001490116..., about 1.5e-9 above the double
+    # 0.1: at n = 9 the indices agree, at n + 1 = 1e9 floor(alpha (n + 1))
+    # does not.
+    alpha = np.float32(0.1)
+    assert (upper_index(9, alpha), lower_index(9, alpha)) == (9, 1)
+    assert lower_index(10**9 - 1, alpha) == 100_000_001
+    assert lower_index(10**9 - 1, 0.1) == 100_000_000
+
+
+@pytest.mark.parametrize("bad_alpha", ["0.5", True, np.True_, 0.5 + 0j, math.inf,
+                                       np.float32("nan"), Decimal("nan"), None], ids=repr)
+def test_alpha_must_be_a_real_number(bad_alpha):
+    upper_index(9, 1)  # a memoised 1 must not answer for True
+    with pytest.raises(ConfigError, match="alpha must be a real number"):
+        upper_index(9, bad_alpha)
+    with pytest.raises(ConfigError, match="alpha must be a real number"):
+        lower_quantile([1.0, 2.0], bad_alpha)
 
 
 def test_index_endpoints():

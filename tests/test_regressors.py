@@ -238,6 +238,27 @@ class TestParityAdversary:
         for x in probes:
             np.testing.assert_array_equal(fast.predictions_at(x), refit.predictions_at(x))
 
+    def test_implicit_leave_one_out_matches_refits_bitwise(self):
+        # With no fold labels each row's sign is B_i * prod(B); negating one
+        # B flips the product, so both of its signs are covered.
+        tau = 5.0
+        drawn = attach_tau(gen_pathological_abc(40, 0.25, 0.3, seed=9), tau)
+        flipped = drawn.features.copy()
+        flipped[0, 1] = -flipped[0, 1]
+        probes = gen_pathological_abc(20, 0.25, 0.3, seed=10).features
+        products = set()
+        for X in (drawn.features, flipped):
+            train = Dataset(X, drawn.responses)
+            products.add(float(np.prod(X[:, 1])))
+            fast = LooCache(train, ParityAdversary(tau=tau))
+            refit = LooCache(train, RefitParity(tau=tau))
+            assert len(fast.models) == 2 and fast.k_folds == refit.k_folds == 40
+            assert [m.hex() for m in fast.signed_residuals] == \
+                [m.hex() for m in refit.signed_residuals]
+            for x in probes:
+                np.testing.assert_array_equal(fast.predictions_at(x), refit.predictions_at(x))
+        assert products == {1.0, -1.0}
+
     @pytest.mark.parametrize("grouped", [False, True], ids=["buffer", "grouped"])
     def test_jackknife_plus_matches_the_refit_cache(self, grouped, monkeypatch):
         # The shortcut's one-byte model index, on both query paths, against

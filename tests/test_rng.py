@@ -15,6 +15,7 @@ import pytest
 import predint
 import predint.cli
 from predint import (
+    METHOD_TOKENS,
     ConfigError,
     MinNormOLS,
     SplitSpec,
@@ -121,11 +122,33 @@ def run_probe(source, *argv):
                           capture_output=True, text=True, check=True)
 
 
-def loaded_modules(*argv, watched=_HEAVY):
-    done = run_probe(_PROBE, ",".join(watched), *argv)
-    rc, *modules = done.stdout.split()
-    assert rc == "0", done.stderr
+def loaded_modules(*argv, watched=_HEAVY, prelude="", rc=0):
+    """The watched modules that ``main(argv)`` loads, run after ``prelude``
+    in a fresh interpreter; the exit code must be ``rc``."""
+    done = run_probe(prelude + _PROBE, ",".join(watched), *argv)
+    code, *modules = done.stdout.split()
+    assert code == str(rc), done.stderr
     return modules
+
+
+# fractions imports decimal (and its accelerator _decimal); json its encoder
+# and decoder. Index arithmetic runs on each level's integer ratio, and only
+# a failed audit writes JSON, so no other run needs them.
+_EXACT = ["fractions", "decimal", "_decimal", "json"]
+# Every "leave-one-out" fit of LeakyOLS sees its own row, so its intervals are
+# too narrow and an audit of it finds violations.
+_LEAKY_OLS = """
+import numpy as np
+import predint.cli
+from predint import MinNormOLS
+
+class LeakyOLS(MinNormOLS):
+    def fit_folds(self, train, fold_of=None):
+        full = self.fit(train)
+        return [full], np.zeros(train.n, dtype=np.intp), full.predict_many(train.features)
+
+predint.cli.make_regressor = lambda *args, **kwargs: LeakyOLS()
+"""
 
 
 class TestImportHygiene:
@@ -157,6 +180,24 @@ class TestImportHygiene:
     def test_cross_conformal_does_not_load_numpy_ma(self, intervals_argv):
         argv = intervals_argv + ["--method", "cross-conformal", "--k", "2"]
         assert loaded_modules(*argv, watched=["numpy.ma"]) == []
+
+    def test_exact_levels_need_no_fractions_decimal_or_json(self, intervals_argv, tmp_path):
+        replay = tmp_path / "replay.json"
+        every_method = [arg for m in METHOD_TOKENS for arg in ("--method", m)]
+        audit = ["audit", "--trials", "20", "--n", "8", "--d", "3", "--alpha", "0.2",
+                 "--out", str(tmp_path / "audit.csv"), "--replay-out", str(replay)]
+        # (argv, prelude, exit code, the watched modules the run loads)
+        table = {
+            "import predint.cli": ([], "", 0, []),
+            "intervals, every method": (intervals_argv + every_method + ["--k", "2"], "", 0, []),
+            "simulate coverage-mc": (["simulate", "--experiment", "coverage-mc", "--trials", "1",
+                                      "--out", str(tmp_path / "mc.csv")], "", 0, []),
+            "audit with a violation": (audit, _LEAKY_OLS, 1, ["json"]),
+        }
+        for name, (argv, prelude, rc, loaded) in table.items():
+            assert loaded_modules(*argv, watched=_EXACT, prelude=prelude, rc=rc) == loaded, name
+        records = json.loads(replay.read_text())
+        assert records and all(record["violations"] for record in records)
 
     def test_the_console_script_keeps_openssl_out(self, tmp_path):
         argv = ["simulate", "--experiment", "coverage-mc", "--trials", "1", "--seed", "5"]
