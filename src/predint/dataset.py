@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, _require_int
+from .errors import ConfigError, DataError, _require_int, _require_real
 from .rng import _seeded_rng
 
 __all__ = [
@@ -241,7 +241,7 @@ class SplitSpec:
                 raise ConfigError("explicit splits need both index lists")
         elif self.holdout_fraction is None:
             raise ConfigError("either holdout_fraction or explicit indices required")
-        elif not 0 < self.holdout_fraction < 1:
+        elif not 0 < _require_real("holdout_fraction", self.holdout_fraction) < 1:
             raise ConfigError(
                 f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}"
             )
@@ -319,6 +319,6 @@ def gen_pathological_abc(n: int, alpha: float, gamma: float, seed: int) -> Datas
 
 def attach_tau(data: Dataset, tau: float) -> Dataset:
     """Responses Y_i = tau * A_i, with A the first feature column."""
-    if not math.isfinite(tau):
+    if not math.isfinite(_require_real("tau", tau)):
         raise ConfigError(f"tau must be finite, got {tau}")
     return Dataset._adopt(data.features, tau * data.features[:, 0])

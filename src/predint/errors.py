@@ -23,3 +23,11 @@ def _require_int(name: str, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _require_real(name: str, value):
+    """``value`` itself if it is a real number (not a bool), else a
+    ConfigError naming the setting ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return value

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, SplitSpec, attach_tau, gen_gaussian_linear, gen_pathological_abc
-from .errors import ConfigError, DataError, _require_int
+from .errors import ConfigError, DataError, _require_int, _require_real
 from .intervals import (
     METHOD_TOKENS,
     GridSpec,
@@ -33,7 +33,7 @@ from .intervals import (
     cross_conformal_set,
     cv_plus,
     full_conformal_set,
-    jackknife_from_cache,
+    jackknife,
     jackknife_minmax,
     jackknife_plus,
 )
@@ -149,7 +149,7 @@ def _cache_k(mspec: MethodSpec, n: int) -> int | None:
 
 
 _FROM_CACHE = {
-    "jackknife": jackknife_from_cache,
+    "jackknife": jackknife,
     "jackknife+": jackknife_plus,
     "jackknife-mm": jackknife_minmax,
     "cv+": cv_plus,
@@ -468,11 +468,11 @@ def pathology_parity(
     slack 6*sqrt(log(n)/n) exceeds alpha, since the coverage window is then
     too loose to demonstrate anything.
     """
-    if not eps > 0:
+    if not _require_real("eps", eps) > 0:
         raise ConfigError(f"eps must be > 0, got {eps}")
     if not math.isfinite(eps):
         raise ConfigError(f"eps must be finite, got {eps}")
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < _require_real("alpha", alpha) < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     if _require_int("n_test", n_test) < 1:
         raise ConfigError(f"n_test must be >= 1, got {n_test}")
@@ -490,7 +490,7 @@ def pathology_parity(
         )
     if gamma is None:
         gamma = (2.15 / alpha) * math.sqrt(math.log(n) / n)
-    if not 0.0 < gamma < 1.0:
+    if not 0.0 < _require_real("gamma", gamma) < 1.0:
         raise ConfigError(f"gamma must be in (0, 1), got {gamma}")
     if tau is None:
         tau = eps * n

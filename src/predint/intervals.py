@@ -1,9 +1,11 @@
 """Prediction intervals and sets from leave-one-out and K-fold residuals.
 
-Eight constructions share the two corrected quantile operators:
+Eight constructions share the two corrected quantile operators. Naive
+(in-sample residual quantile around the full fit) and split (holdout residual
+quantile around the split fit) are built only by
+:func:`predint.experiments.evaluate_methods`. The other six are public here;
+the four intervals take ``(cache, spec, x)``, ``cache`` a :class:`LooCache`:
 
-* ``naive_interval``     - in-sample residual quantile around the full fit
-* ``split_conformal``    - holdout residual quantile around the split fit
 * ``jackknife``          - leave-one-out residual quantile around the full fit
 * ``jackknife_plus``     - quantiles of per-point leave-one-out predictions
                            shifted by their own residuals
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, SplitSpec
-from .errors import ConfigError, DataError, _require_int
+from .dataset import Dataset
+from .errors import ConfigError, DataError, _require_int, _require_real
 from .quantiles import (
     _check_alpha,
     _exact_ratio,
@@ -54,16 +56,12 @@ __all__ = [
     "PredictionSet",
     "LooCache",
     "build_loo_cache",
-    "naive_interval",
-    "split_conformal",
     "jackknife",
-    "jackknife_from_cache",
     "jackknife_plus",
     "jackknife_minmax",
     "cv_plus",
     "cross_conformal_set",
     "full_conformal_set",
-    "interval_about",
     "METHOD_TOKENS",
 ]
 
@@ -97,7 +95,8 @@ class IntervalSpec:
 
     def __post_init__(self):
         p, q = _check_alpha(self.alpha)
-        if not (math.isfinite(self.inflation_eps) and self.inflation_eps >= 0.0):
+        if not (math.isfinite(_require_real("inflation_eps", self.inflation_eps))
+                and self.inflation_eps >= 0.0):
             raise ConfigError(f"inflation_eps must be finite and >= 0, got {self.inflation_eps}")
         if (self.alpha_lo is None) != (self.alpha_hi is None):
             raise ConfigError("asymmetric mode needs both alpha_lo and alpha_hi")
@@ -138,7 +137,7 @@ class GridSpec:
         if _require_int("num_points", self.num_points) < 2:
             raise ConfigError(f"grid needs at least 2 points, got {self.num_points}")
         for bound in (self.lower, self.upper):
-            if bound is not None and not math.isfinite(bound):
+            if bound is not None and not math.isfinite(_require_real("grid bounds", bound)):
                 raise ConfigError(f"grid bounds must be finite, got {bound}")
         if self.lower is not None and self.upper is not None and self.lower > self.upper:
             raise ConfigError("grid lower bound exceeds upper bound")
@@ -395,55 +394,20 @@ def _fixed_center_interval(center_lo, center_hi, quantiles, spec) -> PredictionI
 
 
 def _about(model: FittedModel, quantiles, spec: IntervalSpec, x) -> PredictionInterval:
-    """:func:`interval_about` with the residual quantiles read from
-    ``quantiles``, a :class:`_ResidualQuantiles`."""
+    """Residual-quantile interval around ``model``'s prediction at x, with the
+    residual quantiles read from ``quantiles``, a :class:`_ResidualQuantiles`.
+
+    Shared core of naive, split and jackknife: only the model and the residual
+    source differ between the three.
+    """
     center = model.predict(x)
     if not math.isfinite(center):
         raise DataError(f"the prediction at the query point is not finite, got {center}")
     return _fixed_center_interval(center, center, quantiles, spec)
 
 
-def interval_about(model: FittedModel, signed_residuals, spec: IntervalSpec, x) -> PredictionInterval:
-    """Residual-quantile interval around ``model``'s prediction at x.
-
-    Shared core of naive, split, and jackknife: only the residual source
-    differs between the three.
-    """
-    return _about(model, _ResidualQuantiles(signed_residuals), spec, x)
-
-
-def naive_interval(
-    train: Dataset, regressor: Regressor, spec: IntervalSpec, x
-) -> PredictionInterval:
-    """Full-fit prediction plus an in-sample residual quantile.
-
-    No coverage guarantee: an interpolating fit has zero in-sample residuals
-    and produces a zero-width interval.
-    """
-    model = regressor.fit(train)
-    signed = train.responses - model.predict_many(train.features)
-    return interval_about(model, signed, spec, x)
-
-
-def split_conformal(
-    train: Dataset, regressor: Regressor, spec: IntervalSpec, split: SplitSpec, x
-) -> PredictionInterval:
-    """Fit on one part, take the corrected residual quantile on the holdout."""
-    fit_idx, holdout_idx = split.resolve(train.n)
-    model = regressor.fit(train.take(fit_idx))
-    holdout = train.take(holdout_idx)
-    signed = holdout.responses - model.predict_many(holdout.features)
-    return interval_about(model, signed, spec, x)
-
-
-def jackknife(
-    train: Dataset, regressor: Regressor, spec: IntervalSpec, x
-) -> PredictionInterval:
+def jackknife(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval:
     """Full-fit prediction plus a leave-one-out residual quantile."""
-    return jackknife_from_cache(build_loo_cache(train, regressor), spec, x)
-
-
-def jackknife_from_cache(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval:
     _require_loo(cache, "jackknife")
     return _about(cache.full_model, cache._quantiles, spec, x)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError, DataError, _require_int
+from .errors import ConfigError, DataError, _require_int, _require_real
 
 __all__ = [
     "FittedModel",
@@ -180,7 +180,8 @@ class Ridge(Regressor):
     intercept: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.lambda_rel) and self.lambda_rel >= 0):
+        if not (math.isfinite(_require_real("ridge lambda_rel", self.lambda_rel))
+                and self.lambda_rel >= 0):
             raise ConfigError(f"ridge lambda_rel must be finite and >= 0, got {self.lambda_rel}")
 
     def _fit(self, X, y):
@@ -260,7 +261,7 @@ class Memorizer(Regressor):
     eps: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.eps) and self.eps > 0):
+        if not (math.isfinite(_require_real("memorizer eps", self.eps)) and self.eps > 0):
             raise ConfigError(f"memorizer eps must be finite and > 0, got {self.eps}")
 
     def _fit(self, X, y):
@@ -284,7 +285,7 @@ class ParityAdversary(Regressor):
     tau: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.tau):
+        if not math.isfinite(_require_real("tau", self.tau)):
             raise ConfigError(f"tau must be finite, got {self.tau}")
 
     def _fit(self, X, y):

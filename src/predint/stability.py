@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .dataset import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, _require_int, _require_real
+from .quantiles import _check_alpha
 from .regressors import Regressor
 from .rng import derive_seed
 
@@ -70,11 +71,11 @@ def estimate_stability(
     """
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
-    if not (math.isfinite(epsilon) and epsilon >= 0):
+    if not (math.isfinite(_require_real("epsilon", epsilon)) and epsilon >= 0):
         raise ConfigError(f"epsilon must be finite and >= 0, got {epsilon}")
-    if n < 2:
+    if _require_int("n", n) < 2:
         raise ConfigError(f"n must be >= 2, got {n}")
-    if trials < 1:
+    if _require_int("trials", trials) < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
 
     violations = 0
@@ -99,12 +100,11 @@ def coverage_lower_bounds(alpha: float, nu: float, n: int, k_folds: int) -> dict
     for jackknife+ and naive). ``cv_plus`` is the K-fold bound; its slack
     term never exceeds sqrt(2/n), recorded as ``cv_plus_floor``.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
-    if not 0.0 <= nu <= 1.0:
-        raise ConfigError(f"nu must be in [0, 1], got {nu}")
-    if n < 1 or not 1 <= k_folds <= n:
+    _check_alpha(alpha)
+    _check_alpha(nu, "nu")
+    if _require_int("n", n) < 1 or not 1 <= _require_int("k_folds", k_folds) <= n:
         raise ConfigError(f"need 1 <= k_folds <= n, got k_folds={k_folds}, n={n}")
+    alpha, nu = float(alpha), float(nu)  # a Decimal level meets float terms
 
     root = math.sqrt(nu)
     slack = min(

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from predint import (
@@ -25,9 +26,9 @@ from predint import (
     jackknife_plus,
     load_csv,
     load_features_csv,
-    naive_interval,
+    lower_quantile,
     save_csv,
-    split_conformal,
+    upper_quantile,
 )
 import predint.cli
 import predint.dataset
@@ -192,7 +193,9 @@ ALL_METHODS = INTERVAL_METHODS + ("cross-conformal", "full-conformal")
 
 
 class TestIntervalsOracle:
-    """Every `intervals` row equals the one-shot library function it names."""
+    """Every `intervals` row equals its method built here from the library's
+    public parts: naive and split from their definitions (a fit and its
+    residual quantiles), the other six from their public functions."""
 
     SEED = 5
     K = 2
@@ -205,6 +208,20 @@ class TestIntervalsOracle:
         save_csv(data.tail_from(12), str(test))
         return str(train), str(test)
 
+    @staticmethod
+    def about(model, signed, spec, x):
+        """The interval around ``model``'s prediction at x from the corrected
+        quantiles of the residuals ``signed``: signed ones at alpha_lo and
+        alpha_hi, or -+ the absolute one at alpha."""
+        center = model.predict(x)
+        if spec.asymmetric:
+            q_lo = lower_quantile(signed, spec.alpha_lo)
+            q_hi = upper_quantile(signed, spec.alpha_hi)
+        else:
+            q_hi = upper_quantile(np.abs(signed), spec.alpha)
+            q_lo = -q_hi
+        return PredictionInterval(center + q_lo, center + q_hi)
+
     def reference_rows(self, train_path, test_path, spec, methods):
         train = load_csv(train_path, "y")
         X_test, _ = load_features_csv(test_path, "y")
@@ -214,11 +231,15 @@ class TestIntervalsOracle:
             train, reg, self.K, fold_seed=derive_seed(self.SEED, f"folds/{self.K}")
         )
         taus = derive_rng(self.SEED, "tau").random(len(X_test))
-        split = SplitSpec(holdout_fraction=0.5, seed=derive_seed(self.SEED, "split"))
-        one_shot = {
-            "naive": lambda x, tau: naive_interval(train, reg, spec, x),
-            "split": lambda x, tau: split_conformal(train, reg, spec, split, x),
-            "jackknife": lambda x, tau: jackknife(train, reg, spec, x),
+        full = reg.fit(train)
+        kept, held_out = SplitSpec(0.5, seed=derive_seed(self.SEED, "split")).resolve(train.n)
+        split, held = reg.fit(train.take(kept)), train.take(held_out)
+        reference = {
+            "naive": lambda x, tau: self.about(
+                full, train.responses - full.predict_many(train.features), spec, x),
+            "split": lambda x, tau: self.about(
+                split, held.responses - split.predict_many(held.features), spec, x),
+            "jackknife": lambda x, tau: jackknife(loo, spec, x),
             "jackknife+": lambda x, tau: jackknife_plus(loo, spec, x),
             "jackknife-mm": lambda x, tau: jackknife_minmax(loo, spec, x),
             "cv+": lambda x, tau: cv_plus(folds, spec, x),
@@ -226,7 +247,7 @@ class TestIntervalsOracle:
             "full-conformal": lambda x, tau: full_conformal_set(train, reg, spec, x, GridSpec()),
         }
         return [
-            [str(j), m, *format_object(one_shot[m](x, float(taus[j])))]
+            [str(j), m, *format_object(reference[m](x, float(taus[j])))]
             for j, x in enumerate(X_test)
             for m in methods
         ]
@@ -239,7 +260,8 @@ class TestIntervalsOracle:
         ],
         ids=["symmetric", "asymmetric"],
     )
-    def test_rows_match_the_one_shot_functions(self, tmp_path, seeded_files, levels, methods):
+    def test_rows_match_the_reference_constructions(self, tmp_path, seeded_files, levels,
+                                                    methods):
         train, test = seeded_files
         argv = ["intervals", "--train", train, "--test", test, "--k", str(self.K),
                 "--seed", str(self.SEED)]

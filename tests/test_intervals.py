@@ -35,6 +35,7 @@ from predint import (
     IntervalSpec,
     LooCache,
     Memorizer,
+    MethodSpec,
     MinNormOLS,
     ParityAdversary,
     PredictionInterval,
@@ -45,16 +46,15 @@ from predint import (
     cross_conformal_set,
     cv_plus,
     derive_rng,
+    derive_seed,
+    evaluate_methods,
     full_conformal_set,
     gen_gaussian_linear,
     gen_pathological_abc,
     jackknife,
-    jackknife_from_cache,
     jackknife_minmax,
     jackknife_plus,
     lower_quantile,
-    naive_interval,
-    split_conformal,
     upper_quantile,
 )
 
@@ -74,6 +74,12 @@ def worked_cache(worked):
 
 def endpoints(iv):
     return (iv.lower, iv.upper)
+
+
+def evaluated(train, token, spec, seed=0):
+    """The object ``evaluate_methods`` builds for ``token`` at X_PROBE: naive
+    and split have no other public builder."""
+    return evaluate_methods(train, [X_PROBE], MEAN, [MethodSpec(token)], [spec], seed)[0][0][0]
 
 
 class TestIntervalSpec:
@@ -184,11 +190,11 @@ class TestPredictionSet:
 
 class TestWorkedExamples:
     def test_naive(self, worked):
-        iv = naive_interval(worked, MEAN, IntervalSpec(0.25), X_PROBE)
+        iv = evaluated(worked, "naive", IntervalSpec(0.25))
         assert endpoints(iv) == (-1.0, 3.0)
 
-    def test_jackknife(self, worked):
-        iv = jackknife(worked, MEAN, IntervalSpec(0.25), X_PROBE)
+    def test_jackknife(self, worked_cache):
+        iv = jackknife(worked_cache, IntervalSpec(0.25), X_PROBE)
         assert endpoints(iv) == (-2.0, 4.0)
 
     def test_jackknife_plus(self, worked_cache):
@@ -201,10 +207,12 @@ class TestWorkedExamples:
 
     def test_split(self):
         data = Dataset([[0.0], [1.0], [2.0], [3.0]], [0.0, 0.0, 3.0, 9.0])
-        spec = SplitSpec(train_indices=(0, 1), holdout_indices=(2, 3))
+        # At seed 9 the split keeps rows (0, 1) and holds out rows (2, 3).
+        kept, held = SplitSpec(0.5, seed=derive_seed(9, "split")).resolve(4)
+        assert (kept.tolist(), held.tolist()) == ([0, 1], [2, 3])
         # Fit mean 0 on rows (0, 1); holdout residuals (3, 9); the upper
         # quantile at alpha = 0.5 is the ceil(0.5 * 3) = 2nd smallest, 9.
-        iv = split_conformal(data, MEAN, IntervalSpec(0.5), spec, X_PROBE)
+        iv = evaluated(data, "split", IntervalSpec(0.5), seed=9)
         assert endpoints(iv) == (-9.0, 9.0)
 
     def test_cv_plus_two_folds(self):
@@ -243,10 +251,8 @@ class TestModes:
         base = IntervalSpec(0.25)
         fat = IntervalSpec(0.25, inflation_eps=0.5)
         pairs = [
-            (naive_interval(worked, MEAN, base, X_PROBE),
-             naive_interval(worked, MEAN, fat, X_PROBE)),
-            (jackknife_from_cache(worked_cache, base, X_PROBE),
-             jackknife_from_cache(worked_cache, fat, X_PROBE)),
+            (evaluated(worked, "naive", base), evaluated(worked, "naive", fat)),
+            (jackknife(worked_cache, base, X_PROBE), jackknife(worked_cache, fat, X_PROBE)),
             (jackknife_plus(worked_cache, base, X_PROBE),
              jackknife_plus(worked_cache, fat, X_PROBE)),
             (jackknife_minmax(worked_cache, base, X_PROBE),
@@ -268,7 +274,7 @@ class TestModes:
         # alpha_lo = alpha_hi = 0.25 the lower tail takes the floor(0.25*4) =
         # 1st smallest (-1) and the upper the ceil(0.75*4) = 3rd smallest (2).
         spec = IntervalSpec(0.5, alpha_lo=0.25, alpha_hi=0.25)
-        iv = naive_interval(worked, MEAN, spec, X_PROBE)
+        iv = evaluated(worked, "naive", spec)
         assert endpoints(iv) == (0.0, 3.0)
 
     def test_asymmetric_splits_the_budget(self, worked_cache):
@@ -297,7 +303,7 @@ class TestOverflow:
         assert iv.contains(1e300)
 
     def test_alpha_zero(self, worked):
-        iv = naive_interval(worked, MEAN, IntervalSpec(0.0), X_PROBE)
+        iv = evaluated(worked, "naive", IntervalSpec(0.0))
         assert endpoints(iv) == (-math.inf, math.inf)
 
     def test_cross_conformal_accepts_everything_at_alpha_zero(self, worked_cache):
@@ -389,7 +395,7 @@ class TestCacheConstruction:
         spec = IntervalSpec(0.25)
         two = LooCache(data, MEAN, [0, 0, 1, 1])
         assert two.k_folds == 2
-        for method in (jackknife_from_cache, jackknife_plus, jackknife_minmax):
+        for method in (jackknife, jackknife_plus, jackknife_minmax):
             with pytest.raises(ConfigError, match="leave-one-out"):
                 method(two, spec, X_PROBE)
         one = LooCache(data, MEAN, [2, 2, 2, 2])
@@ -423,7 +429,7 @@ class TestCacheConstruction:
         with pytest.raises(ConfigError, match="2 folds"):
             cv_plus(loo1, IntervalSpec(0.25), X_PROBE)
         with pytest.raises(ConfigError, match="at least 2"):
-            jackknife(Dataset([[0.0]], [1.0]), MEAN, IntervalSpec(0.25), X_PROBE)
+            jackknife(loo1, IntervalSpec(0.25), X_PROBE)
         with pytest.raises(ConfigError, match=r"jackknife\+ needs at least 2 training rows"):
             jackknife_plus(loo1, IntervalSpec(0.25), X_PROBE)
 
@@ -529,7 +535,7 @@ class TestStructuralRelations:
         cache = build_loo_cache(train, reg)
         spec = IntervalSpec(0.25)
         base = {
-            "jk": endpoints(jackknife_from_cache(cache, spec, x)),
+            "jk": endpoints(jackknife(cache, spec, x)),
             "jk+": endpoints(jackknife_plus(cache, spec, x)),
             "mm": endpoints(jackknife_minmax(cache, spec, x)),
             "cc": [
@@ -541,7 +547,7 @@ class TestStructuralRelations:
         for _ in range(5):
             shuffled = train.take(rng.permutation(train.n))
             c2 = build_loo_cache(shuffled, reg)
-            assert endpoints(jackknife_from_cache(c2, spec, x)) == base["jk"]
+            assert endpoints(jackknife(c2, spec, x)) == base["jk"]
             assert endpoints(jackknife_plus(c2, spec, x)) == base["jk+"]
             assert endpoints(jackknife_minmax(c2, spec, x)) == base["mm"]
             got = [

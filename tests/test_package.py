@@ -1,9 +1,10 @@
-"""The package surface: what ``predint`` exports, and integer settings at the
-API boundary."""
+"""The package surface: what ``predint`` exports, integer and real settings at
+the API boundary, and the names README's methods table gives."""
 
 import ast
 import importlib
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -14,10 +15,17 @@ from predint import (
     ConfigError,
     Dataset,
     GridSpec,
+    IntervalSpec,
     MethodSpec,
+    Memorizer,
     MinNormOLS,
+    ParityAdversary,
+    Ridge,
+    SplitSpec,
+    attach_tau,
     build_loo_cache,
     default_method_list,
+    estimate_stability,
     figure2_experiment,
     gen_gaussian_linear,
     gen_pathological_abc,
@@ -97,6 +105,11 @@ def test_no_module_keeps_an_unused_import(path):
 TRAIN = Dataset(np.arange(12.0).reshape(6, 2), np.arange(6.0))
 
 
+def gaussian_rows(size, seed):
+    """A stability sampler: ``size`` Gaussian linear rows in 2 dimensions."""
+    return gen_gaussian_linear(size, 2, seed)[0]
+
+
 @pytest.mark.parametrize(
     "name, make",
     [
@@ -132,14 +145,59 @@ def test_integer_settings_reject_non_integers(name, make):
         ("trials", lambda v: run_audit(v, 3, 0.25, MinNormOLS())),
         ("n", lambda v: run_audit(1, v, 0.25, MinNormOLS())),
         ("d", lambda v: run_audit(1, 3, 0.25, MinNormOLS(), d=v)),
+        ("n", lambda v: estimate_stability(MinNormOLS(), gaussian_rows, n=v, epsilon=0.1,
+                                           trials=2)),
+        ("trials", lambda v: estimate_stability(MinNormOLS(), gaussian_rows, n=5, epsilon=0.1,
+                                                trials=v)),
     ],
     ids=["figure2_experiment.trials", "run_coverage_mc.trials", "pathology_memorizer.trials",
          "pathology_parity.trials", "gen_gaussian_linear.n", "gen_gaussian_linear.d",
          "gen_pathological_abc.n", "pathology_parity.n", "pathology_parity.n_test",
-         "run_audit.trials", "run_audit.n", "run_audit.d"],
+         "run_audit.trials", "run_audit.n", "run_audit.d", "estimate_stability.n",
+         "estimate_stability.trials"],
 )
 def test_integer_sizes_reject_non_integers(name, make):
     # Sizes reach range() or numpy shapes, which raised a raw TypeError.
     for bad in (2.5, 40_000.0, np.float64(3.0), "3", True):
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             make(bad)
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("inflation_eps", lambda v: IntervalSpec(0.1, inflation_eps=v)),
+        ("grid bounds", lambda v: GridSpec(lower=v)),
+        ("grid bounds", lambda v: GridSpec(upper=v)),
+        ("ridge lambda_rel", lambda v: Ridge(lambda_rel=v)),
+        ("memorizer eps", lambda v: Memorizer(eps=v)),
+        ("tau", lambda v: ParityAdversary(tau=v)),
+        ("tau", lambda v: attach_tau(TRAIN, v)),
+        ("epsilon", lambda v: estimate_stability(MinNormOLS(), gaussian_rows, n=5, epsilon=v)),
+        ("eps", lambda v: pathology_parity(n=40_000, eps=v, trials=1, n_test=10)),
+        ("alpha", lambda v: pathology_parity(n=40_000, alpha=v, trials=1, n_test=10)),
+        ("gamma", lambda v: pathology_parity(n=40_000, gamma=v, trials=1, n_test=10)),
+        ("holdout_fraction", lambda v: SplitSpec(holdout_fraction=v)),
+    ],
+    ids=["IntervalSpec.inflation_eps", "GridSpec.lower", "GridSpec.upper", "Ridge.lambda_rel",
+         "Memorizer.eps", "ParityAdversary.tau", "attach_tau.tau", "estimate_stability.epsilon",
+         "pathology_parity.eps", "pathology_parity.alpha", "pathology_parity.gamma",
+         "SplitSpec.holdout_fraction"],
+)
+def test_real_settings_reject_non_reals(name, make):
+    # Each reached a float comparison or math.isfinite, which raised a raw
+    # TypeError on a string or accepted a bool as 0 or 1.
+    for bad in ("1", True, 1j):
+        with pytest.raises(ConfigError, match=f"{name} must be a real number"):
+            make(bad)
+
+
+def test_methods_table_names_resolve():
+    # Every backticked name in the first column of README's methods table is
+    # a name predint exports, so the table cannot name a retired function.
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Methods and guarantees", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")][2:]
+    names = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert len(names) >= 8
+    assert not [name for name in names if not hasattr(predint, name)]

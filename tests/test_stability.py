@@ -1,6 +1,8 @@
 """Stability estimation and the coverage floors derived from it."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -102,6 +104,9 @@ class TestCoverageLowerBounds:
         assert b["jackknife_eps_inflated"] == 0.9
         assert b["jackknife_plus_2eps_inflated"] == 0.9
         assert b["naive_2eps_inflated"] == 0.9
+        # An exact level gives the floors of its nearest float.
+        for alpha in (Fraction(1, 10), Decimal("0.1")):
+            assert coverage_lower_bounds(alpha, 0, 100, 10) == b
 
     def test_stability_terms_scale_with_sqrt_nu(self):
         b = coverage_lower_bounds(alpha=0.1, nu=0.01, n=100, k_folds=10)
@@ -141,3 +146,14 @@ class TestCoverageLowerBounds:
             coverage_lower_bounds(0.1, 0.0, 10, 0)
         with pytest.raises(ConfigError, match="k_folds"):
             coverage_lower_bounds(0.1, 0.0, 10, 11)
+        # Checked at the boundary: a string raised a raw TypeError, and a
+        # bool level or a float size was accepted.
+        for args, message in [
+            (("0.1", 0.0, 10, 2), "alpha must be a real number"),
+            ((True, 0.0, 10, 2), "alpha must be a real number"),
+            ((0.1, "0", 10, 2), "nu must be a real number"),
+            ((0.1, 0.0, 10.5, 2), "n must be an integer"),
+            ((0.1, 0.0, 10, 2.0), "k_folds must be an integer"),
+        ]:
+            with pytest.raises(ConfigError, match=message):
+                coverage_lower_bounds(*args)
