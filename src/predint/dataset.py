@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, _require_int, _require_real
-from .rng import _seeded_rng
+from .rng import _permutation, _seeded_rng
 
 __all__ = [
     "Dataset",
@@ -224,8 +224,9 @@ def save_csv(
 class SplitSpec:
     """How to split rows into a kept part and a held-out part.
 
-    Either give ``holdout_fraction`` (rows are shuffled with ``seed`` and the
-    first round(n * fraction) go to the holdout) or give both explicit index
+    Either give ``holdout_fraction`` (rows are shuffled by the stable argsort
+    of n uniforms of ``random.Random(seed)``, and the first
+    round(n * fraction) go to the holdout) or give both explicit index
     tuples, which must partition range(n).
     """
 
@@ -261,7 +262,7 @@ class SplitSpec:
         size = min(max(size, 1), n - 1)
         if n < 2:
             raise ConfigError("cannot split fewer than 2 rows")
-        perm = _seeded_rng(self.seed).permutation(n)
+        perm = _permutation(self.seed, n)
         return np.sort(perm[size:]), np.sort(perm[:size])
 
 

@@ -38,7 +38,7 @@ from .intervals import (
     jackknife_plus,
 )
 from .regressors import Memorizer, MinNormOLS, ParityAdversary, Regressor, make_regressor
-from .rng import derive_rng, derive_seed
+from .rng import _uniforms, derive_rng, derive_seed
 from .stability import coverage_lower_bounds
 
 __all__ = [
@@ -72,6 +72,8 @@ class MethodSpec:
             )
         if self.k_folds is not None and _require_int("k_folds", self.k_folds) < 1:
             raise ConfigError(f"k_folds must be >= 1, got {self.k_folds}")
+        if not 0 < _require_real("split_holdout", self.split_holdout) < 1:
+            raise ConfigError(f"split_holdout must be in (0, 1), got {self.split_holdout}")
 
     @property
     def label(self) -> str:
@@ -177,8 +179,10 @@ def evaluate_methods(
     jackknife reads it and shared through the leave-one-out cache when there
     is one, one split fit per holdout fraction
     (seed ``derive_seed(seed, "split")``), and one cross-conformal tau per
-    query row from ``derive_rng(seed, "tau")``, shared across levels. Each
-    residual quantile is computed once per residual vector and level.
+    query row, shared across levels: the uniforms of
+    ``random.Random(derive_seed(seed, "tau"))``, so no draw here loads
+    ``numpy.random``. Each residual quantile is computed once per residual
+    vector and level.
     """
     X_test = np.asarray(X_test, dtype=float)
     if X_test.ndim != 2 or X_test.shape[1] != train.d:
@@ -210,7 +214,9 @@ def evaluate_methods(
         splits[holdout] = (
             model, _ResidualQuantiles(held.responses - model.predict_many(held.features))
         )
-    taus = derive_rng(seed, "tau").random(len(X_test)) if "cross-conformal" in tokens else None
+    taus = None
+    if "cross-conformal" in tokens:
+        taus = _uniforms(derive_seed(seed, "tau"), len(X_test))
 
     def construction(mspec: MethodSpec):
         """(spec, j) -> object for one method."""

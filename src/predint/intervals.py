@@ -47,7 +47,7 @@ from .quantiles import (
     upper_quantile,
 )
 from .regressors import FittedModel, Regressor, _fold_sizes, canonical_order
-from .rng import _seeded_rng
+from .rng import _permutation
 
 __all__ = [
     "IntervalSpec",
@@ -332,9 +332,10 @@ def build_loo_cache(
     """Fit the K fold models (K defaults to n, i.e. leave-one-out) through
     :meth:`Regressor.fit_folds`.
 
-    The fold partition is dealt uniformly at random (seeded) over the
-    canonical row order, so it is a function of row content, not row order.
-    At K = n every fold is a singleton, so ``fold_seed`` is unused. With
+    The fold partition is dealt uniformly at random over the canonical row
+    order, so it is a function of row content, not row order: the deal is
+    the stable argsort of n uniforms of ``random.Random(fold_seed)``. At
+    K = n every fold is a singleton, so ``fold_seed`` is unused. With
     ``strict`` set, K must divide n; otherwise fold sizes may differ by
     one and a warning is emitted. For an explicit partition ``fold_of``, build
     ``LooCache(train, regressor, fold_of)``.
@@ -357,7 +358,7 @@ def build_loo_cache(
                 stacklevel=2,
             )
         order = canonical_order(train.features, train.responses)
-        deal = order[_seeded_rng(fold_seed, "fold_seed").permutation(n)]
+        deal = order[_permutation(fold_seed, n, "fold_seed")]
         fold_of = np.empty(n, dtype=int)
         fold_of[deal] = np.repeat(np.arange(k), n // k + (np.arange(k) < n % k))
 

@@ -33,6 +33,7 @@ from predint import (
 import predint.cli
 import predint.dataset
 from predint.cli import EXPERIMENTS, _write_output, format_object, main
+from predint.rng import _uniforms
 
 WORKED_TRAIN = "x,y\n0,0\n1,0\n2,3\n"
 WORKED_TEST = "x,y\n1,0\n"
@@ -230,7 +231,7 @@ class TestIntervalsOracle:
         folds = build_loo_cache(
             train, reg, self.K, fold_seed=derive_seed(self.SEED, f"folds/{self.K}")
         )
-        taus = derive_rng(self.SEED, "tau").random(len(X_test))
+        taus = _uniforms(derive_seed(self.SEED, "tau"), len(X_test))
         full = reg.fit(train)
         kept, held_out = SplitSpec(0.5, seed=derive_seed(self.SEED, "split")).resolve(train.n)
         split, held = reg.fit(train.take(kept)), train.take(held_out)
@@ -347,6 +348,15 @@ class TestExitCodes:
         test.write_text("y,x1,x2\n5,1,2\n")  # the same names, target anywhere
         assert main(["intervals", "--train", str(train), "--test", str(test),
                      "--regressor", "mean", "--out", str(out)]) == 0
+
+    def test_split_fraction_out_of_range(self, worked_files, tmp_path, capsys):
+        train, test = worked_files
+        out = tmp_path / "o.csv"
+        rc = main(["intervals", "--train", train, "--test", test, "--method", "split",
+                   "--method", "jackknife+", "--split-fraction", "1.5", "--out", str(out)])
+        assert rc == 2
+        assert "split_holdout must be in (0, 1), got 1.5" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_strict_folds_propagates(self, worked_files, capsys):
         train, test = worked_files
@@ -683,7 +693,7 @@ test_index,method,alpha,lower,upper,components,covered
 0,cross-conformal,0.5,0.20000000000000018,3.0,0.20000000000000018:3.0,0
 1,naive,0.5,0.0,3.6666666666666665,0.0:3.6666666666666665,1
 1,jackknife+,0.5,0.0,4.4,0.0:4.4,1
-1,cross-conformal,0.5,0.0,4.4,0.0:4.4,1
+1,cross-conformal,0.5,0.20000000000000018,3.0,0.20000000000000018:3.0,1
 """
 
 GOLDEN_SIMULATE = """\

@@ -64,6 +64,13 @@ class TestMethodSpec:
             MethodSpec("cv+", k_folds=k)
         assert MethodSpec("cv+", k_folds=1).k_folds == 1
 
+    @pytest.mark.parametrize("holdout", [0, 1, 1.5, -0.5, float("nan")])
+    def test_split_holdout_must_be_in_the_open_unit_interval(self, holdout):
+        # Checked here, not after evaluate_methods has built the fold caches.
+        with pytest.raises(ConfigError, match=r"^split_holdout must be in \(0, 1\)"):
+            MethodSpec("split", split_holdout=holdout)
+        assert MethodSpec("split", split_holdout=0.25).split_holdout == 0.25
+
 
 class TestCoverageReport:
     def test_summary_arithmetic(self):

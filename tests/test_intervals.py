@@ -207,13 +207,15 @@ class TestWorkedExamples:
 
     def test_split(self):
         data = Dataset([[0.0], [1.0], [2.0], [3.0]], [0.0, 0.0, 3.0, 9.0])
-        # At seed 9 the split keeps rows (0, 1) and holds out rows (2, 3).
+        # At seed 9 the split keeps rows (0, 3) and holds out rows (1, 2).
         kept, held = SplitSpec(0.5, seed=derive_seed(9, "split")).resolve(4)
-        assert (kept.tolist(), held.tolist()) == ([0, 1], [2, 3])
-        # Fit mean 0 on rows (0, 1); holdout residuals (3, 9); the upper
-        # quantile at alpha = 0.5 is the ceil(0.5 * 3) = 2nd smallest, 9.
+        assert (kept.tolist(), held.tolist()) == ([0, 3], [1, 2])
+        # Fit mean (0 + 9) / 2 = 4.5 on rows (0, 3); holdout residuals
+        # |0 - 4.5| = 4.5 and |3 - 4.5| = 1.5; the upper quantile at
+        # alpha = 0.5 is the ceil(0.5 * 3) = 2nd smallest, 4.5, so the
+        # interval is 4.5 -+ 4.5.
         iv = evaluated(data, "split", IntervalSpec(0.5), seed=9)
-        assert endpoints(iv) == (-9.0, 9.0)
+        assert endpoints(iv) == (0.0, 9.0)
 
     def test_cv_plus_two_folds(self):
         data = Dataset([[0.0], [1.0], [2.0], [3.0]], [0.0, 0.0, 3.0, 9.0])

@@ -102,6 +102,39 @@ def test_no_module_keeps_an_unused_import(path):
     assert not unused_imports(path.read_text())
 
 
+def stream_sources(source: str) -> list[str]:
+    """Where code (not text) in ``source`` reaches a generator: an import of
+    ``random`` or ``numpy.random``, or an ``np.random`` attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            names = ["numpy.random"]
+        else:
+            continue
+        if any(name == "random" or name.startswith("numpy.random") for name in names):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_stream_sources_are_detected():
+    source = ("import random\nfrom numpy import random as r\nfrom numpy.random import x\n"
+              "np.random.default_rng\nimport numpy as np\nnp.sort\n'random.Random(0)'\n")
+    assert stream_sources(source) == ["line 1", "line 2", "line 3", "line 4"]
+
+
+# rng.py owns every generator, so no other module can seed a stream of its own.
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "rng.py"],
+                         ids=lambda path: path.name)
+def test_only_rng_reaches_a_generator(path):
+    assert not stream_sources(path.read_text())
+
+
 TRAIN = Dataset(np.arange(12.0).reshape(6, 2), np.arange(6.0))
 
 
@@ -178,11 +211,12 @@ def test_integer_sizes_reject_non_integers(name, make):
         ("alpha", lambda v: pathology_parity(n=40_000, alpha=v, trials=1, n_test=10)),
         ("gamma", lambda v: pathology_parity(n=40_000, gamma=v, trials=1, n_test=10)),
         ("holdout_fraction", lambda v: SplitSpec(holdout_fraction=v)),
+        ("split_holdout", lambda v: MethodSpec("split", split_holdout=v)),
     ],
     ids=["IntervalSpec.inflation_eps", "GridSpec.lower", "GridSpec.upper", "Ridge.lambda_rel",
          "Memorizer.eps", "ParityAdversary.tau", "attach_tau.tau", "estimate_stability.epsilon",
          "pathology_parity.eps", "pathology_parity.alpha", "pathology_parity.gamma",
-         "SplitSpec.holdout_fraction"],
+         "SplitSpec.holdout_fraction", "MethodSpec.split_holdout"],
 )
 def test_real_settings_reject_non_reals(name, make):
     # Each reached a float comparison or math.isfinite, which raised a raw

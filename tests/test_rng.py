@@ -17,6 +17,7 @@ import predint.cli
 from predint import (
     METHOD_TOKENS,
     ConfigError,
+    Dataset,
     MinNormOLS,
     SplitSpec,
     build_loo_cache,
@@ -25,6 +26,7 @@ from predint import (
     gen_gaussian_linear,
     gen_pathological_abc,
 )
+from predint.rng import _permutation, _uniforms
 
 # Every stream in the package hangs off these values; a change to the
 # derivation would silently move every trial, fold deal and tau draw.
@@ -34,6 +36,14 @@ GOLDEN_SEEDS = [
     ((-1, "split"), 535778174672633734),
 ]
 GOLDEN_TAU = [0.2460920792385044, 0.3834367707579257]  # derive_rng(7, "tau").random(2)
+# The method draws come from random.Random(seed).random(), whose sequence
+# Python keeps for a given seed: the uniforms at seed 7, the split of 6 rows
+# at derive_seed(7, "split"), and the K = 2 deal of rows 0..5 (already in
+# canonical order) at fold seed 7, whose permutation is (3, 1, 0, 5, 4, 2).
+GOLDEN_UNIFORMS = [0.32383276483316237, 0.15084917392450192, 0.6509344730398537]
+GOLDEN_SPLIT = ([0, 1, 4], [2, 3, 5])
+GOLDEN_DEAL = [0, 0, 1, 0, 1, 1]
+SIX_ROWS = Dataset([[float(i)] for i in range(6)], [float(i) for i in range(6)])
 
 
 class TestGoldenSeeds:
@@ -43,6 +53,25 @@ class TestGoldenSeeds:
 
     def test_derive_rng(self):
         assert derive_rng(7, "tau").random(2).tolist() == GOLDEN_TAU
+
+    def test_uniforms(self):
+        assert _uniforms(7, 3).tolist() == GOLDEN_UNIFORMS
+        assert _uniforms(7, 0).tolist() == []
+
+    def test_split(self):
+        kept, held = SplitSpec(0.5, seed=derive_seed(7, "split")).resolve(6)
+        assert (kept.tolist(), held.tolist()) == GOLDEN_SPLIT
+
+    def test_fold_deal(self):
+        assert _permutation(7, 6).tolist() == [3, 1, 0, 5, 4, 2]
+        cache = build_loo_cache(SIX_ROWS, MinNormOLS(), 2, fold_seed=7)
+        assert cache.model_of.tolist() == GOLDEN_DEAL
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 500])
+    def test_permutation_is_one_of_range_n(self, n):
+        for seed in (0, 1, 2**64 - 1):
+            perm = _permutation(seed, n)
+            assert perm.dtype.kind == "i" and np.array_equal(np.sort(perm), np.arange(n))
 
 
 class TestSeedChecks:
@@ -75,6 +104,18 @@ class TestSeedChecks:
         assert np.array_equal(a.responses, b.responses)
         assert derive_seed(np.int64(-1), "split", np.int8(0)) == derive_seed(-1, "split")
 
+    @pytest.mark.parametrize("numpy_seed", [np.int64(3), np.uint64(3), np.uint64(2**64 - 1)])
+    def test_numpy_integers_give_the_same_draws(self, numpy_seed):
+        # random.Random rejects a numpy integer outright, so the seed is
+        # converted to a Python int after the check.
+        seed = int(numpy_seed)
+        assert _uniforms(numpy_seed, 4).tolist() == _uniforms(seed, 4).tolist()
+        got, want = (SplitSpec(0.5, seed=s).resolve(10) for s in (numpy_seed, seed))
+        assert all(map(np.array_equal, got, want))
+        got, want = (build_loo_cache(SIX_ROWS, MinNormOLS(), 2, fold_seed=s).model_of
+                     for s in (numpy_seed, seed))
+        assert np.array_equal(got, want)
+
     def test_a_string_index_is_a_sub_tag(self):
         assert derive_seed(3, "cc-oracle", "ties") != derive_seed(3, "cc-oracle")
 
@@ -99,8 +140,9 @@ rc = main(argv) if argv else 0
 print(rc, *(m for m in watched if sys.modules.get(m) is not None))
 """
 # Runs the installed script's entry point on argv, then prints a JSON record
-# of how _hashlib stands and whether libcrypto is mapped (None where
-# /proc/self/maps does not exist).
+# of how _hashlib stands, whether libcrypto is mapped (None where
+# /proc/self/maps does not exist), and which of numpy.random and the modules
+# it imports to seed itself were loaded.
 _CONSOLE_PROBE = """
 import json, os, sys
 from predint.cli import console_main
@@ -112,7 +154,8 @@ except SystemExit as exc:
 maps = "/proc/self/maps"
 libcrypto = ("libcrypto" in open(maps).read()) if os.path.exists(maps) else None
 print(json.dumps({"rc": rc, "blocked": "_hashlib" in sys.modules and sys.modules["_hashlib"] is None,
-                  "libcrypto": libcrypto}))
+                  "libcrypto": libcrypto,
+                  "streams": [m for m in ("numpy.random", "secrets", "hmac") if m in sys.modules]}))
 """
 
 
@@ -168,9 +211,17 @@ class TestImportHygiene:
         argv = intervals_argv + [arg for m in methods for arg in ("--method", m)]
         assert loaded_modules(*argv) == []
 
-    def test_a_fold_deal_loads_both(self, intervals_argv):
+    def test_a_fold_deal_loads_the_hash_but_not_numpy_random(self, intervals_argv):
+        # The fold seed is a SHA-256 digest; the deal itself is drawn by
+        # random.Random, so numpy.random stays out.
         argv = intervals_argv + ["--method", "cv+", "--k", "2"]
-        assert loaded_modules(*argv) == _HEAVY
+        assert loaded_modules(*argv) == ["hashlib", "_hashlib"]
+
+    def test_scoring_through_the_script_loads_no_numpy_random(self, intervals_argv):
+        argv = intervals_argv + ["--method", "split", "--method", "cv+", "--method",
+                                 "cross-conformal", "--k", "2"]
+        state = json.loads(run_probe(_CONSOLE_PROBE, *argv).stdout)
+        assert state["rc"] == 0 and state["streams"] == []
 
     # np.unique imports numpy.ma (its float path asks np.ma.is_masked), which
     # costs about 1.3 MB resident; the cross-conformal sweep does not call it.
@@ -206,6 +257,7 @@ class TestImportHygiene:
         state = json.loads(done.stdout)
         assert done.stderr == ""
         assert state["rc"] == 0 and state["blocked"]
+        assert state["streams"] == ["numpy.random", "secrets", "hmac"]  # for the data
         # The same run through main(argv), which leaves OpenSSL loadable.
         assert loaded_modules(*argv, "--out", str(library)) == _HEAVY
         assert script.read_bytes() == library.read_bytes()
