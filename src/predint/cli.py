@@ -31,7 +31,8 @@ from .experiments import (
     run_coverage_mc,
 )
 from .intervals import METHOD_TOKENS, GridSpec, IntervalSpec, PredictionSet
-from .regressors import REGRESSOR_TOKENS, make_regressor
+from .regressors import (KNN, REGRESSOR_TOKENS, _SETTINGS, Memorizer, ParityAdversary, Ridge,
+                         make_regressor)
 from .stability import KINDS, coverage_lower_bounds, estimate_stability
 
 EXPERIMENTS = ("figure2", "coverage-mc", "pathology-memorizer", "pathology-parity")
@@ -108,29 +109,12 @@ def _write_lines(handle, echo: dict, subcommand: str, header, rows) -> None:
         handle.write(",".join(str(cell) for cell in row) + "\n")
 
 
-def _regressor_from_args(args):
-    return make_regressor(
-        args.regressor,
-        ridge_lambda=args.ridge_lambda,
-        intercept=not args.no_intercept,
-        knn_k=args.knn_k,
-        memorizer_eps=args.memorizer_eps,
-        parity_tau=args.parity_tau,
-    )
-
-
-def _regressor_echo(args) -> dict:
-    echo = {"regressor": args.regressor}
-    if args.regressor == "ridge":
-        echo["ridge_lambda"] = args.ridge_lambda
-        echo["intercept"] = not args.no_intercept
-    elif args.regressor == "knn":
-        echo["knn_k"] = args.knn_k
-    elif args.regressor == "memorizer":
-        echo["memorizer_eps"] = args.memorizer_eps
-    elif args.regressor == "parity":
-        echo["parity_tau"] = args.parity_tau
-    return echo
+def _regressor(args):
+    """The regressor the flags name, and its echo, read back from its fields."""
+    regressor = make_regressor(args.regressor, **{name: getattr(args, name) for name in _SETTINGS})
+    echo = {name: getattr(regressor, field)
+            for name, (token, field) in _SETTINGS.items() if token == regressor.token}
+    return regressor, {"regressor": regressor.token, **echo}
 
 
 def cmd_intervals(args) -> int:
@@ -152,8 +136,9 @@ def cmd_intervals(args) -> int:
         alpha_hi=args.alpha_hi,
         inflation_eps=args.eps,
     )
+    regressor, regressor_echo = _regressor(args)
     objects = evaluate_methods(
-        train, X_test, _regressor_from_args(args), methods, [spec], args.seed,
+        train, X_test, regressor, methods, [spec], args.seed,
         strict=args.strict_folds,
     )
 
@@ -181,8 +166,8 @@ def cmd_intervals(args) -> int:
         "target": args.target,
         "test": args.test,
         "train": args.train,
+        **regressor_echo,
     }
-    echo.update(_regressor_echo(args))
     _write_output(
         args.out,
         echo,
@@ -193,8 +178,17 @@ def cmd_intervals(args) -> int:
     return 0
 
 
+# The simulate flags left unset resolve to these, except for pathology-parity,
+# which takes pathology_parity's own defaults for them.
+_SIMULATE_DEFAULTS = {"n": 100, "trials": 20, "n_test": 100, "alpha": 0.1}
+
+
 def cmd_simulate(args) -> int:
     echo = {"experiment": args.experiment, "seed": args.seed}
+    given = {key: value for key in _SIMULATE_DEFAULTS
+             if (value := getattr(args, key)) is not None}
+    if args.experiment != "pathology-parity":
+        vars(args).update(_SIMULATE_DEFAULTS, **given)
     if args.experiment == "figure2":
         d_list = _parse_list(args.d_list, int,
                              "expected a comma-separated list of integers, got {text!r}")
@@ -274,17 +268,14 @@ def cmd_simulate(args) -> int:
         return 0
 
     # pathology-parity
-    echo.update(
-        n=args.n, trials=args.trials, n_test=args.n_test, alpha=args.alpha, eps=args.eps,
-    )
-    result = pathology_parity(
-        n=args.n, alpha=args.alpha, eps=args.eps, trials=args.trials,
-        n_test=args.n_test, seed=args.seed, gamma=args.gamma, tau=args.tau,
-    )
+    result = pathology_parity(eps=args.eps, seed=args.seed, gamma=args.gamma, tau=args.tau,
+                              **given)
     rep = result.report
+    echo.update(n=result.n, trials=rep.trials, n_test=result.n_test, alpha=result.alpha,
+                eps=result.eps)
     rows = [[
         result.n, _fmt(result.alpha), _fmt(result.eps), _fmt(result.gamma),
-        _fmt(result.tau), rep.trials * args.n_test, _fmt(rep.coverage_mean),
+        _fmt(result.tau), rep.trials * result.n_test, _fmt(rep.coverage_mean),
         _fmt(rep.coverage_se), _fmt(result.bound_upper),
     ]]
     _write_output(
@@ -297,16 +288,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    regressor = _regressor_from_args(args)
+    regressor, regressor_echo = _regressor(args)
     violations = run_audit(
         trials=args.trials, n=args.n, alpha=args.alpha, regressor=regressor,
         variant=args.variant, seed=args.seed, d=args.d,
     )
     echo = {
         "alpha": args.alpha, "d": args.d, "n": args.n, "seed": args.seed,
-        "trials": args.trials, "variant": args.variant,
+        "trials": args.trials, "variant": args.variant, **regressor_echo,
     }
-    echo.update(_regressor_echo(args))
     _write_output(
         args.out, echo, "audit",
         ["trials", "n", "alpha", "variant", "violations"],
@@ -327,7 +317,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    regressor = _regressor_from_args(args)
+    regressor, regressor_echo = _regressor(args)
 
     def sampler(size: int, seed: int):
         return gen_gaussian_linear(size, args.d, seed)[0]
@@ -339,9 +329,8 @@ def cmd_stability(args) -> int:
     bounds = coverage_lower_bounds(args.alpha, est.nu_hat, args.n, args.n)
     echo = {
         "alpha": args.alpha, "d": args.d, "epsilon": args.epsilon, "kind": args.kind,
-        "n": args.n, "seed": args.seed, "trials": args.trials,
+        "n": args.n, "seed": args.seed, "trials": args.trials, **regressor_echo,
     }
-    echo.update(_regressor_echo(args))
     _write_output(
         args.out, echo, "stability",
         ["kind", "n", "epsilon", "trials", "violations", "nu_hat", "se",
@@ -357,13 +346,13 @@ def cmd_stability(args) -> int:
 
 def _add_regressor_flags(parser: argparse.ArgumentParser, default: str = "ols") -> None:
     parser.add_argument("--regressor", choices=REGRESSOR_TOKENS, default=default)
-    parser.add_argument("--ridge-lambda", type=float, default=1e-3,
+    parser.add_argument("--ridge-lambda", type=float, default=Ridge.lambda_rel,
                         help="relative ridge penalty (times squared spectral norm)")
-    parser.add_argument("--no-intercept", action="store_true",
+    parser.add_argument("--no-intercept", dest="intercept", action="store_false",
                         help="drop the unpenalized ridge intercept")
-    parser.add_argument("--knn-k", type=int, default=5)
-    parser.add_argument("--memorizer-eps", type=float, default=1.0)
-    parser.add_argument("--parity-tau", type=float, default=1.0)
+    parser.add_argument("--knn-k", type=int, default=KNN.k)
+    parser.add_argument("--memorizer-eps", type=float, default=Memorizer.eps)
+    parser.add_argument("--parity-tau", type=float, default=ParityAdversary.tau)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,19 +385,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a coverage experiment")
     p.add_argument("--experiment", choices=EXPERIMENTS, required=True)
-    p.add_argument("--n", type=int, default=100)
+    for key, default in _SIMULATE_DEFAULTS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=type(default),
+                       help=f"default {default}; pathology-parity: pathology_parity's default")
     p.add_argument("--d", type=int, default=5)
     p.add_argument("--d-list", default="20,100,180")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--n-test", type=int, default=100)
-    p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--alphas", default="0.1,0.2")
     p.add_argument("--regressors", default="mean,ols")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--k-list", default="2,5,n")
     p.add_argument("--eps", type=float, default=0.01,
                    help="inflation epsilon for pathology-parity")
-    p.add_argument("--memorizer-eps", type=float, default=1.0)
+    p.add_argument("--memorizer-eps", type=float, default=Memorizer.eps)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)

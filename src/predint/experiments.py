@@ -150,14 +150,6 @@ def _cache_k(mspec: MethodSpec, n: int) -> int | None:
     return None
 
 
-_FROM_CACHE = {
-    "jackknife": jackknife,
-    "jackknife+": jackknife_plus,
-    "jackknife-mm": jackknife_minmax,
-    "cv+": cv_plus,
-}
-
-
 def evaluate_methods(
     train: Dataset,
     X_test,
@@ -234,7 +226,10 @@ def evaluate_methods(
         cache = caches[_cache_k(mspec, n)]
         if token == "cross-conformal":
             return lambda spec, j: cross_conformal_set(cache, spec, X_test[j], taus[j])
-        fn = _FROM_CACHE[token]
+        # Bound here, not at import, so a rebound module name (as bench/tracer.py
+        # rebinds each public function to count its calls) is the one called.
+        fn = {"jackknife": jackknife, "jackknife+": jackknife_plus,
+              "jackknife-mm": jackknife_minmax, "cv+": cv_plus}[token]
         return lambda spec, j: fn(cache, spec, X_test[j])
 
     rows = range(len(X_test))
@@ -449,6 +444,7 @@ class ParityResult:
     eps: float
     gamma: float
     tau: float
+    n_test: int
     report: CoverageReport
     bound_upper: float  # 1 - 2*alpha + 6*sqrt(log(n)/n)
 
@@ -520,6 +516,7 @@ def pathology_parity(
         eps=eps,
         gamma=gamma,
         tau=tau,
+        n_test=n_test,
         report=reports[("jackknife+", 0)],
         bound_upper=1.0 - 2.0 * alpha + slack,
     )

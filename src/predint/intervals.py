@@ -309,8 +309,10 @@ class LooCache:
     def model_predictions(self, x) -> np.ndarray:
         """Predictions of the distinct models at x, one per entry of ``models``.
 
-        Raises :class:`DataError` unless every one is finite.
+        Raises :class:`DataError` unless x is a query point of the training
+        set's dimension and every prediction is finite.
         """
+        x = _query_point(x, self.train.d)
         per_model = np.array([m.predict(x) for m in self.models], dtype=float)
         if not np.isfinite(per_model).all():
             raise DataError("fold-model predictions at the query point are not finite")
@@ -386,6 +388,22 @@ class _ResidualQuantiles:
         return self.memo[key]
 
 
+def _query_point(x, d: int) -> np.ndarray:
+    """x as a float vector, after checking that it is a finite 1-D vector of
+    length d (:class:`DataError` otherwise)."""
+    try:
+        point = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise DataError(f"a query point must be a vector of {d} numbers, "
+                        f"got a {type(x).__name__}") from None
+    if point.shape != (d,):
+        raise DataError(f"a query point must be a 1-D vector of {d} numbers, "
+                        f"got shape {point.shape}")
+    if not np.isfinite(point).all():
+        raise DataError("a query point must be finite (no NaN or infinities)")
+    return point
+
+
 def _fixed_center_interval(center_lo, center_hi, quantiles, spec) -> PredictionInterval:
     """[center_lo + q_lo - eps, center_hi + q_hi + eps] for ``(q_lo, q_hi) =
     quantiles(spec)``."""
@@ -410,7 +428,7 @@ def _about(model: FittedModel, quantiles, spec: IntervalSpec, x) -> PredictionIn
 def jackknife(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval:
     """Full-fit prediction plus a leave-one-out residual quantile."""
     _require_loo(cache, "jackknife")
-    return _about(cache.full_model, cache._quantiles, spec, x)
+    return _about(cache.full_model, cache._quantiles, spec, _query_point(x, cache.train.d))
 
 
 # cv+ selects from each model's sorted residuals when the models have at
@@ -613,7 +631,7 @@ def full_conformal_set(
         raise ConfigError("grid lower bound exceeds upper bound")
     ys = np.linspace(lo, hi, grid.num_points)
 
-    x = np.asarray(x, dtype=float)
+    x = _query_point(x, train.d)
     aug_features = np.vstack([train.features, x])
     accepted = np.zeros(len(ys), dtype=bool)
     for idx, y in enumerate(ys):

@@ -121,6 +121,8 @@ class Regressor:
     token = "base"
 
     def fit(self, train: Dataset) -> FittedModel:
+        if train.n == 0:
+            return ConstantModel(0.0)
         order = canonical_order(train.features, train.responses)
         return self._fit(train.features[order], train.responses[order])
 
@@ -160,8 +162,6 @@ class MinNormOLS(Regressor):
     token = "ols"
 
     def _fit(self, X, y):
-        if len(y) == 0:
-            return ConstantModel(0.0)
         coef, *_ = np.linalg.lstsq(X, y, rcond=None)
         return LinearModel(coef, 0.0)
 
@@ -185,8 +185,6 @@ class Ridge(Regressor):
             raise ConfigError(f"ridge lambda_rel must be finite and >= 0, got {self.lambda_rel}")
 
     def _fit(self, X, y):
-        if len(y) == 0:
-            return ConstantModel(0.0)
         try:
             scale = float(np.linalg.norm(X, 2)) ** 2
         except OverflowError:
@@ -229,11 +227,8 @@ class KNN(Regressor):
             raise ConfigError(f"k must be >= 1, got {self.k}")
 
     def _fit(self, X, y):
-        m = len(y)
-        if m == 0:
-            return ConstantModel(0.0)
-        if self.k > m:
-            raise ConfigError(f"k={self.k} exceeds training size {m}")
+        if self.k > len(y):
+            raise ConfigError(f"k={self.k} exceeds training size {len(y)}")
         return KnnModel(X, y, self.k)
 
 
@@ -244,8 +239,6 @@ class ConstantMean(Regressor):
     token = "mean"
 
     def _fit(self, X, y):
-        if len(y) == 0:
-            return ConstantModel(0.0)
         return ConstantModel(float(np.mean(y)))
 
 
@@ -265,11 +258,8 @@ class Memorizer(Regressor):
             raise ConfigError(f"memorizer eps must be finite and > 0, got {self.eps}")
 
     def _fit(self, X, y):
-        m = len(y)
-        if m == 0:
-            return ConstantModel(0.0)
         rows = frozenset(np.ascontiguousarray(row).tobytes() for row in X)
-        return MemorizerModel(rows, X.shape[1], (1.0 + self.eps) * m)
+        return MemorizerModel(rows, X.shape[1], (1.0 + self.eps) * len(y))
 
 
 @dataclass(frozen=True)
@@ -289,8 +279,6 @@ class ParityAdversary(Regressor):
             raise ConfigError(f"tau must be finite, got {self.tau}")
 
     def _fit(self, X, y):
-        if len(y) == 0:
-            return ConstantModel(0.0)
         return ParityModel(self.tau, float(np.prod(_parity_signs(X))))
 
     def fit_folds(self, train, fold_of=None):
@@ -338,31 +326,32 @@ def _parity_signs(X: np.ndarray) -> np.ndarray:
     return b
 
 
-REGRESSOR_TOKENS = ("ols", "ridge", "knn", "mean", "memorizer", "parity")
+_CLASSES = {cls.token: cls
+            for cls in (MinNormOLS, Ridge, KNN, ConstantMean, Memorizer, ParityAdversary)}
+REGRESSOR_TOKENS = tuple(_CLASSES)
+# make_regressor's setting names: each is the field of one regressor class,
+# named by its token. The CLI echoes a built regressor's settings from here.
+_SETTINGS = {
+    "ridge_lambda": ("ridge", "lambda_rel"),
+    "intercept": ("ridge", "intercept"),
+    "knn_k": ("knn", "k"),
+    "memorizer_eps": ("memorizer", "eps"),
+    "parity_tau": ("parity", "tau"),
+}
 
 
-def make_regressor(
-    token: str,
-    *,
-    ridge_lambda: float = 1e-3,
-    intercept: bool = True,
-    knn_k: int = 5,
-    memorizer_eps: float = 1.0,
-    parity_tau: float = 1.0,
-) -> Regressor:
-    """Build a regressor from its CLI token."""
-    if token == "ols":
-        return MinNormOLS()
-    if token == "ridge":
-        return Ridge(lambda_rel=ridge_lambda, intercept=intercept)
-    if token == "knn":
-        return KNN(k=knn_k)
-    if token == "mean":
-        return ConstantMean()
-    if token == "memorizer":
-        return Memorizer(eps=memorizer_eps)
-    if token == "parity":
-        return ParityAdversary(tau=parity_tau)
-    raise ConfigError(
-        f"unknown regressor {token!r}; expected one of {', '.join(REGRESSOR_TOKENS)}"
-    )
+def make_regressor(token: str, **settings) -> Regressor:
+    """Build a regressor from its CLI token. ``settings`` are keyed by the
+    names ridge_lambda, intercept, knn_k, memorizer_eps and parity_tau; those
+    of other regressors are ignored, and an unset one takes its class's
+    default."""
+    unknown = sorted(settings.keys() - _SETTINGS.keys())
+    if unknown:
+        raise ConfigError(f"unknown regressor setting(s) {', '.join(unknown)}; "
+                          f"expected some of {', '.join(_SETTINGS)}")
+    if token not in REGRESSOR_TOKENS:
+        raise ConfigError(
+            f"unknown regressor {token!r}; expected one of {', '.join(REGRESSOR_TOKENS)}"
+        )
+    return _CLASSES[token](**{field: settings[name] for name, (owner, field) in _SETTINGS.items()
+                              if owner == token and name in settings})

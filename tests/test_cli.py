@@ -1,11 +1,14 @@
 """End-to-end checks of the command-line front end via main(argv)."""
 
+import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from predint import (
+    REGRESSOR_TOKENS,
     DataError,
     GridSpec,
     IntervalSpec,
@@ -27,12 +30,14 @@ from predint import (
     load_csv,
     load_features_csv,
     lower_quantile,
+    pathology_parity,
     save_csv,
     upper_quantile,
 )
 import predint.cli
 import predint.dataset
-from predint.cli import EXPERIMENTS, _write_output, format_object, main
+from predint.cli import EXPERIMENTS, _regressor, _write_output, build_parser, format_object, main
+from predint.regressors import _CLASSES, _SETTINGS
 from predint.rng import _uniforms
 
 WORKED_TRAIN = "x,y\n0,0\n1,0\n2,3\n"
@@ -571,6 +576,10 @@ class TestStabilityCommand:
         assert float(row["bound_naive_2eps"]) == bounds["naive_2eps_inflated"]
 
 
+def parity_default(key):
+    return inspect.signature(pathology_parity).parameters[key].default
+
+
 class TestSimulateCommand:
     def test_figure2_row_layout(self, tmp_path):
         rc, text = run_to_file(
@@ -640,6 +649,70 @@ class TestSimulateCommand:
         assert row["n"] == "40000" and row["evals"] == "200"
         assert float(row["tau"]) == 0.01 * 40000
         assert 0.3 <= float(row["coverage_mean"]) <= float(row["bound_upper"]) + 0.1
+
+    def test_parity_takes_the_library_defaults_of_unset_flags(self, tmp_path):
+        rc, text = run_to_file(tmp_path, ["simulate", "--experiment", "pathology-parity"])
+        assert rc == 0
+        for key in ("n", "alpha", "trials", "n_test", "eps"):
+            assert f"# {key}={parity_default(key)}" in text.splitlines()
+        header, rows = data_rows(text)
+        row = dict(zip(header, rows[0]))
+        assert row["n"] == str(parity_default("n"))
+        assert row["evals"] == str(parity_default("trials") * parity_default("n_test"))
+
+    def test_parity_passes_only_the_flags_given(self, tmp_path):
+        rc, text = run_to_file(
+            tmp_path,
+            ["simulate", "--experiment", "pathology-parity", "--n", "40000", "--n-test", "10"],
+        )
+        assert rc == 0
+        for key in ("alpha", "trials"):
+            assert f"# {key}={parity_default(key)}" in text.splitlines()
+        header, rows = data_rows(text)
+        assert dict(zip(header, rows[0]))["evals"] == str(parity_default("trials") * 10)
+
+    def test_other_experiments_resolve_unset_flags_to_the_shared_defaults(self, tmp_path):
+        rc, text = run_to_file(tmp_path, ["simulate", "--experiment", "pathology-memorizer"])
+        assert rc == 0
+        echo = text.splitlines()
+        for line in ("# n=100", "# alpha=0.1", "# trials=20", "# n_test=100"):
+            assert line in echo
+        _, rows = data_rows(text)
+        assert {r[1] for r in rows} == {"20"}
+
+
+def field_default(token, field):
+    return next(f.default for f in dataclasses.fields(_CLASSES[token]) if f.name == field)
+
+
+class TestRegressorFlags:
+    @pytest.mark.parametrize("argv", [
+        ["intervals", "--train", "train.csv", "--test", "test.csv"], ["audit"], ["stability"],
+    ], ids=lambda argv: argv[0])
+    def test_flag_defaults_are_the_class_defaults(self, argv):
+        args = build_parser().parse_args(argv)
+        for name, (token, field) in _SETTINGS.items():
+            assert getattr(args, name) == field_default(token, field), name
+
+    def test_simulate_memorizer_eps_default_is_the_class_default(self):
+        args = build_parser().parse_args(["simulate", "--experiment", "pathology-memorizer"])
+        assert args.memorizer_eps == field_default("memorizer", "eps")
+
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["--ridge-lambda", "0.5", "--no-intercept", "--knn-k", "3", "--memorizer-eps", "0.25",
+         "--parity-tau", "2.5"],
+    ], ids=["defaults", "set"])
+    @pytest.mark.parametrize("token", REGRESSOR_TOKENS)
+    def test_echo_is_the_built_regressors_fields(self, token, flags):
+        args = build_parser().parse_args(["audit", "--regressor", token] + flags)
+        regressor, echo = _regressor(args)
+        assert echo.pop("regressor") == regressor.token == token
+        assert {_SETTINGS[name][1]: value for name, value in echo.items()} == {
+            f.name: getattr(regressor, f.name) for f in dataclasses.fields(regressor)
+        }
+        for name, value in echo.items():
+            assert value == getattr(args, name)
 
 
 class TestDeterminism:

@@ -313,6 +313,37 @@ class TestOverflow:
         assert [endpoints(iv) for iv in s.intervals] == [(-math.inf, math.inf)]
 
 
+QUERY_SPEC = IntervalSpec(0.25)
+BUILDERS = {
+    "jackknife": lambda cache, x: jackknife(cache, QUERY_SPEC, x),
+    "jackknife+": lambda cache, x: jackknife_plus(cache, QUERY_SPEC, x),
+    "jackknife-mm": lambda cache, x: jackknife_minmax(cache, QUERY_SPEC, x),
+    "cv+": lambda cache, x: cv_plus(cache, QUERY_SPEC, x),
+    "cross-conformal": lambda cache, x: cross_conformal_set(cache, QUERY_SPEC, x, 0.5),
+    "full-conformal": lambda cache, x: full_conformal_set(
+        cache.train, cache.regressor, QUERY_SPEC, x, GridSpec(num_points=3)),
+}
+BAD_POINTS = {
+    "short": [0.0, 1.0],
+    "2-D": [[0.0, 1.0, 2.0]],
+    "scalar": 1.0,
+    "string": "abc",
+    "ragged": [[0.0], [1.0, 2.0]],
+    "nan": [math.nan, 0.0, 0.0],
+    "nan-inf": [math.nan, 0.0, math.inf],
+}
+
+
+@pytest.mark.parametrize("reg", [MinNormOLS(), KNN(k=2), Memorizer()], ids=lambda r: r.token)
+@pytest.mark.parametrize("point", BAD_POINTS.values(), ids=BAD_POINTS.keys())
+@pytest.mark.parametrize("builder", BUILDERS.values(), ids=BUILDERS.keys())
+def test_bad_query_points_are_data_errors(builder, point, reg):
+    data, _ = gen_gaussian_linear(6, 3, seed=4)
+    cache = build_loo_cache(data, reg)
+    with pytest.raises(DataError, match="a query point must be"):
+        builder(cache, point)
+
+
 class TestCacheConstruction:
     def test_loo_is_the_default(self, worked):
         cache = build_loo_cache(worked, MEAN)

@@ -5,14 +5,17 @@ algorithm canonically sorts its training rows before fitting, so a permuted
 training set must produce the identical sequence of float operations.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import predint.intervals
+import predint.regressors
 from predint import (
     KNN,
+    REGRESSOR_TOKENS,
     ConfigError,
     ConstantMean,
     Dataset,
@@ -32,6 +35,7 @@ from predint import (
     jackknife_plus,
     make_regressor,
 )
+from predint.regressors import _CLASSES, _SETTINGS
 
 
 def gaussian(n, d, seed=0):
@@ -418,7 +422,8 @@ def test_predict_many_is_the_row_loop(reg):
     assert np.array_equal(batch, singles)
 
 
-@pytest.mark.parametrize("reg", ALL_REGRESSORS, ids=lambda r: r.token + str(getattr(r, "intercept", "")))
+@pytest.mark.parametrize("reg", ALL_REGRESSORS + [ParityAdversary(tau=2.0)],
+                         ids=lambda r: r.token + str(getattr(r, "intercept", "")))
 def test_empty_fit_is_the_zero_function(reg):
     empty = Dataset(np.empty((0, 3)), np.empty(0))
     model = reg.fit(empty)
@@ -446,3 +451,21 @@ class TestFactory:
     def test_unknown_token(self):
         with pytest.raises(ConfigError, match="unknown regressor"):
             make_regressor("boosting")
+
+    def test_every_regressor_class_has_a_token(self):
+        classes = {cls for cls in vars(predint.regressors).values()
+                   if isinstance(cls, type) and issubclass(cls, Regressor) and cls is not Regressor}
+        assert set(_CLASSES.values()) == classes
+        assert [make_regressor(token).token for token in REGRESSOR_TOKENS] == list(REGRESSOR_TOKENS)
+
+    def test_every_setting_names_a_field_of_its_class(self):
+        for name, (token, field) in _SETTINGS.items():
+            assert field in {f.name for f in dataclasses.fields(_CLASSES[token])}, name
+
+    def test_settings_of_other_regressors_are_ignored(self):
+        assert make_regressor("ols", knn_k=0, intercept=False) == MinNormOLS()
+
+    @pytest.mark.parametrize("setting", ["ridge_lamda", "k", "lambda_rel"])
+    def test_unknown_setting_is_a_config_error(self, setting):
+        with pytest.raises(ConfigError, match=f"unknown regressor setting.*{setting}"):
+            make_regressor("ridge", **{setting: 0.1})
