@@ -1,4 +1,4 @@
-"""Datasets: validated arrays, CSV round-tripping, splits, synthetic generators."""
+"""Datasets: validated arrays, the CLI's CSV reader, splits, synthetic generators."""
 
 from __future__ import annotations
 
@@ -14,17 +14,10 @@ from .rng import _permutation, _seeded_rng
 __all__ = [
     "Dataset",
     "SplitSpec",
-    "load_csv",
-    "load_features_csv",
-    "save_csv",
-    "train_test_split",
     "gen_gaussian_linear",
     "gen_pathological_abc",
     "attach_tau",
 ]
-
-# Tokens that float() would happily parse but that are not data.
-_NONFINITE_TOKENS = {"nan", "inf", "+inf", "-inf", "infinity", "+infinity", "-infinity"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,13 +91,8 @@ class Dataset:
 
 
 def _parse_cell(token: str, path: str, row: int, column: str) -> float:
-    text = token.strip()
-    if text.lower().replace(" ", "") in _NONFINITE_TOKENS:
-        raise DataError(
-            f"{path}: row {row}, column {column!r}: non-finite value {token!r} not allowed"
-        )
     try:
-        value = float(text)
+        value = float(token.strip())
     except ValueError as exc:
         raise DataError(
             f"{path}: row {row}, column {column!r}: cannot parse {token!r} as a number"
@@ -168,108 +156,39 @@ def _load_columns(path: str, target_column: str | None):
     return [header[j] for j in feature_cols], table[:, feature_cols], table[:, hits[0]]
 
 
-def load_csv(path: str, target_column: str) -> Dataset:
-    """Load a CSV with a header row into a Dataset.
-
-    The target column becomes the response; all other columns become features
-    in file order. Raises :class:`DataError` with the offending row and column
-    named for any malformed cell, and rejects nan/inf tokens outright.
-    """
-    return _load_dataset(path, target_column)[1]
-
-
 def _load_dataset(path: str, target_column: str):
     """``(feature names, Dataset)`` of a CSV file that must carry the target
-    column; :func:`load_csv` without dropping the names."""
+    column."""
     names, features, responses = _load_columns(path, target_column)
     if responses is None:
         raise DataError(f"{path}: target column {target_column!r} not found")
     return names, Dataset(features, responses)
 
 
-def load_features_csv(path: str, target_column: str | None = None):
-    """Load a CSV that may or may not carry the target column.
-
-    Returns ``(features, responses_or_None)``. Used for test files, where the
-    true response is optional.
-    """
-    return _load_columns(path, target_column)[1:]
-
-
-def save_csv(
-    data: Dataset,
-    path: str,
-    target_column: str = "y",
-    feature_columns: list[str] | None = None,
-) -> None:
-    """Write a Dataset as CSV with 17 significant digits (exact round-trip)."""
-    if feature_columns is None:
-        feature_columns = [f"x{j + 1}" for j in range(data.d)]
-    if len(feature_columns) != data.d:
-        raise ConfigError(
-            f"{len(feature_columns)} feature names for {data.d} feature columns"
-        )
-    if target_column in feature_columns:
-        raise ConfigError(f"target column {target_column!r} collides with a feature name")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(feature_columns + [target_column])
-        for i in range(data.n):
-            row = [f"{v:.17g}" for v in data.features[i]]
-            row.append(f"{data.responses[i]:.17g}")
-            writer.writerow(row)
-
-
 @dataclass(frozen=True)
 class SplitSpec:
-    """How to split rows into a kept part and a held-out part.
-
-    Either give ``holdout_fraction`` (rows are shuffled by the stable argsort
-    of n uniforms of ``random.Random(seed)``, and the first
-    round(n * fraction) go to the holdout) or give both explicit index
-    tuples, which must partition range(n).
+    """How to split rows into a kept part and a held-out part: rows are
+    shuffled by the stable argsort of n uniforms of ``random.Random(seed)``,
+    and the first round(n * holdout_fraction) go to the holdout.
     """
 
-    holdout_fraction: float | None = 0.5
-    train_indices: tuple[int, ...] | None = None
-    holdout_indices: tuple[int, ...] | None = None
+    holdout_fraction: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
-        explicit = self.train_indices is not None or self.holdout_indices is not None
-        if explicit:
-            if self.train_indices is None or self.holdout_indices is None:
-                raise ConfigError("explicit splits need both index lists")
-        elif self.holdout_fraction is None:
-            raise ConfigError("either holdout_fraction or explicit indices required")
-        elif not 0 < _require_real("holdout_fraction", self.holdout_fraction) < 1:
+        if not 0 < _require_real("holdout_fraction", self.holdout_fraction) < 1:
             raise ConfigError(
                 f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}"
             )
 
     def resolve(self, n: int):
         """Return (train_idx, holdout_idx) as sorted integer arrays."""
-        if self.train_indices is not None:
-            train = np.asarray(self.train_indices, dtype=int)
-            hold = np.asarray(self.holdout_indices, dtype=int)
-            merged = np.concatenate([train, hold])
-            if len(merged) != n or not np.array_equal(np.sort(merged), np.arange(n)):
-                raise ConfigError("explicit split must partition the row indices")
-            if train.size == 0 or hold.size == 0:
-                raise ConfigError("both split parts must be non-empty")
-            return np.sort(train), np.sort(hold)
         size = int(round(n * self.holdout_fraction))
         size = min(max(size, 1), n - 1)
         if n < 2:
             raise ConfigError("cannot split fewer than 2 rows")
         perm = _permutation(self.seed, n)
         return np.sort(perm[size:]), np.sort(perm[:size])
-
-
-def train_test_split(data: Dataset, spec: SplitSpec):
-    """Split a Dataset per ``spec``; returns (kept, held_out)."""
-    train_idx, hold_idx = spec.resolve(data.n)
-    return data.take(train_idx), data.take(hold_idx)
 
 
 def gen_gaussian_linear(n: int, d: int, seed: int):

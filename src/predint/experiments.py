@@ -74,6 +74,8 @@ class MethodSpec:
             raise ConfigError(f"k_folds must be >= 1, got {self.k_folds}")
         if not 0 < _require_real("split_holdout", self.split_holdout) < 1:
             raise ConfigError(f"split_holdout must be in (0, 1), got {self.split_holdout}")
+        if not isinstance(self.grid, GridSpec):
+            raise ConfigError(f"grid must be a GridSpec, got {self.grid!r}")
 
     @property
     def label(self) -> str:
@@ -176,6 +178,8 @@ def evaluate_methods(
     ``numpy.random``. Each residual quantile is computed once per residual
     vector and level.
     """
+    if train.n == 0:
+        raise ConfigError("the training set is empty; every method needs at least one row")
     X_test = np.asarray(X_test, dtype=float)
     if X_test.ndim != 2 or X_test.shape[1] != train.d:
         raise DataError(
@@ -322,9 +326,9 @@ def figure2_experiment(
     alpha: float = 0.1,
     seed: int = 0,
     methods: list[MethodSpec] | None = None,
-    regressor: Regressor | None = None,
 ) -> dict:
-    """Coverage and width of the default methods across feature dimensions.
+    """Coverage and width of the default methods, fitting minimum-norm least
+    squares, across feature dimensions.
 
     For each d, each trial draws train and test jointly from one Gaussian
     linear model (the coefficient vector is redrawn every trial). Returns
@@ -334,15 +338,13 @@ def figure2_experiment(
         raise ConfigError("d_list must name at least one feature dimension")
     if len(set(d_list)) != len(d_list):
         raise ConfigError(f"d_list must not repeat a dimension, got {list(d_list)}")
-    if regressor is None:
-        regressor = MinNormOLS()
     if methods is None:
         methods = default_method_list(n)
     specs = [IntervalSpec(alpha)]
 
     def trial(d, t):
         data, _ = gen_gaussian_linear(n + n_test, d, derive_seed(seed, f"figure2/d={d}", t))
-        return run_trial(data.head(n), data.tail_from(n), regressor, methods, specs,
+        return run_trial(data.head(n), data.tail_from(n), MinNormOLS(), methods, specs,
                          seed=derive_seed(seed, f"figure2-trial/d={d}", t))
 
     out: dict = {}
@@ -376,7 +378,10 @@ def run_coverage_mc(
     """
     if not regressors:
         raise ConfigError("regressors must name at least one regressor")
-    names = [t if isinstance(t, str) else t.token for t in regressors]
+    names = list(regressors)
+    # Every token is checked before the first trial, so a bad one late in
+    # the list fails at once rather than after the earlier regressors' runs.
+    regs = [make_regressor(t) for t in names]
     for what, values in (("regressors", names), ("alphas", list(alphas))):
         if len(set(values)) != len(values):
             raise ConfigError(f"{what} must not repeat an entry, got {values}")
@@ -384,10 +389,6 @@ def run_coverage_mc(
     methods += [MethodSpec("cv+", k_folds=k) for k in k_list]
     specs = [IntervalSpec(a) for a in alphas]
     floors = [coverage_lower_bounds(spec.alpha, 0.0, n, n) for spec in specs]
-
-    # Every token is checked before the first trial, so a bad one late in
-    # the list fails at once rather than after the earlier regressors' runs.
-    regs = [make_regressor(t) if isinstance(t, str) else t for t in regressors]
 
     rows = []
     for reg, name in zip(regs, names):

@@ -623,6 +623,8 @@ def full_conformal_set(
     points merge into closed intervals.
     """
     _require_plain_spec(spec, "full-conformal")
+    if train.n == 0:
+        raise ConfigError("the training set is empty; full conformal needs at least one row")
     if grid is None:
         grid = GridSpec()
     lo = grid.lower if grid.lower is not None else float(np.min(train.responses))

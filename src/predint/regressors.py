@@ -183,6 +183,8 @@ class Ridge(Regressor):
         if not (math.isfinite(_require_real("ridge lambda_rel", self.lambda_rel))
                 and self.lambda_rel >= 0):
             raise ConfigError(f"ridge lambda_rel must be finite and >= 0, got {self.lambda_rel}")
+        if not isinstance(self.intercept, (bool, np.bool_)):
+            raise ConfigError(f"ridge intercept must be a bool, got {self.intercept!r}")
 
     def _fit(self, X, y):
         try:

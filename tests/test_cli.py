@@ -27,11 +27,8 @@ from predint import (
     jackknife,
     jackknife_minmax,
     jackknife_plus,
-    load_csv,
-    load_features_csv,
     lower_quantile,
     pathology_parity,
-    save_csv,
     upper_quantile,
 )
 import predint.cli
@@ -51,6 +48,14 @@ def worked_files(tmp_path):
     train.write_text(WORKED_TRAIN)
     test.write_text(WORKED_TEST)
     return str(train), str(test)
+
+
+def write_csv(path, data):
+    """``data`` as a CSV file, features x1..xd then y, each cell with 17
+    significant digits, which round-trips every float exactly."""
+    header = ",".join([f"x{j + 1}" for j in range(data.d)] + ["y"])
+    rows = np.column_stack([data.features, data.responses])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def run_to_file(tmp_path, argv, name="out.csv"):
@@ -206,12 +211,14 @@ class TestIntervalsOracle:
     SEED = 5
     K = 2
 
+    DATA = gen_gaussian_linear(16, 2, seed=21)[0]
+    TRAIN, TEST = DATA.head(12), DATA.tail_from(12)
+
     @pytest.fixture
     def seeded_files(self, tmp_path):
-        data, _ = gen_gaussian_linear(16, 2, seed=21)
         train, test = tmp_path / "train.csv", tmp_path / "test.csv"
-        save_csv(data.head(12), str(train))
-        save_csv(data.tail_from(12), str(test))
+        write_csv(train, self.TRAIN)
+        write_csv(test, self.TEST)
         return str(train), str(test)
 
     @staticmethod
@@ -228,9 +235,10 @@ class TestIntervalsOracle:
             q_lo = -q_hi
         return PredictionInterval(center + q_lo, center + q_hi)
 
-    def reference_rows(self, train_path, test_path, spec, methods):
-        train = load_csv(train_path, "y")
-        X_test, _ = load_features_csv(test_path, "y")
+    def reference_rows(self, spec, methods):
+        """The rows built from the in-memory data, so the CLI's rows match
+        them only if its loader reads back the written floats exactly."""
+        train, X_test = self.TRAIN, self.TEST.features
         reg = MinNormOLS()
         loo = build_loo_cache(train, reg)
         folds = build_loo_cache(
@@ -280,7 +288,7 @@ class TestIntervalsOracle:
         _, rows = data_rows(text)
         got = [[r[0], r[1], r[3], r[4], r[5]] for r in rows]
         spec = IntervalSpec(**levels)
-        assert got == self.reference_rows(train, test, spec, methods)
+        assert got == self.reference_rows(spec, methods)
 
 
 class TestExitCodes:
@@ -528,7 +536,7 @@ class TestExitCodes:
     def test_overflowing_prediction_is_a_data_error(self, tmp_path, capsys):
         data, _ = gen_gaussian_linear(20, 2, seed=4)
         train, test = tmp_path / "train.csv", tmp_path / "test.csv"
-        save_csv(data, str(train))
+        write_csv(train, data)
         test.write_text("x1,x2\n1e308,1e308\n")
         rc = main(["intervals", "--train", str(train), "--test", str(test),
                    "--out", str(tmp_path / "o.csv")])

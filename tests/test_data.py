@@ -1,4 +1,4 @@
-"""Dataset validation, CSV round-trips, splits, and the synthetic generators."""
+"""Dataset validation, the CLI's CSV reader, splits, and the synthetic generators."""
 
 import math
 
@@ -13,11 +13,8 @@ from predint import (
     attach_tau,
     gen_gaussian_linear,
     gen_pathological_abc,
-    load_csv,
-    load_features_csv,
-    save_csv,
-    train_test_split,
 )
+from predint.dataset import _load_columns, _load_dataset
 
 
 def small():
@@ -87,99 +84,91 @@ class TestDataset:
 
 
 class TestCsv:
-    def test_round_trip_is_exact(self, tmp_path):
-        data, _ = gen_gaussian_linear(17, 3, seed=5)
-        path = tmp_path / "data.csv"
-        save_csv(data, str(path))
-        back = load_csv(str(path), "y")
-        assert np.array_equal(back.features, data.features)
-        assert np.array_equal(back.responses, data.responses)
+    """The CLI's loaders: ``_load_dataset`` needs the target column,
+    ``_load_columns`` (the test file's) takes it when present."""
 
     def test_load_basic(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,y,b\n1,2,3\n4,5,6\n")
-        data = load_csv(str(path), "y")
+        names, data = _load_dataset(str(path), "y")
+        assert names == ["a", "b"]
         assert data.features.tolist() == [[1.0, 3.0], [4.0, 6.0]]
         assert data.responses.tolist() == [2.0, 5.0]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("x,y\n1,2\n\n3,4\n")
-        assert load_csv(str(path), "y").n == 2
+        assert _load_dataset(str(path), "y")[1].n == 2
 
     def test_table_shape_from_the_cells(self, tmp_path):
         # The cells are parsed into one flat buffer and reshaped by the header.
         path = tmp_path / "t.csv"
         path.write_text("x1\n1\n\n-2.5e-3\n")
-        X, y = load_features_csv(str(path), "y")
+        _, X, y = _load_columns(str(path), "y")
         assert X.shape == (2, 1) and X.tolist() == [[1.0], [-0.0025]] and y is None
         path.write_text("x1,y\n\n \n")
         with pytest.raises(DataError, match="no data rows"):
-            load_csv(str(path), "y")
+            _load_dataset(str(path), "y")
 
     def test_error_names_row_and_column(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("x1,y\n1,2\nnan,4\n")
         with pytest.raises(DataError, match=r"row 2, column 'x1'"):
-            load_csv(str(path), "y")
+            _load_dataset(str(path), "y")
 
     def test_inf_tokens_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("x1,y\n1,-inf\n")
         with pytest.raises(DataError, match="non-finite"):
-            load_csv(str(path), "y")
+            _load_dataset(str(path), "y")
 
     def test_unparsable_cell(self, tmp_path):
+        # Tokens with an inner space are not numbers, whatever they spell.
         path = tmp_path / "t.csv"
-        path.write_text("x1,y\n1,two\n")
-        with pytest.raises(DataError, match="cannot parse 'two'") as info:
-            load_csv(str(path), "y")
-        assert str(info.value) == f"{path}: row 1, column 'y': cannot parse 'two' as a number"
+        for token in ("two", "in f", "- inf", "n a n"):
+            path.write_text(f"x1,y\n1,{token}\n")
+            with pytest.raises(DataError) as info:
+                _load_dataset(str(path), "y")
+            assert str(info.value) == (
+                f"{path}: row 1, column 'y': cannot parse {token!r} as a number")
 
     def test_missing_and_duplicate_target(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("x1,x2\n1,2\n")
         with pytest.raises(DataError, match="not found"):
-            load_csv(str(path), "y")
+            _load_dataset(str(path), "y")
         path.write_text("y,y\n1,2\n")
         with pytest.raises(DataError, match="twice"):
-            load_csv(str(path), "y")
+            _load_dataset(str(path), "y")
 
     def test_target_only_file_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("y\n1\n")
         with pytest.raises(DataError, match="no feature columns"):
-            load_csv(str(path), "y")
+            _load_dataset(str(path), "y")
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("x,y\n1,2\n3\n")
         with pytest.raises(DataError, match="row 2 has 1 cells"):
-            load_csv(str(path), "y")
+            _load_dataset(str(path), "y")
 
     def test_empty_and_missing_files(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("")
         with pytest.raises(DataError, match="empty"):
-            load_csv(str(path), "y")
+            _load_dataset(str(path), "y")
         with pytest.raises(DataError, match="cannot read"):
-            load_csv(str(tmp_path / "nope.csv"), "y")
+            _load_dataset(str(tmp_path / "nope.csv"), "y")
 
     def test_features_csv_with_and_without_target(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("x1,y\n1,2\n")
-        X, y = load_features_csv(str(path), "y")
+        _, X, y = _load_columns(str(path), "y")
         assert X.tolist() == [[1.0]] and y.tolist() == [2.0]
         path.write_text("x1,x2\n1,2\n")
-        X, y = load_features_csv(str(path), "y")
+        _, X, y = _load_columns(str(path), "y")
         assert X.tolist() == [[1.0, 2.0]] and y is None
-
-    def test_save_csv_validates_names(self, tmp_path):
-        data = small()
-        with pytest.raises(ConfigError):
-            save_csv(data, str(tmp_path / "t.csv"), feature_columns=["a", "b"])
-        with pytest.raises(ConfigError):
-            save_csv(data, str(tmp_path / "t.csv"), target_column="x1")
 
 
 class TestSplit:
@@ -204,17 +193,6 @@ class TestSplit:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         assert not np.array_equal(a[1], c[1])
 
-    def test_explicit_indices(self):
-        spec = SplitSpec(train_indices=(2, 0), holdout_indices=(1,))
-        train, hold = spec.resolve(3)
-        assert train.tolist() == [0, 2] and hold.tolist() == [1]
-        with pytest.raises(ConfigError, match="partition"):
-            spec.resolve(4)
-
-    def test_explicit_indices_must_be_complete(self):
-        with pytest.raises(ConfigError, match="both index lists"):
-            SplitSpec(train_indices=(0, 1))
-
     def test_fraction_bounds(self):
         with pytest.raises(ConfigError):
             SplitSpec(holdout_fraction=0.0)
@@ -222,14 +200,6 @@ class TestSplit:
             SplitSpec(holdout_fraction=1.0)
         with pytest.raises(ConfigError, match="fewer than 2"):
             SplitSpec(holdout_fraction=0.5).resolve(1)
-
-    def test_train_test_split(self):
-        data = small()
-        kept, held = train_test_split(
-            data, SplitSpec(train_indices=(0, 1), holdout_indices=(2,))
-        )
-        assert kept.responses.tolist() == [0.0, 0.0]
-        assert held.responses.tolist() == [3.0]
 
 
 class TestGaussianLinear:

@@ -8,6 +8,7 @@ import pytest
 import predint.cli
 import predint.experiments
 from predint import (
+    METHOD_TOKENS,
     ConfigError,
     ConstantMean,
     CoverageReport,
@@ -27,6 +28,7 @@ from predint import (
     derive_seed,
     evaluate_methods,
     figure2_experiment,
+    full_conformal_set,
     gen_gaussian_linear,
     gen_pathological_abc,
     make_regressor,
@@ -70,6 +72,13 @@ class TestMethodSpec:
         with pytest.raises(ConfigError, match=r"^split_holdout must be in \(0, 1\)"):
             MethodSpec("split", split_holdout=holdout)
         assert MethodSpec("split", split_holdout=0.25).split_holdout == 0.25
+
+    def test_grid_must_be_a_grid_spec(self):
+        # Checked here: evaluate_methods read grid.lower only after every fold
+        # cache was built, and raised an AttributeError.
+        with pytest.raises(ConfigError, match="grid must be a GridSpec, got 5"):
+            MethodSpec("full-conformal", grid=5)
+        assert MethodSpec("full-conformal", grid=GridSpec(3)).grid == GridSpec(3)
 
 
 class TestCoverageReport:
@@ -238,6 +247,23 @@ class TestEvaluateMethods:
         with pytest.raises(DataError, match="not finite"):
             evaluate_methods(train, np.array([[1e308, 1e308]]), MinNormOLS(), [mspec],
                              [IntervalSpec(0.2)])
+
+    @pytest.mark.parametrize("token", METHOD_TOKENS)
+    def test_an_empty_training_set_fails_before_any_fit(self, token):
+        # It raised numpy's ValueError (full conformal's default grid) or a
+        # ConfigError about a quantile's input.
+        empty = Dataset(np.zeros((0, 3)), np.zeros(0))
+        reg = CountingRegressor(MinNormOLS())
+        with pytest.raises(ConfigError, match="the training set is empty"):
+            evaluate_methods(empty, np.zeros((1, 3)), reg, [MethodSpec(token)],
+                             [IntervalSpec(0.1)])
+        assert reg.fits == 0
+
+    def test_full_conformal_rejects_an_empty_training_set(self):
+        empty = Dataset(np.zeros((0, 3)), np.zeros(0))
+        with pytest.raises(ConfigError, match="the training set is empty"):
+            full_conformal_set(empty, MinNormOLS(), IntervalSpec(0.1), np.zeros(3),
+                               GridSpec(lower=-1.0, upper=1.0))
 
     def test_run_trial_rejects_a_test_set_of_another_width(self):
         train, _ = gaussian_split(8, 1, 3, seed=9)
@@ -464,6 +490,9 @@ class TestCoverageMc:
         monkeypatch.setattr(predint.experiments, "run_trial", spy)
         with pytest.raises(ConfigError, match="unknown regressor 'tree'"):
             run_coverage_mc(n=6, d=2, trials=2, n_test=2, regressors=("mean", "tree"))
+        # Entries are tokens; a regressor object is not one.
+        with pytest.raises(ConfigError, match=r"unknown regressor MinNormOLS\(\)"):
+            run_coverage_mc(n=6, d=2, trials=2, n_test=2, regressors=("mean", MinNormOLS()))
         assert calls == []
 
 

@@ -29,6 +29,7 @@ from predint import (
     figure2_experiment,
     gen_gaussian_linear,
     gen_pathological_abc,
+    make_regressor,
     pathology_memorizer,
     pathology_parity,
     run_audit,
@@ -100,6 +101,40 @@ def test_unused_imports_are_detected():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_module_keeps_an_unused_import(path):
     assert not unused_imports(path.read_text())
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def unused_public_names(names, sources, readme: str) -> list[str]:
+    """Those of ``names`` that no source reads as a name or an attribute and
+    that no backticked span of ``readme`` mentions."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    for span in re.findall(r"`([^`]+)`", readme):
+        read.update(re.findall(r"[A-Za-z_]\w*", span))
+    return [name for name in names if name not in read]
+
+
+def test_unused_public_names_are_detected():
+    sources = ["def f():\n    pass\ndef g():\n    pass\nclass C:\n    pass\n"
+               '__all__ = ["f", "g", "C", "h", "k"]\nf()\nx.C\n']
+    assert unused_public_names(["f", "g", "C", "h", "k"], sources,
+                               "call `h(1)`; k is not code") == ["g", "k"]
+
+
+def test_every_public_name_is_used_or_documented():
+    # A public name that nothing in the package calls is code to keep with no
+    # use: the package reads it, or README documents it.
+    names = [name for layer in LAYERS
+             for name in importlib.import_module(f"predint.{layer}").__all__]
+    assert not unused_public_names(names, [path.read_text() for path in SOURCES],
+                                   README.read_text())
 
 
 def stream_sources(source: str) -> list[str]:
@@ -226,11 +261,22 @@ def test_real_settings_reject_non_reals(name, make):
             make(bad)
 
 
+@pytest.mark.parametrize("make", [lambda v: Ridge(intercept=v),
+                                  lambda v: make_regressor("ridge", intercept=v)],
+                         ids=["Ridge.intercept", "make_regressor.intercept"])
+def test_ridge_intercept_must_be_a_bool(make):
+    # A truthy string fitted with an intercept and None without one.
+    for bad in ("False", None, 0, 1):
+        with pytest.raises(ConfigError, match="ridge intercept must be a bool"):
+            make(bad)
+    for good in (True, False, np.bool_(False)):
+        assert make(good).intercept == good
+
+
 def test_methods_table_names_resolve():
     # Every backticked name in the first column of README's methods table is
     # a name predint exports, so the table cannot name a retired function.
-    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-    section = readme.read_text().split("## Methods and guarantees", 1)[1].split("\n## ", 1)[0]
+    section = README.read_text().split("## Methods and guarantees", 1)[1].split("\n## ", 1)[0]
     rows = [line for line in section.splitlines() if line.startswith("|")][2:]
     names = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
     assert len(names) >= 8
