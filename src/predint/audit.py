@@ -13,7 +13,7 @@ test row not covered by the matching interval is always strange; the audit
 checks both facts on concrete instances, comparing counts with thresholds in
 exact integer arithmetic on the level's ratio p/q.
 
-Everything here fits the pairwise models directly (no sharing tricks);
+Everything here refits each pairwise model (only the row sort is shared);
 intended for n + 1 up to a few dozen rows. The audited intervals come from
 the library's ``build_loo_cache``, so an instance costs n(n+3)/2 fits.
 """
@@ -35,7 +35,7 @@ from .intervals import (
     jackknife_plus,
 )
 from .quantiles import _check_alpha
-from .regressors import Regressor
+from .regressors import Regressor, canonical_order
 from .rng import derive_seed
 
 __all__ = [
@@ -56,12 +56,14 @@ def residual_matrix(data: Dataset, regressor: Regressor) -> np.ndarray:
     of mu_{-(i,j)} per unordered pair i < j, read at rows i and j."""
     if data.n < 3:
         raise ConfigError("residual matrix needs at least 3 rows")
+    X, y = data.features, data.responses
+    order = canonical_order(X, y)  # restricted to a subset: the subset's own order
     R = np.full((data.n, data.n), math.inf)
     for i in range(data.n):
         for j in range(i + 1, data.n):
-            model = regressor.fit(data.drop([i, j]))
-            R[i, j] = abs(data.responses[i] - model.predict(data.features[i]))
-            R[j, i] = abs(data.responses[j] - model.predict(data.features[j]))
+            model = regressor._fit_rows(X, y, order[(order != i) & (order != j)])
+            R[i, j] = abs(y[i] - model.predict(X[i]))
+            R[j, i] = abs(y[j] - model.predict(X[j]))
     return R
 
 

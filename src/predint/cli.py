@@ -202,21 +202,13 @@ def cmd_simulate(args) -> int:
             n=args.n, d_list=d_list, trials=args.trials, n_test=args.n_test,
             alpha=args.alpha, seed=args.seed, methods=methods,
         )
-        rows = []
-        for d in d_list:
-            for label, report in results[d].items():
-                rows.append(
-                    [d, label, _fmt(report.coverage_mean), _fmt(report.coverage_se),
-                     _fmt(report.width_mean), _fmt(report.width_se)]
-                )
-        _write_output(
-            args.out, echo, "simulate",
-            ["d", "method", "coverage_mean", "coverage_se", "width_mean", "width_se"],
-            rows,
-        )
-        return 0
-
-    if args.experiment == "coverage-mc":
+        header = ["d", "method", "coverage_mean", "coverage_se", "width_mean", "width_se"]
+        rows = [
+            [d, label, _fmt(report.coverage_mean), _fmt(report.coverage_se),
+             _fmt(report.width_mean), _fmt(report.width_se)]
+            for d in d_list for label, report in results[d].items()
+        ]
+    elif args.experiment == "coverage-mc":
         alphas = _parse_list(args.alphas, float,
                              "expected a comma-separated list of numbers, got {text!r}")
         k_list = _parse_list(args.k_list, _fold_count,
@@ -226,6 +218,8 @@ def cmd_simulate(args) -> int:
             n=args.n, d=args.d, trials=args.trials, n_test=args.n_test,
             alphas=args.alphas, regressors=args.regressors, k_list=args.k_list,
         )
+        header = ["regressor", "method", "alpha", "coverage_mean", "coverage_se",
+                  "width_mean", "width_se", "infinite_count", "bound"]
         rows = []
         for row in run_coverage_mc(
             n=args.n, d=args.d, trials=args.trials, n_test=args.n_test,
@@ -238,15 +232,7 @@ def cmd_simulate(args) -> int:
                  _fmt(rep.width_mean), _fmt(rep.width_se),
                  rep.infinite_count, _fmt(row["bound"])]
             )
-        _write_output(
-            args.out, echo, "simulate",
-            ["regressor", "method", "alpha", "coverage_mean", "coverage_se",
-             "width_mean", "width_se", "infinite_count", "bound"],
-            rows,
-        )
-        return 0
-
-    if args.experiment == "pathology-memorizer":
+    elif args.experiment == "pathology-memorizer":
         echo.update(
             n=args.n, trials=args.trials, n_test=args.n_test, alpha=args.alpha,
             memorizer_eps=args.memorizer_eps,
@@ -255,35 +241,27 @@ def cmd_simulate(args) -> int:
             n=args.n, eps=args.memorizer_eps, trials=args.trials,
             n_test=args.n_test, alpha=args.alpha, seed=args.seed,
         )
+        header = ["method", "trials", "coverage_mean", "coverage_min", "coverage_max",
+                  "width_mean"]
         rows = [
             [label, rep.trials, _fmt(rep.coverage_mean),
              _fmt(min(rep.coverages)), _fmt(max(rep.coverages)), _fmt(rep.width_mean)]
             for label, rep in reports.items()
         ]
-        _write_output(
-            args.out, echo, "simulate",
-            ["method", "trials", "coverage_mean", "coverage_min", "coverage_max", "width_mean"],
-            rows,
-        )
-        return 0
-
-    # pathology-parity
-    result = pathology_parity(eps=args.eps, seed=args.seed, gamma=args.gamma, tau=args.tau,
-                              **given)
-    rep = result.report
-    echo.update(n=result.n, trials=rep.trials, n_test=result.n_test, alpha=result.alpha,
-                eps=result.eps)
-    rows = [[
-        result.n, _fmt(result.alpha), _fmt(result.eps), _fmt(result.gamma),
-        _fmt(result.tau), rep.trials * result.n_test, _fmt(rep.coverage_mean),
-        _fmt(rep.coverage_se), _fmt(result.bound_upper),
-    ]]
-    _write_output(
-        args.out, echo, "simulate",
-        ["n", "alpha", "eps", "gamma", "tau", "evals", "coverage_mean",
-         "coverage_se", "bound_upper"],
-        rows,
-    )
+    else:  # pathology-parity
+        result = pathology_parity(eps=args.eps, seed=args.seed, gamma=args.gamma, tau=args.tau,
+                                  **given)
+        rep = result.report
+        echo.update(n=result.n, trials=rep.trials, n_test=result.n_test, alpha=result.alpha,
+                    eps=result.eps)
+        header = ["n", "alpha", "eps", "gamma", "tau", "evals", "coverage_mean",
+                  "coverage_se", "bound_upper"]
+        rows = [[
+            result.n, _fmt(result.alpha), _fmt(result.eps), _fmt(result.gamma),
+            _fmt(result.tau), rep.trials * result.n_test, _fmt(rep.coverage_mean),
+            _fmt(rep.coverage_se), _fmt(result.bound_upper),
+        ]]
+    _write_output(args.out, echo, "simulate", header, rows)
     return 0
 
 
@@ -438,15 +416,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except PredintError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except PredintError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, DataError) else 2
 
 
 def _block_openssl() -> None:

@@ -24,9 +24,10 @@ __all__ = [
 class Dataset:
     """An immutable regression sample: features of shape (n, d), responses (n,).
 
-    All entries must be finite floats. Arrays are copied and frozen at
-    construction, so a Dataset can be shared across fitted models and caches
-    without defensive copying downstream.
+    All entries must be finite floats. The constructor copies and freezes its
+    arrays; ``take`` and ``drop`` adopt the fresh rows they gather, and ``head``
+    and ``tail_from`` are read-only views of the frozen parent. So a Dataset
+    can be shared across fitted models and caches without defensive copying.
     """
 
     features: np.ndarray
@@ -75,19 +76,19 @@ class Dataset:
     def take(self, indices) -> "Dataset":
         """New Dataset with the given rows, in the given order."""
         idx = np.asarray(indices, dtype=int)
-        return Dataset(self.features[idx], self.responses[idx])
+        return Dataset._adopt(self.features[idx], self.responses[idx])
 
     def drop(self, indices) -> "Dataset":
         """New Dataset without the given rows (order of the rest preserved)."""
         mask = np.ones(self.n, dtype=bool)
         mask[np.asarray(indices, dtype=int)] = False
-        return Dataset(self.features[mask], self.responses[mask])
+        return Dataset._adopt(self.features[mask], self.responses[mask])
 
     def head(self, k: int) -> "Dataset":
-        return Dataset(self.features[:k], self.responses[:k])
+        return Dataset._adopt(self.features[:k], self.responses[:k])
 
     def tail_from(self, k: int) -> "Dataset":
-        return Dataset(self.features[k:], self.responses[k:])
+        return Dataset._adopt(self.features[k:], self.responses[k:])
 
 
 def _parse_cell(token: str, path: str, row: int, column: str) -> float:
@@ -183,10 +184,9 @@ class SplitSpec:
 
     def resolve(self, n: int):
         """Return (train_idx, holdout_idx) as sorted integer arrays."""
-        size = int(round(n * self.holdout_fraction))
-        size = min(max(size, 1), n - 1)
-        if n < 2:
+        if _require_int("n", n) < 2:
             raise ConfigError("cannot split fewer than 2 rows")
+        size = min(max(int(round(n * self.holdout_fraction)), 1), n - 1)
         perm = _permutation(self.seed, n)
         return np.sort(perm[size:]), np.sort(perm[:size])
 
@@ -210,7 +210,7 @@ def gen_gaussian_linear(n: int, d: int, seed: int):
         norm = 1.0
     beta = math.sqrt(10.0) * u / norm
     y = X @ beta + rng.standard_normal(n)
-    return Dataset(X, y), beta
+    return Dataset._adopt(X, y), beta
 
 
 def gen_pathological_abc(n: int, alpha: float, gamma: float, seed: int) -> Dataset:

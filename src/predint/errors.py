@@ -25,6 +25,18 @@ def _require_int(name: str, value):
     return value
 
 
+def _require_sequence(name: str, value, kind: type = object) -> list:
+    """The entries of ``value`` as a list if it is an iterable other than a
+    string and each entry is a ``kind``, else a ConfigError naming ``name``."""
+    if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+        raise ConfigError(f"{name} must be a sequence, got {value!r}")
+    entries = list(value)
+    for entry in entries:
+        if not isinstance(entry, kind):
+            raise ConfigError(f"{name} must hold {kind.__name__} entries, got {entry!r}")
+    return entries
+
+
 def _require_real(name: str, value):
     """``value`` itself if it is a real number (not a bool), else a
     ConfigError naming the setting ``name``."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, SplitSpec, attach_tau, gen_gaussian_linear, gen_pathological_abc
-from .errors import ConfigError, DataError, _require_int, _require_real
+from .errors import ConfigError, DataError, _require_int, _require_real, _require_sequence
 from .intervals import (
     METHOD_TOKENS,
     GridSpec,
@@ -105,9 +105,7 @@ class CoverageReport:
 
     @property
     def coverage_se(self) -> float:
-        if self.trials < 2:
-            return 0.0
-        return float(np.std(self.coverages, ddof=1) / math.sqrt(self.trials))
+        return _standard_error(self.coverages)
 
     @property
     def width_mean(self) -> float:
@@ -116,10 +114,13 @@ class CoverageReport:
 
     @property
     def width_se(self) -> float:
-        finite = [w for w in self.widths if not math.isnan(w)]
-        if len(finite) < 2:
-            return 0.0
-        return float(np.std(finite, ddof=1) / math.sqrt(len(finite)))
+        return _standard_error([w for w in self.widths if not math.isnan(w)])
+
+
+def _standard_error(values) -> float:
+    if len(values) < 2:
+        return 0.0
+    return float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
 def aggregate(reports) -> CoverageReport:
@@ -178,6 +179,8 @@ def evaluate_methods(
     ``numpy.random``. Each residual quantile is computed once per residual
     vector and level.
     """
+    methods = _require_sequence("methods", methods, MethodSpec)
+    specs = _require_sequence("specs", specs, IntervalSpec)
     if train.n == 0:
         raise ConfigError("the training set is empty; every method needs at least one row")
     X_test = np.asarray(X_test, dtype=float)
@@ -258,6 +261,8 @@ def run_trial(
     test points. The objects come from :func:`evaluate_methods`, so fits are
     shared across methods and levels.
     """
+    methods = _require_sequence("methods", methods, MethodSpec)
+    specs = _require_sequence("specs", specs, IntervalSpec)
     if not methods or not specs:
         raise ConfigError("need at least one method and one spec")
     if test.n < 1:
@@ -291,14 +296,8 @@ def default_method_list(n: int, k_folds: int = 10) -> list[MethodSpec]:
     if _require_int("k_folds", k_folds) < 1:
         raise ConfigError(f"k_folds must be >= 1, got {k_folds}")
     k = k_folds if k_folds <= n and n % k_folds == 0 else None
-    return [
-        MethodSpec("naive"),
-        MethodSpec("split"),
-        MethodSpec("jackknife"),
-        MethodSpec("jackknife+"),
-        MethodSpec("jackknife-mm"),
-        MethodSpec("cv+", k_folds=k),
-    ]
+    tokens = ("naive", "split", "jackknife", "jackknife+", "jackknife-mm")
+    return [MethodSpec(token) for token in tokens] + [MethodSpec("cv+", k_folds=k)]
 
 
 def _coverage_reports(trials: int, trial) -> dict:
@@ -334,10 +333,11 @@ def figure2_experiment(
     linear model (the coefficient vector is redrawn every trial). Returns
     ``{d: {label: CoverageReport}}``.
     """
+    d_list = _require_sequence("d_list", d_list)
     if not d_list:
         raise ConfigError("d_list must name at least one feature dimension")
     if len(set(d_list)) != len(d_list):
-        raise ConfigError(f"d_list must not repeat a dimension, got {list(d_list)}")
+        raise ConfigError(f"d_list must not repeat a dimension, got {d_list}")
     if methods is None:
         methods = default_method_list(n)
     specs = [IntervalSpec(alpha)]
@@ -376,13 +376,14 @@ def run_coverage_mc(
     ``k_list`` (None means K = n). Returns one row per (regressor, method,
     alpha) with the matching assumption-free lower bound.
     """
-    if not regressors:
+    names = _require_sequence("regressors", regressors)
+    if not names:
         raise ConfigError("regressors must name at least one regressor")
-    names = list(regressors)
     # Every token is checked before the first trial, so a bad one late in
     # the list fails at once rather than after the earlier regressors' runs.
     regs = [make_regressor(t) for t in names]
-    for what, values in (("regressors", names), ("alphas", list(alphas))):
+    alphas, k_list = _require_sequence("alphas", alphas), _require_sequence("k_list", k_list)
+    for what, values in (("regressors", names), ("alphas", alphas)):
         if len(set(values)) != len(values):
             raise ConfigError(f"{what} must not repeat an entry, got {values}")
     methods = [MethodSpec("jackknife+"), MethodSpec("jackknife-mm"), MethodSpec("split")]

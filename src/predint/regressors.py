@@ -3,9 +3,11 @@
 Every algorithm here is a deterministic, symmetric function of its training
 multiset: before fitting, rows are sorted into a canonical order (features
 lexicographically, then response), so training is invariant under row
-permutations bitwise, not merely up to rounding. Fitting an empty training
-set yields the zero function; that convention keeps leave-one-out and
-leave-pair-out machinery total without special cases.
+permutations bitwise, not merely up to rounding. ``_fit(X, y)`` on rows in
+canonical order is the one override point for training; a subset's canonical
+order is the full order restricted to it, so fold and pair fits sort once.
+Fitting an empty training set yields the zero function; that convention keeps
+leave-one-out and leave-pair-out machinery total without special cases.
 
 Prediction is pure: repeated calls with the same input return the identical
 float. ``predict_many`` is a row loop over ``predict``, or repeats its
@@ -121,10 +123,14 @@ class Regressor:
     token = "base"
 
     def fit(self, train: Dataset) -> FittedModel:
-        if train.n == 0:
+        X, y = train.features, train.responses
+        return self._fit_rows(X, y, canonical_order(X, y))
+
+    def _fit_rows(self, X: np.ndarray, y: np.ndarray, kept: np.ndarray) -> FittedModel:
+        """The fit on rows ``kept`` of (X, y), in canonical order; zero if none."""
+        if kept.size == 0:
             return ConstantModel(0.0)
-        order = canonical_order(train.features, train.responses)
-        return self._fit(train.features[order], train.responses[order])
+        return self._fit(X[kept], y[kept])
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> FittedModel:
         raise NotImplementedError
@@ -133,20 +139,25 @@ class Regressor:
         """``(models, model_of, in_sample)``: per row i, ``models[model_of[i]]``
         is fitted without row i's fold and predicts ``in_sample[i]`` at row i.
         Every model is some row's. ``fold_of=None`` is leave-one-out, every
-        row its own fold. This reference refits each nonempty fold."""
+        row its own fold. This reference refits each nonempty fold on the other
+        rows, taken in the canonical order of all n, which is their own."""
+        n = train.n
         if fold_of is None:
-            folds = (np.array([i]) for i in range(train.n))
+            fold_of, folds = np.arange(n), range(n)
         else:
             fold_of = np.asarray(fold_of)
-            folds = (np.flatnonzero(fold_of == fold)
-                     for fold in np.flatnonzero(_fold_sizes(fold_of, train.n)))
-        model_of = np.empty(train.n, dtype=np.intp)
-        in_sample = np.empty(train.n)
+            folds = np.flatnonzero(_fold_sizes(fold_of, n))
+        X, y = train.features, train.responses
+        order = canonical_order(X, y)
+        labels_in_order = fold_of[order]
+        model_of = np.empty(n, dtype=np.intp)
+        in_sample = np.empty(n)
         models = []
-        for j, rows in enumerate(folds):
+        for j, fold in enumerate(folds):
+            rows = np.flatnonzero(fold_of == fold)
             model_of[rows] = j
-            models.append(self.fit(train.drop(rows)))
-            in_sample[rows] = models[-1].predict_many(train.features[rows])
+            models.append(self._fit_rows(X, y, order[labels_in_order != fold]))
+            in_sample[rows] = models[-1].predict_many(X[rows])
         return models, model_of, in_sample
 
 

@@ -81,6 +81,8 @@ def estimate_stability(
     violations = 0
     for t in range(trials):
         data = sampler(n + 1, derive_seed(seed, f"stability/{kind}", t))
+        if not isinstance(data, Dataset):
+            raise ConfigError(f"sampler must return a Dataset, got {type(data).__name__}")
         if data.n != n + 1:
             raise ConfigError("sampler returned the wrong number of rows")
         full = regressor.fit(data.head(n))

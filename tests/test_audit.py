@@ -28,7 +28,9 @@ from predint import (
     ConstantMean,
     Dataset,
     IntervalSpec,
+    Memorizer,
     MinNormOLS,
+    ParityAdversary,
     Ridge,
     audit_instance,
     build_loo_cache,
@@ -71,7 +73,32 @@ def random_instance(seed):
     return data, reg
 
 
+# Rows with every kind of tie the canonical order meets: rows 0 and 1 repeat,
+# rows 2 and 3 differ only in the response, rows 4 and 5 share their two
+# leading columns, and rows 6 and 7 differ only in the sign of a zero.
+# Column 1 is a sign, so the parity regressor can fit them too.
+TIED = Dataset([[0.5, 1.0, 0.25], [0.5, 1.0, 0.25], [1.0, -1.0, 0.0], [1.0, -1.0, 0.0],
+                [0.0, 1.0, -0.5], [0.0, 1.0, 0.75], [1.0, 1.0, 0.0], [1.0, 1.0, -0.0]],
+               [1.0, 1.0, 2.0, -1.0, 0.0, 0.5, 3.0, 3.0])
+
+
 class TestResidualMatrix:
+    @pytest.mark.parametrize(
+        "reg", [MinNormOLS(), Ridge(lambda_rel=0.01), KNN(k=2), MEAN, Memorizer(eps=0.5),
+                ParityAdversary(tau=2.0)],
+        ids=lambda r: r.token,
+    )
+    def test_matches_pair_refits_on_tied_rows_bitwise(self, reg):
+        """The slow reference: one ``fit(data.drop([i, j]))`` per pair."""
+        m = TIED.n
+        want = np.full((m, m), math.inf)
+        for i in range(m):
+            for j in range(i + 1, m):
+                model = reg.fit(TIED.drop([i, j]))
+                want[i, j] = abs(TIED.responses[i] - model.predict(TIED.features[i]))
+                want[j, i] = abs(TIED.responses[j] - model.predict(TIED.features[j]))
+        assert residual_matrix(TIED, reg).tobytes() == want.tobytes()
+
     def test_worked_values(self, worked_R):
         expected = np.array(
             [
@@ -312,9 +339,9 @@ class TestAuditInstance:
         fits = [0]
 
         class Counting(MinNormOLS):
-            def fit(self, train):
+            def _fit(self, X, y):
                 fits[0] += 1
-                return super().fit(train)
+                return super()._fit(X, y)
 
         for n in (2, 5, 8):
             fits[0] = 0

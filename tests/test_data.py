@@ -201,6 +201,12 @@ class TestSplit:
         with pytest.raises(ConfigError, match="fewer than 2"):
             SplitSpec(holdout_fraction=0.5).resolve(1)
 
+    @pytest.mark.parametrize("n", [4.5, "4", None, True])
+    def test_row_count_must_be_an_integer(self, n):
+        # A float raised a raw TypeError.
+        with pytest.raises(ConfigError, match="n must be an integer"):
+            SplitSpec(holdout_fraction=0.5).resolve(n)
+
 
 class TestGaussianLinear:
     def test_deterministic(self):

@@ -207,17 +207,34 @@ class TestRunTrial:
                 [IntervalSpec(0.1)],
             )
 
+    @pytest.mark.parametrize("methods, specs, message", [
+        ([MethodSpec("naive")], [0.1], "specs must hold IntervalSpec entries, got 0.1"),
+        ([MethodSpec("naive")], IntervalSpec(0.1), "specs must be a sequence"),
+        (["naive"], [IntervalSpec(0.1)], "methods must hold MethodSpec entries, got 'naive'"),
+        ("naive", [IntervalSpec(0.1)], "methods must be a sequence, got 'naive'"),
+    ], ids=["float-spec", "bare-spec", "string-method", "bare-string"])
+    def test_entries_are_checked_before_any_fit(self, methods, specs, message):
+        # A float spec or a string method raised AttributeError.
+        train, test = gaussian_split(6, 2, 1, seed=8)
+        reg = CountingRegressor(MinNormOLS())
+        with pytest.raises(ConfigError, match=message):
+            run_trial(train, test, reg, methods, specs)
+        with pytest.raises(ConfigError, match=message):
+            evaluate_methods(train, test.features, reg, methods, specs)
+        assert reg.fits == 0
+
 
 class CountingRegressor(Regressor):
-    """Passes every fit through to ``inner`` and counts it."""
+    """Passes every fit through to ``inner`` and counts it at the training
+    hook, which full, split and fold fits all reach."""
 
     def __init__(self, inner):
         self.inner = inner
         self.fits = 0
 
-    def fit(self, train):
+    def _fit(self, X, y):
         self.fits += 1
-        return self.inner.fit(train)
+        return self.inner._fit(X, y)
 
 
 class TestEvaluateMethods:
@@ -452,6 +469,12 @@ class TestFigure2:
                 assert rep.trials == 2 and rep.alpha == 0.2
         assert figure2_experiment(**kw) == out
 
+    @pytest.mark.parametrize("d_list", [20, "20", None], ids=["int", "string", "none"])
+    def test_d_list_must_be_a_sequence(self, d_list):
+        # An int raised a raw TypeError.
+        with pytest.raises(ConfigError, match="d_list must be a sequence"):
+            figure2_experiment(n=6, d_list=d_list, trials=1, n_test=2)
+
 
 class TestCoverageMc:
     def test_row_layout_and_bounds(self):
@@ -479,6 +502,16 @@ class TestCoverageMc:
         kw = dict(n=6, d=1, trials=2, n_test=3, alphas=(0.25,),
                   regressors=("ols",), k_list=(None,), seed=8)
         assert run_coverage_mc(**kw) == run_coverage_mc(**kw)
+
+    @pytest.mark.parametrize("argument, value", [
+        ("alphas", 0.1), ("alphas", "0.1"), ("regressors", "ols"), ("regressors", make_regressor),
+        ("k_list", 5), ("k_list", "n"),
+    ], ids=["alphas-float", "alphas-string", "regressors-string", "regressors-callable",
+            "k_list-int", "k_list-string"])
+    def test_list_arguments_must_be_sequences(self, argument, value):
+        # A float raised a raw TypeError, and "ols" read as the tokens o, l, s.
+        with pytest.raises(ConfigError, match=f"{argument} must be a sequence"):
+            run_coverage_mc(n=6, d=2, trials=1, n_test=2, **{argument: value})
 
     def test_every_regressor_token_is_checked_before_the_first_trial(self, monkeypatch):
         calls = []

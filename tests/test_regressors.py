@@ -370,6 +370,76 @@ def test_fit_folds_is_one_refit_per_fold(reg, folds):
         assert len(models) == len(np.unique(fold_of))
 
 
+def tie_heavy(n, seed):
+    """n rows drawn from small grids, so the canonical order meets every kind
+    of tie: row 1 repeats row 0, row 3 has row 2's features but another
+    response, and row 5 shares row 4's two leading columns only; zeros come
+    in both signs. Column 1 is a sign, so the parity regressor can fit it."""
+    rng = derive_rng(seed, "tie-heavy")
+    X = np.column_stack([rng.choice([0.0, 0.5, 1.0], n), rng.choice([-1.0, 1.0], n),
+                         rng.choice([-0.5, -0.0, 0.0, 0.25], n)])
+    y = rng.choice([-0.0, 0.0, 1.0, 2.0], n)
+    X[1], y[1] = X[0], y[0]
+    X[3], y[3] = X[2], y[2] + 1.0
+    X[5, :2], X[5, 2] = X[4, :2], X[4, 2] + 1.0
+    return Dataset(X, y)
+
+
+TIED_PARTITIONS = {
+    "K=1": lambda n, rng: np.zeros(n, dtype=int),
+    "K=2": lambda n, rng: rng.permutation(np.arange(n) % 2),
+    "K=5": lambda n, rng: rng.permutation(np.arange(n) % 5),
+    "K=n": lambda n, rng: rng.permutation(n),
+    "implicit-loo": lambda n, rng: None,
+    "empty-folds": lambda n, rng: rng.integers(0, n // 2, size=n),
+}
+
+
+@pytest.mark.parametrize("folds", TIED_PARTITIONS)
+@pytest.mark.parametrize(
+    "reg", ALL_REGRESSORS + [ParityAdversary(tau=2.7)],
+    ids=lambda r: r.token + str(getattr(r, "intercept", "")),
+)
+def test_fit_folds_matches_refits_on_tied_rows(reg, folds):
+    """Fold fits take the rows in the full canonical order restricted to the
+    fold's rest; on tied rows each model must still be the refit on
+    ``train.drop(fold)``, bitwise at probes and at its own rows."""
+    train = tie_heavy(16, seed=7)
+    probes = np.vstack([train.features, tie_heavy(6, seed=8).features])
+    fold_of = TIED_PARTITIONS[folds](train.n, derive_rng(9, "tied-folds"))
+    labels = np.arange(train.n) if fold_of is None else fold_of
+    models, model_of, in_sample = reg.fit_folds(train, fold_of)
+    for i in range(train.n):
+        refit = reg.fit(train.drop(np.flatnonzero(labels == labels[i])))
+        model = models[model_of[i]]
+        assert model.predict_many(probes).tobytes() == refit.predict_many(probes).tobytes()
+        assert in_sample[i].tobytes() == np.float64(refit.predict(train.features[i])).tobytes()
+
+
+@pytest.mark.parametrize("reg", ALL_REGRESSORS, ids=lambda r: r.token + str(getattr(r, "intercept", "")))
+def test_a_leave_one_out_cache_sorts_once_and_builds_no_dataset(reg, monkeypatch):
+    calls = {"canonical_order": 0, "Dataset": 0}
+
+    def count(name, inner):
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+        return counted
+
+    train = tie_heavy(12, seed=42)
+    monkeypatch.setattr(predint.regressors, "canonical_order",
+                        count("canonical_order", canonical_order))
+    monkeypatch.setattr(Dataset, "_own", count("Dataset", Dataset._own))
+    build_loo_cache(train, reg)
+    assert calls == {"canonical_order": 1, "Dataset": 0}
+
+
+def test_no_regressor_overrides_fit():
+    """``_fit`` is the one training hook: fold and pair fits reach it without
+    ``fit``, so an override of ``fit`` would train those differently."""
+    assert [cls for cls in _CLASSES.values() if cls.fit is not Regressor.fit] == []
+
+
 @pytest.mark.parametrize("b", [1.0, -1.0])
 def test_parity_leave_one_out_with_one_sign(b):
     """With every leave-one-out product of one sign, the shortcut returns the

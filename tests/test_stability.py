@@ -90,6 +90,13 @@ class TestEstimate:
         with pytest.raises(ConfigError, match="wrong number of rows"):
             estimate_stability(ConstantMean(), short, 5, 0.1, trials=1)
 
+    @pytest.mark.parametrize("returned", [0, None, ([[0.0]] * 6, [0.0] * 6)],
+                             ids=["int", "none", "tuple"])
+    def test_sampler_must_return_a_dataset(self, returned):
+        # An int raised AttributeError: 'int' object has no attribute 'n'.
+        with pytest.raises(ConfigError, match="sampler must return a Dataset"):
+            estimate_stability(ConstantMean(), lambda size, seed: returned, 5, 0.1, trials=1)
+
 
 class TestCoverageLowerBounds:
     def test_worked_values(self):
