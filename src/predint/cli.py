@@ -424,13 +424,12 @@ def main(argv=None) -> int:
 def _block_openssl() -> None:
     """Keep ``_hashlib``, and with it OpenSSL, out of this process.
 
-    Importing numpy.random runs secrets -> hmac -> _hashlib, which maps
-    libcrypto (about 3.3 MB resident), yet predint's one hash is the SHA-256
-    of ``derive_seed``, which CPython also builds in. With ``_hashlib``
-    blocked, hashlib binds its builtin fallbacks and hmac its
-    ``_operator._compare_digest``, so digests and streams are unchanged. If
-    ``_hashlib`` is already loaded or any fallback is missing (a FIPS build,
-    say), OpenSSL stays in.
+    Importing hashlib, predint's one route to ``_hashlib``, maps libcrypto
+    (about 3.3 MB resident), yet its one hash is the SHA-256 of
+    ``derive_seed``, which CPython also builds in. With ``_hashlib``
+    blocked, hashlib binds its builtin fallbacks, so digests and streams
+    are unchanged. If ``_hashlib`` is already loaded or any fallback is
+    missing (a FIPS build, say), OpenSSL stays in.
     """
     import importlib.util
 

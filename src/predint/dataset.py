@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, _require_int, _require_real
-from .rng import _permutation, _seeded_rng
+from .rng import _normals, _permutation, _uniforms
 
 __all__ = [
     "Dataset",
@@ -195,21 +195,23 @@ def gen_gaussian_linear(n: int, d: int, seed: int):
     """Gaussian linear model: X ~ N(0, I_d), Y = X beta + N(0, 1).
 
     beta = sqrt(10) * u with u a uniformly random unit vector, so the signal
-    variance is 10 regardless of d and Var(Y) = 11. Pure function of
+    variance is 10 regardless of d and Var(Y) = 11. Of the n*d + d + n
+    normals of ``_normals(seed, ...)``, X takes the first n*d in row-major
+    order, u the next d and the noise the last n. Pure function of
     (n, d, seed); returns ``(Dataset, beta)``.
     """
     if _require_int("n", n) < 1 or _require_int("d", d) < 1:
         raise ConfigError(f"n and d must be positive, got n={n}, d={d}")
-    rng = _seeded_rng(seed)
-    X = rng.standard_normal((n, d))
-    u = rng.standard_normal(d)
+    z = _normals(seed, n * d + d + n)
+    X = z[: n * d].reshape(n, d)
+    u = z[n * d : n * d + d]
     norm = float(np.linalg.norm(u))
     if norm == 0.0:  # probability zero, but keep the function total
         u = np.zeros(d)
         u[0] = 1.0
         norm = 1.0
     beta = math.sqrt(10.0) * u / norm
-    y = X @ beta + rng.standard_normal(n)
+    y = X @ beta + z[n * d + d :]
     return Dataset._adopt(X, y), beta
 
 
@@ -217,23 +219,25 @@ def gen_pathological_abc(n: int, alpha: float, gamma: float, seed: int) -> Datas
     """Three-column adversarial design (A, B, C).
 
     A ~ Bernoulli(2 alpha (1 - gamma)), B uniform on {-1, +1}, C uniform on
-    [-1, 1], all independent. Responses are a zero placeholder; use
-    :func:`attach_tau` to set Y = tau * A.
+    [-1, 1], all independent, from the rows (u1, u2, u3) of 3n
+    ``_uniforms(seed, ...)``: A = [u1 < p], B = -1 if u2 < 0.5 else +1 and
+    C = 2 u3 - 1. Responses are a zero placeholder; use :func:`attach_tau`
+    to set Y = tau * A.
     """
     if _require_int("n", n) < 1:
         raise ConfigError(f"n must be positive, got {n}")
-    p = 2.0 * alpha * (1.0 - gamma)
+    p = 2.0 * _require_real("alpha", alpha) * (1.0 - _require_real("gamma", gamma))
     if not 0.0 < p < 1.0:
         raise ConfigError(
             f"need 0 < 2*alpha*(1-gamma) < 1; got {p} from alpha={alpha}, gamma={gamma}"
         )
-    rng = _seeded_rng(seed)
-    X = np.empty((n, 3))
-    X[:, 0] = rng.random(n) < p
-    X[:, 1] = rng.integers(0, 2, size=n)
+    X = _uniforms(seed, 3 * n).reshape(n, 3)
+    X[:, 0] = X[:, 0] < p
+    X[:, 1] = X[:, 1] >= 0.5
     X[:, 1] *= 2.0
     X[:, 1] -= 1.0
-    X[:, 2] = rng.uniform(-1.0, 1.0, size=n)
+    X[:, 2] *= 2.0
+    X[:, 2] -= 1.0
     return Dataset._adopt(X, np.zeros(n))
 
 

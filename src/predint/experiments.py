@@ -38,7 +38,7 @@ from .intervals import (
     jackknife_plus,
 )
 from .regressors import Memorizer, MinNormOLS, ParityAdversary, Regressor, make_regressor
-from .rng import _uniforms, derive_rng, derive_seed
+from .rng import _normals, _uniforms, derive_seed
 from .stability import coverage_lower_bounds
 
 __all__ = [
@@ -175,9 +175,9 @@ def evaluate_methods(
     is one, one split fit per holdout fraction
     (seed ``derive_seed(seed, "split")``), and one cross-conformal tau per
     query row, shared across levels: the uniforms of
-    ``random.Random(derive_seed(seed, "tau"))``, so no draw here loads
-    ``numpy.random``. Each residual quantile is computed once per residual
-    vector and level.
+    ``random.Random(derive_seed(seed, "tau"))``, the one generator every
+    predint draw comes from. Each residual quantile is computed once per
+    residual vector and level.
     """
     methods = _require_sequence("methods", methods, MethodSpec)
     specs = _require_sequence("specs", specs, IntervalSpec)
@@ -428,7 +428,7 @@ def pathology_memorizer(
     specs = [IntervalSpec(alpha)]
 
     def trial(t):
-        X = derive_rng(seed, "memorizer", t).standard_normal((n + n_test, 1))
+        X = _normals(derive_seed(seed, "memorizer", t), n + n_test).reshape(-1, 1)
         data = Dataset(X, np.zeros(n + n_test))
         return run_trial(data.head(n), data.tail_from(n), regressor, methods, specs,
                          seed=derive_seed(seed, "memorizer-trial", t))

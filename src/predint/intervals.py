@@ -620,25 +620,29 @@ def full_conformal_set(
     Each candidate y is added to the training set, the model is refit, and y
     is kept iff its own residual is at most the corrected quantile of the
     original rows' residuals under the refit model. Contiguous accepted grid
-    points merge into closed intervals.
+    points merge into closed intervals. The fits are ``regressor.fit``'s on
+    one augmented buffer whose last response each candidate overwrites.
     """
     _require_plain_spec(spec, "full-conformal")
     if train.n == 0:
         raise ConfigError("the training set is empty; full conformal needs at least one row")
     if grid is None:
         grid = GridSpec()
-    lo = grid.lower if grid.lower is not None else float(np.min(train.responses))
-    hi = grid.upper if grid.upper is not None else float(np.max(train.responses))
+    lo = float(grid.lower if grid.lower is not None else np.min(train.responses))
+    hi = float(grid.upper if grid.upper is not None else np.max(train.responses))
     if lo > hi:
         raise ConfigError("grid lower bound exceeds upper bound")
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"the grid [{lo}, {hi}] is too wide: its span overflows")
     ys = np.linspace(lo, hi, grid.num_points)
 
     x = _query_point(x, train.d)
-    aug_features = np.vstack([train.features, x])
+    X_aug = np.vstack([train.features, x])
+    y_aug = np.append(train.responses, 0.0)
     accepted = np.zeros(len(ys), dtype=bool)
     for idx, y in enumerate(ys):
-        aug = Dataset(aug_features, np.append(train.responses, y))
-        model = regressor.fit(aug)
+        y_aug[-1] = y
+        model = regressor._fit_rows(X_aug, y_aug, canonical_order(X_aug, y_aug))
         resid = np.abs(train.responses - model.predict_many(train.features))
         accepted[idx] = abs(y - model.predict(x)) <= upper_quantile(resid, spec.alpha)
 

@@ -4,16 +4,17 @@ A master seed expands into independent per-purpose streams keyed by a tag
 string and a counter. The derivation hashes rather than offsets, so adding a
 new consumer or reordering work never silently shifts another stream.
 
-Two generators draw from a derived seed. The synthetic data
-(``gen_gaussian_linear``, ``gen_pathological_abc``, the memorizer's inputs)
-come from numpy's PCG64 through :func:`derive_rng`. The few draws a method
-makes, the split's shuffle, the K-fold deal and the cross-conformal taus,
-come from Python's ``random.Random(seed).random()``, whose sequence for a
-given seed Python keeps fixed across versions; so scoring a file never loads
-``numpy.random``.
+Every draw comes from one generator, Python's ``random.Random(seed).random()``,
+whose sequence for a given seed Python keeps fixed across versions: the
+uniforms of the split's shuffle, the K-fold deal, the cross-conformal taus
+and the pathological design, and the Box-Muller normals of the Gaussian data
+and the memorizer's inputs. So no command loads ``numpy.random``;
+:func:`derive_rng` is a PCG64 helper for callers.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -27,13 +28,15 @@ def derive_seed(master: int, tag: str, index: int | str = 0) -> int:
 
     Pure function of its arguments; uses SHA-256 so results do not depend on
     the process, platform, or Python hash randomization. ``master`` must be
-    an integer (negative ones included) and ``index`` an integer or a string
-    sub-tag, since a float would hash its own text, a stream unrelated to the
-    integer's.
+    an integer (negative ones included), ``tag`` a string and ``index`` an
+    integer or a string sub-tag, since a float would hash its own text, a
+    stream unrelated to the integer's, and tag 5 would hash as tag "5".
     """
     import hashlib  # loads OpenSSL (~3.3 MB resident) unless _hashlib is blocked
 
     _require_int("master", master)
+    if not isinstance(tag, str):
+        raise ConfigError(f"tag must be a string, got {tag!r}")
     if not isinstance(index, str):
         _require_int("index", index)
     digest = hashlib.sha256(f"{master}:{tag}:{index}".encode()).digest()
@@ -41,7 +44,8 @@ def derive_seed(master: int, tag: str, index: int | str = 0) -> int:
 
 
 def derive_rng(master: int, tag: str, index: int | str = 0) -> np.random.Generator:
-    """A fresh PCG64 generator seeded from :func:`derive_seed`."""
+    """A fresh PCG64 generator seeded from :func:`derive_seed`, for callers:
+    no predint command draws from one."""
     return np.random.default_rng(derive_seed(master, tag, index))
 
 
@@ -53,12 +57,6 @@ def _require_seed(seed, name: str) -> int:
     return int(seed)
 
 
-def _seeded_rng(seed) -> np.random.Generator:
-    """``np.random.default_rng(seed)`` for a seed checked by
-    :func:`_require_seed`."""
-    return np.random.default_rng(_require_seed(seed, "seed"))
-
-
 def _uniforms(seed, count: int, name: str = "seed") -> np.ndarray:
     """``count`` uniforms on [0, 1) from ``random.Random(seed).random()``, for
     a seed checked as by :func:`_require_seed` (a numpy integer draws what
@@ -67,6 +65,26 @@ def _uniforms(seed, count: int, name: str = "seed") -> np.ndarray:
 
     draw = random.Random(_require_seed(seed, name)).random
     return np.fromiter((draw() for _ in range(count)), dtype=float, count=count)
+
+
+def _normals(seed, count: int) -> np.ndarray:
+    """``count`` standard normals by Box-Muller on consecutive pairs (u1, u2)
+    of ``random.Random(seed).random()``, the seed checked as for
+    :func:`_uniforms`: r = sqrt(-2 log(1 - u1)) and theta = 2 pi u2 give
+    r cos(theta), then r sin(theta). The last bits follow the platform's
+    libm."""
+    import random
+
+    draw = random.Random(_require_seed(seed, "seed")).random
+
+    def pairs():
+        while True:
+            r = math.sqrt(-2.0 * math.log(1.0 - draw()))
+            theta = 2.0 * math.pi * draw()
+            yield r * math.cos(theta)
+            yield r * math.sin(theta)
+
+    return np.fromiter(pairs(), dtype=float, count=count)
 
 
 def _permutation(seed, n: int, name: str = "seed") -> np.ndarray:

@@ -1,6 +1,7 @@
 """Dataset validation, the CLI's CSV reader, splits, and the synthetic generators."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +16,18 @@ from predint import (
     gen_pathological_abc,
 )
 from predint.dataset import _load_columns, _load_dataset
+from predint.rng import _normals
+
+
+def box_muller_reference(seed, count):
+    """``count`` normals by Box-Muller on pairs of random.Random(seed) draws,
+    cos then sin, written as a plain loop."""
+    draw, out = random.Random(seed).random, []
+    while len(out) < count:
+        u1, u2 = draw(), draw()
+        r = math.sqrt(-2.0 * math.log(1.0 - u1))
+        out += [r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)]
+    return out[:count]
 
 
 def small():
@@ -208,6 +221,22 @@ class TestSplit:
             SplitSpec(holdout_fraction=0.5).resolve(n)
 
 
+class TestNormals:
+    @pytest.mark.parametrize("count", [0, 1, 2, 7])
+    def test_draws_match_the_box_muller_reference(self, count):
+        for seed in (0, 3, 2**64 - 1):
+            got = _normals(seed, count)
+            assert got.tobytes() == np.array(box_muller_reference(seed, count)).tobytes()
+
+    def test_moments(self):
+        # Mean 0 and variance 1, each within 4 standard errors: 1/sqrt(N) for
+        # the mean and sqrt(2/N) for the variance of a normal sample.
+        count = 100_000
+        z = _normals(12, count)
+        assert abs(float(z.mean())) < 4.0 / math.sqrt(count)
+        assert abs(float(z.var()) - 1.0) < 4.0 * math.sqrt(2.0 / count)
+
+
 class TestGaussianLinear:
     def test_deterministic(self):
         a, beta_a = gen_gaussian_linear(50, 4, seed=3)
@@ -227,6 +256,17 @@ class TestGaussianLinear:
         # Var(Y) = ||beta||^2 + 1 = 11 by construction.
         data, _ = gen_gaussian_linear(200_000, 6, seed=11)
         assert float(np.var(data.responses)) == pytest.approx(11.0, rel=0.05)
+
+    def test_draws_match_the_box_muller_reference(self):
+        n, d, seed = 7, 3, 5
+        z = box_muller_reference(seed, n * d + d + n)
+        X = np.array(z[: n * d]).reshape(n, d)
+        u = np.array(z[n * d : n * d + d])
+        beta = math.sqrt(10.0) * u / float(np.linalg.norm(u))
+        data, got_beta = gen_gaussian_linear(n, d, seed)
+        assert data.features.tobytes() == X.tobytes()
+        assert got_beta.tobytes() == beta.tobytes()
+        assert data.responses.tobytes() == (X @ beta + np.array(z[n * d + d :])).tobytes()
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -248,12 +288,13 @@ class TestPathologicalDesign:
 
     def test_draws_match_the_column_stack_reference(self):
         n, alpha, gamma, seed = 500, 0.25, 0.1, 3
-        rng = np.random.default_rng(seed)
-        a = (rng.random(n) < 2.0 * alpha * (1.0 - gamma)).astype(float)
-        b = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
-        c = rng.uniform(-1.0, 1.0, size=n)
+        draw, rows = random.Random(seed).random, []
+        for _ in range(n):
+            u1, u2, u3 = draw(), draw(), draw()
+            rows.append([float(u1 < 2.0 * alpha * (1.0 - gamma)),
+                         -1.0 if u2 < 0.5 else 1.0, 2.0 * u3 - 1.0])
         data = gen_pathological_abc(n, alpha, gamma, seed)
-        assert data.features.tobytes() == np.column_stack([a, b, c]).tobytes()
+        assert data.features.tobytes() == np.array(rows).tobytes()
 
     def test_rate_validation(self):
         with pytest.raises(ConfigError, match="2\\*alpha"):
@@ -262,6 +303,13 @@ class TestPathologicalDesign:
             gen_pathological_abc(10, alpha=0.25, gamma=1.0, seed=0)  # p = 0
         with pytest.raises(ConfigError):
             gen_pathological_abc(0, alpha=0.25, gamma=0.1, seed=0)
+
+    @pytest.mark.parametrize("name, alpha, gamma", [("alpha", "0.25", 0.1), ("gamma", 0.25, None),
+                                                    ("alpha", True, 0.1)])
+    def test_rates_must_be_real(self, name, alpha, gamma):
+        # A string alpha raised a raw TypeError from the product.
+        with pytest.raises(ConfigError, match=f"^{name} must be a real number"):
+            gen_pathological_abc(10, alpha, gamma, 0)
 
     def test_attach_tau(self):
         data = gen_pathological_abc(100, alpha=0.25, gamma=0.1, seed=1)

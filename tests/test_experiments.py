@@ -38,6 +38,7 @@ from predint import (
     run_coverage_mc,
     run_trial,
 )
+from predint.rng import _normals
 
 MEAN = ConstantMean()
 
@@ -412,7 +413,7 @@ class TestTrialDriver:
         out = pathology_memorizer(n=n, eps=0.5, trials=trials, n_test=n_test, alpha=0.2, seed=seed)
 
         def draw(t):
-            X = derive_rng(seed, "memorizer", t).standard_normal((n + n_test, 1))
+            X = _normals(derive_seed(seed, "memorizer", t), n + n_test).reshape(-1, 1)
             return Dataset(X, np.zeros(n + n_test))
 
         methods = [MethodSpec("naive"), MethodSpec("jackknife"), MethodSpec("jackknife+")]

@@ -40,6 +40,7 @@ from predint import (
     ParityAdversary,
     PredictionInterval,
     PredictionSet,
+    Ridge,
     SplitSpec,
     attach_tau,
     build_loo_cache,
@@ -987,6 +988,38 @@ class TestFullConformal:
             resid = np.abs(worked.responses - model.predict_many(worked.features))
             accept = abs(y - model.predict(X_PROBE)) <= upper_quantile(resid, 0.25)
             assert s.contains(float(y)) == accept
+
+    @pytest.mark.parametrize("regressor", [MEAN, MinNormOLS(), Ridge(), KNN(k=2), Memorizer()],
+                             ids=lambda r: r.token)
+    def test_the_shared_buffer_matches_a_refit_per_candidate(self, regressor):
+        # The oracle builds a fresh Dataset for every candidate and fits it.
+        data, _ = gen_gaussian_linear(9, 2, seed=4)
+        x, spec = np.array([0.3, -1.2]), IntervalSpec(0.2)
+        ys = np.linspace(float(data.responses.min()), float(data.responses.max()), 60)
+        accepted = np.zeros(len(ys), dtype=bool)
+        for idx, y in enumerate(ys):
+            model = regressor.fit(Dataset(np.vstack([data.features, x]),
+                                          np.append(data.responses, y)))
+            resid = np.abs(data.responses - model.predict_many(data.features))
+            accepted[idx] = abs(y - model.predict(x)) <= upper_quantile(resid, spec.alpha)
+        want = predint.intervals._runs_to_set(accepted, ys, ys)
+        got = full_conformal_set(data, regressor, spec, x, GridSpec(num_points=60))
+        assert [endpoints(iv) for iv in got.intervals] == [endpoints(iv) for iv in want.intervals]
+
+    def test_a_query_builds_no_dataset(self, worked, monkeypatch):
+        built = []
+        own = Dataset._own
+        monkeypatch.setattr(Dataset, "_own", lambda self, *a: built.append(1) or own(self, *a))
+        full_conformal_set(worked, MinNormOLS(), IntervalSpec(0.25), X_PROBE)
+        assert built == []
+
+    @pytest.mark.parametrize("grid", [GridSpec(50, -1e308, 1e308), GridSpec(50, np.float64(-1e308),
+                                                                               np.float64(1e308))])
+    def test_a_grid_whose_span_overflows_is_a_config_error(self, worked, grid):
+        # np.linspace overflowed with a RuntimeWarning, then every candidate
+        # failed the Dataset's finiteness check with a DataError.
+        with pytest.raises(ConfigError, match="grid"):
+            full_conformal_set(worked, MEAN, IntervalSpec(0.25), X_PROBE, grid)
 
     def test_interpolating_regressor_accepts_the_whole_grid(self):
         # A 1-NN rule fits the augmented test pair exactly, so every grid

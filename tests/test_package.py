@@ -108,7 +108,9 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 def unused_public_names(names, sources, readme: str) -> list[str]:
     """Those of ``names`` that no source reads as a name or an attribute and
-    that no backticked span of ``readme`` mentions."""
+    that no backticked span of ``readme`` mentions. Fenced blocks go first:
+    each fence adds three backticks, which would pair every later span
+    with the wrong partner."""
     read = set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
@@ -116,7 +118,8 @@ def unused_public_names(names, sources, readme: str) -> list[str]:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    for span in re.findall(r"`([^`]+)`", readme):
+    prose = re.sub(r"^```.*?^```", "", readme, flags=re.MULTILINE | re.DOTALL)
+    for span in re.findall(r"`([^`]+)`", prose):
         read.update(re.findall(r"[A-Za-z_]\w*", span))
     return [name for name in names if name not in read]
 
@@ -126,6 +129,9 @@ def test_unused_public_names_are_detected():
                '__all__ = ["f", "g", "C", "h", "k"]\nf()\nx.C\n']
     assert unused_public_names(["f", "g", "C", "h", "k"], sources,
                                "call `h(1)`; k is not code") == ["g", "k"]
+    # With the fence's backticks counted, "k` or `g" would read as a span.
+    fenced = "```\npredint run\n```\n\nthen `h` and k, or g, and `x`\n"
+    assert unused_public_names(["f", "g", "C", "h", "k"], sources, fenced) == ["g", "k"]
 
 
 def test_every_public_name_is_used_or_documented():

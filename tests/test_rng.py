@@ -116,6 +116,12 @@ class TestSeedChecks:
                      for s in (numpy_seed, seed))
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("tag", [5, None, b"5"])
+    def test_the_tag_must_be_a_string(self, tag):
+        # An integer tag hashed "1:5:0", the stream of tag "5".
+        with pytest.raises(ConfigError, match="^tag must be a string"):
+            derive_seed(1, tag)
+
     def test_a_string_index_is_a_sub_tag(self):
         assert derive_seed(3, "cc-oracle", "ties") != derive_seed(3, "cc-oracle")
 
@@ -217,6 +223,24 @@ class TestImportHygiene:
         argv = intervals_argv + ["--method", "cv+", "--k", "2"]
         assert loaded_modules(*argv) == ["hashlib", "_hashlib"]
 
+    def test_no_command_that_draws_data_loads_numpy_random(self, tmp_path):
+        # Every synthetic draw comes from random.Random, so numpy.random and
+        # the secrets and hmac it imports to seed itself stay out.
+        small = ["--trials", "1", "--n", "6", "--n-test", "2"]
+        table = {
+            "figure2": ["simulate", "--experiment", "figure2", "--d-list", "2", *small],
+            "coverage-mc": ["simulate", "--experiment", "coverage-mc", "--d", "2", *small],
+            "pathology-memorizer": ["simulate", "--experiment", "pathology-memorizer", *small],
+            "pathology-parity": ["simulate", "--experiment", "pathology-parity", "--trials", "1",
+                                 "--n", "5000", "--n-test", "2", "--alpha", "0.25"],
+            "audit": ["audit", "--trials", "2", "--n", "5", "--d", "2",
+                      "--replay-out", str(tmp_path / "replay.json")],
+            "stability": ["stability", "--trials", "2", "--n", "6", "--d", "2", "--knn-k", "2"],
+        }
+        for name, argv in table.items():
+            out = ["--out", str(tmp_path / f"{name}.csv")]
+            assert loaded_modules(*argv, *out, watched=["numpy.random", "secrets", "hmac"]) == [], name
+
     def test_scoring_through_the_script_loads_no_numpy_random(self, intervals_argv):
         argv = intervals_argv + ["--method", "split", "--method", "cv+", "--method",
                                  "cross-conformal", "--k", "2"]
@@ -257,9 +281,9 @@ class TestImportHygiene:
         state = json.loads(done.stdout)
         assert done.stderr == ""
         assert state["rc"] == 0 and state["blocked"]
-        assert state["streams"] == ["numpy.random", "secrets", "hmac"]  # for the data
+        assert state["streams"] == []
         # The same run through main(argv), which leaves OpenSSL loadable.
-        assert loaded_modules(*argv, "--out", str(library)) == _HEAVY
+        assert loaded_modules(*argv, "--out", str(library)) == ["hashlib", "_hashlib"]
         assert script.read_bytes() == library.read_bytes()
         if state["libcrypto"] is None:
             pytest.skip("no /proc/self/maps to read the mapped libraries from")
