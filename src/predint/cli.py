@@ -89,7 +89,7 @@ def _write_output(out_path: str | None, echo: dict, subcommand: str, header, row
     if not out_path:
         _write_lines(sys.stdout, echo, subcommand, header, rows)
         return
-    with open(out_path, "w", newline="") as handle:
+    with _create(out_path, "--out", newline="") as handle:
         opened = os.fstat(handle.fileno())
         try:
             _write_lines(handle, echo, subcommand, header, rows)
@@ -98,6 +98,14 @@ def _write_output(out_path: str | None, echo: dict, subcommand: str, header, row
             if stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, os.lstat(out_path)):
                 os.unlink(out_path)
             raise
+
+
+def _create(path: str, flag: str, newline=None):
+    """``path`` opened for writing, or a ConfigError naming ``flag`` and it."""
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {flag} {path}: {exc.strerror or exc}") from None
 
 
 def _write_lines(handle, echo: dict, subcommand: str, header, rows) -> None:
@@ -283,7 +291,7 @@ def cmd_audit(args) -> int:
     if violations:
         import json  # only a failed audit writes JSON; a clean run never loads it
 
-        with open(args.replay_out, "w") as handle:
+        with _create(args.replay_out, "--replay-out") as handle:
             json.dump(violations, handle, indent=2, sort_keys=True)
         print(
             f"audit FAILED: {len(violations)} violation(s); instances written to "
@@ -421,28 +429,8 @@ def main(argv=None) -> int:
         return 3 if isinstance(exc, DataError) else 2
 
 
-def _block_openssl() -> None:
-    """Keep ``_hashlib``, and with it OpenSSL, out of this process.
-
-    Importing hashlib, predint's one route to ``_hashlib``, maps libcrypto
-    (about 3.3 MB resident), yet its one hash is the SHA-256 of
-    ``derive_seed``, which CPython also builds in. With ``_hashlib``
-    blocked, hashlib binds its builtin fallbacks, so digests and streams
-    are unchanged. If ``_hashlib`` is already loaded or any fallback is
-    missing (a FIPS build, say), OpenSSL stays in.
-    """
-    import importlib.util
-
-    sha2 = ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")
-    fallbacks = ("_md5", "_sha1", *sha2, "_sha3", "_blake2")
-    if "_hashlib" not in sys.modules and all(importlib.util.find_spec(m) for m in fallbacks):
-        sys.modules["_hashlib"] = None
-
-
 def console_main() -> None:
-    """The installed ``predint`` script. It owns its process, so unlike
-    :func:`main` it may keep OpenSSL from loading."""
-    _block_openssl()
+    """The installed ``predint`` script: exits with :func:`main`'s return code."""
     sys.exit(main())
 
 

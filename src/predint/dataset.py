@@ -116,24 +116,28 @@ def _read_table(path: str):
     with handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        header = [name.strip() for name in header]
-        if any(not name for name in header):
-            raise DataError(f"{path}: header has an empty column name")
-        # The cells in row-major order, one 8-byte double each, rather than a
-        # list of Python floats per row.
-        cells = array("d")
-        for number, raw in enumerate(reader, start=1):
-            if not raw or all(not cell.strip() for cell in raw):
-                continue  # ignore blank lines
-            if len(raw) != len(header):
-                raise DataError(
-                    f"{path}: row {number} has {len(raw)} cells, expected {len(header)}"
-                )
-            for j, cell in enumerate(raw):
-                cells.append(_parse_cell(cell, path, number, header[j]))
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: file is empty")
+            header = [name.strip() for name in header]
+            if any(not name for name in header):
+                raise DataError(f"{path}: header has an empty column name")
+            # The cells in row-major order, one 8-byte double each, rather
+            # than a list of Python floats per row.
+            cells = array("d")
+            for number, raw in enumerate(reader, start=1):
+                if not raw or all(not cell.strip() for cell in raw):
+                    continue  # ignore blank lines
+                if len(raw) != len(header):
+                    raise DataError(
+                        f"{path}: row {number} has {len(raw)} cells, expected {len(header)}"
+                    )
+                for j, cell in enumerate(raw):
+                    cells.append(_parse_cell(cell, path, number, header[j]))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not {exc.encoding} text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not cells:
         raise DataError(f"{path}: no data rows")
     return header, np.frombuffer(cells).reshape(-1, len(header))

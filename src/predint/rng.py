@@ -10,13 +10,26 @@ uniforms of the split's shuffle, the K-fold deal, the cross-conformal taus
 and the pathological design, and the Box-Muller normals of the Gaussian data
 and the memorizer's inputs. So no command loads ``numpy.random``;
 :func:`derive_rng` is a PCG64 helper for callers.
+
+Seeds hash with the interpreter's built-in SHA-256, as ``random`` does its
+sha512, so no predint process loads ``hashlib`` or OpenSSL (about 3.3 MB
+resident); a build without it (FIPS, say) takes ``hashlib``'s equal digest.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
+
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256  # a build without the built-in hashes
 
 from .errors import ConfigError, _require_int
 
@@ -32,14 +45,12 @@ def derive_seed(master: int, tag: str, index: int | str = 0) -> int:
     integer or a string sub-tag, since a float would hash its own text, a
     stream unrelated to the integer's, and tag 5 would hash as tag "5".
     """
-    import hashlib  # loads OpenSSL (~3.3 MB resident) unless _hashlib is blocked
-
     _require_int("master", master)
     if not isinstance(tag, str):
         raise ConfigError(f"tag must be a string, got {tag!r}")
     if not isinstance(index, str):
         _require_int("index", index)
-    digest = hashlib.sha256(f"{master}:{tag}:{index}".encode()).digest()
+    digest = sha256(f"{master}:{tag}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -61,8 +72,6 @@ def _uniforms(seed, count: int, name: str = "seed") -> np.ndarray:
     """``count`` uniforms on [0, 1) from ``random.Random(seed).random()``, for
     a seed checked as by :func:`_require_seed` (a numpy integer draws what
     the equal Python int draws)."""
-    import random  # the stdlib Mersenne Twister; numpy has already imported it
-
     draw = random.Random(_require_seed(seed, name)).random
     return np.fromiter((draw() for _ in range(count)), dtype=float, count=count)
 
@@ -73,8 +82,6 @@ def _normals(seed, count: int) -> np.ndarray:
     :func:`_uniforms`: r = sqrt(-2 log(1 - u1)) and theta = 2 pi u2 give
     r cos(theta), then r sin(theta). The last bits follow the platform's
     libm."""
-    import random
-
     draw = random.Random(_require_seed(seed, "seed")).random
 
     def pairs():

@@ -36,6 +36,7 @@ import predint.dataset
 from predint.cli import EXPERIMENTS, _regressor, _write_output, build_parser, format_object, main
 from predint.regressors import _CLASSES, _SETTINGS
 from predint.rng import _uniforms
+from test_rng import _LEAKY_OLS, _PROBE, run_probe
 
 WORKED_TRAIN = "x,y\n0,0\n1,0\n2,3\n"
 WORKED_TEST = "x,y\n1,0\n"
@@ -313,6 +314,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: {bad}: row 1, column 'z': cannot parse 'zz'" in err
         assert train not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["intervals", "--regressor", "mean"],
+        ["simulate", "--experiment", "coverage-mc", "--trials", "1", "--n", "10", "--n-test", "2"],
+        ["audit", "--trials", "1", "--n", "5"],
+        ["stability", "--trials", "2", "--n", "6", "--d", "2", "--knn-k", "2"],
+    ], ids=["intervals", "simulate", "audit", "stability"])
+    def test_an_unwritable_out_is_a_configuration_error(self, argv, worked_files, tmp_path,
+                                                         capsys):
+        # Exit 1 would read as an audit violation; a path that cannot be
+        # written is a setting to fix.
+        if argv[0] == "intervals":
+            argv = argv + ["--train", worked_files[0], "--test", worked_files[1]]
+        for out, reason in [(tmp_path / "missing" / "o.csv", "No such file or directory"),
+                            (tmp_path, "Is a directory")]:
+            assert main(argv + ["--out", str(out)]) == 2
+            assert f"error: cannot write --out {out}: {reason}" in capsys.readouterr().err
+
+    def test_an_unwritable_replay_file_is_a_configuration_error(self, tmp_path):
+        argv = ["audit", "--trials", "20", "--n", "8", "--d", "3", "--alpha", "0.2",
+                "--out", str(tmp_path / "audit.csv"), "--replay-out", str(tmp_path)]
+        done = run_probe(_LEAKY_OLS + _PROBE, "json", *argv)
+        assert done.stdout.split() == ["2", "json"]
+        assert f"error: cannot write --replay-out {tmp_path}: Is a directory" in done.stderr
 
     def test_unknown_method(self, worked_files, capsys):
         train, test = worked_files

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -173,6 +174,19 @@ class TestCsv:
             _load_dataset(str(path), "y")
         with pytest.raises(DataError, match="cannot read"):
             _load_dataset(str(tmp_path / "nope.csv"), "y")
+
+    def test_bytes_that_are_not_text_name_the_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"x,y\n1,\xff\xfe\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: not [\w-]+ text: "):
+            _load_dataset(str(path), "y")
+
+    def test_an_oversized_field_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('x,y\n1,2\n3,"' + "4" * 200_000 + '"\n')
+        with pytest.raises(DataError) as info:
+            _load_dataset(str(path), "y")
+        assert str(info.value).startswith(f"{path}: line 3: field larger than field limit")
 
     def test_features_csv_with_and_without_target(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -1,8 +1,8 @@
-"""Seed derivation: golden values, seed checks, and which runs load a hash,
-a stream, OpenSSL or ``numpy.ma``."""
+"""Seed derivation: golden values, the built-in SHA-256 against hashlib's,
+seed checks, and which modules each run loads (no hashlib or OpenSSL, no
+stream, no exact arithmetic, no ``numpy.ma``)."""
 
-import importlib
-import importlib.util
+import hashlib
 import json
 import os
 import subprocess
@@ -11,9 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import predint
-import predint.cli
 from predint import (
     METHOD_TOKENS,
     ConfigError,
@@ -74,6 +75,14 @@ class TestGoldenSeeds:
             assert perm.dtype.kind == "i" and np.array_equal(np.sort(perm), np.arange(n))
 
 
+@settings(deadline=None)
+@given(st.integers(), st.text(), st.one_of(st.integers(), st.text()))
+def test_derive_seed_is_the_head_of_hashlibs_sha256(master, tag, index):
+    # hashlib's SHA-256, which the package no longer calls, is the oracle.
+    digest = hashlib.sha256(f"{master}:{tag}:{index}".encode()).digest()
+    assert derive_seed(master, tag, index) == int.from_bytes(digest[:8], "big")
+
+
 class TestSeedChecks:
     """A seed that is not an integer, or is negative where numpy needs a
     non-negative one, is a ConfigError naming the setting."""
@@ -132,23 +141,22 @@ class TestSeedChecks:
             derive_seed(*args)
 
 
-# The modules that pull in OpenSSL: hashlib through _hashlib, numpy.random
-# through secrets -> hmac -> _hashlib. _PROBE runs main(argv) in a fresh
-# interpreter and prints its exit code and which of the comma-separated
-# watched modules it loaded; a module blocked with a None entry in
-# sys.modules counts as not loaded.
+# _PROBE runs main(argv) in a fresh interpreter and prints its exit code and
+# which of the comma-separated watched modules it loaded. hashlib maps
+# OpenSSL's libcrypto through _hashlib, and numpy.random does too through
+# secrets -> hmac -> _hashlib.
 _HEAVY = ["hashlib", "_hashlib", "numpy.random"]
 _PROBE = """
 import sys
 from predint.cli import main
 watched, argv = sys.argv[1].split(","), sys.argv[2:]
 rc = main(argv) if argv else 0
-print(rc, *(m for m in watched if sys.modules.get(m) is not None))
+print(rc, *(m for m in watched if m in sys.modules))
 """
 # Runs the installed script's entry point on argv, then prints a JSON record
-# of how _hashlib stands, whether libcrypto is mapped (None where
-# /proc/self/maps does not exist), and which of numpy.random and the modules
-# it imports to seed itself were loaded.
+# of its exit code, whether libcrypto is mapped (None where /proc/self/maps
+# does not exist), and which of numpy.random and the modules it imports to
+# seed itself were loaded.
 _CONSOLE_PROBE = """
 import json, os, sys
 from predint.cli import console_main
@@ -159,8 +167,7 @@ except SystemExit as exc:
     rc = exc.code
 maps = "/proc/self/maps"
 libcrypto = ("libcrypto" in open(maps).read()) if os.path.exists(maps) else None
-print(json.dumps({"rc": rc, "blocked": "_hashlib" in sys.modules and sys.modules["_hashlib"] is None,
-                  "libcrypto": libcrypto,
+print(json.dumps({"rc": rc, "libcrypto": libcrypto,
                   "streams": [m for m in ("numpy.random", "secrets", "hmac") if m in sys.modules]}))
 """
 
@@ -180,10 +187,13 @@ def loaded_modules(*argv, watched=_HEAVY, prelude="", rc=0):
     return modules
 
 
-# fractions imports decimal (and its accelerator _decimal); json its encoder
-# and decoder. Index arithmetic runs on each level's integer ratio, and only
-# a failed audit writes JSON, so no other run needs them.
-_EXACT = ["fractions", "decimal", "_decimal", "json"]
+# What no run needs: hashlib and OpenSSL (the seed hash is built in), a
+# numpy.random stream and what it imports to seed itself, fractions with
+# decimal (index arithmetic runs on each level's integer ratio), numpy.ma
+# (np.unique's float path asks np.ma.is_masked; about 1.3 MB resident), and
+# json, which only a failed audit imports to write its replay file.
+_KEPT_OUT = ["hashlib", "_hashlib", "numpy.random", "secrets", "hmac",
+             "fractions", "decimal", "_decimal", "numpy.ma", "json"]
 # Every "leave-one-out" fit of LeakyOLS sees its own row, so its intervals are
 # too narrow and an audit of it finds violations.
 _LEAKY_OLS = """
@@ -218,10 +228,10 @@ class TestImportHygiene:
         assert loaded_modules(*argv) == []
 
     def test_a_fold_deal_loads_the_hash_but_not_numpy_random(self, intervals_argv):
-        # The fold seed is a SHA-256 digest; the deal itself is drawn by
-        # random.Random, so numpy.random stays out.
+        # The fold seed is the built-in SHA-256 digest and the deal is drawn
+        # by random.Random, so neither hashlib nor numpy.random loads.
         argv = intervals_argv + ["--method", "cv+", "--k", "2"]
-        assert loaded_modules(*argv) == ["hashlib", "_hashlib"]
+        assert loaded_modules(*argv) == []
 
     def test_no_command_that_draws_data_loads_numpy_random(self, tmp_path):
         # Every synthetic draw comes from random.Random, so numpy.random and
@@ -247,8 +257,6 @@ class TestImportHygiene:
         state = json.loads(run_probe(_CONSOLE_PROBE, *argv).stdout)
         assert state["rc"] == 0 and state["streams"] == []
 
-    # np.unique imports numpy.ma (its float path asks np.ma.is_masked), which
-    # costs about 1.3 MB resident; the cross-conformal sweep does not call it.
     def test_importing_the_cli_does_not_load_numpy_ma(self):
         assert loaded_modules(watched=["numpy.ma"]) == []
 
@@ -256,21 +264,33 @@ class TestImportHygiene:
         argv = intervals_argv + ["--method", "cross-conformal", "--k", "2"]
         assert loaded_modules(*argv, watched=["numpy.ma"]) == []
 
-    def test_exact_levels_need_no_fractions_decimal_or_json(self, intervals_argv, tmp_path):
+    def test_no_run_loads_openssl_a_stream_or_exact_arithmetic(self, intervals_argv, tmp_path):
         replay = tmp_path / "replay.json"
         every_method = [arg for m in METHOD_TOKENS for arg in ("--method", m)]
-        audit = ["audit", "--trials", "20", "--n", "8", "--d", "3", "--alpha", "0.2",
-                 "--out", str(tmp_path / "audit.csv"), "--replay-out", str(replay)]
+        small = ["--trials", "1", "--n", "6", "--n-test", "2"]
         # (argv, prelude, exit code, the watched modules the run loads)
         table = {
             "import predint.cli": ([], "", 0, []),
             "intervals, every method": (intervals_argv + every_method + ["--k", "2"], "", 0, []),
-            "simulate coverage-mc": (["simulate", "--experiment", "coverage-mc", "--trials", "1",
-                                      "--out", str(tmp_path / "mc.csv")], "", 0, []),
-            "audit with a violation": (audit, _LEAKY_OLS, 1, ["json"]),
+            "figure2": (["simulate", "--experiment", "figure2", "--d-list", "2", *small], "", 0, []),
+            "coverage-mc": (["simulate", "--experiment", "coverage-mc", "--d", "2", *small],
+                            "", 0, []),
+            "pathology-memorizer": (["simulate", "--experiment", "pathology-memorizer", *small],
+                                    "", 0, []),
+            "pathology-parity": (["simulate", "--experiment", "pathology-parity", "--trials", "1",
+                                  "--n", "5000", "--n-test", "2", "--alpha", "0.25"], "", 0, []),
+            "clean audit": (["audit", "--trials", "2", "--n", "5", "--d", "2",
+                             "--replay-out", str(replay)], "", 0, []),
+            "audit with a violation": (["audit", "--trials", "20", "--n", "8", "--d", "3",
+                                        "--alpha", "0.2", "--replay-out", str(replay)],
+                                       _LEAKY_OLS, 1, ["json"]),
+            "stability": (["stability", "--trials", "2", "--n", "6", "--d", "2", "--knn-k", "2"],
+                          "", 0, []),
         }
         for name, (argv, prelude, rc, loaded) in table.items():
-            assert loaded_modules(*argv, watched=_EXACT, prelude=prelude, rc=rc) == loaded, name
+            out = ["--out", str(tmp_path / "out.csv")] if argv else []
+            got = loaded_modules(*argv, *out, watched=_KEPT_OUT, prelude=prelude, rc=rc)
+            assert got == loaded, name
         records = json.loads(replay.read_text())
         assert records and all(record["violations"] for record in records)
 
@@ -280,50 +300,35 @@ class TestImportHygiene:
         done = run_probe(_CONSOLE_PROBE, *argv, "--out", str(script))
         state = json.loads(done.stdout)
         assert done.stderr == ""
-        assert state["rc"] == 0 and state["blocked"]
-        assert state["streams"] == []
-        # The same run through main(argv), which leaves OpenSSL loadable.
-        assert loaded_modules(*argv, "--out", str(library)) == ["hashlib", "_hashlib"]
+        assert state["rc"] == 0 and state["streams"] == []
+        # The same run through main(argv) takes the same path.
+        assert loaded_modules(*argv, "--out", str(library)) == []
         assert script.read_bytes() == library.read_bytes()
         if state["libcrypto"] is None:
             pytest.skip("no /proc/self/maps to read the mapped libraries from")
         assert not state["libcrypto"]
 
-    def test_golden_values_hold_with_openssl_blocked(self):
+    def test_library_use_keeps_the_real_hashlib(self):
+        # Nothing is blocked: a program that imports predint keeps every
+        # module it can import, OpenSSL's hashlib included.
+        done = run_probe(
+            "import sys\n"
+            "import predint\n"
+            "predint.derive_seed(1, 'x')\n"
+            "print([name for name, module in sys.modules.items() if module is None])\n"
+            "import hashlib, _hashlib\n"
+        )
+        assert done.stdout.split() == ["[]"]
+
+    def test_golden_seeds_hold_without_a_builtin_sha256(self):
+        # A build without the built-in hash (FIPS, say) falls back to
+        # hashlib's SHA-256, whose digests are the same.
         done = run_probe(
             "import json, sys\n"
-            "from predint.cli import _block_openssl\n"
-            "_block_openssl()\n"
-            "from predint import derive_rng, derive_seed\n"
+            "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+            "from predint import derive_seed\n"
             f"seeds = [derive_seed(*args) for args, _ in {GOLDEN_SEEDS!r}]\n"
-            "print(json.dumps({'blocked': sys.modules['_hashlib'] is None, 'seeds': seeds,\n"
-            "                  'tau': derive_rng(7, 'tau').random(2).tolist()}))\n"
+            "print(json.dumps({'hashlib': 'hashlib' in sys.modules, 'seeds': seeds}))\n"
         )
-        got = json.loads(done.stdout)
-        assert got == {"blocked": True, "seeds": [seed for _, seed in GOLDEN_SEEDS],
-                       "tau": GOLDEN_TAU}
-
-    def test_library_use_keeps_the_real_hashlib(self):
-        done = run_probe(
-            "import sys, types\n"
-            "import predint\n"
-            "predint.derive_rng(1, 'x')\n"
-            "print(isinstance(sys.modules.get('_hashlib'), types.ModuleType))\n"
-        )
-        assert done.stdout.split() == ["True"]
-
-    def test_openssl_stays_in_when_a_builtin_hash_is_missing(self, monkeypatch):
-        real = importlib.util.find_spec
-        monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
-        monkeypatch.setattr(importlib.util, "find_spec",
-                            lambda name, *a: None if name == "_sha3" else real(name, *a))
-        predint.cli._block_openssl()
-        assert "_hashlib" not in sys.modules
-        monkeypatch.setattr(importlib.util, "find_spec", real)
-        predint.cli._block_openssl()
-        assert sys.modules["_hashlib"] is None  # monkeypatch restores the real module
-
-    def test_an_imported_hashlib_is_left_alone(self):
-        loaded = importlib.import_module("_hashlib")
-        predint.cli._block_openssl()
-        assert sys.modules["_hashlib"] is loaded
+        assert json.loads(done.stdout) == {"hashlib": True,
+                                           "seeds": [seed for _, seed in GOLDEN_SEEDS]}
