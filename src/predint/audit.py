@@ -201,7 +201,8 @@ def run_audit(
     """
     if _require_int("trials", trials) < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    _require_int("d", d)
+    if _require_int("d", d) < 1:
+        raise ConfigError(f"d must be >= 1, got {d}")
     if _require_int("n", n) > 30:
         raise ConfigError("audit is limited to n <= 30 (pairwise fits are direct)")
     if n < 2:

@@ -125,6 +125,17 @@ def _regressor(args):
     return regressor, {"regressor": regressor.token, **echo}
 
 
+# Parsed flags that no echo lists as given: the parser's own entries, the
+# output paths, and the flags a command echoes as it resolved them.
+_UNECHOED = {"command", "func", "out", "replay_out", "method", "regressor", *_SETTINGS}
+
+
+def _echo(args, **resolved) -> dict:
+    """Every parsed flag outside ``_UNECHOED``, and what the command resolved."""
+    return {**{key: value for key, value in vars(args).items() if key not in _UNECHOED},
+            **resolved}
+
+
 def cmd_intervals(args) -> int:
     # Test columns are fed by position, so their names must match.
     names, train = _load_dataset(args.train, args.target)
@@ -158,27 +169,9 @@ def cmd_intervals(args) -> int:
                 covered = "" if y_test is None else ("1" if obj.contains(float(y_test[j])) else "0")
                 yield [j, token, _fmt(spec.alpha), lower, upper, comps, covered]
 
-    echo = {
-        "alpha": args.alpha,
-        "alpha_lo": args.alpha_lo,
-        "alpha_hi": args.alpha_hi,
-        "eps": args.eps,
-        "grid_lower": args.grid_lower,
-        "grid_points": args.grid_points,
-        "grid_upper": args.grid_upper,
-        "k": args.k if args.k else "n",
-        "methods": ";".join(tokens),
-        "seed": args.seed,
-        "split_fraction": args.split_fraction,
-        "strict_folds": args.strict_folds,
-        "target": args.target,
-        "test": args.test,
-        "train": args.train,
-        **regressor_echo,
-    }
     _write_output(
         args.out,
-        echo,
+        _echo(args, k=args.k or "n", methods=";".join(tokens), **regressor_echo),
         "intervals",
         ["test_index", "method", "alpha", "lower", "upper", "components", "covered"],
         rows(),
@@ -189,23 +182,27 @@ def cmd_intervals(args) -> int:
 # The simulate flags left unset resolve to these, except for pathology-parity,
 # which takes pathology_parity's own defaults for them.
 _SIMULATE_DEFAULTS = {"n": 100, "trials": 20, "n_test": 100, "alpha": 0.1}
+# The flags each experiment reads, echoed after experiment and seed;
+# pathology-parity echoes the values pathology_parity resolved instead.
+_SIMULATE_ECHO = {
+    "figure2": ("n", "d_list", "trials", "n_test", "alpha"),
+    "coverage-mc": ("n", "d", "trials", "n_test", "alphas", "regressors", "k_list"),
+    "pathology-memorizer": ("n", "trials", "n_test", "alpha", "memorizer_eps"),
+}
 
 
 def cmd_simulate(args) -> int:
-    echo = {"experiment": args.experiment, "seed": args.seed}
     given = {key: value for key in _SIMULATE_DEFAULTS
              if (value := getattr(args, key)) is not None}
     if args.experiment != "pathology-parity":
         vars(args).update(_SIMULATE_DEFAULTS, **given)
+    echo = {key: getattr(args, key)
+            for key in ("experiment", "seed", *_SIMULATE_ECHO.get(args.experiment, ()))}
     if args.experiment == "figure2":
         d_list = _parse_list(args.d_list, int,
                              "expected a comma-separated list of integers, got {text!r}")
         methods = default_method_list(args.n, args.k)
-        k_ran = next(m.k_folds for m in methods if m.method == "cv+")
-        echo.update(
-            n=args.n, d_list=args.d_list, trials=args.trials, n_test=args.n_test,
-            alpha=args.alpha, k=k_ran or "n",
-        )
+        echo["k"] = next(m.k_folds for m in methods if m.method == "cv+") or "n"
         results = figure2_experiment(
             n=args.n, d_list=d_list, trials=args.trials, n_test=args.n_test,
             alpha=args.alpha, seed=args.seed, methods=methods,
@@ -222,10 +219,6 @@ def cmd_simulate(args) -> int:
         k_list = _parse_list(args.k_list, _fold_count,
                              "fold counts must be integers or 'n', got {token!r}")
         regressors = _parse_list(args.regressors)
-        echo.update(
-            n=args.n, d=args.d, trials=args.trials, n_test=args.n_test,
-            alphas=args.alphas, regressors=args.regressors, k_list=args.k_list,
-        )
         header = ["regressor", "method", "alpha", "coverage_mean", "coverage_se",
                   "width_mean", "width_se", "infinite_count", "bound"]
         rows = []
@@ -241,10 +234,6 @@ def cmd_simulate(args) -> int:
                  rep.infinite_count, _fmt(row["bound"])]
             )
     elif args.experiment == "pathology-memorizer":
-        echo.update(
-            n=args.n, trials=args.trials, n_test=args.n_test, alpha=args.alpha,
-            memorizer_eps=args.memorizer_eps,
-        )
         reports = pathology_memorizer(
             n=args.n, eps=args.memorizer_eps, trials=args.trials,
             n_test=args.n_test, alpha=args.alpha, seed=args.seed,
@@ -279,25 +268,22 @@ def cmd_audit(args) -> int:
         trials=args.trials, n=args.n, alpha=args.alpha, regressor=regressor,
         variant=args.variant, seed=args.seed, d=args.d,
     )
-    echo = {
-        "alpha": args.alpha, "d": args.d, "n": args.n, "seed": args.seed,
-        "trials": args.trials, "variant": args.variant, **regressor_echo,
-    }
     _write_output(
-        args.out, echo, "audit",
+        args.out, _echo(args, **regressor_echo), "audit",
         ["trials", "n", "alpha", "variant", "violations"],
         [[args.trials, args.n, _fmt(args.alpha), args.variant, len(violations)]],
     )
     if violations:
         import json  # only a failed audit writes JSON; a clean run never loads it
 
-        with _create(args.replay_out, "--replay-out") as handle:
+        failed = f"audit FAILED: {len(violations)} violation(s)"
+        try:
+            handle = _create(args.replay_out, "--replay-out")
+        except ConfigError as exc:
+            raise ConfigError(f"{failed}; {exc}") from None
+        with handle:
             json.dump(violations, handle, indent=2, sort_keys=True)
-        print(
-            f"audit FAILED: {len(violations)} violation(s); instances written to "
-            f"{args.replay_out}",
-            file=sys.stderr,
-        )
+        print(f"{failed}; instances written to {args.replay_out}", file=sys.stderr)
         return 1
     return 0
 
@@ -313,12 +299,8 @@ def cmd_stability(args) -> int:
         trials=args.trials, seed=args.seed,
     )
     bounds = coverage_lower_bounds(args.alpha, est.nu_hat, args.n, args.n)
-    echo = {
-        "alpha": args.alpha, "d": args.d, "epsilon": args.epsilon, "kind": args.kind,
-        "n": args.n, "seed": args.seed, "trials": args.trials, **regressor_echo,
-    }
     _write_output(
-        args.out, echo, "stability",
+        args.out, _echo(args, **regressor_echo), "stability",
         ["kind", "n", "epsilon", "trials", "violations", "nu_hat", "se",
          "bound_jackknife_eps", "bound_jackknife_plus_2eps", "bound_naive_2eps"],
         [[est.kind, est.n, _fmt(est.epsilon), est.trials, est.violations,
@@ -357,11 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--alpha-lo", type=float, default=None)
     p.add_argument("--alpha-hi", type=float, default=None)
-    p.add_argument("--eps", type=float, default=0.0, help="epsilon inflation")
+    p.add_argument("--eps", type=float, default=IntervalSpec.inflation_eps,
+                   help="epsilon inflation")
     p.add_argument("--k", type=int, default=None, help="folds for cv+/cross-conformal (default n)")
     p.add_argument("--strict-folds", action="store_true")
-    p.add_argument("--split-fraction", type=float, default=0.5)
-    p.add_argument("--grid-points", type=int, default=200)
+    p.add_argument("--split-fraction", type=float, default=MethodSpec.split_holdout)
+    p.add_argument("--grid-points", type=int, default=GridSpec.num_points)
     p.add_argument("--grid-lower", type=float, default=None)
     p.add_argument("--grid-upper", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)

@@ -16,7 +16,6 @@ __all__ = [
     "SplitSpec",
     "gen_gaussian_linear",
     "gen_pathological_abc",
-    "attach_tau",
 ]
 
 
@@ -36,7 +35,11 @@ class Dataset:
     def __post_init__(self):
         # Copied even when already float and frozen: a view taken before the
         # caller froze its array could still write to it.
-        self._own(np.array(self.features, dtype=float), np.array(self.responses, dtype=float))
+        try:
+            X, y = np.array(self.features, dtype=float), np.array(self.responses, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"features and responses must be arrays of numbers: {exc}") from None
+        self._own(X, y)
 
     @classmethod
     def _adopt(cls, features: np.ndarray, responses: np.ndarray) -> "Dataset":
@@ -73,21 +76,44 @@ class Dataset:
     def d(self) -> int:
         return self.features.shape[1]
 
+    def _rows(self, indices) -> np.ndarray:
+        """``indices`` as an integer array of row positions in [0, n), else a
+        ConfigError: numpy would truncate 0.5 to row 0 and read -1 as row n - 1."""
+        idx = np.asarray(indices)
+        if idx.size == 0:
+            return idx.astype(int)
+        if idx.dtype.kind not in "iu":
+            raise ConfigError(f"row indices must be integers, got {idx.dtype} entries")
+        if idx.min() < 0 or idx.max() >= self.n:
+            raise ConfigError(f"row indices must lie in [0, {self.n}), got indices "
+                              f"from {idx.min()} to {idx.max()}")
+        return idx
+
+    def _count(self, k) -> int:
+        """``k`` itself if it is an integer row count in [0, n], else a ConfigError."""
+        if not 0 <= _require_int("k", k) <= self.n:
+            raise ConfigError(f"k must lie in [0, {self.n}], got {k}")
+        return k
+
     def take(self, indices) -> "Dataset":
         """New Dataset with the given rows, in the given order."""
-        idx = np.asarray(indices, dtype=int)
+        idx = self._rows(indices)
         return Dataset._adopt(self.features[idx], self.responses[idx])
 
     def drop(self, indices) -> "Dataset":
         """New Dataset without the given rows (order of the rest preserved)."""
         mask = np.ones(self.n, dtype=bool)
-        mask[np.asarray(indices, dtype=int)] = False
+        mask[self._rows(indices)] = False
         return Dataset._adopt(self.features[mask], self.responses[mask])
 
     def head(self, k: int) -> "Dataset":
+        """The first k rows."""
+        k = self._count(k)
         return Dataset._adopt(self.features[:k], self.responses[:k])
 
     def tail_from(self, k: int) -> "Dataset":
+        """The rows from row k on."""
+        k = self._count(k)
         return Dataset._adopt(self.features[k:], self.responses[k:])
 
 
@@ -204,8 +230,10 @@ def gen_gaussian_linear(n: int, d: int, seed: int):
     order, u the next d and the noise the last n. Pure function of
     (n, d, seed); returns ``(Dataset, beta)``.
     """
-    if _require_int("n", n) < 1 or _require_int("d", d) < 1:
-        raise ConfigError(f"n and d must be positive, got n={n}, d={d}")
+    if _require_int("n", n) < 1:
+        raise ConfigError(f"n must be positive, got {n}")
+    if _require_int("d", d) < 1:
+        raise ConfigError(f"d must be positive, got {d}")
     z = _normals(seed, n * d + d + n)
     X = z[: n * d].reshape(n, d)
     u = z[n * d : n * d + d]
@@ -219,14 +247,15 @@ def gen_gaussian_linear(n: int, d: int, seed: int):
     return Dataset._adopt(X, y), beta
 
 
-def gen_pathological_abc(n: int, alpha: float, gamma: float, seed: int) -> Dataset:
-    """Three-column adversarial design (A, B, C).
+def gen_pathological_abc(n: int, alpha: float, gamma: float, seed: int,
+                         tau: float = 0.0) -> Dataset:
+    """Three-column adversarial design (A, B, C) with responses Y = tau * A.
 
     A ~ Bernoulli(2 alpha (1 - gamma)), B uniform on {-1, +1}, C uniform on
     [-1, 1], all independent, from the rows (u1, u2, u3) of 3n
     ``_uniforms(seed, ...)``: A = [u1 < p], B = -1 if u2 < 0.5 else +1 and
-    C = 2 u3 - 1. Responses are a zero placeholder; use :func:`attach_tau`
-    to set Y = tau * A.
+    C = 2 u3 - 1. ``tau`` must be a finite real number; at the default 0 the
+    responses are all zero.
     """
     if _require_int("n", n) < 1:
         raise ConfigError(f"n must be positive, got {n}")
@@ -235,6 +264,8 @@ def gen_pathological_abc(n: int, alpha: float, gamma: float, seed: int) -> Datas
         raise ConfigError(
             f"need 0 < 2*alpha*(1-gamma) < 1; got {p} from alpha={alpha}, gamma={gamma}"
         )
+    if not math.isfinite(_require_real("tau", tau)):
+        raise ConfigError(f"tau must be finite, got {tau}")
     X = _uniforms(seed, 3 * n).reshape(n, 3)
     X[:, 0] = X[:, 0] < p
     X[:, 1] = X[:, 1] >= 0.5
@@ -242,11 +273,4 @@ def gen_pathological_abc(n: int, alpha: float, gamma: float, seed: int) -> Datas
     X[:, 1] -= 1.0
     X[:, 2] *= 2.0
     X[:, 2] -= 1.0
-    return Dataset._adopt(X, np.zeros(n))
-
-
-def attach_tau(data: Dataset, tau: float) -> Dataset:
-    """Responses Y_i = tau * A_i, with A the first feature column."""
-    if not math.isfinite(_require_real("tau", tau)):
-        raise ConfigError(f"tau must be finite, got {tau}")
-    return Dataset._adopt(data.features, tau * data.features[:, 0])
+    return Dataset._adopt(X, tau * X[:, 0])

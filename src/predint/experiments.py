@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, SplitSpec, attach_tau, gen_gaussian_linear, gen_pathological_abc
+from .dataset import Dataset, SplitSpec, gen_gaussian_linear, gen_pathological_abc
 from .errors import ConfigError, DataError, _require_int, _require_real, _require_sequence
 from .intervals import (
     METHOD_TOKENS,
@@ -183,7 +183,10 @@ def evaluate_methods(
     specs = _require_sequence("specs", specs, IntervalSpec)
     if train.n == 0:
         raise ConfigError("the training set is empty; every method needs at least one row")
-    X_test = np.asarray(X_test, dtype=float)
+    try:
+        X_test = np.asarray(X_test, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"query points must be numbers: {exc}") from None
     if X_test.ndim != 2 or X_test.shape[1] != train.d:
         raise DataError(
             f"query points must form a 2-D array with {train.d} columns, got shape {X_test.shape}"
@@ -293,6 +296,7 @@ def _trial_report(label: str, alpha: float, objs, responses) -> CoverageReport:
 def default_method_list(n: int, k_folds: int = 10) -> list[MethodSpec]:
     """The six default comparison methods (full conformal costs n_grid fits
     per test point and is opt-in)."""
+    _require_int("n", n)
     if _require_int("k_folds", k_folds) < 1:
         raise ConfigError(f"k_folds must be >= 1, got {k_folds}")
     k = k_folds if k_folds <= n and n % k_folds == 0 else None
@@ -383,6 +387,8 @@ def run_coverage_mc(
     # the list fails at once rather than after the earlier regressors' runs.
     regs = [make_regressor(t) for t in names]
     alphas, k_list = _require_sequence("alphas", alphas), _require_sequence("k_list", k_list)
+    if _require_int("d", d) < 1:
+        raise ConfigError(f"d must be >= 1, got {d}")
     for what, values in (("regressors", names), ("alphas", alphas)):
         if len(set(values)) != len(values):
             raise ConfigError(f"{what} must not repeat an entry, got {values}")
@@ -503,7 +509,7 @@ def pathology_parity(
     specs = [IntervalSpec(alpha, inflation_eps=eps)]
 
     def draw(size, tag, t):
-        return attach_tau(gen_pathological_abc(size, alpha, gamma, derive_seed(seed, tag, t)), tau)
+        return gen_pathological_abc(size, alpha, gamma, derive_seed(seed, tag, t), tau)
 
     def trial(t):
         # The adversary fits two leave-one-out models, so jackknife+ selects

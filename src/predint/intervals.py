@@ -628,6 +628,8 @@ def full_conformal_set(
         raise ConfigError("the training set is empty; full conformal needs at least one row")
     if grid is None:
         grid = GridSpec()
+    elif not isinstance(grid, GridSpec):
+        raise ConfigError(f"grid must be a GridSpec, got {grid!r}")
     lo = float(grid.lower if grid.lower is not None else np.min(train.responses))
     hi = float(grid.upper if grid.upper is not None else np.max(train.responses))
     if lo > hi:

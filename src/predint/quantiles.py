@@ -71,7 +71,10 @@ def _check_alpha(alpha, name: str = "alpha") -> tuple[int, int]:
 
 def _check_values(values) -> np.ndarray:
     """A fresh float copy of ``values``, free to partition in place."""
-    arr = np.array(values, dtype=float)
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"values must be numbers: {exc}") from None
     if arr.ndim != 1 or arr.size == 0:
         raise ConfigError("values must be a non-empty one-dimensional sequence")
     if np.isnan(arr).any():
@@ -85,7 +88,9 @@ def _memo_indices(n: int, alpha) -> tuple[int, int]:
     # levels only. Keys are typed, so True never hits the entry of 1; equal
     # keys of one type have equal exact values.
     p, q = _check_alpha(alpha)
-    m = int(_require_int("n", n)) + 1
+    if _require_int("n", n) < 0:
+        raise ConfigError(f"n must be >= 0, got {n}")
+    m = int(n) + 1
     return -(-(q - p) * m // q), p * m // q
 
 

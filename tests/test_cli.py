@@ -12,6 +12,7 @@ from predint import (
     DataError,
     GridSpec,
     IntervalSpec,
+    MethodSpec,
     MinNormOLS,
     PredictionInterval,
     PredictionSet,
@@ -33,7 +34,8 @@ from predint import (
 )
 import predint.cli
 import predint.dataset
-from predint.cli import EXPERIMENTS, _regressor, _write_output, build_parser, format_object, main
+from predint.cli import (EXPERIMENTS, _SIMULATE_ECHO, _UNECHOED, _regressor, _write_output,
+                         build_parser, format_object, main)
 from predint.regressors import _CLASSES, _SETTINGS
 from predint.rng import _uniforms
 from test_rng import _LEAKY_OLS, _PROBE, run_probe
@@ -337,7 +339,10 @@ class TestExitCodes:
                 "--out", str(tmp_path / "audit.csv"), "--replay-out", str(tmp_path)]
         done = run_probe(_LEAKY_OLS + _PROBE, "json", *argv)
         assert done.stdout.split() == ["2", "json"]
-        assert f"error: cannot write --replay-out {tmp_path}: Is a directory" in done.stderr
+        # The failed audit and its count stay visible beside the write error.
+        assert (f"error: audit FAILED: 4 violation(s); cannot write --replay-out {tmp_path}: "
+                "Is a directory") in done.stderr
+        assert (tmp_path / "audit.csv").read_text().splitlines()[-1] == "20,8,0.2,both,4"
 
     def test_unknown_method(self, worked_files, capsys):
         train, test = worked_files
@@ -746,6 +751,53 @@ class TestRegressorFlags:
         }
         for name, value in echo.items():
             assert value == getattr(args, name)
+
+
+def echo_lines(text):
+    """The ``# key=value`` lines of a CSV as a dict of strings."""
+    return dict(line[2:].split("=", 1) for line in text.splitlines()
+                if line.startswith("# ") and "=" in line)
+
+
+class TestEcho:
+    REGRESSOR_FLAGS = ["--regressor", "ridge", "--ridge-lambda", "0.5", "--no-intercept",
+                       "--knn-k", "2", "--memorizer-eps", "0.5", "--parity-tau", "2.0"]
+
+    def test_every_flag_is_echoed_or_excluded(self, tmp_path, worked_files):
+        train, test = worked_files
+        cases = {
+            "intervals": ["intervals", "--train", train, "--test", test, "--target", "y",
+                          "--method", "jackknife+", "--method", "cv+", "--alpha", "0.2",
+                          "--alpha-lo", "0.1", "--alpha-hi", "0.1", "--eps", "0.5", "--k", "3",
+                          "--strict-folds", "--split-fraction", "0.25", "--grid-points", "5",
+                          "--grid-lower", "-1", "--grid-upper", "1", "--seed", "3"],
+            "audit": ["audit", "--n", "4", "--d", "1", "--trials", "2", "--alpha", "0.25",
+                      "--variant", "plus", "--seed", "3",
+                      "--replay-out", str(tmp_path / "replay.json")],
+            "stability": ["stability", "--n", "6", "--d", "1", "--epsilon", "0.5", "--kind",
+                          "in_sample", "--trials", "3", "--alpha", "0.2", "--seed", "3"],
+        }
+        resolved = {"intervals": {"methods": "jackknife+;cv+", "k": "3"}}
+        for name, argv in cases.items():
+            args = build_parser().parse_args(argv + self.REGRESSOR_FLAGS)
+            rc, text = run_to_file(tmp_path, argv + self.REGRESSOR_FLAGS)
+            assert rc == 0, name
+            echo = echo_lines(text)
+            given = {key: str(value) for key, value in vars(args).items() if key not in _UNECHOED}
+            assert echo == {**given, **resolved.get(name, {}), "regressor": "ridge",
+                            "ridge_lambda": "0.5", "intercept": "False"}, name
+
+    def test_the_simulate_table_names_simulate_flags(self):
+        dests = set(vars(build_parser().parse_args(["simulate", "--experiment", "figure2"])))
+        assert set(_SIMULATE_ECHO) == set(EXPERIMENTS) - {"pathology-parity"}
+        for keys in _SIMULATE_ECHO.values():
+            assert set(keys) <= dests
+
+    def test_spec_flag_defaults_are_the_class_defaults(self):
+        args = build_parser().parse_args(["intervals", "--train", "a.csv", "--test", "b.csv"])
+        assert args.split_fraction == MethodSpec("split").split_holdout
+        assert args.grid_points == GridSpec().num_points
+        assert args.eps == IntervalSpec(0.1).inflation_eps
 
 
 class TestDeterminism:

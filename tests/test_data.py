@@ -12,7 +12,6 @@ from predint import (
     DataError,
     Dataset,
     SplitSpec,
-    attach_tau,
     gen_gaussian_linear,
     gen_pathological_abc,
 )
@@ -80,7 +79,7 @@ class TestDataset:
             Dataset._adopt(np.ones((2, 1)), np.array([0.0, math.inf]))
         with pytest.raises(DataError, match="row mismatch"):
             Dataset._adopt(np.ones((2, 1)), np.zeros(3))
-        tagged = attach_tau(gen_pathological_abc(50, 0.25, 0.1, seed=2), 3.0)
+        tagged = gen_pathological_abc(50, 0.25, 0.1, seed=2, tau=3.0)
         assert not (tagged.features.flags.writeable or tagged.responses.flags.writeable)
 
     def test_take_drop_head_tail(self):
@@ -327,8 +326,10 @@ class TestPathologicalDesign:
 
     def test_attach_tau(self):
         data = gen_pathological_abc(100, alpha=0.25, gamma=0.1, seed=1)
-        tagged = attach_tau(data, 7.0)
+        tagged = gen_pathological_abc(100, alpha=0.25, gamma=0.1, seed=1, tau=7.0)
+        assert not data.responses.any()
         assert np.array_equal(tagged.responses, 7.0 * data.features[:, 0])
         assert np.array_equal(tagged.features, data.features)
-        with pytest.raises(ConfigError):
-            attach_tau(data, math.inf)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigError, match="^tau must be finite"):
+                gen_pathological_abc(100, alpha=0.25, gamma=0.1, seed=1, tau=bad)

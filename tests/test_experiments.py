@@ -22,7 +22,6 @@ from predint import (
     ParityAdversary,
     Regressor,
     aggregate,
-    attach_tau,
     default_method_list,
     derive_rng,
     derive_seed,
@@ -546,14 +545,10 @@ class TestParityPathology:
         # Each parity trial is one run_trial call on its own draw.
         n, alpha, seed = 40_000, 0.25, 4
         res = pathology_parity(n=n, alpha=alpha, trials=1, n_test=300, seed=seed)
-        train = attach_tau(
-            gen_pathological_abc(n, alpha, res.gamma, derive_seed(seed, "parity-train", 0)),
-            res.tau,
-        )
-        test = attach_tau(
-            gen_pathological_abc(300, alpha, res.gamma, derive_seed(seed, "parity-test", 0)),
-            res.tau,
-        )
+        train = gen_pathological_abc(n, alpha, res.gamma, derive_seed(seed, "parity-train", 0),
+                                     res.tau)
+        test = gen_pathological_abc(300, alpha, res.gamma, derive_seed(seed, "parity-test", 0),
+                                    res.tau)
         assert np.count_nonzero(test.features[:, 0] == 0.0) > 1
         stats = run_trial(
             train, test, ParityAdversary(res.tau), [MethodSpec("jackknife+")],

@@ -42,7 +42,6 @@ from predint import (
     PredictionSet,
     Ridge,
     SplitSpec,
-    attach_tau,
     build_loo_cache,
     cross_conformal_set,
     cv_plus,
@@ -360,7 +359,7 @@ class TestCacheConstruction:
 
         monkeypatch.setattr(predint.intervals, "_fold_sizes", no_count)
         monkeypatch.setattr(predint.regressors, "_fold_sizes", no_count)
-        train = attach_tau(gen_pathological_abc(50, 0.25, 0.05, seed=6), 2.0)
+        train = gen_pathological_abc(50, 0.25, 0.05, seed=6, tau=2.0)
         for reg in (MEAN, ParityAdversary(2.0)):
             cache = build_loo_cache(train, reg)
             assert cache.k_folds == 50 and "fold_of" not in vars(cache)
@@ -689,7 +688,7 @@ class TestStreamingKernel:
     )
     def test_a_query_allocates_one_work_buffer(self, spec):
         n = 100_000
-        train = attach_tau(gen_pathological_abc(n, 0.25, 0.05, seed=6), 1000.0)
+        train = gen_pathological_abc(n, 0.25, 0.05, seed=6, tau=1000.0)
         cache = build_loo_cache(train, ParityAdversary(1000.0))
         x = np.array([1.0, -1.0, 0.5])
         tracemalloc.start()
@@ -749,7 +748,7 @@ class TestGroupedQueries:
 
     @pytest.mark.parametrize("signs", ["all-plus", "mixed"])
     def test_parity_with_one_and_two_models(self, signs):
-        train = attach_tau(gen_pathological_abc(40, 0.25, 0.05, seed=11), 10.0)
+        train = gen_pathological_abc(40, 0.25, 0.05, seed=11, tau=10.0)
         if signs == "all-plus":
             X = train.features.copy()
             X[:, 1] = 1.0
@@ -764,7 +763,7 @@ def test_parity_queries_build_no_n_vector():
     # grouped path. The cache holds the signed residuals, model_of (one byte a
     # row) and, from the first query on, the sorted residuals; no fold labels.
     n = 20_000
-    train = attach_tau(gen_pathological_abc(n, 0.25, 0.05, seed=6), 1000.0)
+    train = gen_pathological_abc(n, 0.25, 0.05, seed=6, tau=1000.0)
     probes = gen_pathological_abc(10, 0.25, 0.05, seed=7).features
     spec = IntervalSpec(0.25, inflation_eps=0.01)
     tracemalloc.start()

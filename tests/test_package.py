@@ -13,6 +13,7 @@ import predint
 from predint import (
     KNN,
     ConfigError,
+    DataError,
     Dataset,
     GridSpec,
     IntervalSpec,
@@ -22,11 +23,12 @@ from predint import (
     ParityAdversary,
     Ridge,
     SplitSpec,
-    attach_tau,
     build_loo_cache,
     default_method_list,
     estimate_stability,
+    evaluate_methods,
     figure2_experiment,
+    full_conformal_set,
     gen_gaussian_linear,
     gen_pathological_abc,
     make_regressor,
@@ -34,7 +36,10 @@ from predint import (
     pathology_parity,
     run_audit,
     run_coverage_mc,
+    upper_index,
+    upper_quantile,
 )
+from predint.cli import build_parser
 
 
 def test_all_has_no_duplicates():
@@ -246,7 +251,7 @@ def test_integer_sizes_reject_non_integers(name, make):
         ("ridge lambda_rel", lambda v: Ridge(lambda_rel=v)),
         ("memorizer eps", lambda v: Memorizer(eps=v)),
         ("tau", lambda v: ParityAdversary(tau=v)),
-        ("tau", lambda v: attach_tau(TRAIN, v)),
+        ("tau", lambda v: gen_pathological_abc(5, 0.25, 0.05, 1, tau=v)),
         ("epsilon", lambda v: estimate_stability(MinNormOLS(), gaussian_rows, n=5, epsilon=v)),
         ("eps", lambda v: pathology_parity(n=40_000, eps=v, trials=1, n_test=10)),
         ("alpha", lambda v: pathology_parity(n=40_000, alpha=v, trials=1, n_test=10)),
@@ -255,9 +260,9 @@ def test_integer_sizes_reject_non_integers(name, make):
         ("split_holdout", lambda v: MethodSpec("split", split_holdout=v)),
     ],
     ids=["IntervalSpec.inflation_eps", "GridSpec.lower", "GridSpec.upper", "Ridge.lambda_rel",
-         "Memorizer.eps", "ParityAdversary.tau", "attach_tau.tau", "estimate_stability.epsilon",
-         "pathology_parity.eps", "pathology_parity.alpha", "pathology_parity.gamma",
-         "SplitSpec.holdout_fraction", "MethodSpec.split_holdout"],
+         "Memorizer.eps", "ParityAdversary.tau", "gen_pathological_abc.tau",
+         "estimate_stability.epsilon", "pathology_parity.eps", "pathology_parity.alpha",
+         "pathology_parity.gamma", "SplitSpec.holdout_fraction", "MethodSpec.split_holdout"],
 )
 def test_real_settings_reject_non_reals(name, make):
     # Each reached a float comparison or math.isfinite, which raised a raw
@@ -277,6 +282,55 @@ def test_ridge_intercept_must_be_a_bool(make):
             make(bad)
     for good in (True, False, np.bool_(False)):
         assert make(good).intercept == good
+
+
+def run_command(line):
+    """Run the CLI command ``line`` and let its error propagate (main would
+    print it and exit 2 or 3)."""
+    args = build_parser().parse_args(line.split())
+    return args.func(args)
+
+
+@pytest.mark.parametrize(
+    "error, message, make",
+    [
+        (DataError, "features and responses must be arrays of numbers",
+         lambda: Dataset("abc", [1.0])),
+        (DataError, "features and responses must be arrays of numbers",
+         lambda: Dataset([[1.0, 2.0], [3.0]], [1.0, 2.0])),
+        (ConfigError, "row indices must be integers", lambda: TRAIN.take([0.5])),
+        (ConfigError, "row indices must be integers", lambda: TRAIN.drop([1.7])),
+        (ConfigError, r"row indices must lie in \[0, 6\)", lambda: TRAIN.take([100])),
+        (ConfigError, r"row indices must lie in \[0, 6\)", lambda: TRAIN.drop([-1])),
+        (ConfigError, "k must be an integer", lambda: TRAIN.head("3")),
+        (ConfigError, r"k must lie in \[0, 6\]", lambda: TRAIN.tail_from(7)),
+        (DataError, "query points must be numbers",
+         lambda: evaluate_methods(TRAIN, "ab", MinNormOLS(), [MethodSpec("naive")],
+                                  [IntervalSpec(0.1)])),
+        (ConfigError, "values must be numbers", lambda: upper_quantile("abc", 0.1)),
+        (ConfigError, "n must be >= 0", lambda: upper_index(-5, 0.1)),
+        (ConfigError, "n must be an integer", lambda: default_method_list("10")),
+        (ConfigError, "grid must be a GridSpec",
+         lambda: full_conformal_set(TRAIN, MinNormOLS(), IntervalSpec(0.1), [0.0, 1.0], grid=5)),
+        (ConfigError, "d must be >= 1, got 0$", lambda: run_audit(1, 10, 0.1, MinNormOLS(), d=0)),
+        (ConfigError, "d must be >= 1, got 0$",
+         lambda: run_coverage_mc(n=6, d=0, trials=1, n_test=2)),
+        (ConfigError, "d must be >= 1, got 0$", lambda: run_command("audit --n 10 --d 0")),
+        (ConfigError, "d must be positive, got 0$", lambda: run_command("stability --n 6 --d 0")),
+        (ConfigError, "d must be >= 1, got 0$",
+         lambda: run_command("simulate --experiment coverage-mc --d 0")),
+    ],
+    ids=["Dataset.text", "Dataset.ragged", "Dataset.take.fraction", "Dataset.drop.fraction",
+         "Dataset.take.out_of_range", "Dataset.drop.negative", "Dataset.head.text",
+         "Dataset.tail_from.past_the_end", "evaluate_methods.X_test", "upper_quantile.values",
+         "upper_index.n", "default_method_list.n", "full_conformal_set.grid", "run_audit.d",
+         "run_coverage_mc.d", "cli.audit.d", "cli.stability.d", "cli.coverage-mc.d"],
+)
+def test_bad_input_fails_at_the_boundary(error, message, make):
+    # Each raised a raw ValueError, IndexError, TypeError or AttributeError,
+    # returned a wrong row or index, or named an n that was never given.
+    with pytest.raises(error, match=f"^{message}"):
+        make()
 
 
 def test_methods_table_names_resolve():

@@ -26,7 +26,6 @@ from predint import (
     ParityAdversary,
     Regressor,
     Ridge,
-    attach_tau,
     build_loo_cache,
     canonical_order,
     derive_rng,
@@ -228,7 +227,7 @@ class TestParityAdversary:
     @pytest.mark.parametrize("shuffled", [False, True], ids=["default", "shuffled"])
     def test_leave_one_out_folds_match_refits_bitwise(self, shuffled):
         tau = 5.0
-        train = attach_tau(gen_pathological_abc(40, 0.25, 0.3, seed=9), tau)
+        train = gen_pathological_abc(40, 0.25, 0.3, seed=9, tau=tau)
         reg = ParityAdversary(tau=tau)
         fold_of = derive_rng(3, "parity-folds").permutation(40) if shuffled else np.arange(40)
         fast = LooCache(train, reg, fold_of)
@@ -246,7 +245,7 @@ class TestParityAdversary:
         # With no fold labels each row's sign is B_i * prod(B); negating one
         # B flips the product, so both of its signs are covered.
         tau = 5.0
-        drawn = attach_tau(gen_pathological_abc(40, 0.25, 0.3, seed=9), tau)
+        drawn = gen_pathological_abc(40, 0.25, 0.3, seed=9, tau=tau)
         flipped = drawn.features.copy()
         flipped[0, 1] = -flipped[0, 1]
         probes = gen_pathological_abc(20, 0.25, 0.3, seed=10).features
@@ -270,7 +269,7 @@ class TestParityAdversary:
         if grouped:
             monkeypatch.setattr(predint.intervals, "_GROUPED_ROWS_PER_MODEL", 1)
         tau = 5.0
-        train = attach_tau(gen_pathological_abc(40, 0.25, 0.3, seed=9), tau)
+        train = gen_pathological_abc(40, 0.25, 0.3, seed=9, tau=tau)
         fast = build_loo_cache(train, ParityAdversary(tau=tau))
         refit = build_loo_cache(train, RefitParity(tau=tau))
         assert fast.model_of.dtype == np.uint8
@@ -282,7 +281,7 @@ class TestParityAdversary:
                 assert (got.lower.hex(), got.upper.hex()) == (want.lower.hex(), want.upper.hex())
 
     def test_other_partitions_refit(self):
-        train = attach_tau(gen_pathological_abc(6, 0.25, 0.3, seed=2), 2.0)
+        train = gen_pathological_abc(6, 0.25, 0.3, seed=2, tau=2.0)
         reg = ParityAdversary(tau=2.0)
         x = [1.0, 1.0, 0.5]
         # Three folds of two rows each, dealt two ways; the second leaves
@@ -314,7 +313,7 @@ BAD_PARTITIONS = {
 def test_partitions_are_checked(fold_of):
     """A fold partition of n rows is n integer labels in range(n); fit_folds
     (the reference loop and parity's shortcut) and LooCache say so by name."""
-    train = attach_tau(gen_pathological_abc(4, 0.25, 0.3, seed=5), 1.0)
+    train = gen_pathological_abc(4, 0.25, 0.3, seed=5, tau=1.0)
     for reg in (ConstantMean(), ParityAdversary()):
         with pytest.raises(ConfigError, match="fold_of"):
             reg.fit_folds(train, fold_of)
@@ -352,8 +351,8 @@ def test_fit_folds_is_one_refit_per_fold(reg, folds):
     points, ``in_sample`` is its prediction at each row, and only folds that
     hold a row get a model (parity's leave-one-out: one per sign in use)."""
     if isinstance(reg, ParityAdversary):
-        train = attach_tau(gen_pathological_abc(15, 0.25, 0.3, seed=31), reg.tau)
-        probes = attach_tau(gen_pathological_abc(6, 0.25, 0.3, seed=32), reg.tau).features
+        train = gen_pathological_abc(15, 0.25, 0.3, seed=31, tau=reg.tau)
+        probes = gen_pathological_abc(6, 0.25, 0.3, seed=32).features
     else:
         train, probes = gaussian(15, 3, seed=31), gaussian(6, 3, seed=32).features
     fold_of = fold_assignments(train.n)[folds]

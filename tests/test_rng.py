@@ -219,50 +219,11 @@ class TestImportHygiene:
         return ["intervals", "--train", str(train), "--test", str(test),
                 "--out", str(tmp_path / "out.csv"), "--regressor", "mean"]
 
-    def test_importing_the_cli_loads_neither(self):
-        assert loaded_modules() == []
-
-    def test_runs_that_draw_no_stream_load_neither(self, intervals_argv):
-        methods = ["naive", "jackknife", "jackknife+", "jackknife-mm", "full-conformal"]
-        argv = intervals_argv + [arg for m in methods for arg in ("--method", m)]
-        assert loaded_modules(*argv) == []
-
-    def test_a_fold_deal_loads_the_hash_but_not_numpy_random(self, intervals_argv):
-        # The fold seed is the built-in SHA-256 digest and the deal is drawn
-        # by random.Random, so neither hashlib nor numpy.random loads.
-        argv = intervals_argv + ["--method", "cv+", "--k", "2"]
-        assert loaded_modules(*argv) == []
-
-    def test_no_command_that_draws_data_loads_numpy_random(self, tmp_path):
-        # Every synthetic draw comes from random.Random, so numpy.random and
-        # the secrets and hmac it imports to seed itself stay out.
-        small = ["--trials", "1", "--n", "6", "--n-test", "2"]
-        table = {
-            "figure2": ["simulate", "--experiment", "figure2", "--d-list", "2", *small],
-            "coverage-mc": ["simulate", "--experiment", "coverage-mc", "--d", "2", *small],
-            "pathology-memorizer": ["simulate", "--experiment", "pathology-memorizer", *small],
-            "pathology-parity": ["simulate", "--experiment", "pathology-parity", "--trials", "1",
-                                 "--n", "5000", "--n-test", "2", "--alpha", "0.25"],
-            "audit": ["audit", "--trials", "2", "--n", "5", "--d", "2",
-                      "--replay-out", str(tmp_path / "replay.json")],
-            "stability": ["stability", "--trials", "2", "--n", "6", "--d", "2", "--knn-k", "2"],
-        }
-        for name, argv in table.items():
-            out = ["--out", str(tmp_path / f"{name}.csv")]
-            assert loaded_modules(*argv, *out, watched=["numpy.random", "secrets", "hmac"]) == [], name
-
     def test_scoring_through_the_script_loads_no_numpy_random(self, intervals_argv):
         argv = intervals_argv + ["--method", "split", "--method", "cv+", "--method",
                                  "cross-conformal", "--k", "2"]
         state = json.loads(run_probe(_CONSOLE_PROBE, *argv).stdout)
         assert state["rc"] == 0 and state["streams"] == []
-
-    def test_importing_the_cli_does_not_load_numpy_ma(self):
-        assert loaded_modules(watched=["numpy.ma"]) == []
-
-    def test_cross_conformal_does_not_load_numpy_ma(self, intervals_argv):
-        argv = intervals_argv + ["--method", "cross-conformal", "--k", "2"]
-        assert loaded_modules(*argv, watched=["numpy.ma"]) == []
 
     def test_no_run_loads_openssl_a_stream_or_exact_arithmetic(self, intervals_argv, tmp_path):
         replay = tmp_path / "replay.json"
