@@ -152,35 +152,25 @@ def audit_instance(
     x_test = data.features[last]
     y_test = data.responses[last]
 
-    if variant in ("plus", "both"):
-        A = comparison_matrix(R, "plus")
-        report.strange_plus = strange_set(A, alpha)
-        if len(report.strange_plus) * q >= 2 * p * m:
+    # Per variant: the bound on |S| * q (the counting bound), and its interval.
+    for name, limit, bound, builder, label in (
+        ("plus", 2 * p * m - 1, f"fewer than 2*alpha*(n+1) = {float(2 * alpha * m)}",
+         jackknife_plus, "jackknife+"),
+        ("minmax", p * m, f"at most alpha*(n+1) = {float(alpha * m)}", jackknife_minmax, "minmax"),
+    ):
+        if variant not in (name, "both"):
+            continue
+        strange = strange_set(comparison_matrix(R, name), alpha)
+        if len(strange) * q > limit:
+            report.violations.append(f"{name} strange set has {len(strange)} rows, needs {bound}")
+        interval = builder(cache, spec, x_test)
+        covered = interval.contains(y_test)
+        if not covered and last not in strange:
             report.violations.append(
-                f"plus strange set has {len(report.strange_plus)} rows, "
-                f"needs fewer than 2*alpha*(n+1) = {float(2 * alpha * m)}"
-            )
-        report.interval_plus = jackknife_plus(cache, spec, x_test)
-        report.covered_plus = report.interval_plus.contains(y_test)
-        if not report.covered_plus and last not in report.strange_plus:
-            report.violations.append(
-                "test row escaped the jackknife+ interval without being strange (plus)"
-            )
-
-    if variant in ("minmax", "both"):
-        A = comparison_matrix(R, "minmax")
-        report.strange_minmax = strange_set(A, alpha)
-        if len(report.strange_minmax) * q > p * m:
-            report.violations.append(
-                f"minmax strange set has {len(report.strange_minmax)} rows, "
-                f"needs at most alpha*(n+1) = {float(alpha * m)}"
-            )
-        report.interval_minmax = jackknife_minmax(cache, spec, x_test)
-        report.covered_minmax = report.interval_minmax.contains(y_test)
-        if not report.covered_minmax and last not in report.strange_minmax:
-            report.violations.append(
-                "test row escaped the minmax interval without being strange (minmax)"
-            )
+                f"test row escaped the {label} interval without being strange ({name})")
+        setattr(report, f"strange_{name}", strange)
+        setattr(report, f"interval_{name}", interval)
+        setattr(report, f"covered_{name}", covered)
 
     return report
 
@@ -212,15 +202,9 @@ def run_audit(
         data, _ = gen_gaussian_linear(n + 1, d, derive_seed(seed, "audit", t))
         report = audit_instance(data, regressor, alpha, variant)
         if not report.ok:
-            violations.append(
-                {
-                    "trial": t,
-                    "alpha": alpha,
-                    "variant": variant,
-                    "regressor": regressor.token,
-                    "features": data.features.tolist(),
-                    "responses": data.responses.tolist(),
-                    "violations": report.violations,
-                }
-            )
+            violations.append({
+                "trial": t, "alpha": alpha, "variant": variant, "regressor": regressor.token,
+                "features": data.features.tolist(), "responses": data.responses.tolist(),
+                "violations": report.violations,
+            })
     return violations

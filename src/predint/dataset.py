@@ -11,12 +11,7 @@ import numpy as np
 from .errors import ConfigError, DataError, _require_int, _require_real
 from .rng import _normals, _permutation, _uniforms
 
-__all__ = [
-    "Dataset",
-    "SplitSpec",
-    "gen_gaussian_linear",
-    "gen_pathological_abc",
-]
+__all__ = ["Dataset", "SplitSpec", "gen_gaussian_linear", "gen_pathological_abc"]
 
 
 @dataclass(frozen=True, eq=False)

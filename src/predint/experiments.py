@@ -22,20 +22,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, SplitSpec, gen_gaussian_linear, gen_pathological_abc
-from .errors import ConfigError, DataError, _require_int, _require_real, _require_sequence
+from .errors import ConfigError, _require_int, _require_real, _require_sequence
 from .intervals import (
+    _POINT_BLOCK,
     METHOD_TOKENS,
     GridSpec,
     IntervalSpec,
-    _about,
+    PredictionInterval,
+    _Centred,
+    _cv_plus_block,
+    _fixed_center,
+    _query_rows,
+    _require_loo,
     _ResidualQuantiles,
     build_loo_cache,
     cross_conformal_set,
-    cv_plus,
     full_conformal_set,
-    jackknife,
-    jackknife_minmax,
-    jackknife_plus,
 )
 from .regressors import Memorizer, MinNormOLS, ParityAdversary, Regressor, make_regressor
 from .rng import _normals, _uniforms, derive_seed
@@ -135,22 +137,17 @@ def aggregate(reports) -> CoverageReport:
                 f"cannot aggregate {rep.method!r}@{rep.alpha} with "
                 f"{first.method!r}@{first.alpha}"
             )
-    return CoverageReport(
-        method=first.method,
-        alpha=first.alpha,
-        coverages=tuple(c for rep in reports for c in rep.coverages),
-        widths=tuple(w for rep in reports for w in rep.widths),
-        infinite_count=sum(rep.infinite_count for rep in reports),
-    )
+    return CoverageReport(first.method, first.alpha,
+                          tuple(c for rep in reports for c in rep.coverages),
+                          tuple(w for rep in reports for w in rep.widths),
+                          sum(rep.infinite_count for rep in reports))
 
 
 def _cache_k(mspec: MethodSpec, n: int) -> int | None:
     """Fold count of the cache a method reads, or None when it reads none."""
     if mspec.method in ("cv+", "cross-conformal"):
-        return n if mspec.k_folds is None else mspec.k_folds
-    if mspec.method in ("jackknife", "jackknife+", "jackknife-mm"):
-        return n
-    return None
+        return mspec.k_folds or n
+    return n if mspec.method.startswith("jackknife") else None
 
 
 def evaluate_methods(
@@ -177,76 +174,70 @@ def evaluate_methods(
     query row, shared across levels: the uniforms of
     ``random.Random(derive_seed(seed, "tau"))``, the one generator every
     predint draw comes from. Each residual quantile is computed once per
-    residual vector and level.
+    residual vector and level. Interval methods are computed as endpoint
+    arrays a block of rows at a time; objects are made only for the return.
     """
+    return [[ends if isinstance(ends, list) else
+             list(map(PredictionInterval, ends[0].tolist(), ends[1].tolist())) for ends in per_spec]
+            for per_spec in _evaluate(train, X_test, regressor, methods, specs, seed, strict)]
+
+
+def _evaluate(train, X_test, regressor, methods, specs, seed, strict) -> list:
+    """:func:`evaluate_methods` with no interval objects: ``out[m][s]`` is an
+    interval method's endpoint arrays (lower, upper), or a set method's sets."""
     methods = _require_sequence("methods", methods, MethodSpec)
     specs = _require_sequence("specs", specs, IntervalSpec)
     if train.n == 0:
         raise ConfigError("the training set is empty; every method needs at least one row")
-    try:
-        X_test = np.asarray(X_test, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"query points must be numbers: {exc}") from None
-    if X_test.ndim != 2 or X_test.shape[1] != train.d:
-        raise DataError(
-            f"query points must form a 2-D array with {train.d} columns, got shape {X_test.shape}"
-        )
-    if not np.isfinite(X_test).all():
-        raise DataError("query points must be finite (no NaN or infinities)")
-    n = train.n
-    tokens = {m.method for m in methods}
-    caches = {
-        k: build_loo_cache(
-            train, regressor, k, strict=strict,
-            fold_seed=derive_seed(seed, f"folds/{k}") if k < n else 0,
-        )
-        for k in dict.fromkeys(_cache_k(m, n) for m in methods)
-        if k is not None
-    }
-    full_model = None
-    if "naive" in tokens:
+    X_test = _query_rows(X_test, train.d)
+    n, q = train.n, len(X_test)
+    caches = {k: build_loo_cache(train, regressor, k, strict=strict,
+                                 fold_seed=derive_seed(seed, f"folds/{k}") if k < n else 0)
+              for k in dict.fromkeys(_cache_k(m, n) for m in methods) if k is not None}
+    if "naive" in {m.method for m in methods}:
         full_model = caches[n].full_model if n in caches else regressor.fit(train)
     splits = {}
     for holdout in dict.fromkeys(m.split_holdout for m in methods if m.method == "split"):
-        fit_idx, hold_idx = SplitSpec(
-            holdout_fraction=holdout, seed=derive_seed(seed, "split")
-        ).resolve(n)
-        model = regressor.fit(train.take(fit_idx))
-        held = train.take(hold_idx)
-        splits[holdout] = (
-            model, _ResidualQuantiles(held.responses - model.predict_many(held.features))
-        )
-    taus = None
-    if "cross-conformal" in tokens:
-        taus = _uniforms(derive_seed(seed, "tau"), len(X_test))
+        fit_idx, hold_idx = SplitSpec(holdout, derive_seed(seed, "split")).resolve(n)
+        model, held = regressor.fit(train.take(fit_idx)), train.take(hold_idx)
+        splits[holdout] = _Centred(
+            model, _ResidualQuantiles(held.responses - model.predict_many(held.features)))
 
-    def construction(mspec: MethodSpec):
-        """(spec, j) -> object for one method."""
-        token = mspec.method
+    # Each interval method's (cache or _Centred, block builder, endpoint arrays).
+    out, plans = [], []
+    for mspec in methods:
+        token, cache = mspec.method, caches.get(_cache_k(mspec, n))
+        if token.startswith("jackknife"):
+            _require_loo(cache, token)
         if token == "naive":
-            quantiles = _ResidualQuantiles(
-                train.responses - full_model.predict_many(train.features)
-            )
-            return lambda spec, j: _about(full_model, quantiles, spec, X_test[j])
-        if token == "split":
-            model, quantiles = splits[mspec.split_holdout]
-            return lambda spec, j: _about(model, quantiles, spec, X_test[j])
-        if token == "full-conformal":
-            return lambda spec, j: full_conformal_set(train, regressor, spec, X_test[j], mspec.grid)
-        cache = caches[_cache_k(mspec, n)]
+            cache = _Centred(full_model, _ResidualQuantiles(
+                train.responses - full_model.predict_many(train.features)))
+        elif token == "split":
+            cache = splits[mspec.split_holdout]
+        elif token == "jackknife":
+            cache = _Centred(cache.full_model, cache._quantiles)
         if token == "cross-conformal":
-            return lambda spec, j: cross_conformal_set(cache, spec, X_test[j], taus[j])
-        # Bound here, not at import, so a rebound module name (as bench/tracer.py
-        # rebinds each public function to count its calls) is the one called.
-        fn = {"jackknife": jackknife, "jackknife+": jackknife_plus,
-              "jackknife-mm": jackknife_minmax, "cv+": cv_plus}[token]
-        return lambda spec, j: fn(cache, spec, X_test[j])
+            taus = _uniforms(derive_seed(seed, "tau"), q)
+            out.append([[cross_conformal_set(cache, spec, x, tau) for x, tau in zip(X_test, taus)]
+                        for spec in specs])
+        elif token == "full-conformal":
+            out.append([[full_conformal_set(train, regressor, spec, x, mspec.grid) for x in X_test]
+                        for spec in specs])
+        else:
+            out.append([(np.empty(q), np.empty(q)) for _ in specs])
+            block = _cv_plus_block if token in ("cv+", "jackknife+") else _fixed_center
+            plans.append((cache, block, out[-1]))
 
-    rows = range(len(X_test))
-    return [
-        [[make(spec, j) for j in rows] for spec in specs]
-        for make in map(construction, methods)
-    ]
+    # Each cache predicts once per block of rows, for every method and level.
+    step = max(1, _POINT_BLOCK // max([len(c.models) for c, _, _ in plans], default=1))
+    for start in range(0, q, step):
+        rows, per_model = slice(start, start + step), {}
+        for cache, block, ends in plans:
+            if cache not in per_model:
+                per_model[cache] = cache.model_predictions(X_test[rows])
+            for spec, (lower, upper) in zip(specs, ends):
+                lower[rows], upper[rows] = block(cache, spec, per_model[cache])
+    return out
 
 
 def run_trial(
@@ -261,8 +252,8 @@ def run_trial(
 
     Returns ``{(label, spec_index): CoverageReport}``, each a one-row report
     (``trials == 1``): the coverage fraction and mean finite width over the
-    test points. The objects come from :func:`evaluate_methods`, so fits are
-    shared across methods and levels.
+    test points. The results come from :func:`evaluate_methods`, so fits are
+    shared across methods and levels; intervals are scored as endpoint arrays.
     """
     methods = _require_sequence("methods", methods, MethodSpec)
     specs = _require_sequence("specs", specs, IntervalSpec)
@@ -274,23 +265,30 @@ def run_trial(
     if len(set(labels)) != len(labels):
         raise ConfigError(f"duplicate method labels: {labels}")
 
-    objects = evaluate_methods(train, test.features, regressor, methods, specs, seed)
+    results = _evaluate(train, test.features, regressor, methods, specs, seed, False)
     return {
-        (label, si): _trial_report(label, specs[si].alpha, objs, test.responses)
-        for label, per_spec in zip(labels, objects)
-        for si, objs in enumerate(per_spec)
+        (label, si): _trial_report(label, specs[si].alpha, ends, test.responses)
+        for label, per_spec in zip(labels, results)
+        for si, ends in enumerate(per_spec)
     }
 
 
-def _trial_report(label: str, alpha: float, objs, responses) -> CoverageReport:
-    """One-row report of the objects built for one test draw: coverage, mean
-    finite width (NaN when none is finite) and the count of infinite widths."""
-    hits = [o.contains(y) for o, y in zip(objs, responses)]
-    widths = [o.width for o in objs]
-    finite = [w for w in widths if math.isfinite(w)]
-    width_mean = float(np.mean(finite)) if finite else math.nan
+def _trial_report(label: str, alpha: float, ends, responses) -> CoverageReport:
+    """One-row report of one method on one test draw from its endpoint arrays
+    or its sets: coverage, mean finite width (NaN when none is finite) and the
+    count of infinite widths, each width as :class:`PredictionInterval`'s."""
+    if isinstance(ends, list):
+        hits = [s.contains(y) for s, y in zip(ends, responses)]
+        widths = np.array([s.width for s in ends])
+    else:
+        lower, upper = ends
+        hits = (lower <= responses) & (responses <= upper)
+        with np.errstate(invalid="ignore"):
+            widths = np.where(lower > upper, 0.0, upper - lower)
+    finite = widths[np.isfinite(widths)]
+    width_mean = float(np.mean(finite)) if finite.size else math.nan
     return CoverageReport(label, alpha, (float(np.mean(hits)),), (width_mean,),
-                          sum(map(math.isinf, widths)))
+                          int(np.isinf(widths).sum()))
 
 
 def default_method_list(n: int, k_folds: int = 10) -> list[MethodSpec]:
@@ -342,6 +340,9 @@ def figure2_experiment(
         raise ConfigError("d_list must name at least one feature dimension")
     if len(set(d_list)) != len(d_list):
         raise ConfigError(f"d_list must not repeat a dimension, got {d_list}")
+    for d in d_list:  # every entry, before the first trial
+        if _require_int("d", d) < 1:
+            raise ConfigError(f"d must be >= 1, got {d}")
     if methods is None:
         methods = default_method_list(n)
     specs = [IntervalSpec(alpha)]
@@ -512,19 +513,11 @@ def pathology_parity(
         return gen_pathological_abc(size, alpha, gamma, derive_seed(seed, tag, t), tau)
 
     def trial(t):
-        # The adversary fits two leave-one-out models, so jackknife+ selects
-        # from their sorted residuals and a query builds no n-vector.
+        # The adversary fits two leave-one-out models, so jackknife+ answers
+        # a block of queries by one bisection over their sorted residuals.
         return run_trial(draw(n, "parity-train", t), draw(n_test, "parity-test", t),
                          ParityAdversary(tau), methods, specs)
 
     reports = _coverage_reports(trials, trial)
-    return ParityResult(
-        n=n,
-        alpha=alpha,
-        eps=eps,
-        gamma=gamma,
-        tau=tau,
-        n_test=n_test,
-        report=reports[("jackknife+", 0)],
-        bound_upper=1.0 - 2.0 * alpha + slack,
-    )
+    return ParityResult(n=n, alpha=alpha, eps=eps, gamma=gamma, tau=tau, n_test=n_test,
+                        report=reports[("jackknife+", 0)], bound_upper=1.0 - 2.0 * alpha + slack)

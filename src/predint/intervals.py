@@ -221,11 +221,12 @@ class LooCache:
     ``fit_folds`` is an override point, so its result is checked: ``model_of``
     (integer) and ``in_sample`` are 1-D arrays of length n and every model is
     some row's (``ConfigError``), and the in-sample residuals are finite
-    (:class:`DataError`). Each query checks the predictions of the distinct
-    models at x (one value per entry of ``models``, not one per row) and
-    raises ``DataError`` unless they are finite. Together the two finiteness
-    checks keep NaN out of every vector ``prediction +- residual``, so queries
-    need no per-row NaN scan.
+    (:class:`DataError`). Each block of queries checks the predictions of
+    the distinct models at its rows (one value per entry of ``models``, not
+    one per row) and raises ``DataError`` unless they are finite. Together
+    the two finiteness checks keep NaN out of every vector ``prediction +-
+    residual``, so queries need no per-row NaN scan. The residuals go into
+    ``in_sample`` itself when it owns its float data and is writeable.
     """
 
     def __init__(self, train, regressor, fold_of=None):
@@ -253,12 +254,14 @@ class LooCache:
             raise ConfigError("model_of must index into models")
         if not np.bincount(model_of, minlength=len(models)).all():
             raise ConfigError("model_of must use every one of models")
-        self.signed_residuals = train.responses - in_sample
+        owned = in_sample.flags.owndata and in_sample.flags.writeable and in_sample.dtype == float
+        self.signed_residuals = np.subtract(train.responses, in_sample,
+                                            out=in_sample if owned else None)
         if not np.isfinite(self.signed_residuals).all():
             raise DataError("the fold models' in-sample residuals are not finite")
         for arr in (self.signed_residuals, self.model_of):
             arr.flags.writeable = False
-        self._quantiles = _ResidualQuantiles(self.signed_residuals)
+        self._quantiles, self._sorted = _ResidualQuantiles(self.signed_residuals), {}
 
     @property
     def n(self) -> int:
@@ -287,40 +290,31 @@ class LooCache:
         # A copy only for narrower indices, such as parity's one byte a row.
         return self._model_index.astype(np.intp, copy=False)
 
-    @functools.cached_property
-    def _sorted_absolute(self) -> _SortedGroups:
-        return self._sorted_groups(absolute=True)
-
-    @functools.cached_property
-    def _sorted_signed(self) -> _SortedGroups:
-        return self._sorted_groups(absolute=False)
-
     def _sorted_groups(self, absolute: bool) -> _SortedGroups:
-        """Each model's rows' residuals, sorted; one mask and copy per model."""
-        groups = []
-        for g in range(len(self.models)):
-            values = self.signed_residuals[self.model_of == g]
-            if absolute:
-                np.abs(values, out=values)
-            values.sort()
-            groups.append(values)
-        return _SortedGroups(groups)
+        """Each model's rows' residuals, sorted, once per mode; one copy a model."""
+        if absolute not in self._sorted:
+            groups = [self.signed_residuals[self.model_of == g] for g in range(len(self.models))]
+            for values in groups:
+                if absolute:
+                    np.abs(values, out=values)
+                values.sort()
+            self._sorted[absolute] = _SortedGroups(groups)
+        return self._sorted[absolute]
 
-    def model_predictions(self, x) -> np.ndarray:
-        """Predictions of the distinct models at x, one per entry of ``models``.
-
-        Raises :class:`DataError` unless x is a query point of the training
-        set's dimension and every prediction is finite.
-        """
-        x = _query_point(x, self.train.d)
-        per_model = np.array([m.predict(x) for m in self.models], dtype=float)
+    def model_predictions(self, X) -> np.ndarray:
+        """The (q, G) predictions of the distinct models at the rows of a
+        checked (q, d) block X, column g from ``models[g].predict_many(X)``;
+        :class:`DataError` unless every prediction is finite."""
+        per_model = np.empty((len(X), len(self.models)))
+        for g, model in enumerate(self.models):
+            per_model[:, g] = model.predict_many(X)
         if not np.isfinite(per_model).all():
-            raise DataError("fold-model predictions at the query point are not finite")
+            raise DataError("model predictions at the query points are not finite")
         return per_model
 
     def predictions_at(self, x) -> np.ndarray:
         """Per-row fold predictions mu_{-fold(i)}(x), one entry per row."""
-        return self.model_predictions(x)[self.model_of]
+        return self.model_predictions(_query_rows(x, self.train.d, one=True))[0, self.model_of]
 
 
 def build_loo_cache(
@@ -388,55 +382,92 @@ class _ResidualQuantiles:
         return self.memo[key]
 
 
-def _query_point(x, d: int) -> np.ndarray:
-    """x as a float vector, after checking that it is a finite 1-D vector of
-    length d (:class:`DataError` otherwise)."""
+def _query_rows(X, d: int, one: bool = False) -> np.ndarray:
+    """X as a checked, finite float (q, d) block of query points, else a
+    :class:`DataError`; with ``one``, X is one 1-D point, made a block of one."""
+    noun = "a query point" if one else "query points"
     try:
-        point = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        raise DataError(f"a query point must be a vector of {d} numbers, "
-                        f"got a {type(x).__name__}") from None
-    if point.shape != (d,):
-        raise DataError(f"a query point must be a 1-D vector of {d} numbers, "
-                        f"got shape {point.shape}")
-    if not np.isfinite(point).all():
-        raise DataError("a query point must be finite (no NaN or infinities)")
-    return point
+        X = np.asarray(X, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{noun} must be numbers: {exc}") from None
+    if (X.shape != (d,)) if one else (X.ndim != 2 or X.shape[1] != d):
+        form = f"a 1-D vector of {d} numbers" if one else f"a 2-D array with {d} columns"
+        raise DataError(f"{noun} must be {form}, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise DataError(f"{noun} must be finite (no NaN or infinities)")
+    return X[None] if one else X
 
 
-def _fixed_center_interval(center_lo, center_hi, quantiles, spec) -> PredictionInterval:
-    """[center_lo + q_lo - eps, center_hi + q_hi + eps] for ``(q_lo, q_hi) =
-    quantiles(spec)``."""
-    q_lo, q_hi = quantiles(spec)
+class _Centred:
+    """One model and its residual quantiles, read as a cache of one model:
+    naive, split and jackknife are jackknife-mm around one prediction."""
+
+    def __init__(self, model: FittedModel, quantiles):
+        self.models, self._quantiles = [model], quantiles
+
+    model_predictions = LooCache.model_predictions
+
+
+def _fixed_center(cache, spec: IntervalSpec, per_model):
+    """Endpoint arrays ``min + q_lo - eps`` and ``max + q_hi + eps`` of each
+    row of a block's (q, G) predictions, ``(q_lo, q_hi) = cache._quantiles(spec)``:
+    jackknife-mm on a :class:`LooCache`, one model's interval on a :class:`_Centred`."""
+    q_lo, q_hi = cache._quantiles(spec)
     eps = spec.inflation_eps
-    return PredictionInterval(center_lo + q_lo - eps, center_hi + q_hi + eps)
+    return per_model.min(axis=1) + q_lo - eps, per_model.max(axis=1) + q_hi + eps
 
 
-def _about(model: FittedModel, quantiles, spec: IntervalSpec, x) -> PredictionInterval:
-    """Residual-quantile interval around ``model``'s prediction at x, with the
-    residual quantiles read from ``quantiles``, a :class:`_ResidualQuantiles`.
+# cv+ selects from each model's sorted residuals when the models have at
+# least this many rows each on average, else from candidate rows. G <= 2
+# models answer a block by one bisection. For more, on a 2-vCPU Xeon a grouped
+# endpoint costs about 20 us plus 5 to 8 us per model and a partition about 5
+# ns per cell, so the two cost the same near n = 4000 + 1000 G.
+_GROUPED_ROWS_PER_MODEL = 4096
 
-    Shared core of naive, split and jackknife: only the model and the residual
-    source differ between the three.
-    """
-    center = model.predict(x)
-    if not math.isfinite(center):
-        raise DataError(f"the prediction at the query point is not finite, got {center}")
-    return _fixed_center_interval(center, center, quantiles, spec)
+
+def _cv_plus_block(cache: LooCache, spec: IntervalSpec, per_model):
+    """cv+ endpoint arrays from a block's (q, G) fold predictions."""
+    if cache.k_folds < 2:
+        raise ConfigError("cv+ needs at least 2 folds (K=1 is leave-all-out)")
+    n = cache.n
+    lo_alpha, hi_alpha = (spec.alpha_lo, spec.alpha_hi) if spec.asymmetric else (spec.alpha,) * 2
+    k_lo, k_hi = lower_index(n, lo_alpha), upper_index(n, hi_alpha)
+    # Symmetric endpoints are prediction -+ |residual|; asymmetric ones are
+    # prediction + signed residual at both ends.
+    lo_shift = np.add if spec.asymmetric else np.subtract
+    if len(cache.models) * _GROUPED_ROWS_PER_MODEL <= n:
+        groups = cache._sorted_groups(absolute=not spec.asymmetric)
+        lo = groups.select_rows(per_model, not spec.asymmetric, k_lo)
+        hi = groups.select_rows(per_model, False, k_hi)
+    else:
+        residuals = cache.signed_residuals if spec.asymmetric else cache.residuals
+        lo, hi = np.empty(len(per_model)), np.empty(len(per_model))
+        # Rows of n candidates, about _POINT_BLOCK candidates at a time.
+        step = max(1, _POINT_BLOCK // n)
+        buf = np.empty((min(step, len(per_model)), n))
+        for start in range(0, len(per_model), step):
+            rows = slice(start, start + step)
+            work = buf[: len(lo[rows])]
+            for shift, k, out in ((lo_shift, k_lo, lo), (np.add, k_hi, hi)):
+                # mode="raise" would write through a hidden copy of ``out``;
+                # model_of was range-checked when the cache was built.
+                np.take(per_model[rows], cache._gather_index, axis=1, out=work, mode="clip")
+                shift(work, residuals, out=work)
+                out[rows] = _select_inplace(work, k)
+    eps = spec.inflation_eps
+    return lo - eps, hi + eps
+
+
+def _at(block, cache, spec: IntervalSpec, x, d: int) -> PredictionInterval:
+    """The interval ``block`` builds at the one query point x."""
+    lower, upper = block(cache, spec, cache.model_predictions(_query_rows(x, d, one=True)))
+    return PredictionInterval(float(lower[0]), float(upper[0]))
 
 
 def jackknife(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval:
     """Full-fit prediction plus a leave-one-out residual quantile."""
     _require_loo(cache, "jackknife")
-    return _about(cache.full_model, cache._quantiles, spec, _query_point(x, cache.train.d))
-
-
-# cv+ selects from each model's sorted residuals when the models have at
-# least this many rows each on average. On a 2-vCPU Xeon a grouped endpoint
-# costs about 20 us plus 5 to 8 us per model and a partition of the n-vector
-# about 5 ns per row, so the two cost the same near n = 4000 + 1000 G; below
-# the rule the buffer path is the faster or about as fast.
-_GROUPED_ROWS_PER_MODEL = 4096
+    return _at(_fixed_center, _Centred(cache.full_model, cache._quantiles), spec, x, cache.train.d)
 
 
 def cv_plus(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval:
@@ -444,48 +475,16 @@ def cv_plus(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval:
 
     With K = n folds this is exactly jackknife+; the two share this code path
     bit for bit. Each endpoint is an order statistic of the n candidates
-    ``prediction - residual`` or ``prediction + residual``, one per row, from
-    the prediction at x of the model fitted without that row's fold. When the
-    cache has few models against n (at least ``_GROUPED_ROWS_PER_MODEL`` rows
-    per model, as for parity's two models or K folds at large n), it is
-    selected from each model's residuals, sorted once per cache, and a query
-    builds no n-vector. Otherwise it is selected from one n-length work buffer,
-    filled in place from the distinct models' predictions at x. Both paths
-    compute every candidate with the same float operation and agree bit for
-    bit.
+    ``prediction -+ residual``, one per row, from the prediction at x of the
+    model fitted without that row's fold. It runs the block builder of
+    :func:`predint.experiments.evaluate_methods` on a block of one. With at
+    least ``_GROUPED_ROWS_PER_MODEL`` rows per model (parity's two models, or
+    K folds at large n) it selects from each model's sorted residuals and
+    builds no n-vector; otherwise from a buffer of candidate rows. Both paths
+    compute each candidate with the same float operation and return a zero
+    as 0.0, so they agree bit for bit.
     """
-    if cache.k_folds < 2:
-        raise ConfigError("cv+ needs at least 2 folds (K=1 is leave-all-out)")
-    per_model = cache.model_predictions(x)
-    n = cache.n
-    if spec.asymmetric:
-        k_lo, k_hi = lower_index(n, spec.alpha_lo), upper_index(n, spec.alpha_hi)
-    else:
-        k_lo, k_hi = lower_index(n, spec.alpha), upper_index(n, spec.alpha)
-    # Symmetric endpoints are prediction -+ |residual|; asymmetric ones are
-    # prediction + signed residual at both ends.
-    subtract = not spec.asymmetric
-    if len(cache.models) * _GROUPED_ROWS_PER_MODEL <= n:
-        groups = cache._sorted_signed if spec.asymmetric else cache._sorted_absolute
-        lo = groups.select(per_model, subtract, k_lo)
-        hi = groups.select(per_model, False, k_hi)
-    else:
-        residuals = cache.signed_residuals if spec.asymmetric else cache.residuals
-        buf = np.empty(n)
-
-        def order_statistic(shift, k: int) -> float:
-            """k-th smallest of shift(prediction_i, residual_i) over the rows."""
-            # mode="clip" skips the bounds check, which with mode="raise" writes
-            # through a hidden copy of ``out``; model_of was range-checked when
-            # the cache was built.
-            np.take(per_model, cache._gather_index, out=buf, mode="clip")
-            shift(buf, residuals, out=buf)
-            return _select_inplace(buf, k)
-
-        lo = order_statistic(np.subtract if subtract else np.add, k_lo)
-        hi = order_statistic(np.add, k_hi)
-    eps = spec.inflation_eps
-    return PredictionInterval(lo - eps, hi + eps)
+    return _at(_cv_plus_block, cache, spec, x, cache.train.d)
 
 
 def jackknife_plus(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval:
@@ -496,9 +495,7 @@ def jackknife_plus(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval
 def jackknife_minmax(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval:
     """Residual quantile around the extreme leave-one-out predictions."""
     _require_loo(cache, "jackknife-mm")
-    m = cache.model_predictions(x)
-    lo, hi = float(np.min(m)), float(np.max(m))
-    return _fixed_center_interval(lo, hi, cache._quantiles, spec)
+    return _at(_fixed_center, cache, spec, x, cache.train.d)
 
 
 def _require_loo(cache: LooCache, name: str) -> None:
@@ -638,7 +635,7 @@ def full_conformal_set(
         raise ConfigError(f"the grid [{lo}, {hi}] is too wide: its span overflows")
     ys = np.linspace(lo, hi, grid.num_points)
 
-    x = _query_point(x, train.d)
+    x = _query_rows(x, train.d, one=True)[0]
     X_aug = np.vstack([train.features, x])
     y_aug = np.append(train.responses, 0.0)
     accepted = np.zeros(len(ys), dtype=bool)

@@ -18,11 +18,12 @@ alpha = 0.1, n = 9 is 9). Exactness also guarantees the identity
 holds bitwise, not merely approximately.
 
 Indices are memoised per (n, alpha), and every selection runs through one
-in-place ``np.partition`` helper, so callers that stream many queries
-through a reusable buffer (jackknife+ and CV+) share the public operators'
-selection code. When the n values fall into a few groups that share a shift
-(CV+ with K folds has K), ``_SortedGroups`` sorts each group once and selects
-from the shifted groups without building the n-vector.
+in-place ``np.partition`` helper, so callers that select for a block of
+queries from a reusable buffer (jackknife+ and CV+) share the public
+operators' selection code, which returns a zero as 0.0. When the n values
+fall into a few groups that share a shift (CV+ with K folds has K),
+``_SortedGroups`` sorts each group once and selects from the shifted groups
+without building the n-vector.
 """
 
 from __future__ import annotations
@@ -103,15 +104,17 @@ def _indices(n: int, alpha) -> tuple[int, int]:
     return _memo_indices(n, alpha)
 
 
-def _select_inplace(buf: np.ndarray, k: int) -> float:
-    """The k-th smallest entry of ``buf`` (1-based), partitioning it in place;
-    -inf when k < 1 and +inf when k > buf.size."""
+def _select_inplace(buf: np.ndarray, k: int):
+    """The k-th smallest entry of ``buf`` (1-based), or of each row of a 2-D
+    ``buf`` as an array, partitioning it in place; -inf when k < 1 and +inf
+    when k exceeds a row's length. A zero comes back as 0.0 (``+ 0.0``), as
+    which of two equal zeros a partition puts at k - 1 is arbitrary."""
     if k < 1:
         return -math.inf
-    if k > buf.size:
+    if k > buf.shape[-1]:
         return math.inf
     buf.partition(k - 1)
-    return float(buf[k - 1])
+    return buf[:, k - 1] + 0.0 if buf.ndim == 2 else float(buf[k - 1]) + 0.0
 
 
 def _first_true(values: np.ndarray, guess: int, holds) -> int:
@@ -197,6 +200,33 @@ class _SortedGroups:
             return hi
         op(between, np.concatenate(parts), out=between)
         return _select_inplace(between, k - below)
+
+    def select_rows(self, shifts: np.ndarray, subtract: bool, k: int) -> np.ndarray:
+        """:meth:`select` for each row of the (q, G) ``shifts``, all at once
+        for G <= 2 and row by row otherwise. Each group's candidates are
+        monotone in its values, so with G = 2 a row's k smallest are group
+        0's i smallest and group 1's k - i smallest for the least i at which
+        group 1's (k - i)-th is not above group 0's (i + 1)-th; that i is
+        bisected in every row together."""
+        if len(self.groups) > 2 or not 1 <= k <= self.size:
+            return np.array([self.select(row, subtract, k) for row in shifts], dtype=float)
+        op = np.subtract if subtract else np.add
+
+        def candidate(g, i):  # each row's (i + 1)-th smallest in group g, i clipped
+            values = self.groups[g]
+            i = np.clip(i, 0, values.size - 1)
+            return op(shifts[:, g], values[values.size - 1 - i if subtract else i])
+
+        if len(self.groups) == 1:
+            return candidate(0, k - 1) + 0.0
+        lo = np.full(len(shifts), max(0, k - self.groups[1].size))
+        hi = np.full(len(shifts), min(k, self.groups[0].size))
+        for _ in range(int(hi[0] - lo[0]).bit_length()):
+            mid = (lo + hi) // 2
+            above = candidate(1, k - 1 - mid) > candidate(0, mid)
+            lo, hi = np.where(above & (lo < hi), mid + 1, lo), np.where(above, hi, mid)
+        top = np.where(lo > 0, candidate(0, lo - 1), -math.inf)
+        return np.maximum(top, np.where(lo < k, candidate(1, k - 1 - lo), -math.inf)) + 0.0
 
 
 def upper_index(n: int, alpha: float) -> int:

@@ -138,9 +138,10 @@ class Regressor:
     def fit_folds(self, train: Dataset, fold_of=None):
         """``(models, model_of, in_sample)``: per row i, ``models[model_of[i]]``
         is fitted without row i's fold and predicts ``in_sample[i]`` at row i.
-        Every model is some row's. ``fold_of=None`` is leave-one-out, every
-        row its own fold. This reference refits each nonempty fold on the other
-        rows, taken in the canonical order of all n, which is their own."""
+        Every model is some row's, and the cache may write its residuals into
+        ``in_sample``. ``fold_of=None`` is leave-one-out, every row its own
+        fold. This reference refits each nonempty fold on the other rows, in
+        the canonical order of all n, which is their own."""
         n = train.n
         if fold_of is None:
             fold_of, folds = np.arange(n), range(n)

@@ -20,6 +20,7 @@ from predint import (
     MethodSpec,
     MinNormOLS,
     ParityAdversary,
+    PredictionInterval,
     Regressor,
     aggregate,
     default_method_list,
@@ -222,6 +223,44 @@ class TestRunTrial:
         with pytest.raises(ConfigError, match=message):
             evaluate_methods(train, test.features, reg, methods, specs)
         assert reg.fits == 0
+
+
+def test_a_trial_of_interval_methods_builds_no_interval_object(monkeypatch):
+    # run_trial scores interval methods from their endpoint arrays; only
+    # evaluate_methods' return value is made of PredictionInterval objects.
+    built = []
+    init = PredictionInterval.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PredictionInterval, "__init__", counted)
+    train, test = gaussian_split(20, 7, 2, seed=16)
+    methods = [MethodSpec(m) for m in ("naive", "split", "jackknife", "jackknife+",
+                                       "jackknife-mm")] + [MethodSpec("cv+", k_folds=5)]
+    # alpha = 1 gives empty intervals (width 0) and alpha = 0.04 < 1/(n+1)
+    # infinite ones.
+    specs = [IntervalSpec(0.2), IntervalSpec(0.3, alpha_lo=0.1, alpha_hi=0.2),
+             IntervalSpec(1.0), IntervalSpec(0.04)]
+    stats = run_trial(train, test, MinNormOLS(), methods, specs, seed=4)
+    assert len(stats) == len(methods) * len(specs)
+    assert built == []
+    out = evaluate_methods(train, test.features, MinNormOLS(), methods, specs, seed=4)
+    assert len(built) == len(methods) * len(specs) * test.n
+    # The report from the arrays is the report from the objects.
+    for m, mspec in enumerate(methods):
+        for si in range(len(specs)):
+            objs = out[m][si]
+            widths = [iv.width for iv in objs]
+            finite = [w for w in widths if math.isfinite(w)]
+            report = stats[(mspec.label, si)]
+            assert report.coverages == (float(np.mean([iv.contains(y) for iv, y in
+                                                       zip(objs, test.responses)])),)
+            assert not finite or report.widths[0] == float(np.mean(finite))
+            assert report.infinite_count == sum(map(math.isinf, widths))
+    assert stats[("jackknife+", 2)].widths == (0.0,)
+    assert stats[("jackknife+", 3)].infinite_count == test.n
 
 
 class CountingRegressor(Regressor):
@@ -474,6 +513,27 @@ class TestFigure2:
         # An int raised a raw TypeError.
         with pytest.raises(ConfigError, match="d_list must be a sequence"):
             figure2_experiment(n=6, d_list=d_list, trials=1, n_test=2)
+
+    @pytest.mark.parametrize("d_list, message", [
+        ((3, 0), "d must be >= 1, got 0"),
+        ((3, -2), "d must be >= 1, got -2"),
+        ((3, 2.5), "d must be an integer"),
+    ], ids=["zero", "negative", "float"])
+    def test_every_d_list_entry_is_checked_before_the_first_trial(
+        self, d_list, message, monkeypatch
+    ):
+        # A bad entry late in the list failed only after every trial at the
+        # entries before it.
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return run_trial(*args, **kwargs)
+
+        monkeypatch.setattr(predint.experiments, "run_trial", spy)
+        with pytest.raises(ConfigError, match=message):
+            figure2_experiment(n=6, d_list=d_list, trials=2, n_test=2)
+        assert calls == []
 
 
 class TestCoverageMc:

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import predint.experiments
 import predint.intervals
 import predint.regressors
 from predint import (
@@ -57,6 +58,7 @@ from predint import (
     lower_quantile,
     upper_quantile,
 )
+from predint.intervals import _POINT_BLOCK, _cv_plus_block
 
 MEAN = ConstantMean()
 X_PROBE = np.array([1.0])
@@ -757,6 +759,31 @@ class TestGroupedQueries:
         assert len(cache.models) == (1 if signs == "all-plus" else 2)
         self.check(cache, [np.array([1.0, b, c]) for b in (-1.0, 1.0) for c in (-0.7, 0.3)])
 
+    @pytest.mark.parametrize(
+        "spec",
+        [IntervalSpec(0.5), IntervalSpec(0.9), IntervalSpec(0.25),
+         IntervalSpec(0.5, alpha_lo=0.25, alpha_hi=0.25)],
+        ids=["0.5", "0.9", "0.25", "asymmetric"],
+    )
+    def test_zero_predictions_select_one_zero(self, spec):
+        # Two models against n = 20,000 rows. At probes with A = 0 or C = 0
+        # every fold prediction is +-0, so with eps = 0 an endpoint can be a
+        # zero, which the partition oracle may find as -0.0: every path
+        # returns 0.0.
+        train = gen_pathological_abc(20_000, 0.25, 0.05, seed=6, tau=100.0)
+        cache = build_loo_cache(train, ParityAdversary(100.0))
+        probes = gen_pathological_abc(256, 0.25, 0.05, seed=12).features.copy()
+        probes[::2, 0] = 0.0
+        probes[1::2, 2] = -0.0
+        assert len(cache.models) == 2
+        for x in probes:
+            assert not np.any(cache.predictions_at(x))
+            assert bits(cv_plus(cache, spec, x)) == bits(reference_cv_plus(cache, spec, x))
+        block = evaluate_methods(train, probes, ParityAdversary(100.0),
+                                 [MethodSpec("jackknife+")], [spec])[0][0]
+        assert [bits(iv) for iv in block] == [
+            bits(reference_cv_plus(cache, spec, x)) for x in probes]
+
 
 def test_parity_queries_build_no_n_vector():
     # Two leave-one-out models against n = 20,000 rows: jackknife+ takes the
@@ -781,6 +808,144 @@ def test_parity_queries_build_no_n_vector():
         tracemalloc.stop()
     assert first_peak <= 2.5 * 8 * n
     assert query_peak <= 0.1 * 8 * n
+
+
+def reference_fixed_center(model, signed_residuals, spec, x):
+    """naive, split and jackknife one query at a time: the residual quantiles
+    around ``model``'s scalar prediction at x."""
+    center, eps = model.predict(x), spec.inflation_eps
+    if spec.asymmetric:
+        q_lo = lower_quantile(signed_residuals, spec.alpha_lo)
+        q_hi = upper_quantile(signed_residuals, spec.alpha_hi)
+    else:
+        q_hi = upper_quantile(np.abs(signed_residuals), spec.alpha)
+        q_lo = -q_hi
+    return PredictionInterval(center + q_lo - eps, center + q_hi + eps)
+
+
+def reference_intervals(train, reg, mspec, spec, X, seed):
+    """Every row's interval from the per-query references, with the fits
+    ``evaluate_methods`` makes for ``mspec`` at ``seed``."""
+    n = train.n
+    loo = build_loo_cache(train, reg)
+    if mspec.method == "naive":
+        model = reg.fit(train)
+        return [reference_fixed_center(
+            model, train.responses - model.predict_many(train.features), spec, x) for x in X]
+    if mspec.method == "split":
+        fit_idx, hold_idx = SplitSpec(0.5, seed=derive_seed(seed, "split")).resolve(n)
+        model, held = reg.fit(train.take(fit_idx)), train.take(hold_idx)
+        residuals = held.responses - model.predict_many(held.features)
+        return [reference_fixed_center(model, residuals, spec, x) for x in X]
+    if mspec.method == "jackknife":
+        return [reference_fixed_center(loo.full_model, loo.signed_residuals, spec, x) for x in X]
+    if mspec.method == "jackknife-mm":
+        return [reference_minmax(loo, spec, x) for x in X]
+    k = mspec.k_folds or n
+    cache = build_loo_cache(train, reg, k, fold_seed=derive_seed(seed, f"folds/{k}") if k < n else 0)
+    return [reference_cv_plus(cache, spec, x) for x in X]
+
+
+class TestBlockOracle:
+    """``evaluate_methods`` builds every interval method a block of rows at a
+    time; each endpoint equals the per-query reference bit for bit."""
+
+    N = 24
+    METHODS = [MethodSpec("naive"), MethodSpec("split"), MethodSpec("jackknife"),
+               MethodSpec("jackknife+"), MethodSpec("jackknife-mm"),
+               MethodSpec("cv+", k_folds=2), MethodSpec("cv+", k_folds=3),
+               MethodSpec("cv+", k_folds=N)]
+
+    @pytest.fixture
+    def tied(self):
+        """Small integer features and responses: tied predictions and
+        residuals. The second feature is +-1 and the others hold zeros, so
+        parity's predictions include +-0; the queries repeat training rows."""
+        rng = derive_rng(17, "block-oracle")
+        X = rng.integers(-1, 3, size=(self.N + 8, 3)).astype(float)
+        X[:, 1] = np.where(X[:, 1] > 0, 1.0, -1.0)
+        y = rng.integers(0, 3, size=self.N).astype(float)
+        return Dataset(X[: self.N], y), np.concatenate([X[self.N :], X[:4]])
+
+    @pytest.mark.parametrize("block", ["one-block", "many-blocks"])
+    @pytest.mark.parametrize(
+        "spec",
+        [IntervalSpec(0.2), IntervalSpec(0.3, alpha_lo=0.1, alpha_hi=0.2),
+         IntervalSpec(0.25, inflation_eps=0.5)],
+        ids=["symmetric", "asymmetric", "eps"],
+    )
+    @pytest.mark.parametrize(
+        "reg",
+        [MinNormOLS(), Ridge(), KNN(k=3), MEAN, Memorizer(eps=0.5), ParityAdversary(3.0)],
+        ids=lambda r: r.token,
+    )
+    def test_matches_the_per_query_references(self, tied, reg, spec, block, monkeypatch):
+        if block == "many-blocks":  # blocks of 2 rows, buffers of one candidate row
+            monkeypatch.setattr(predint.experiments, "_POINT_BLOCK", 2 * self.N)
+            monkeypatch.setattr(predint.intervals, "_POINT_BLOCK", 1)
+        train, X = tied
+        got = evaluate_methods(train, X, reg, self.METHODS, [spec], seed=5)
+        for mspec, (ivs,) in zip(self.METHODS, got):
+            want = reference_intervals(train, reg, mspec, spec, X, seed=5)
+            assert [bits(iv) for iv in ivs] == [bits(iv) for iv in want], mspec.label
+
+
+def test_a_parity_block_allocates_o_of_q():
+    # 2000 queries against two models and n = 20,000 rows: beyond the cache
+    # and its prediction block, the grouped block select holds a few
+    # q-vectors (ten of them make one n-vector), never an n-vector.
+    n, q = 20_000, 2000
+    train = gen_pathological_abc(n, 0.25, 0.05, seed=6, tau=1000.0)
+    cache = build_loo_cache(train, ParityAdversary(1000.0))
+    per_model = cache.model_predictions(gen_pathological_abc(q, 0.25, 0.05, seed=7).features)
+    for spec in (IntervalSpec(0.25, inflation_eps=0.01),
+                 IntervalSpec(0.25, alpha_lo=0.1, alpha_hi=0.15)):
+        _cv_plus_block(cache, spec, per_model)  # sorts the residuals once per mode
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lower, upper = _cv_plus_block(cache, spec, per_model)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert lower.shape == upper.shape == (q,)
+        assert peak < 8 * n
+
+
+def test_a_buffer_block_holds_about_point_block_candidates():
+    # 500 leave-one-out models of 500 rows: cv+ takes the buffer path. The
+    # (q, n) candidate matrix of 200 queries would be 100,000 cells; the
+    # block is filled a few rows at a time instead.
+    rng = derive_rng(3, "buffer-block")
+    train = Dataset(rng.standard_normal((500, 20)), rng.standard_normal(500))
+    cache = build_loo_cache(train, MinNormOLS())
+    per_model = cache.model_predictions(rng.standard_normal((200, 20)))
+    spec = IntervalSpec(0.1)
+    _cv_plus_block(cache, spec, per_model)  # computes the absolute residuals
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _cv_plus_block(cache, spec, per_model)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * _POINT_BLOCK
+
+
+def test_a_parity_cache_build_writes_residuals_in_place():
+    # The residuals overwrite the in-sample predictions, so the build never
+    # holds both n-vectors.
+    n = 20_000
+    train = gen_pathological_abc(n, 0.25, 0.05, seed=6, tau=1000.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cache = build_loo_cache(train, ParityAdversary(1000.0))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * 8 * n
+    assert not cache.signed_residuals.flags.writeable
 
 
 class TestCrossConformalSweep:

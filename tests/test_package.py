@@ -341,3 +341,20 @@ def test_methods_table_names_resolve():
     names = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
     assert len(names) >= 8
     assert not [name for name in names if not hasattr(predint, name)]
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    # bench/tracer.py wraps each predint.<layer> and reads vars(cls)[method]
+    # for the methods it spans, so a renamed or removed one would end every
+    # traced benchmark run with a KeyError. Read without importing the tracer.
+    source = (README.parent / "bench" / "tracer.py").read_text()
+    assigned = {node.targets[0].id: ast.literal_eval(node.value)
+                for node in ast.parse(source).body
+                if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id in ("LAYERS", "METHODS")}
+    assert set(assigned) == {"LAYERS", "METHODS"}
+    modules = {layer: importlib.import_module(f"predint.{layer}") for layer in assigned["LAYERS"]}
+    for layer, classes in assigned["METHODS"].items():
+        for cls_name, methods in classes.items():
+            cls = getattr(modules[layer], cls_name)
+            assert [m for m in methods if m not in vars(cls)] == [], cls_name

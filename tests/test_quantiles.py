@@ -202,7 +202,8 @@ def test_numpy_input_accepted():
 def buffer_select(values, group_of, shifts, subtract, k):
     """The partition path's order statistic, kept as the oracle: each row's
     group shift gathered into an n-vector, shifted by the row's value in
-    place, partitioned."""
+    place, partitioned. A zero is returned as 0.0: which of two equal zeros
+    the partition places at k - 1 is arbitrary."""
     buf = shifts[group_of]
     (np.subtract if subtract else np.add)(buf, values, out=buf)
     if k < 1:
@@ -210,7 +211,7 @@ def buffer_select(values, group_of, shifts, subtract, k):
     if k > buf.size:
         return math.inf
     buf.partition(k - 1)
-    return float(buf[k - 1])
+    return float(buf[k - 1]) + 0.0
 
 
 class TestSortedGroups:
@@ -273,3 +274,32 @@ class TestSortedGroups:
         for k in range(1, values.size + 1):
             want = buffer_select(values, group_of, shifts, subtract, k)
             assert sorted_groups.select(shifts, subtract, k).hex() == want.hex(), k
+
+
+# Shifts include both zeros, so candidates are -0.0 as well as 0.0, and
+# 1e3-scale values, at which shift +- value rounds.
+SHIFTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+                   st.floats(-1e3, 1e3, allow_nan=False))
+GROUP_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, 1e-13]),
+                         st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.lists(GROUP_VALUES, min_size=1, max_size=12), min_size=1, max_size=2),
+    st.lists(st.lists(SHIFTS, min_size=2, max_size=2), min_size=1, max_size=6),
+    st.booleans(),
+)
+def test_block_select_matches_the_partition_oracle(groups, shift_rows, subtract):
+    """``select_rows`` for one and two groups, which bisects every row at
+    once, against the buffer oracle at every k from 0 to n + 1, bit for bit."""
+    values = np.concatenate([np.array(g) for g in groups])
+    group_of = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    shifts = np.array(shift_rows)[:, : len(groups)]
+    sorted_groups = _SortedGroups([np.sort(np.array(g)) for g in groups])
+    for k in range(values.size + 2):
+        got = sorted_groups.select_rows(shifts, subtract, k)
+        assert got.shape == (len(shifts),)
+        for row, value in zip(shifts, got.tolist()):
+            want = buffer_select(values, group_of, row, subtract, k)
+            assert value.hex() == want.hex(), (k, row)
