@@ -62,8 +62,7 @@ def residual_matrix(data: Dataset, regressor: Regressor) -> np.ndarray:
     for i in range(data.n):
         for j in range(i + 1, data.n):
             model = regressor._fit_rows(X, y, order[(order != i) & (order != j)])
-            R[i, j] = abs(y[i] - model.predict(X[i]))
-            R[j, i] = abs(y[j] - model.predict(X[j]))
+            R[i, j], R[j, i] = np.abs(y[[i, j]] - model.predict_many(X[[i, j]]))
     return R
 
 

@@ -24,22 +24,19 @@ import numpy as np
 from .dataset import Dataset, SplitSpec, gen_gaussian_linear, gen_pathological_abc
 from .errors import ConfigError, _require_int, _require_real, _require_sequence
 from .intervals import (
+    _METHODS,
     _POINT_BLOCK,
-    METHOD_TOKENS,
     GridSpec,
     IntervalSpec,
     PredictionInterval,
-    _Centred,
-    _cv_plus_block,
-    _fixed_center,
+    _Block,
     _query_rows,
-    _require_loo,
-    _ResidualQuantiles,
+    _require_folds,
+    _residual_quantiles,
     build_loo_cache,
-    cross_conformal_set,
-    full_conformal_set,
 )
-from .regressors import Memorizer, MinNormOLS, ParityAdversary, Regressor, make_regressor
+from .regressors import (Memorizer, MinNormOLS, ParityAdversary, Regressor, canonical_order,
+                         make_regressor)
 from .rng import _normals, _uniforms, derive_seed
 from .stability import coverage_lower_bounds
 
@@ -68,10 +65,9 @@ class MethodSpec:
     grid: GridSpec = GridSpec()
 
     def __post_init__(self):
-        if self.method not in METHOD_TOKENS:
+        if self.method not in _METHODS:
             raise ConfigError(
-                f"unknown method {self.method!r}; expected one of {', '.join(METHOD_TOKENS)}"
-            )
+                f"unknown method {self.method!r}; expected one of {', '.join(_METHODS)}")
         if self.k_folds is not None and _require_int("k_folds", self.k_folds) < 1:
             raise ConfigError(f"k_folds must be >= 1, got {self.k_folds}")
         if not 0 < _require_real("split_holdout", self.split_holdout) < 1:
@@ -81,7 +77,7 @@ class MethodSpec:
 
     @property
     def label(self) -> str:
-        if self.method in ("cv+", "cross-conformal") and self.k_folds is not None:
+        if _METHODS[self.method].folds == "k" and self.k_folds is not None:
             return f"{self.method}(K={self.k_folds})"
         return self.method
 
@@ -143,13 +139,6 @@ def aggregate(reports) -> CoverageReport:
                           sum(rep.infinite_count for rep in reports))
 
 
-def _cache_k(mspec: MethodSpec, n: int) -> int | None:
-    """Fold count of the cache a method reads, or None when it reads none."""
-    if mspec.method in ("cv+", "cross-conformal"):
-        return mspec.k_folds or n
-    return n if mspec.method.startswith("jackknife") else None
-
-
 def evaluate_methods(
     train: Dataset,
     X_test,
@@ -169,17 +158,39 @@ def evaluate_methods(
     K < n only, since a leave-one-out cache deals no folds; ``strict`` as
     in :func:`build_loo_cache`), one full fit, made only when naive or
     jackknife reads it and shared through the leave-one-out cache when there
-    is one, one split fit per holdout fraction
-    (seed ``derive_seed(seed, "split")``), and one cross-conformal tau per
-    query row, shared across levels: the uniforms of
-    ``random.Random(derive_seed(seed, "tau"))``, the one generator every
-    predint draw comes from. Each residual quantile is computed once per
-    residual vector and level. Interval methods are computed as endpoint
-    arrays a block of rows at a time; objects are made only for the return.
+    is one, one split fit per holdout fraction (``SplitSpec``'s positions at
+    seed ``derive_seed(seed, "split")``, dealt over the canonical row order),
+    and one cross-conformal tau per query row, shared across levels: the
+    uniforms of ``random.Random(derive_seed(seed, "tau"))``, the one
+    generator every predint draw comes from. Each residual quantile is
+    computed once per residual vector and level. Methods are computed a block
+    of rows at a time, each model predicting once a block for all of them;
+    interval objects are made only for the return.
     """
     return [[ends if isinstance(ends, list) else
              list(map(PredictionInterval, ends[0].tolist(), ends[1].tolist())) for ends in per_spec]
             for per_spec in _evaluate(train, X_test, regressor, methods, specs, seed, strict)]
+
+
+class _Fits(dict):
+    """The ``([model], quantiles)`` of the methods that read no cache, made on
+    first use: ``fits[None]`` the full fit (``loo``'s when given), ``fits[h]``
+    the split at holdout h, as :func:`evaluate_methods` describes. Sorted
+    positions of the canonical order keep each part in its canonical order."""
+
+    def __init__(self, train: Dataset, regressor: Regressor, seed: int, loo=None):
+        self.train, self.regressor, self.seed, self.loo = train, regressor, seed, loo
+
+    def __missing__(self, holdout):
+        X, y, held = self.train.features, self.train.responses, slice(None)
+        if holdout is None:
+            model = self.regressor.fit(self.train) if self.loo is None else self.loo.full_model
+        else:
+            fit_at, hold_at = SplitSpec(holdout, derive_seed(self.seed, "split")).resolve(len(y))
+            order = canonical_order(X, y)
+            model, held = self.regressor._fit_rows(X, y, order[fit_at]), order[hold_at]
+        self[holdout] = [model], _residual_quantiles(y[held] - model.predict_many(X[held]))
+        return self[holdout]
 
 
 def _evaluate(train, X_test, regressor, methods, specs, seed, strict) -> list:
@@ -190,54 +201,32 @@ def _evaluate(train, X_test, regressor, methods, specs, seed, strict) -> list:
     if train.n == 0:
         raise ConfigError("the training set is empty; every method needs at least one row")
     X_test = _query_rows(X_test, train.d)
-    n, q = train.n, len(X_test)
+    n, table = train.n, [_METHODS[m.method] for m in methods]
+    ks = [{"n": n, "k": m.k_folds or n}.get(method.folds) for method, m in zip(table, methods)]
     caches = {k: build_loo_cache(train, regressor, k, strict=strict,
                                  fold_seed=derive_seed(seed, f"folds/{k}") if k < n else 0)
-              for k in dict.fromkeys(_cache_k(m, n) for m in methods) if k is not None}
-    if "naive" in {m.method for m in methods}:
-        full_model = caches[n].full_model if n in caches else regressor.fit(train)
-    splits = {}
-    for holdout in dict.fromkeys(m.split_holdout for m in methods if m.method == "split"):
-        fit_idx, hold_idx = SplitSpec(holdout, derive_seed(seed, "split")).resolve(n)
-        model, held = regressor.fit(train.take(fit_idx)), train.take(hold_idx)
-        splits[holdout] = _Centred(
-            model, _ResidualQuantiles(held.responses - model.predict_many(held.features)))
+              for k in dict.fromkeys(ks) if k is not None}
+    fits = _Fits(train, regressor, seed, caches.get(n))
+    sources = [fits if k is None else _require_folds(caches[k], method.folds, m.method)
+               for method, m, k in zip(table, methods, ks)]
 
-    # Each interval method's (cache or _Centred, block builder, endpoint arrays).
-    out, plans = [], []
-    for mspec in methods:
-        token, cache = mspec.method, caches.get(_cache_k(mspec, n))
-        if token.startswith("jackknife"):
-            _require_loo(cache, token)
-        if token == "naive":
-            cache = _Centred(full_model, _ResidualQuantiles(
-                train.responses - full_model.predict_many(train.features)))
-        elif token == "split":
-            cache = splits[mspec.split_holdout]
-        elif token == "jackknife":
-            cache = _Centred(cache.full_model, cache._quantiles)
-        if token == "cross-conformal":
-            taus = _uniforms(derive_seed(seed, "tau"), q)
-            out.append([[cross_conformal_set(cache, spec, x, tau) for x, tau in zip(X_test, taus)]
-                        for spec in specs])
-        elif token == "full-conformal":
-            out.append([[full_conformal_set(train, regressor, spec, x, mspec.grid) for x in X_test]
-                        for spec in specs])
-        else:
-            out.append([(np.empty(q), np.empty(q)) for _ in specs])
-            block = _cv_plus_block if token in ("cv+", "jackknife+") else _fixed_center
-            plans.append((cache, block, out[-1]))
+    # Each model predicts once per block of rows, for every method and level.
+    taus = _uniforms(derive_seed(seed, "tau"), len(X_test))
+    step = max(1, _POINT_BLOCK // max([len(c.models) for c in caches.values()], default=1))
+    out = [[[] for _ in specs] for _ in methods]
+    for start in range(0, len(X_test), step):
+        block = _Block(X_test[start:start + step], taus[start:start + step])
+        for mspec, method, source, per_spec in zip(methods, table, sources, out):
+            for spec, parts in zip(specs, per_spec):
+                parts.append(method.build(source, mspec, spec, block))
+    return [[_joined(parts) for parts in per_spec] for per_spec in out]
 
-    # Each cache predicts once per block of rows, for every method and level.
-    step = max(1, _POINT_BLOCK // max([len(c.models) for c, _, _ in plans], default=1))
-    for start in range(0, q, step):
-        rows, per_model = slice(start, start + step), {}
-        for cache, block, ends in plans:
-            if cache not in per_model:
-                per_model[cache] = cache.model_predictions(X_test[rows])
-            for spec, (lower, upper) in zip(specs, ends):
-                lower[rows], upper[rows] = block(cache, spec, per_model[cache])
-    return out
+
+def _joined(parts):
+    """One method's block results in row order: sets listed, endpoint arrays joined."""
+    if not parts or isinstance(parts[0], list):
+        return [s for part in parts for s in part]
+    return tuple(np.concatenate(ends) for ends in zip(*parts))
 
 
 def run_trial(
@@ -359,12 +348,6 @@ def figure2_experiment(
     return out
 
 
-# The coverage_lower_bounds entry of each coverage-mc method; cv+ reads the
-# floor that holds at every K.
-_FLOOR_KEY = {"jackknife+": "jackknife_plus", "jackknife-mm": "jackknife_minmax",
-              "split": "split_conformal", "cv+": "cv_plus_floor"}
-
-
 def run_coverage_mc(
     n: int = 20,
     d: int = 5,
@@ -410,7 +393,7 @@ def run_coverage_mc(
         reports = _coverage_reports(trials, trial)
         rows += [
             {"regressor": name, "method": m.label, "alpha": spec.alpha,
-             "report": reports[(m.label, si)], "bound": floors[si][_FLOOR_KEY[m.method]]}
+             "report": reports[(m.label, si)], "bound": floors[si][_METHODS[m.method].floor]}
             for m in methods
             for si, spec in enumerate(specs)
         ]

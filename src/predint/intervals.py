@@ -1,10 +1,12 @@
 """Prediction intervals and sets from leave-one-out and K-fold residuals.
 
-Eight constructions share the two corrected quantile operators. Naive
-(in-sample residual quantile around the full fit) and split (holdout residual
-quantile around the split fit) are built only by
-:func:`predint.experiments.evaluate_methods`. The other six are public here;
-the four intervals take ``(cache, spec, x)``, ``cache`` a :class:`LooCache`:
+Eight constructions share the two corrected quantile operators; each is one
+row of the method table ``_METHODS``, whose builder answers a block of query
+rows. Naive (in-sample residual quantile around the full fit) and split
+(holdout residual quantile around the split fit) are built only by
+:func:`predint.experiments.evaluate_methods`. The other six are public here,
+each its builder on a block of one row; the four intervals take ``(cache,
+spec, x)``, ``cache`` a :class:`LooCache`:
 
 * ``jackknife``          - leave-one-out residual quantile around the full fit
 * ``jackknife_plus``     - quantiles of per-point leave-one-out predictions
@@ -31,6 +33,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,17 +67,6 @@ __all__ = [
     "full_conformal_set",
     "METHOD_TOKENS",
 ]
-
-METHOD_TOKENS = (
-    "naive",
-    "split",
-    "jackknife",
-    "jackknife+",
-    "jackknife-mm",
-    "cv+",
-    "cross-conformal",
-    "full-conformal",
-)
 
 
 @dataclass(frozen=True)
@@ -221,11 +213,10 @@ class LooCache:
     ``fit_folds`` is an override point, so its result is checked: ``model_of``
     (integer) and ``in_sample`` are 1-D arrays of length n and every model is
     some row's (``ConfigError``), and the in-sample residuals are finite
-    (:class:`DataError`). Each block of queries checks the predictions of
-    the distinct models at its rows (one value per entry of ``models``, not
-    one per row) and raises ``DataError`` unless they are finite. Together
-    the two finiteness checks keep NaN out of every vector ``prediction +-
-    residual``, so queries need no per-row NaN scan. The residuals go into
+    (:class:`DataError`), as :class:`_Block` checks the predictions of the
+    models at a block's rows (one value per model, not per row). So no vector
+    ``prediction +- residual`` holds NaN, and queries need no per-row NaN
+    scan. The residuals go into
     ``in_sample`` itself when it owns its float data and is writeable.
     """
 
@@ -261,7 +252,7 @@ class LooCache:
             raise DataError("the fold models' in-sample residuals are not finite")
         for arr in (self.signed_residuals, self.model_of):
             arr.flags.writeable = False
-        self._quantiles, self._sorted = _ResidualQuantiles(self.signed_residuals), {}
+        self._quantiles, self._sorted = _residual_quantiles(self.signed_residuals), {}
 
     @property
     def n(self) -> int:
@@ -301,20 +292,10 @@ class LooCache:
             self._sorted[absolute] = _SortedGroups(groups)
         return self._sorted[absolute]
 
-    def model_predictions(self, X) -> np.ndarray:
-        """The (q, G) predictions of the distinct models at the rows of a
-        checked (q, d) block X, column g from ``models[g].predict_many(X)``;
-        :class:`DataError` unless every prediction is finite."""
-        per_model = np.empty((len(X), len(self.models)))
-        for g, model in enumerate(self.models):
-            per_model[:, g] = model.predict_many(X)
-        if not np.isfinite(per_model).all():
-            raise DataError("model predictions at the query points are not finite")
-        return per_model
-
     def predictions_at(self, x) -> np.ndarray:
         """Per-row fold predictions mu_{-fold(i)}(x), one entry per row."""
-        return self.model_predictions(_query_rows(x, self.train.d, one=True))[0, self.model_of]
+        return _Block(_query_rows(x, self.train.d, one=True), None).predictions(
+            self.models)[0, self.model_of]
 
 
 def build_loo_cache(
@@ -361,25 +342,20 @@ def build_loo_cache(
     return LooCache(train, regressor, fold_of)
 
 
-class _ResidualQuantiles:
+def _residual_quantiles(signed_residuals):
     """``spec -> (q_lo, q_hi)`` for one residual vector, computed once per
     level: the signed-residual quantiles at alpha_lo and alpha_hi, or -q and q
     for q the absolute one at alpha."""
 
-    def __init__(self, signed_residuals):
-        self.signed_residuals = signed_residuals
-        self.memo: dict = {}
+    @functools.cache
+    def at_level(alpha, alpha_lo, alpha_hi) -> tuple[float, float]:
+        if alpha_lo is not None:
+            return (lower_quantile(signed_residuals, alpha_lo),
+                    upper_quantile(signed_residuals, alpha_hi))
+        q = upper_quantile(np.abs(signed_residuals), alpha)
+        return -q, q
 
-    def __call__(self, spec: IntervalSpec) -> tuple[float, float]:
-        key = (spec.alpha, spec.alpha_lo, spec.alpha_hi)
-        if key not in self.memo:
-            if spec.asymmetric:
-                self.memo[key] = (lower_quantile(self.signed_residuals, spec.alpha_lo),
-                                  upper_quantile(self.signed_residuals, spec.alpha_hi))
-            else:
-                q = upper_quantile(np.abs(self.signed_residuals), spec.alpha)
-                self.memo[key] = (-q, q)
-        return self.memo[key]
+    return lambda spec: at_level(spec.alpha, spec.alpha_lo, spec.alpha_hi)
 
 
 def _query_rows(X, d: int, one: bool = False) -> np.ndarray:
@@ -398,21 +374,32 @@ def _query_rows(X, d: int, one: bool = False) -> np.ndarray:
     return X[None] if one else X
 
 
-class _Centred:
-    """One model and its residual quantiles, read as a cache of one model:
-    naive, split and jackknife are jackknife-mm around one prediction."""
+class _Block:
+    """Query rows ``X`` (q, d) and their cross-conformal ``taus``. The (q, G)
+    ``predictions(models)`` of ``models[g].predict_many(X)``, a DataError
+    unless finite, are made once for all methods and levels that read them."""
 
-    def __init__(self, model: FittedModel, quantiles):
-        self.models, self._quantiles = [model], quantiles
+    def __init__(self, X, taus):
+        self.X, self.taus, self._memo = X, taus, {}
 
-    model_predictions = LooCache.model_predictions
+    def predictions(self, models) -> np.ndarray:
+        key = tuple(models)
+        if key not in self._memo:
+            per_model = np.empty((len(self.X), len(key)))
+            for g, model in enumerate(key):
+                per_model[:, g] = model.predict_many(self.X)
+            if not np.isfinite(per_model).all():
+                raise DataError("model predictions at the query points are not finite")
+            self._memo[key] = per_model
+        return self._memo[key]
 
 
-def _fixed_center(cache, spec: IntervalSpec, per_model):
+def _fixed_center(models, quantiles, spec: IntervalSpec, block: _Block):
     """Endpoint arrays ``min + q_lo - eps`` and ``max + q_hi + eps`` of each
-    row of a block's (q, G) predictions, ``(q_lo, q_hi) = cache._quantiles(spec)``:
-    jackknife-mm on a :class:`LooCache`, one model's interval on a :class:`_Centred`."""
-    q_lo, q_hi = cache._quantiles(spec)
+    row of the block's predictions of ``models``, ``(q_lo, q_hi) = quantiles(spec)``:
+    jackknife-mm on a cache's models; naive, split and jackknife on one."""
+    per_model = block.predictions(models)
+    q_lo, q_hi = quantiles(spec)
     eps = spec.inflation_eps
     return per_model.min(axis=1) + q_lo - eps, per_model.max(axis=1) + q_hi + eps
 
@@ -425,10 +412,9 @@ def _fixed_center(cache, spec: IntervalSpec, per_model):
 _GROUPED_ROWS_PER_MODEL = 4096
 
 
-def _cv_plus_block(cache: LooCache, spec: IntervalSpec, per_model):
-    """cv+ endpoint arrays from a block's (q, G) fold predictions."""
-    if cache.k_folds < 2:
-        raise ConfigError("cv+ needs at least 2 folds (K=1 is leave-all-out)")
+def _cv_plus_block(cache: LooCache, mspec, spec: IntervalSpec, block: _Block):
+    """cv+ endpoint arrays from the block's (q, G) fold predictions."""
+    per_model = block.predictions(cache.models)
     n = cache.n
     lo_alpha, hi_alpha = (spec.alpha_lo, spec.alpha_hi) if spec.asymmetric else (spec.alpha,) * 2
     k_lo, k_hi = lower_index(n, lo_alpha), upper_index(n, hi_alpha)
@@ -458,16 +444,19 @@ def _cv_plus_block(cache: LooCache, spec: IntervalSpec, per_model):
     return lo - eps, hi + eps
 
 
-def _at(block, cache, spec: IntervalSpec, x, d: int) -> PredictionInterval:
-    """The interval ``block`` builds at the one query point x."""
-    lower, upper = block(cache, spec, cache.model_predictions(_query_rows(x, d, one=True)))
-    return PredictionInterval(float(lower[0]), float(upper[0]))
+def _at(token: str, cache: LooCache, spec: IntervalSpec, x, tau=None):
+    """Method ``token``'s interval or set at the query point x: its builder on one row."""
+    folds, build, _ = _METHODS[token]
+    block = _Block(_query_rows(x, cache.train.d, one=True), [tau])
+    ends = build(_require_folds(cache, folds, token), None, spec, block)
+    if isinstance(ends, list):
+        return ends[0]
+    return PredictionInterval(float(ends[0][0]), float(ends[1][0]))
 
 
 def jackknife(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval:
     """Full-fit prediction plus a leave-one-out residual quantile."""
-    _require_loo(cache, "jackknife")
-    return _at(_fixed_center, _Centred(cache.full_model, cache._quantiles), spec, x, cache.train.d)
+    return _at("jackknife", cache, spec, x)
 
 
 def cv_plus(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval:
@@ -484,25 +473,27 @@ def cv_plus(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval:
     compute each candidate with the same float operation and return a zero
     as 0.0, so they agree bit for bit.
     """
-    return _at(_cv_plus_block, cache, spec, x, cache.train.d)
+    return _at("cv+", cache, spec, x)
 
 
 def jackknife_plus(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval:
-    _require_loo(cache, "jackknife+")
-    return cv_plus(cache, spec, x)
+    return _at("jackknife+", cache, spec, x)
 
 
 def jackknife_minmax(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval:
     """Residual quantile around the extreme leave-one-out predictions."""
-    _require_loo(cache, "jackknife-mm")
-    return _at(_fixed_center, cache, spec, x, cache.train.d)
+    return _at("jackknife-mm", cache, spec, x)
 
 
-def _require_loo(cache: LooCache, name: str) -> None:
-    if cache.n < 2:
+def _require_folds(cache: LooCache, folds: str, name: str) -> LooCache:
+    """``cache``, checked to be the cache of ``folds`` that method ``name`` reads."""
+    if folds == "n" and cache.n < 2:
         raise ConfigError(f"{name} needs at least 2 training rows")
-    if cache.k_folds != cache.n:
+    if folds == "n" and cache.k_folds != cache.n:
         raise ConfigError(f"{name} needs a leave-one-out cache (k_folds == n)")
+    if cache.k_folds < 2:
+        raise ConfigError(f"{name} needs at least 2 folds")
+    return cache
 
 
 def _require_plain_spec(spec: IntervalSpec, name: str) -> None:
@@ -554,55 +545,57 @@ def cross_conformal_set(
     of the exact membership set (components are closed intervals).
 
     One sorted sweep of the breakpoints per query, with no ``np.unique``:
-    O(n log n), plus O(n) for each breakpoint between two rejected gaps.
+    O(n log n), plus O(n) for each breakpoint between two rejected gaps. It
+    runs its block builder on a block of one, as :func:`cv_plus` does.
     """
-    if cache.k_folds < 2:
-        raise ConfigError("cross-conformal needs at least 2 folds")
+    return _at("cross-conformal", cache, spec, x, tau)
+
+
+def _cross_conformal_block(cache: LooCache, mspec, spec: IntervalSpec, block: _Block) -> list:
+    """The cross-conformal set at each row of a block, by one sorted sweep."""
     _require_plain_spec(spec, "cross-conformal")
-    need = _strict_needed(cache.n, spec.alpha, tau)
+    n, r, sets = cache.n, cache.residuals, []
+    for row, tau in zip(block.predictions(cache.models), block.taus):
+        need, m = _strict_needed(n, spec.alpha, tau), row[cache.model_of]
+        lo, hi = m - r, m + r
+        # Distinct breakpoints by a neighbour mask: np.unique imports numpy.ma.
+        breaks = np.concatenate([lo, hi])
+        breaks.sort()
+        breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
+        lo.sort()
+        hi.sort()
+        # Gap j lies between breakpoints j - 1 and j; gap 0 is left of them all
+        # and gap N right of them all. On the gap right of b, row i counts iff
+        # lo_i <= b < hi_i: the rank of b among the lo_i minus its rank among the
+        # hi_i, exact because every lo_i and hi_i is a breakpoint. Where m_i + R_i
+        # overflows to inf, gap N is (inf, inf) and counts 0 here, not the rows
+        # with hi_i = inf; gap N - 1 counts them too, so the closed set is the same.
+        lefts = np.concatenate(([-math.inf], breaks))
+        gap_counts = np.searchsorted(lo, lefts, "right") - np.searchsorted(hi, lefts, "right")
+        gap_ok = gap_counts >= need(0)
 
-    m = cache.predictions_at(x)
-    r = cache.residuals
-    lo, hi = m - r, m + r
-    n = cache.n
+        # A breakpoint keeps the pointwise float test, since fl(fl(m_i + R_i) - m_i)
+        # need not equal R_i. Next to an accepted gap it cannot change the closed
+        # set, so only breakpoints between two rejected gaps are tested.
+        point_ok = gap_ok[:-1] | gap_ok[1:]
+        tested = np.flatnonzero(~point_ok)
+        step = max(1, _POINT_BLOCK // n)
+        for start in range(0, len(tested), step):
+            idx = tested[start:start + step]
+            dist = np.abs(breaks[idx, None] - m)
+            strict = np.count_nonzero(dist < r, axis=1)
+            equal = np.count_nonzero(dist == r, axis=1)
+            point_ok[idx] = strict >= [need(e) for e in equal.tolist()]
 
-    # Distinct breakpoints by a neighbour mask: np.unique imports numpy.ma.
-    breaks = np.concatenate([lo, hi])
-    breaks.sort()
-    breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
-    lo.sort()
-    hi.sort()
-    # Gap j lies between breakpoints j - 1 and j; gap 0 is left of them all
-    # and gap N right of them all. On the gap right of b, row i counts iff
-    # lo_i <= b < hi_i: the rank of b among the lo_i minus its rank among the
-    # hi_i, exact because every lo_i and hi_i is a breakpoint. Where m_i + R_i
-    # overflows to inf, gap N is (inf, inf) and counts 0 here, not the rows
-    # with hi_i = inf; gap N - 1 counts them too, so the closed set is the same.
-    lefts = np.concatenate(([-math.inf], breaks))
-    gap_counts = np.searchsorted(lo, lefts, "right") - np.searchsorted(hi, lefts, "right")
-    gap_ok = gap_counts >= need(0)
-
-    # A breakpoint keeps the pointwise float test, since fl(fl(m_i + R_i) - m_i)
-    # need not equal R_i. Next to an accepted gap it cannot change the closed
-    # set, so only breakpoints between two rejected gaps are tested.
-    point_ok = gap_ok[:-1] | gap_ok[1:]
-    tested = np.flatnonzero(~point_ok)
-    step = max(1, _POINT_BLOCK // n)
-    for start in range(0, len(tested), step):
-        idx = tested[start:start + step]
-        dist = np.abs(breaks[idx, None] - m)
-        strict = np.count_nonzero(dist < r, axis=1)
-        equal = np.count_nonzero(dist == r, axis=1)
-        point_ok[idx] = strict >= [need(e) for e in equal.tolist()]
-
-    # Cells alternate gap, point, gap, ..., gap; cell c spans
-    # [edges[(c + 1) // 2], edges[c // 2 + 1]], which with each edge listed
-    # twice is [twice[c + 1], twice[c + 2]].
-    cells = np.empty(2 * len(breaks) + 1, dtype=bool)
-    cells[0::2] = gap_ok
-    cells[1::2] = point_ok
-    twice = np.repeat(np.concatenate((lefts, [math.inf])), 2)
-    return _runs_to_set(cells, twice[1:-2], twice[2:-1])
+        # Cells alternate gap, point, gap, ..., gap; cell c spans
+        # [edges[(c + 1) // 2], edges[c // 2 + 1]], which with each edge listed
+        # twice is [twice[c + 1], twice[c + 2]].
+        cells = np.empty(2 * len(breaks) + 1, dtype=bool)
+        cells[0::2] = gap_ok
+        cells[1::2] = point_ok
+        twice = np.repeat(np.concatenate((lefts, [math.inf])), 2)
+        sets.append(_runs_to_set(cells, twice[1:-2], twice[2:-1]))
+    return sets
 
 
 def full_conformal_set(
@@ -663,3 +656,32 @@ def _runs_to_set(accepted, lefts, rights) -> PredictionSet:
         PredictionInterval(float(lefts[a]), float(rights[b]))
         for a, b in zip(first.tolist(), last.tolist())
     )
+
+
+class _Method(NamedTuple):
+    """A method's row of the one table every dispatch reads: the cache it reads
+    (``folds`` "n", "k" for its K or n, or None), ``build(source, mspec, spec,
+    block)`` answering a :class:`_Block` from that cache or from
+    ``experiments._Fits``, and ``floor``, its coverage_lower_bounds key."""
+
+    folds: str | None
+    build: Callable
+    floor: str | None = None
+
+
+_METHODS = {
+    "naive": _Method(None, lambda fits, mspec, spec, block: _fixed_center(
+        *fits[None], spec, block)),
+    "split": _Method(None, lambda fits, mspec, spec, block: _fixed_center(
+        *fits[mspec.split_holdout], spec, block), "split_conformal"),
+    "jackknife": _Method("n", lambda cache, mspec, spec, block: _fixed_center(
+        [cache.full_model], cache._quantiles, spec, block)),
+    "jackknife+": _Method("n", _cv_plus_block, "jackknife_plus"),
+    "jackknife-mm": _Method("n", lambda cache, mspec, spec, block: _fixed_center(
+        cache.models, cache._quantiles, spec, block), "jackknife_minmax"),
+    "cv+": _Method("k", _cv_plus_block, "cv_plus_floor"),  # the floor that holds at every K
+    "cross-conformal": _Method("k", _cross_conformal_block),
+    "full-conformal": _Method(None, lambda fits, mspec, spec, block: [
+        full_conformal_set(fits.train, fits.regressor, spec, x, mspec.grid) for x in block.X]),
+}
+METHOD_TOKENS = tuple(_METHODS)

@@ -10,8 +10,9 @@ Fitting an empty training set yields the zero function; that convention keeps
 leave-one-out and leave-pair-out machinery total without special cases.
 
 Prediction is pure: repeated calls with the same input return the identical
-float. ``predict_many`` is a row loop over ``predict``, or repeats its
-arithmetic in the same order, so batch and single evaluations agree exactly.
+float. ``predict_many(X)`` is the one method a model writes, computing each
+row by the same arithmetic in a block of any size; ``predict(x)`` is its block
+of one row, so batch and single evaluations agree exactly.
 """
 
 from __future__ import annotations
@@ -49,19 +50,18 @@ class FittedModel:
     """A fitted prediction rule. Evaluation is pure and deterministic."""
 
     def predict(self, x) -> float:
-        raise NotImplementedError
+        return float(self.predict_many(np.asarray(x, dtype=float)[None])[0])
 
     def predict_many(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return np.array([self.predict(row) for row in X], dtype=float)
+        raise NotImplementedError
 
 
 class ConstantModel(FittedModel):
     def __init__(self, value: float):
         self.value = float(value)
 
-    def predict(self, x) -> float:
-        return self.value
+    def predict_many(self, X) -> np.ndarray:
+        return np.full(len(X), self.value)
 
 
 class LinearModel(FittedModel):
@@ -69,8 +69,10 @@ class LinearModel(FittedModel):
         self.coef = np.asarray(coef, dtype=float)
         self.intercept = float(intercept)
 
-    def predict(self, x) -> float:
-        return float(np.dot(np.asarray(x, dtype=float), self.coef) + self.intercept)
+    def predict_many(self, X) -> np.ndarray:
+        # Row sums: one row's bits in any block (np.dot's vary); callers check finiteness.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (np.asarray(X, dtype=float) * self.coef).sum(axis=1) + self.intercept
 
 
 class KnnModel(FittedModel):
@@ -79,12 +81,18 @@ class KnnModel(FittedModel):
         self.y = y
         self.k = k
 
-    def predict(self, x) -> float:
-        diff = self.X - np.asarray(x, dtype=float)
-        dist2 = np.einsum("ij,ij->i", diff, diff)
-        # Stable argsort: exact distance ties go to the lower row index.
-        nearest = np.argsort(dist2, kind="stable")[: self.k]
-        return float(np.mean(self.y[nearest]))
+    def predict_many(self, X) -> np.ndarray:
+        out = np.empty(len(X))
+        with np.errstate(over="ignore"):  # an overflow is the DataError below
+            for i, x in enumerate(np.asarray(X, dtype=float)):
+                diff = self.X - x
+                dist2 = np.einsum("ij,ij->i", diff, diff)
+                if not np.isfinite(dist2).all():
+                    raise DataError("knn distances overflow: the features are too large")
+                # Stable argsort: exact distance ties go to the lower row index.
+                nearest = np.argsort(dist2, kind="stable")[: self.k]
+                out[i] = np.mean(self.y[nearest])
+        return out
 
 
 class MemorizerModel(FittedModel):
@@ -93,23 +101,17 @@ class MemorizerModel(FittedModel):
         self.d = d
         self.fresh_value = float(fresh_value)
 
-    def predict(self, x) -> float:
-        row = np.ascontiguousarray(np.asarray(x, dtype=float))
-        if row.shape != (self.d,):
-            raise ConfigError(f"expected a point of dimension {self.d}")
-        if row.tobytes() in self.rows:
-            return 0.0
-        return self.fresh_value
+    def predict_many(self, X) -> np.ndarray:
+        X = np.ascontiguousarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.d:
+            raise ConfigError(f"expected points of dimension {self.d}")
+        return np.array([0.0 if row.tobytes() in self.rows else self.fresh_value for row in X])
 
 
 class ParityModel(FittedModel):
     def __init__(self, tau: float, sign_product: float):
         self.tau = float(tau)
         self.sign_product = float(sign_product)
-
-    def predict(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(self.tau * x[0] * x[2] * self.sign_product)
 
     def predict_many(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)

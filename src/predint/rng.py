@@ -8,8 +8,7 @@ Every draw comes from one generator, Python's ``random.Random(seed).random()``,
 whose sequence for a given seed Python keeps fixed across versions: the
 uniforms of the split's shuffle, the K-fold deal, the cross-conformal taus
 and the pathological design, and the Box-Muller normals of the Gaussian data
-and the memorizer's inputs. So no command loads ``numpy.random``;
-:func:`derive_rng` is a PCG64 helper for callers.
+and the memorizer's inputs. So no command loads ``numpy.random``.
 
 Seeds hash with the interpreter's built-in SHA-256, as ``random`` does its
 sha512, so no predint process loads ``hashlib`` or OpenSSL (about 3.3 MB
@@ -33,7 +32,7 @@ except ImportError:
 
 from .errors import ConfigError, _require_int
 
-__all__ = ["derive_seed", "derive_rng"]
+__all__ = ["derive_seed"]
 
 
 def derive_seed(master: int, tag: str, index: int | str = 0) -> int:
@@ -52,12 +51,6 @@ def derive_seed(master: int, tag: str, index: int | str = 0) -> int:
         _require_int("index", index)
     digest = sha256(f"{master}:{tag}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def derive_rng(master: int, tag: str, index: int | str = 0) -> np.random.Generator:
-    """A fresh PCG64 generator seeded from :func:`derive_seed`, for callers:
-    no predint command draws from one."""
-    return np.random.default_rng(derive_seed(master, tag, index))
 
 
 def _require_seed(seed, name: str) -> int:

@@ -22,7 +22,6 @@ from predint import (
     build_loo_cache,
     cross_conformal_set,
     cv_plus,
-    derive_rng,
     derive_seed,
     figure2_experiment,
     gen_gaussian_linear,
@@ -36,6 +35,7 @@ from predint import (
     upper_quantile,
 )
 from predint.cli import main
+from helpers import derive_rng
 
 ALPHAS = (0.1, 0.25, 0.5)
 REGRESSORS = (ConstantMean(), MinNormOLS(), KNN(k=2))

@@ -35,7 +35,6 @@ from predint import (
     audit_instance,
     build_loo_cache,
     comparison_matrix,
-    derive_rng,
     gen_gaussian_linear,
     jackknife_minmax,
     jackknife_plus,
@@ -43,6 +42,7 @@ from predint import (
     run_audit,
     strange_set,
 )
+from helpers import derive_rng
 
 MEAN = ConstantMean()
 # Every kind of real level the thresholds read as an integer ratio.

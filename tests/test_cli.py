@@ -18,10 +18,10 @@ from predint import (
     PredictionSet,
     SplitSpec,
     build_loo_cache,
+    canonical_order,
     coverage_lower_bounds,
     cross_conformal_set,
     cv_plus,
-    derive_rng,
     derive_seed,
     full_conformal_set,
     gen_gaussian_linear,
@@ -38,6 +38,7 @@ from predint.cli import (EXPERIMENTS, _SIMULATE_ECHO, _UNECHOED, _regressor, _wr
                          build_parser, format_object, main)
 from predint.regressors import _CLASSES, _SETTINGS
 from predint.rng import _uniforms
+from helpers import derive_rng
 from test_rng import _LEAKY_OLS, _PROBE, run_probe
 
 WORKED_TRAIN = "x,y\n0,0\n1,0\n2,3\n"
@@ -249,8 +250,10 @@ class TestIntervalsOracle:
         )
         taus = _uniforms(derive_seed(self.SEED, "tau"), len(X_test))
         full = reg.fit(train)
+        # The split deals its positions over the canonical row order.
         kept, held_out = SplitSpec(0.5, seed=derive_seed(self.SEED, "split")).resolve(train.n)
-        split, held = reg.fit(train.take(kept)), train.take(held_out)
+        order = canonical_order(train.features, train.responses)
+        split, held = reg.fit(train.take(order[kept])), train.take(order[held_out])
         reference = {
             "naive": lambda x, tau: self.about(
                 full, train.responses - full.predict_many(train.features), spec, x),
@@ -572,6 +575,17 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 3
         assert "not finite" in capsys.readouterr().err
+
+    def test_overflowing_knn_distances_are_a_data_error(self, tmp_path, capsys):
+        # Rows 2e308 apart overflow the squared distance. A RuntimeWarning is
+        # an error under the test settings, so none may escape either.
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        train.write_text("x,y\n1e308,0\n-1e308,1\n0,2\n1,3\n2,4\n")
+        test.write_text("x,y\n1,0\n")
+        rc = main(["intervals", "--train", str(train), "--test", str(test),
+                   "--regressor", "knn", "--knn-k", "2", "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        assert "knn distances overflow" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -24,7 +24,6 @@ from predint import (
     Regressor,
     aggregate,
     default_method_list,
-    derive_rng,
     derive_seed,
     evaluate_methods,
     figure2_experiment,
@@ -39,6 +38,7 @@ from predint import (
     run_trial,
 )
 from predint.rng import _normals
+from helpers import derive_rng
 
 MEAN = ConstantMean()
 
@@ -368,10 +368,11 @@ class TestEvaluateMethods:
                                            "naive")]
         specs = [IntervalSpec(0.2), IntervalSpec(0.3, alpha_lo=0.1, alpha_hi=0.2)]
         out = evaluate_methods(train, test.features, MinNormOLS(), methods, specs, seed=2)
-        # Residual vectors: in-sample once per naive entry, holdout once, and
-        # leave-one-out once for jackknife and jackknife-mm together. Each
-        # takes one quantile at the symmetric level and two at the asymmetric.
-        assert len(calls) == 4 * 3
+        # Residual vectors: in-sample once for both naive entries, holdout
+        # once, and leave-one-out once for jackknife and jackknife-mm
+        # together. Each takes one quantile at the symmetric level and two at
+        # the asymmetric.
+        assert len(calls) == 3 * 3
         assert out[0] == out[4]
 
     def test_methods_that_skip_the_full_model_never_fit_it(self):

@@ -28,6 +28,7 @@ import predint.intervals
 import predint.regressors
 from predint import (
     KNN,
+    METHOD_TOKENS,
     ConfigError,
     ConstantMean,
     DataError,
@@ -44,9 +45,9 @@ from predint import (
     Ridge,
     SplitSpec,
     build_loo_cache,
+    canonical_order,
     cross_conformal_set,
     cv_plus,
-    derive_rng,
     derive_seed,
     evaluate_methods,
     full_conformal_set,
@@ -58,7 +59,8 @@ from predint import (
     lower_quantile,
     upper_quantile,
 )
-from predint.intervals import _POINT_BLOCK, _cv_plus_block
+from predint.intervals import _POINT_BLOCK, _Block, _cv_plus_block
+from helpers import derive_rng
 
 MEAN = ConstantMean()
 X_PROBE = np.array([1.0])
@@ -833,8 +835,10 @@ def reference_intervals(train, reg, mspec, spec, X, seed):
         return [reference_fixed_center(
             model, train.responses - model.predict_many(train.features), spec, x) for x in X]
     if mspec.method == "split":
-        fit_idx, hold_idx = SplitSpec(0.5, seed=derive_seed(seed, "split")).resolve(n)
-        model, held = reg.fit(train.take(fit_idx)), train.take(hold_idx)
+        # The split deals its positions over the canonical row order.
+        fit_at, hold_at = SplitSpec(0.5, seed=derive_seed(seed, "split")).resolve(n)
+        order = canonical_order(train.features, train.responses)
+        model, held = reg.fit(train.take(order[fit_at])), train.take(order[hold_at])
         residuals = held.responses - model.predict_many(held.features)
         return [reference_fixed_center(model, residuals, spec, x) for x in X]
     if mspec.method == "jackknife":
@@ -890,6 +894,28 @@ class TestBlockOracle:
             assert [bits(iv) for iv in ivs] == [bits(iv) for iv in want], mspec.label
 
 
+SYMMETRY_METHODS = [MethodSpec(token, k_folds=3, grid=GridSpec(num_points=12))
+                    for token in METHOD_TOKENS]
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), perm=st.permutations(range(30)))
+@pytest.mark.parametrize("reg", [MinNormOLS(), Ridge(), KNN(k=3), MEAN], ids=lambda r: r.token)
+def test_no_method_depends_on_the_order_of_the_training_rows(reg, seed, perm):
+    """The guarantee holds for algorithms that treat the training points
+    symmetrically: every method, split and the K-fold deals included, gives
+    the same bits on the training rows in any order."""
+    data = gen_gaussian_linear(34, 3, seed)[0]
+    train, X = data.head(30), data.tail_from(30).features
+
+    def every_bit(rows):
+        out = evaluate_methods(rows, X, reg, SYMMETRY_METHODS, [IntervalSpec(0.2)], seed=7)
+        return [[set_bits(obj) if isinstance(obj, PredictionSet) else bits(obj) for obj in objs]
+                for (objs,) in out]
+
+    assert every_bit(train.take(list(perm))) == every_bit(train)
+
+
 def test_a_parity_block_allocates_o_of_q():
     # 2000 queries against two models and n = 20,000 rows: beyond the cache
     # and its prediction block, the grouped block select holds a few
@@ -897,14 +923,15 @@ def test_a_parity_block_allocates_o_of_q():
     n, q = 20_000, 2000
     train = gen_pathological_abc(n, 0.25, 0.05, seed=6, tau=1000.0)
     cache = build_loo_cache(train, ParityAdversary(1000.0))
-    per_model = cache.model_predictions(gen_pathological_abc(q, 0.25, 0.05, seed=7).features)
+    block = _Block(gen_pathological_abc(q, 0.25, 0.05, seed=7).features, None)
     for spec in (IntervalSpec(0.25, inflation_eps=0.01),
                  IntervalSpec(0.25, alpha_lo=0.1, alpha_hi=0.15)):
-        _cv_plus_block(cache, spec, per_model)  # sorts the residuals once per mode
+        # Predicts the block and sorts the residuals, once per mode.
+        _cv_plus_block(cache, None, spec, block)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            lower, upper = _cv_plus_block(cache, spec, per_model)
+            lower, upper = _cv_plus_block(cache, None, spec, block)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -919,13 +946,13 @@ def test_a_buffer_block_holds_about_point_block_candidates():
     rng = derive_rng(3, "buffer-block")
     train = Dataset(rng.standard_normal((500, 20)), rng.standard_normal(500))
     cache = build_loo_cache(train, MinNormOLS())
-    per_model = cache.model_predictions(rng.standard_normal((200, 20)))
+    block = _Block(rng.standard_normal((200, 20)), None)
     spec = IntervalSpec(0.1)
-    _cv_plus_block(cache, spec, per_model)  # computes the absolute residuals
+    _cv_plus_block(cache, None, spec, block)  # predicts the block, computes |residuals|
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        _cv_plus_block(cache, spec, per_model)
+        _cv_plus_block(cache, None, spec, block)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

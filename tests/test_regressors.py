@@ -18,6 +18,7 @@ from predint import (
     REGRESSOR_TOKENS,
     ConfigError,
     ConstantMean,
+    DataError,
     Dataset,
     IntervalSpec,
     LooCache,
@@ -28,13 +29,13 @@ from predint import (
     Ridge,
     build_loo_cache,
     canonical_order,
-    derive_rng,
     gen_gaussian_linear,
     gen_pathological_abc,
     jackknife_plus,
     make_regressor,
 )
 from predint.regressors import _CLASSES, _SETTINGS
+from helpers import derive_rng
 
 
 def gaussian(n, d, seed=0):
@@ -489,6 +490,53 @@ def test_predict_many_is_the_row_loop(reg):
     batch = model.predict_many(probes)
     singles = np.array([model.predict(row) for row in probes])
     assert np.array_equal(batch, singles)
+
+
+def integer_ties(seed):
+    """30 training rows and 12 queries of small integers, with many tied rows
+    and distances; column 1 is a sign, so the parity regressor can fit them.
+    The queries repeat 6 training rows and add 6 fresh ones."""
+    rng = derive_rng(seed, "integer-ties")
+    X = rng.integers(-2, 3, size=(36, 3)).astype(float)
+    X[:, 1] = np.where(X[:, 1] > 0, 1.0, -1.0)
+    y = rng.integers(-3, 4, size=30).astype(float)
+    return Dataset(X[:30], y), np.vstack([X[30:], X[:6]])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "reg", ALL_REGRESSORS + [ParityAdversary(tau=2.7)],
+    ids=lambda r: r.token + str(getattr(r, "intercept", "")),
+)
+def test_a_row_has_the_same_bits_alone_and_in_any_block(reg, seed):
+    """``predict(x)`` is ``predict_many``'s row, and cutting the queries into
+    blocks of any size changes no bit of any row."""
+    train, queries = integer_ties(seed)
+    model = reg.fit(train)
+    whole = [v.hex() for v in model.predict_many(queries).tolist()]
+    assert [model.predict(x).hex() for x in queries] == whole
+    for size in range(1, len(queries)):
+        blocks = [model.predict_many(queries[i:i + size]) for i in range(0, len(queries), size)]
+        assert [v.hex() for v in np.concatenate(blocks).tolist()] == whole, size
+
+
+@pytest.mark.parametrize("reg", ALL_REGRESSORS[:3], ids=lambda r: r.token + str(getattr(r, "intercept", "")))
+def test_linear_predictions_agree_with_the_dot_product(reg):
+    """The row sums against ``np.dot(x, coef) + intercept``, within 1e-12 of
+    the size of the summed terms."""
+    for seed in (0, 1):
+        train, queries = integer_ties(seed)
+        model = reg.fit(train)
+        for x, got in zip(queries, model.predict_many(queries).tolist()):
+            want = float(np.dot(x, model.coef) + model.intercept)
+            scale = float(np.abs(x * model.coef).sum()) + abs(model.intercept)
+            assert abs(got - want) <= 1e-12 * scale
+
+
+def test_overflowing_knn_distances_are_a_data_error():
+    model = KNN(k=1).fit(Dataset([[1e308], [0.0]], [0.0, 1.0]))
+    with pytest.raises(DataError, match="knn distances overflow"):
+        model.predict_many(np.array([[-1e308]]))
 
 
 @pytest.mark.parametrize("reg", ALL_REGRESSORS + [ParityAdversary(tau=2.0)],

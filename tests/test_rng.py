@@ -22,12 +22,12 @@ from predint import (
     MinNormOLS,
     SplitSpec,
     build_loo_cache,
-    derive_rng,
     derive_seed,
     gen_gaussian_linear,
     gen_pathological_abc,
 )
 from predint.rng import _permutation, _uniforms
+from helpers import derive_rng
 
 # Every stream in the package hangs off these values; a change to the
 # derivation would silently move every trial, fold deal and tau draw.
