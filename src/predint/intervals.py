@@ -246,8 +246,9 @@ class LooCache:
         if not np.bincount(model_of, minlength=len(models)).all():
             raise ConfigError("model_of must use every one of models")
         owned = in_sample.flags.owndata and in_sample.flags.writeable and in_sample.dtype == float
-        self.signed_residuals = np.subtract(train.responses, in_sample,
-                                            out=in_sample if owned else None)
+        with np.errstate(over="ignore"):  # an overflow is the DataError below
+            self.signed_residuals = np.subtract(train.responses, in_sample,
+                                                out=in_sample if owned else None)
         if not np.isfinite(self.signed_residuals).all():
             raise DataError("the fold models' in-sample residuals are not finite")
         for arr in (self.signed_residuals, self.model_of):
@@ -405,10 +406,11 @@ def _fixed_center(models, quantiles, spec: IntervalSpec, block: _Block):
 
 
 # cv+ selects from each model's sorted residuals when the models have at
-# least this many rows each on average, else from candidate rows. G <= 2
-# models answer a block by one bisection. For more, on a 2-vCPU Xeon a grouped
-# endpoint costs about 20 us plus 5 to 8 us per model and a partition about 5
-# ns per cell, so the two cost the same near n = 4000 + 1000 G.
+# least this many rows each on average, else from candidate rows. At that n,
+# in _evaluate's blocks of _POINT_BLOCK // G rows on a 2-vCPU Xeon, an endpoint
+# costs about 1, 5, 20, 110-180 and 660-770 us grouped and 50, 65-90, 130,
+# 290-460 and 920-960 us by partition at G = 3, 5, 10, 24 and 48. A block of
+# one row pays every elimination round alone: 2.8 ms at n = 1e5, G = 10.
 _GROUPED_ROWS_PER_MODEL = 4096
 
 

@@ -17,19 +17,17 @@ alpha = 0.1, n = 9 is 9). Exactness also guarantees the identity
 
 holds bitwise, not merely approximately.
 
-Indices are memoised per (n, alpha), and every selection runs through one
-in-place ``np.partition`` helper, so callers that select for a block of
-queries from a reusable buffer (jackknife+ and CV+) share the public
-operators' selection code, which returns a zero as 0.0. When the n values
-fall into a few groups that share a shift (CV+ with K folds has K),
-``_SortedGroups`` sorts each group once and selects from the shifted groups
-without building the n-vector.
+Every selection from an n-vector runs through one in-place ``np.partition``
+helper, so callers that select for a block of queries from a reusable buffer
+(jackknife+ and CV+) share the public operators' selection code, which
+returns a zero as 0.0. When the n values fall into a few groups that share a
+shift (CV+ with K folds has K), ``_SortedGroups`` sorts each group once and
+selects for a whole block of shifts from the sorted groups, by bisection for
+two groups and by elimination for more, without building the n-vector.
 """
 
 from __future__ import annotations
 
-import bisect
-import functools
 import math
 import numbers
 
@@ -83,27 +81,6 @@ def _check_values(values) -> np.ndarray:
     return arr
 
 
-@functools.lru_cache(maxsize=1024, typed=True)
-def _memo_indices(n: int, alpha) -> tuple[int, int]:
-    # A failed check raises and stores nothing, so the memo holds validated
-    # levels only. Keys are typed, so True never hits the entry of 1; equal
-    # keys of one type have equal exact values.
-    p, q = _check_alpha(alpha)
-    if _require_int("n", n) < 0:
-        raise ConfigError(f"n must be >= 0, got {n}")
-    m = int(n) + 1
-    return -(-(q - p) * m // q), p * m // q
-
-
-def _indices(n: int, alpha) -> tuple[int, int]:
-    """(upper, lower) 1-based order-statistic indices at level alpha."""
-    try:
-        hash(alpha)
-    except TypeError:  # unhashable, so not a real number
-        raise ConfigError(f"alpha must be a real number, got {alpha!r}") from None
-    return _memo_indices(n, alpha)
-
-
 def _select_inplace(buf: np.ndarray, k: int):
     """The k-th smallest entry of ``buf`` (1-based), or of each row of a 2-D
     ``buf`` as an array, partitioning it in place; -inf when k < 1 and +inf
@@ -117,99 +94,44 @@ def _select_inplace(buf: np.ndarray, k: int):
     return buf[:, k - 1] + 0.0 if buf.ndim == 2 else float(buf[k - 1]) + 0.0
 
 
-def _first_true(values: np.ndarray, guess: int, holds) -> int:
-    """First index of sorted ``values`` at which ``holds`` is true, for a
-    predicate that is false and then true along them.
-
-    ``guess`` comes from ``searchsorted`` on a rounded threshold, so it may be
-    off by the few values that rounding misplaces. Its two neighbours decide,
-    and only a wrong guess is bisected; equal values are never walked.
-    """
-    if guess < values.size and not holds(float(values[guess])):
-        return bisect.bisect_left(values, True, guess + 1, values.size, key=holds)
-    if guess > 0 and holds(float(values[guess - 1])):
-        return bisect.bisect_left(values, True, 0, guess - 1, key=holds)
-    return guess
-
-
 class _SortedGroups:
     """Order statistics of the candidates ``shift[g] +- v`` over G sorted groups.
 
     ``groups[g]`` holds group g's values in ascending order; together they
-    hold n values. A query gives one shift per group and selects the k-th
-    smallest candidate, computed with the same float operation as a buffer
-    ``np.add``/``np.subtract`` of the shift and the value, so it equals
+    hold n values. Each row of a block gives one shift per group and selects
+    the k-th smallest candidate, computed with the same float operation as a
+    buffer ``np.add``/``np.subtract`` of the shift and the value, so it equals
     ``_select_inplace`` on that n-vector bit for bit. Nothing of length n is
-    built per query.
+    built per block.
 
-    Every B-th value of each group (B = isqrt(n / 3G)) forms a skeleton.
-    Each group holds fewer than B values between consecutive skeleton values,
-    and before its first or after its last, so the r-th smallest shifted
-    skeleton value has at least (r - G)B candidates at or below it and fewer
-    than (r - 1 + G)B strictly below it. The (ceil(k/B) + G)-th is therefore
-    an upper bound ``hi`` on the answer and the (floor(k/B) + 1 - G)-th a
-    lower bound ``lo``. Exact counts of the candidates at or below ``lo`` and
-    below ``hi`` settle ties at either bound; otherwise the answer lies among
-    the fewer than 3GB candidates strictly between them.
+    More than two groups are answered by elimination, the sorted-arrays
+    selection of Frederickson & Johnson (1982). Order the candidates by value,
+    then group. While k > 1, each group offers its s-th next candidate,
+    s = (k - 2) // G + 1, or +inf if it has fewer left. At most s - 1 of any
+    group's candidates precede the least offer, so it ranks at most
+    1 + G(s - 1) <= k - 1: its group's next s candidates are passed over and
+    k drops by s. If that group had fewer than s left, every offer is +inf,
+    at most (G - 1)(s - 1) < k - s candidates below +inf remain, and the
+    answer stays +inf. At k = 1 the answer is the least next candidate.
     """
 
     def __init__(self, groups: list):
         self.groups = groups
         self.size = sum(g.size for g in groups)
-        self.step = max(1, math.isqrt(self.size // (3 * len(groups))))
-        skeleton = [g[self.step - 1 :: self.step] for g in groups]
-        self.skeleton_sizes = [s.size for s in skeleton]
-        self.skeleton = np.concatenate(skeleton)
-
-    def select(self, shifts: np.ndarray, subtract: bool, k: int) -> float:
-        """k-th smallest (1-based) of ``shifts[g] - v`` (``subtract``) or
-        ``shifts[g] + v`` over every group's values v; -inf when k < 1 and
-        +inf when k > n, as :func:`_select_inplace`."""
-        if k < 1:
-            return -math.inf
-        if k > self.size:
-            return math.inf
-        op = np.subtract if subtract else np.add
-        step, num = self.step, len(self.groups)
-        skeleton = np.repeat(shifts, self.skeleton_sizes)
-        op(skeleton, self.skeleton, out=skeleton)
-        lo = _select_inplace(skeleton, k // step + 1 - num)
-        hi = _select_inplace(skeleton, -(-k // step) + num)
-        below, parts = 0, []
-        for values, p in zip(self.groups, shifts.tolist()):
-            m = values.size
-            # a = candidates <= lo and b = candidates < hi in this group; with
-            # subtraction the candidates fall as the values rise.
-            if subtract:
-                a = m - _first_true(values, int(values.searchsorted(p - lo, "left")),
-                                    lambda v: p - v <= lo)
-                b = m - _first_true(values, int(values.searchsorted(p - hi, "right")),
-                                    lambda v: p - v < hi)
-                parts.append(values[m - b : m - a])
-            else:
-                a = _first_true(values, int(values.searchsorted(lo - p, "right")),
-                                lambda v: p + v > lo)
-                b = _first_true(values, int(values.searchsorted(hi - p, "left")),
-                                lambda v: p + v >= hi)
-                parts.append(values[a:b])
-            below += a
-        if below >= k:
-            return lo
-        between = np.repeat(shifts, [part.size for part in parts])
-        if below + between.size < k:
-            return hi
-        op(between, np.concatenate(parts), out=between)
-        return _select_inplace(between, k - below)
 
     def select_rows(self, shifts: np.ndarray, subtract: bool, k: int) -> np.ndarray:
-        """:meth:`select` for each row of the (q, G) ``shifts``, all at once
-        for G <= 2 and row by row otherwise. Each group's candidates are
-        monotone in its values, so with G = 2 a row's k smallest are group
-        0's i smallest and group 1's k - i smallest for the least i at which
-        group 1's (k - i)-th is not above group 0's (i + 1)-th; that i is
-        bisected in every row together."""
-        if len(self.groups) > 2 or not 1 <= k <= self.size:
-            return np.array([self.select(row, subtract, k) for row in shifts], dtype=float)
+        """k-th smallest (1-based) of ``shift - v`` (``subtract``) or
+        ``shift + v`` over every group's values v, for each row of the (q, G)
+        ``shifts``; -inf when k < 1 and +inf when k > n, as
+        :func:`_select_inplace`. Each group's candidates are monotone in its
+        values, so with G = 2 a row's k smallest are group 0's i smallest and
+        group 1's k - i smallest for the least i at which group 1's (k - i)-th
+        is not above group 0's (i + 1)-th; that i is bisected in every row
+        together. More groups are eliminated."""
+        if not 1 <= k <= self.size:
+            return np.full(len(shifts), -math.inf if k < 1 else math.inf)
+        if len(self.groups) > 2:
+            return self.eliminate(shifts, subtract, k)
         op = np.subtract if subtract else np.add
 
         def candidate(g, i):  # each row's (i + 1)-th smallest in group g, i clipped
@@ -228,6 +150,37 @@ class _SortedGroups:
         top = np.where(lo > 0, candidate(0, lo - 1), -math.inf)
         return np.maximum(top, np.where(lo < k, candidate(1, k - 1 - lo), -math.inf)) + 0.0
 
+    def eliminate(self, shifts: np.ndarray, subtract: bool, k: int) -> np.ndarray:
+        """:meth:`select_rows` for 1 <= k <= n by elimination, all rows at once."""
+        op = np.subtract if subtract else np.add
+        # Each group's values in the order of its candidates, which ascend.
+        ordered = [values[::-1] if subtract else values for values in self.groups]
+        last = np.array([values.size - 1 for values in ordered])[:, None]
+        rows = np.arange(len(shifts))
+        passed = np.zeros((len(ordered), len(shifts)), dtype=np.intp)  # per group and row
+        offers = np.empty(passed.shape)
+
+        def offer(s):  # each group's s-th next candidate in every row, +inf past its end
+            at = passed + (s - 1)
+            clipped = np.minimum(at, last)
+            for g, values in enumerate(ordered):
+                op(shifts[:, g], values[clipped[g]], out=offers[g])
+            offers[at > last] = math.inf
+            return offers
+
+        while k > 1:
+            s = (k - 2) // len(ordered) + 1
+            least = offer(s).argmin(axis=0)  # ties go to the lower group
+            passed[least, rows] += s
+            k -= s
+        return offer(1).min(axis=0) + 0.0
+
+
+def _check_n(n: int) -> int:
+    if _require_int("n", n) < 0:
+        raise ConfigError(f"n must be >= 0, got {n}")
+    return int(n)
+
 
 def upper_index(n: int, alpha: float) -> int:
     """The 1-based order-statistic index ceil((1-alpha)(n+1)), computed exactly.
@@ -235,12 +188,14 @@ def upper_index(n: int, alpha: float) -> int:
     May be 0 (alpha = 1) or n + 1 (alpha < 1/(n+1)); callers map those to
     -inf and +inf respectively.
     """
-    return _indices(n, alpha)[0]
+    p, q = _check_alpha(alpha)
+    return -(-(q - p) * (_check_n(n) + 1) // q)
 
 
 def lower_index(n: int, alpha: float) -> int:
     """The 1-based order-statistic index floor(alpha(n+1)), computed exactly."""
-    return _indices(n, alpha)[1]
+    p, q = _check_alpha(alpha)
+    return p * (_check_n(n) + 1) // q
 
 
 def upper_quantile(values, alpha: float) -> float:

@@ -208,15 +208,16 @@ class Ridge(Regressor):
         if not math.isfinite(scale):
             raise DataError(f"ridge penalty scale sigma_max(X)^2 is not finite, got {scale}")
         lam = self.lambda_rel * scale
-        if self.intercept:
-            x_bar = X.mean(axis=0)
-            y_bar = float(y.mean())
-            Xc = X - x_bar
-            yc = y - y_bar
-            coef = self._solve(Xc, yc, lam)
-            return LinearModel(coef, y_bar - float(x_bar @ coef))
-        coef = self._solve(X, y, lam)
-        return LinearModel(coef, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite fits: callers' DataError
+            if self.intercept:
+                x_bar = X.mean(axis=0)
+                y_bar = float(y.mean())
+                Xc = X - x_bar
+                yc = y - y_bar
+                coef = self._solve(Xc, yc, lam)
+                return LinearModel(coef, y_bar - float(x_bar @ coef))
+            coef = self._solve(X, y, lam)
+            return LinearModel(coef, 0.0)
 
     @staticmethod
     def _solve(X, y, lam):
@@ -255,7 +256,8 @@ class ConstantMean(Regressor):
     token = "mean"
 
     def _fit(self, X, y):
-        return ConstantModel(float(np.mean(y)))
+        with np.errstate(over="ignore"):  # an overflow is the callers' DataError
+            return ConstantModel(float(np.mean(y)))
 
 
 @dataclass(frozen=True)

@@ -282,6 +282,31 @@ class TestAuditInstance:
         assert rep2.interval_plus == rep.interval_plus
         assert rep2.interval_minmax == rep.interval_minmax
 
+    @pytest.mark.parametrize(
+        "reg", [MEAN, MinNormOLS(), KNN(k=2), Ridge(lambda_rel=0.1), Memorizer(eps=0.5),
+                ParityAdversary(tau=2.0)],
+        ids=lambda r: r.token,
+    )
+    def test_the_report_is_free_of_the_training_row_order(self, reg):
+        # The n training rows permuted, the test row kept last: the same bits,
+        # the same violations, and strange sets that move with their rows.
+        cases = [TIED]
+        if not isinstance(reg, ParityAdversary):  # parity reads column 1 as a sign
+            cases.append(gen_gaussian_linear(9, 3, 5)[0])
+        rng = derive_rng(6, "audit-order")
+        for data in cases:
+            rep = audit_instance(data, reg, 0.25)
+            for _ in range(3):
+                rows = np.append(rng.permutation(data.n - 1), data.n - 1)
+                moved = audit_instance(data.take(rows), reg, 0.25)
+                for name in ("plus", "minmax"):
+                    iv, iv2 = getattr(rep, f"interval_{name}"), getattr(moved, f"interval_{name}")
+                    assert (iv2.lower.hex(), iv2.upper.hex()) == (iv.lower.hex(), iv.upper.hex())
+                    assert getattr(moved, f"covered_{name}") == getattr(rep, f"covered_{name}")
+                    assert sorted(rows[getattr(moved, f"strange_{name}")]) == getattr(
+                        rep, f"strange_{name}")
+                assert moved.violations == rep.violations
+
     @pytest.mark.parametrize("side", ["above", "below"])
     def test_noncoverage_forces_strangeness(self, side):
         # alpha = 0.4 keeps the interval finite down to 3 training rows, so

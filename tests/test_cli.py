@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -586,6 +587,27 @@ class TestExitCodes:
                    "--regressor", "knn", "--knn-k", "2", "--out", str(tmp_path / "o.csv")])
         assert rc == 3
         assert "knn distances overflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["naive", "jackknife", "jackknife+", "jackknife-mm", "cv+"])
+    @pytest.mark.parametrize("regressor", ["mean", "ols", "ridge"])
+    def test_extreme_responses_give_one_error_line(self, tmp_path, capsys, regressor, method):
+        # Means, residuals and ridge's centred solve overflow: the DataError
+        # is the only line on stderr, with no RuntimeWarning before it. The
+        # ols full fit passes through the origin, so naive gives [-inf, inf].
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        train.write_text("x,y\n0,1e308\n1,1.7e308\n2,1.6e308\n3,-1.7e308\n")
+        test.write_text("x,y\n0.5,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["intervals", "--train", str(train), "--test", str(test), "--regressor",
+                       regressor, "--method", method, "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err.splitlines()
+        if (regressor, method) == ("ols", "naive"):
+            assert (rc, err) == (0, [])
+            assert data_rows((tmp_path / "o.csv").read_text())[1][0][3:5] == ["-inf", "inf"]
+        else:
+            assert rc == 3
+            assert len(err) == 1 and err[0].startswith("error:"), err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

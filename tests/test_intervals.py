@@ -939,6 +939,29 @@ def test_a_parity_block_allocates_o_of_q():
         assert peak < 8 * n
 
 
+def test_a_five_fold_block_allocates_o_of_q():
+    # Five folds of 6000 rows take the grouped path, which eliminates over
+    # more than two groups; a block of _POINT_BLOCK // 5 queries holds a few
+    # (5, q) arrays, never an n-vector.
+    n, folds = 30_000, 5
+    rng = derive_rng(8, "five-fold")
+    cache = build_loo_cache(Dataset(rng.standard_normal((n, 1)), rng.standard_normal(n)),
+                            MEAN, folds)
+    block = _Block(rng.standard_normal((_POINT_BLOCK // folds, 1)), None)
+    for spec in (IntervalSpec(0.1, inflation_eps=0.01),
+                 IntervalSpec(0.25, alpha_lo=0.05, alpha_hi=0.2)):
+        _cv_plus_block(cache, None, spec, block)  # predicts the block, sorts the residuals
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lower, upper = _cv_plus_block(cache, None, spec, block)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert lower.shape == upper.shape == (_POINT_BLOCK // folds,)
+        assert peak < 8 * n
+
+
 def test_a_buffer_block_holds_about_point_block_candidates():
     # 500 leave-one-out models of 500 rows: cv+ takes the buffer path. The
     # (q, n) candidate matrix of 200 queries would be 100,000 cells; the

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from predint import ConfigError, lower_index, lower_quantile, upper_index, upper_quantile
@@ -113,6 +113,14 @@ def test_alpha_must_be_a_real_number(bad_alpha):
         upper_index(9, bad_alpha)
     with pytest.raises(ConfigError, match="alpha must be a real number"):
         lower_quantile([1.0, 2.0], bad_alpha)
+
+
+@pytest.mark.parametrize("bad_n", [[5], 5.0, True, "5"], ids=repr)
+def test_n_must_be_an_integer(bad_n):
+    # An unhashable n, such as a list, is a ConfigError like any other.
+    for index in (upper_index, lower_index):
+        with pytest.raises(ConfigError, match="n must be an integer"):
+            index(bad_n, 0.1)
 
 
 def test_index_endpoints():
@@ -215,8 +223,9 @@ def buffer_select(values, group_of, shifts, subtract, k):
 
 
 class TestSortedGroups:
-    """``_SortedGroups.select`` against the buffer-and-partition oracle at every
-    k from 0 to n + 1, bit for bit (``float.hex`` tells -0.0 from 0.0)."""
+    """``_SortedGroups.select_rows`` on one row against the buffer-and-partition
+    oracle at every k from 0 to n + 1, bit for bit (``float.hex`` tells -0.0
+    from 0.0)."""
 
     @staticmethod
     def draw(n, g, values, shifts, seed):
@@ -250,7 +259,7 @@ class TestSortedGroups:
         groups = _SortedGroups([np.sort(vals[group_of == j]) for j in range(g)])
         for subtract in (True, False):
             for k in range(n + 2):
-                got = groups.select(per_group, subtract, k)
+                got = groups.select_rows(per_group[None], subtract, k)[0]
                 want = buffer_select(vals, group_of, per_group, subtract, k)
                 assert got.hex() == want.hex(), (subtract, k)
 
@@ -273,7 +282,7 @@ class TestSortedGroups:
         sorted_groups = _SortedGroups([np.array(g) for g in groups])
         for k in range(1, values.size + 1):
             want = buffer_select(values, group_of, shifts, subtract, k)
-            assert sorted_groups.select(shifts, subtract, k).hex() == want.hex(), k
+            assert sorted_groups.select_rows(shifts[None], subtract, k)[0].hex() == want.hex(), k
 
 
 # Shifts include both zeros, so candidates are -0.0 as well as 0.0, and
@@ -303,3 +312,36 @@ def test_block_select_matches_the_partition_oracle(groups, shift_rows, subtract)
         for row, value in zip(shifts, got.tolist()):
             want = buffer_select(values, group_of, row, subtract, k)
             assert value.hex() == want.hex(), (k, row)
+
+
+# Groups of one or two values beside groups of up to 16 run out mid-search;
+# values and shifts near the largest float make candidates overflow to +-inf.
+HUGE = st.sampled_from([1e308, 1.5e308, 1.7e308, -1.7e308])
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.lists(st.one_of(st.lists(st.one_of(GROUP_VALUES, HUGE), min_size=1, max_size=2),
+                       st.lists(st.one_of(GROUP_VALUES, HUGE), min_size=8, max_size=16)),
+             min_size=3, max_size=8),
+    st.lists(st.lists(st.one_of(SHIFTS, st.sampled_from([1e308, -1e308])), min_size=8, max_size=8),
+             min_size=1, max_size=6),
+    st.booleans(),
+)
+@example([[1.0], [1e308, 1.5e308, 1.7e308], [1.0]], [[0.0, 1e308, 0.0] + [0.0] * 5], False)
+def test_elimination_matches_the_partition_oracle(groups, shift_rows, subtract):
+    """``select_rows`` for three to eight groups, which eliminates in every row
+    at once, against the buffer oracle at every k from 0 to n + 1, bit for
+    bit. In the example an exhausted group's +inf stand-in ties the overflowed
+    offers and is taken as the least offer; the answer is +inf."""
+    values = np.concatenate([np.array(g) for g in groups])
+    group_of = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    shifts = np.array(shift_rows)[:, : len(groups)]
+    sorted_groups = _SortedGroups([np.sort(np.array(g)) for g in groups])
+    with np.errstate(over="ignore"):
+        for k in range(values.size + 2):
+            got = sorted_groups.select_rows(shifts, subtract, k)
+            assert got.shape == (len(shifts),)
+            for row, value in zip(shifts, got.tolist()):
+                want = buffer_select(values, group_of, row, subtract, k)
+                assert value.hex() == want.hex(), (k, row)
