@@ -11,7 +11,8 @@ included, evaluates a trial through :func:`run_trial`.
 
 Widths are totals of finite component lengths; infinite-width intervals are
 counted separately and excluded from width means (they still count toward
-coverage).
+coverage). A report none of whose trials has a finite width gives NaN for
+both the width mean and its standard error.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, SplitSpec, gen_gaussian_linear, gen_pathological_abc
-from .errors import ConfigError, _require_int, _require_real, _require_sequence
+from .errors import ConfigError, DataError, _require_int, _require_real, _require_sequence
 from .intervals import (
     _METHODS,
-    _POINT_BLOCK,
     GridSpec,
     IntervalSpec,
     PredictionInterval,
@@ -35,6 +35,7 @@ from .intervals import (
     _residual_quantiles,
     build_loo_cache,
 )
+from .quantiles import _POINT_BLOCK
 from .regressors import (Memorizer, MinNormOLS, ParityAdversary, Regressor, canonical_order,
                          make_regressor)
 from .rng import _normals, _uniforms, derive_seed
@@ -112,7 +113,8 @@ class CoverageReport:
 
     @property
     def width_se(self) -> float:
-        return _standard_error([w for w in self.widths if not math.isnan(w)])
+        finite = [w for w in self.widths if not math.isnan(w)]
+        return _standard_error(finite) if finite else math.nan
 
 
 def _standard_error(values) -> float:
@@ -189,7 +191,12 @@ class _Fits(dict):
             fit_at, hold_at = SplitSpec(holdout, derive_seed(self.seed, "split")).resolve(len(y))
             order = canonical_order(X, y)
             model, held = self.regressor._fit_rows(X, y, order[fit_at]), order[hold_at]
-        self[holdout] = [model], _residual_quantiles(y[held] - model.predict_many(X[held]))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the DataError below
+            residuals = y[held] - model.predict_many(X[held])
+        if not np.isfinite(residuals).all():
+            raise DataError(f"the {'full' if holdout is None else 'split'} model's residuals "
+                            "are not finite")
+        self[holdout] = [model], _residual_quantiles(residuals)
         return self[holdout]
 
 

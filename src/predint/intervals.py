@@ -40,6 +40,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import ConfigError, DataError, _require_int, _require_real
 from .quantiles import (
+    _POINT_BLOCK,
     _check_alpha,
     _exact_ratio,
     _select_inplace,
@@ -506,13 +507,6 @@ def _require_plain_spec(spec: IntervalSpec, name: str) -> None:
         raise ConfigError(f"{name} does not define epsilon inflation")
 
 
-# Breakpoints are tested against all n rows in blocks of about this many
-# (breakpoint, row) pairs, at least one breakpoint a block. At n = 500 a block
-# holds 4 breakpoints; blocks of 32 read 0.1 to 0.2 MB higher in peak RSS on
-# the 500 x 20 scoring benchmark (2-vCPU Xeon VM, numpy 2.4).
-_POINT_BLOCK = 2048
-
-
 def _strict_needed(n: int, alpha, tau):
     """``need(equal)``, memoised: the fewest strict cases that accept a cell
     with ``equal`` equality cases, i.e. the least integer ``strict`` with
@@ -578,7 +572,8 @@ def _cross_conformal_block(cache: LooCache, mspec, spec: IntervalSpec, block: _B
 
         # A breakpoint keeps the pointwise float test, since fl(fl(m_i + R_i) - m_i)
         # need not equal R_i. Next to an accepted gap it cannot change the closed
-        # set, so only breakpoints between two rejected gaps are tested.
+        # set, so only breakpoints between two rejected gaps are tested, against
+        # all n rows about _POINT_BLOCK (breakpoint, row) pairs at a time.
         point_ok = gap_ok[:-1] | gap_ok[1:]
         tested = np.flatnonzero(~point_ok)
         step = max(1, _POINT_BLOCK // n)
@@ -637,8 +632,11 @@ def full_conformal_set(
     for idx, y in enumerate(ys):
         y_aug[-1] = y
         model = regressor._fit_rows(X_aug, y_aug, canonical_order(X_aug, y_aug))
-        resid = np.abs(train.responses - model.predict_many(train.features))
-        accepted[idx] = abs(y - model.predict(x)) <= upper_quantile(resid, spec.alpha)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the DataError below
+            resid = np.abs(y_aug - model.predict_many(X_aug))
+        if not np.isfinite(resid).all():
+            raise DataError("the full-conformal refit's residuals are not finite")
+        accepted[idx] = resid[-1] <= upper_quantile(resid[:-1], spec.alpha)
 
     return _runs_to_set(accepted, ys, ys)
 

@@ -208,6 +208,9 @@ class Ridge(Regressor):
         if not math.isfinite(scale):
             raise DataError(f"ridge penalty scale sigma_max(X)^2 is not finite, got {scale}")
         lam = self.lambda_rel * scale
+        if not math.isfinite(2.0 * lam):
+            raise DataError(f"ridge lambda_rel {self.lambda_rel} is too large: the penalty "
+                            f"2 lambda_rel sigma_max(X)^2 overflows, sigma_max(X)^2 = {scale}")
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite fits: callers' DataError
             if self.intercept:
                 x_bar = X.mean(axis=0)

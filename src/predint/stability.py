@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .dataset import Dataset
-from .errors import ConfigError, _require_int, _require_real
+from .errors import ConfigError, DataError, _require_int, _require_real
 from .quantiles import _check_alpha
 from .regressors import Regressor
 from .rng import derive_seed
@@ -67,7 +67,8 @@ def estimate_stability(
     Each trial draws n + 1 fresh rows, fits on the first n and on rows 2..n
     (the first row dropped; by exchangeability the choice of dropped index is
     irrelevant), then compares predictions at the held-out row
-    (out_of_sample) or at the dropped row itself (in_sample).
+    (out_of_sample) or at the dropped row itself (in_sample). A prediction
+    that is not finite is a :class:`DataError`, never a silent non-violation.
     """
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -88,7 +89,10 @@ def estimate_stability(
         full = regressor.fit(data.head(n))
         dropped = regressor.fit(data.take(range(1, n)))
         x = data.features[n] if kind == "out_of_sample" else data.features[0]
-        if abs(full.predict(x) - dropped.predict(x)) > epsilon:
+        both = full.predict(x), dropped.predict(x)
+        if not all(map(math.isfinite, both)):
+            raise DataError(f"trial {t}: the predictions {both} at the compared row are not finite")
+        if abs(both[0] - both[1]) > epsilon:
             violations += 1
     return StabilityEstimate(kind, epsilon, n, trials, violations)
 

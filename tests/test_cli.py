@@ -588,23 +588,32 @@ class TestExitCodes:
         assert rc == 3
         assert "knn distances overflow" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method", ["naive", "jackknife", "jackknife+", "jackknife-mm", "cv+"])
+    @pytest.mark.parametrize("method", ["naive", "split", "jackknife", "jackknife+",
+                                        "jackknife-mm", "cv+", "full-conformal"])
     @pytest.mark.parametrize("regressor", ["mean", "ols", "ridge"])
     def test_extreme_responses_give_one_error_line(self, tmp_path, capsys, regressor, method):
         # Means, residuals and ridge's centred solve overflow: the DataError
         # is the only line on stderr, with no RuntimeWarning before it. The
-        # ols full fit passes through the origin, so naive gives [-inf, inf].
+        # ols full fit passes through the origin, so naive gives [-inf, inf];
+        # so does the mean with split, whose holdout residuals are finite.
+        # The ols refits of full conformal keep finite residuals and accept
+        # the whole grid [0, 1].
         train, test = tmp_path / "train.csv", tmp_path / "test.csv"
         train.write_text("x,y\n0,1e308\n1,1.7e308\n2,1.6e308\n3,-1.7e308\n")
         test.write_text("x,y\n0.5,0\n")
+        grid = ["--grid-lower", "0", "--grid-upper", "1", "--grid-points", "3"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = main(["intervals", "--train", str(train), "--test", str(test), "--regressor",
-                       regressor, "--method", method, "--out", str(tmp_path / "o.csv")])
+                       regressor, "--method", method, "--out", str(tmp_path / "o.csv")]
+                      + (grid if method == "full-conformal" else []))
         err = capsys.readouterr().err.splitlines()
-        if (regressor, method) == ("ols", "naive"):
+        finite = {("ols", "naive"): ["-inf", "inf"], ("mean", "split"): ["-inf", "inf"],
+                  ("ols", "full-conformal"): ["0.0", "1.0"]}
+        if (regressor, method) in finite:
             assert (rc, err) == (0, [])
-            assert data_rows((tmp_path / "o.csv").read_text())[1][0][3:5] == ["-inf", "inf"]
+            assert (data_rows((tmp_path / "o.csv").read_text())[1][0][3:5]
+                    == finite[regressor, method])
         else:
             assert rc == 3
             assert len(err) == 1 and err[0].startswith("error:"), err
@@ -631,6 +640,22 @@ class TestAuditCommand:
 
 
 class TestStabilityCommand:
+    @pytest.mark.parametrize("argv, message", [
+        (["--regressor", "memorizer", "--memorizer-eps", "1e308"], "trial 0: the predictions"),
+        (["--regressor", "ridge", "--ridge-lambda", "1e308"], "ridge lambda_rel 1e+308"),
+    ], ids=["memorizer", "ridge"])
+    def test_non_finite_predictions_are_a_data_error(self, tmp_path, capsys, argv, message):
+        # A NaN difference is never above epsilon, so a non-finite prediction
+        # (inf, or a ridge fit whose penalty overflows) must not read stable.
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["stability", "--trials", "3", "--out", str(out)] + argv)
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+        assert not out.exists()
+
     def test_row_is_internally_consistent(self, tmp_path):
         rc, text = run_to_file(
             tmp_path,

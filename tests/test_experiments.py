@@ -95,7 +95,7 @@ class TestCoverageReport:
         assert rep.width_mean == 2.0
         assert rep.width_se == 0.0
         all_nan = CoverageReport("naive", 0.0, (1.0,), (math.nan,), 1)
-        assert math.isnan(all_nan.width_mean)
+        assert math.isnan(all_nan.width_mean) and math.isnan(all_nan.width_se)
 
     def test_single_trial_se_is_zero(self):
         rep = CoverageReport("split", 0.1, (0.9,), (1.0,), 0)

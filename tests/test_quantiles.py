@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from predint import ConfigError, lower_index, lower_quantile, upper_index, upper_quantile
-from predint.quantiles import _SortedGroups
+from predint.quantiles import _POINT_BLOCK, _SortedGroups
 
 
 def brute_upper(values, alpha):
@@ -300,8 +300,9 @@ GROUP_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, 1e-13]),
     st.booleans(),
 )
 def test_block_select_matches_the_partition_oracle(groups, shift_rows, subtract):
-    """``select_rows`` for one and two groups, which bisects every row at
-    once, against the buffer oracle at every k from 0 to n + 1, bit for bit."""
+    """``select_rows`` for one and two groups, which eliminates in every row
+    at once, against the buffer oracle at every k from 0 to n + 1, bit for
+    bit."""
     values = np.concatenate([np.array(g) for g in groups])
     group_of = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     shifts = np.array(shift_rows)[:, : len(groups)]
@@ -323,14 +324,14 @@ HUGE = st.sampled_from([1e308, 1.5e308, 1.7e308, -1.7e308])
 @given(
     st.lists(st.one_of(st.lists(st.one_of(GROUP_VALUES, HUGE), min_size=1, max_size=2),
                        st.lists(st.one_of(GROUP_VALUES, HUGE), min_size=8, max_size=16)),
-             min_size=3, max_size=8),
+             min_size=1, max_size=8),
     st.lists(st.lists(st.one_of(SHIFTS, st.sampled_from([1e308, -1e308])), min_size=8, max_size=8),
              min_size=1, max_size=6),
     st.booleans(),
 )
 @example([[1.0], [1e308, 1.5e308, 1.7e308], [1.0]], [[0.0, 1e308, 0.0] + [0.0] * 5], False)
 def test_elimination_matches_the_partition_oracle(groups, shift_rows, subtract):
-    """``select_rows`` for three to eight groups, which eliminates in every row
+    """``select_rows`` for one to eight groups, which eliminates in every row
     at once, against the buffer oracle at every k from 0 to n + 1, bit for
     bit. In the example an exhausted group's +inf stand-in ties the overflowed
     offers and is taken as the least offer; the answer is +inf."""
@@ -345,3 +346,19 @@ def test_elimination_matches_the_partition_oracle(groups, shift_rows, subtract):
             for row, value in zip(shifts, got.tolist()):
                 want = buffer_select(values, group_of, row, subtract, k)
                 assert value.hex() == want.hex(), (k, row)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_a_block_of_more_rows_than_a_chunk_matches_the_partition_oracle(g):
+    """``select_rows`` eliminates ``_POINT_BLOCK // G`` rows at a time; a
+    block of two chunks and a part matches the buffer oracle row by row."""
+    rng = np.random.default_rng(g)
+    values = rng.integers(0, 4, size=9).astype(float)  # ties and zeros
+    group_of = np.concatenate([np.arange(g), rng.integers(0, g, size=9 - g)])
+    shifts = rng.integers(-2, 3, size=(2 * (_POINT_BLOCK // g) + 3, g)).astype(float)
+    sorted_groups = _SortedGroups([np.sort(values[group_of == j]) for j in range(g)])
+    for subtract in (True, False):
+        for k in (1, 5, 9):
+            got = sorted_groups.select_rows(shifts, subtract, k).tolist()
+            want = [buffer_select(values, group_of, row, subtract, k).hex() for row in shifts]
+            assert [value.hex() for value in got] == want, (subtract, k)
