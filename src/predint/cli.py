@@ -17,14 +17,16 @@ import math
 import os
 import stat
 import sys
+import warnings
 
 from .audit import VARIANTS, run_audit
 from .dataset import _load_columns, _load_dataset, gen_gaussian_linear
 from .errors import ConfigError, DataError, PredintError
 from .experiments import (
     MethodSpec,
+    _evaluate,
+    _scored,
     default_method_list,
-    evaluate_methods,
     figure2_experiment,
     pathology_memorizer,
     pathology_parity,
@@ -54,7 +56,12 @@ def format_object(obj) -> tuple[str, str, str]:
         lower = obj.intervals[0].lower if obj.intervals else math.inf
         upper = obj.intervals[-1].upper if obj.intervals else -math.inf
         return _fmt(lower), _fmt(upper), comps
-    return _fmt(obj.lower), _fmt(obj.upper), f"{_fmt(obj.lower)}:{_fmt(obj.upper)}"
+    return _interval_cells(obj.lower, obj.upper)
+
+
+def _interval_cells(lower, upper) -> tuple[str, str, str]:
+    """:func:`format_object`'s cells for the interval [lower, upper]."""
+    return _fmt(lower), _fmt(upper), f"{_fmt(lower)}:{_fmt(upper)}"
 
 
 def _parse_list(text: str, parse=str, error: str = "") -> list:
@@ -156,18 +163,16 @@ def cmd_intervals(args) -> int:
         inflation_eps=args.eps,
     )
     regressor, regressor_echo = _regressor(args)
-    objects = evaluate_methods(
-        train, X_test, regressor, methods, [spec], args.seed,
-        strict=args.strict_folds,
-    )
+    results = _evaluate(train, X_test, regressor, methods, [spec], args.seed, args.strict_folds)
+    hits = [None if y_test is None else _scored(ends, y_test)[0] for (ends,) in results]
 
     def rows():
         for j in range(len(X_test)):
-            for token, (per_row,) in zip(tokens, objects):
-                obj = per_row[j]
-                lower, upper, comps = format_object(obj)
-                covered = "" if y_test is None else ("1" if obj.contains(float(y_test[j])) else "0")
-                yield [j, token, _fmt(spec.alpha), lower, upper, comps, covered]
+            for token, (ends,), hit in zip(tokens, results, hits):
+                cells = (format_object(ends[j]) if isinstance(ends, list)
+                         else _interval_cells(ends[0][j], ends[1][j]))
+                covered = "" if hit is None else ("1" if hit[j] else "0")
+                yield [j, token, _fmt(spec.alpha), *cells, covered]
 
     _write_output(
         args.out,
@@ -406,10 +411,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            return args.func(args)
     except PredintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, DataError) else 2
+
+
+def _warning_line(message, *_) -> None:
+    """Show a warning as one ``warning: <message>`` line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def console_main() -> None:

@@ -30,8 +30,8 @@ from .intervals import (
     IntervalSpec,
     PredictionInterval,
     _Block,
+    _check_method,
     _query_rows,
-    _require_folds,
     _residual_quantiles,
     build_loo_cache,
 )
@@ -205,17 +205,16 @@ def _evaluate(train, X_test, regressor, methods, specs, seed, strict) -> list:
     interval method's endpoint arrays (lower, upper), or a set method's sets."""
     methods = _require_sequence("methods", methods, MethodSpec)
     specs = _require_sequence("specs", specs, IntervalSpec)
-    if train.n == 0:
-        raise ConfigError("the training set is empty; every method needs at least one row")
     X_test = _query_rows(X_test, train.d)
     n, table = train.n, [_METHODS[m.method] for m in methods]
     ks = [{"n": n, "k": m.k_folds or n}.get(method.folds) for method, m in zip(table, methods)]
+    for m, k in zip(methods, ks):  # every entry, before the first fit
+        _check_method(m.method, specs, n, k)
     caches = {k: build_loo_cache(train, regressor, k, strict=strict,
                                  fold_seed=derive_seed(seed, f"folds/{k}") if k < n else 0)
               for k in dict.fromkeys(ks) if k is not None}
     fits = _Fits(train, regressor, seed, caches.get(n))
-    sources = [fits if k is None else _require_folds(caches[k], method.folds, m.method)
-               for method, m, k in zip(table, methods, ks)]
+    sources = [fits if k is None else caches[k] for k in ks]
 
     # Each model predicts once per block of rows, for every method and level.
     taus = _uniforms(derive_seed(seed, "tau"), len(X_test))
@@ -247,9 +246,10 @@ def run_trial(
     """Evaluate every (method, spec) on one train/test draw.
 
     Returns ``{(label, spec_index): CoverageReport}``, each a one-row report
-    (``trials == 1``): the coverage fraction and mean finite width over the
-    test points. The results come from :func:`evaluate_methods`, so fits are
-    shared across methods and levels; intervals are scored as endpoint arrays.
+    (``trials == 1``) scored by :func:`_scored`: the coverage fraction, mean
+    finite width (NaN when none is finite) and count of infinite widths over
+    the test points. Fits are shared across methods and levels, as in
+    :func:`evaluate_methods`; intervals are scored as endpoint arrays.
     """
     methods = _require_sequence("methods", methods, MethodSpec)
     specs = _require_sequence("specs", specs, IntervalSpec)
@@ -262,29 +262,26 @@ def run_trial(
         raise ConfigError(f"duplicate method labels: {labels}")
 
     results = _evaluate(train, test.features, regressor, methods, specs, seed, False)
-    return {
-        (label, si): _trial_report(label, specs[si].alpha, ends, test.responses)
-        for label, per_spec in zip(labels, results)
-        for si, ends in enumerate(per_spec)
-    }
+    reports = {}
+    for label, per_spec in zip(labels, results):
+        for si, ends in enumerate(per_spec):
+            hits, widths = _scored(ends, test.responses)
+            finite = widths[np.isfinite(widths)]
+            width_mean = float(np.mean(finite)) if finite.size else math.nan
+            reports[label, si] = CoverageReport(label, specs[si].alpha, (float(np.mean(hits)),),
+                                                (width_mean,), int(np.isinf(widths).sum()))
+    return reports
 
 
-def _trial_report(label: str, alpha: float, ends, responses) -> CoverageReport:
-    """One-row report of one method on one test draw from its endpoint arrays
-    or its sets: coverage, mean finite width (NaN when none is finite) and the
-    count of infinite widths, each width as :class:`PredictionInterval`'s."""
+def _scored(ends, responses):
+    """The hits and widths of one method's endpoint arrays or sets at the test
+    responses, each width as :class:`PredictionInterval`'s."""
     if isinstance(ends, list):
-        hits = [s.contains(y) for s, y in zip(ends, responses)]
-        widths = np.array([s.width for s in ends])
-    else:
-        lower, upper = ends
-        hits = (lower <= responses) & (responses <= upper)
-        with np.errstate(invalid="ignore"):
-            widths = np.where(lower > upper, 0.0, upper - lower)
-    finite = widths[np.isfinite(widths)]
-    width_mean = float(np.mean(finite)) if finite.size else math.nan
-    return CoverageReport(label, alpha, (float(np.mean(hits)),), (width_mean,),
-                          int(np.isinf(widths).sum()))
+        return [s.contains(y) for s, y in zip(ends, responses)], np.array([s.width for s in ends])
+    lower, upper = ends
+    with np.errstate(invalid="ignore"):
+        widths = np.where(lower > upper, 0.0, upper - lower)
+    return (lower <= responses) & (responses <= upper), widths
 
 
 def default_method_list(n: int, k_folds: int = 10) -> list[MethodSpec]:
@@ -503,8 +500,9 @@ def pathology_parity(
         return gen_pathological_abc(size, alpha, gamma, derive_seed(seed, tag, t), tau)
 
     def trial(t):
-        # The adversary fits two leave-one-out models, so jackknife+ answers
-        # a block of queries by one bisection over their sorted residuals.
+        # The adversary fits two leave-one-out models, so jackknife+ selects a
+        # block of queries' endpoints from their two sorted residual groups by
+        # elimination.
         return run_trial(draw(n, "parity-train", t), draw(n_test, "parity-test", t),
                          ParityAdversary(tau), methods, specs)
 

@@ -3,10 +3,12 @@
 Eight constructions share the two corrected quantile operators; each is one
 row of the method table ``_METHODS``, whose builder answers a block of query
 rows. Naive (in-sample residual quantile around the full fit) and split
-(holdout residual quantile around the split fit) are built only by
-:func:`predint.experiments.evaluate_methods`. The other six are public here,
-each its builder on a block of one row; the four intervals take ``(cache,
-spec, x)``, ``cache`` a :class:`LooCache`:
+(holdout residual quantile around the split fit) have no public function:
+``experiments._evaluate`` builds them, for
+:func:`predint.experiments.evaluate_methods`, the trials and the
+``intervals`` command. The other six are public here, each its builder on a
+block of one row; the four intervals take ``(cache, spec, x)``, ``cache`` a
+:class:`LooCache`:
 
 * ``jackknife``          - leave-one-out residual quantile around the full fit
 * ``jackknife_plus``     - quantiles of per-point leave-one-out predictions
@@ -24,7 +26,9 @@ rather than silently swapped. The interval methods accept an epsilon
 inflation and an asymmetric (signed-residual) mode; the two set-valued
 methods are rank tests on absolute residuals and reject both options. Both
 turn their mask of accepted cells (sweep gaps and breakpoints, or grid points)
-into components through one run merger, ``_runs_to_set``.
+into components through one run merger, ``_runs_to_set``. One check,
+``_check_method``, reads that rule and the folds each method needs from the
+table; ``_evaluate`` runs it on every entry before its first fit.
 """
 
 from __future__ import annotations
@@ -449,9 +453,9 @@ def _cv_plus_block(cache: LooCache, mspec, spec: IntervalSpec, block: _Block):
 
 def _at(token: str, cache: LooCache, spec: IntervalSpec, x, tau=None):
     """Method ``token``'s interval or set at the query point x: its builder on one row."""
-    folds, build, _ = _METHODS[token]
     block = _Block(_query_rows(x, cache.train.d, one=True), [tau])
-    ends = build(_require_folds(cache, folds, token), None, spec, block)
+    _check_method(token, [spec], cache.n, cache.k_folds)
+    ends = _METHODS[token].build(cache, None, spec, block)
     if isinstance(ends, list):
         return ends[0]
     return PredictionInterval(float(ends[0][0]), float(ends[1][0]))
@@ -488,23 +492,20 @@ def jackknife_minmax(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterv
     return _at("jackknife-mm", cache, spec, x)
 
 
-def _require_folds(cache: LooCache, folds: str, name: str) -> LooCache:
-    """``cache``, checked to be the cache of ``folds`` that method ``name`` reads."""
-    if folds == "n" and cache.n < 2:
-        raise ConfigError(f"{name} needs at least 2 training rows")
-    if folds == "n" and cache.k_folds != cache.n:
-        raise ConfigError(f"{name} needs a leave-one-out cache (k_folds == n)")
-    if cache.k_folds < 2:
-        raise ConfigError(f"{name} needs at least 2 folds")
-    return cache
-
-
-def _require_plain_spec(spec: IntervalSpec, name: str) -> None:
-    if spec.asymmetric:
-        raise ConfigError(f"{name} is a rank test on absolute residuals; "
-                          "asymmetric mode is not defined")
-    if spec.inflation_eps != 0.0:
-        raise ConfigError(f"{name} does not define epsilon inflation")
+def _check_method(token: str, specs, n: int, k: int | None) -> None:
+    """Raise method ``token``'s ConfigError, if any, at ``specs``, n rows and k folds."""
+    folds, _, _, rank_test = _METHODS[token]
+    if n < 1:
+        raise ConfigError(f"the training set is empty; {token} needs at least one row")
+    if folds == "n" and n < 2:
+        raise ConfigError(f"{token} needs at least 2 training rows")
+    if folds == "n" and k != n:
+        raise ConfigError(f"{token} needs a leave-one-out cache (k_folds == n)")
+    if folds and not 2 <= k <= n:
+        raise ConfigError(f"{token} needs at least 2 folds and at most n = {n}, got {k}")
+    if rank_test and any(spec.asymmetric or spec.inflation_eps != 0.0 for spec in specs):
+        raise ConfigError(f"{token} is a rank test on absolute residuals; it defines "
+                          "neither asymmetric mode nor epsilon inflation")
 
 
 def _strict_needed(n: int, alpha, tau):
@@ -549,7 +550,6 @@ def cross_conformal_set(
 
 def _cross_conformal_block(cache: LooCache, mspec, spec: IntervalSpec, block: _Block) -> list:
     """The cross-conformal set at each row of a block, by one sorted sweep."""
-    _require_plain_spec(spec, "cross-conformal")
     n, r, sets = cache.n, cache.residuals, []
     for row, tau in zip(block.predictions(cache.models), block.taus):
         need, m = _strict_needed(n, spec.alpha, tau), row[cache.model_of]
@@ -610,9 +610,7 @@ def full_conformal_set(
     points merge into closed intervals. The fits are ``regressor.fit``'s on
     one augmented buffer whose last response each candidate overwrites.
     """
-    _require_plain_spec(spec, "full-conformal")
-    if train.n == 0:
-        raise ConfigError("the training set is empty; full conformal needs at least one row")
+    _check_method("full-conformal", [spec], train.n, None)
     if grid is None:
         grid = GridSpec()
     elif not isinstance(grid, GridSpec):
@@ -662,11 +660,13 @@ class _Method(NamedTuple):
     """A method's row of the one table every dispatch reads: the cache it reads
     (``folds`` "n", "k" for its K or n, or None), ``build(source, mspec, spec,
     block)`` answering a :class:`_Block` from that cache or from
-    ``experiments._Fits``, and ``floor``, its coverage_lower_bounds key."""
+    ``experiments._Fits``, ``floor``, its coverage_lower_bounds key, and
+    ``rank_test``, true for a rank test: it takes only symmetric, uninflated levels."""
 
     folds: str | None
     build: Callable
     floor: str | None = None
+    rank_test: bool = False
 
 
 _METHODS = {
@@ -680,8 +680,9 @@ _METHODS = {
     "jackknife-mm": _Method("n", lambda cache, mspec, spec, block: _fixed_center(
         cache.models, cache._quantiles, spec, block), "jackknife_minmax"),
     "cv+": _Method("k", _cv_plus_block, "cv_plus_floor"),  # the floor that holds at every K
-    "cross-conformal": _Method("k", _cross_conformal_block),
+    "cross-conformal": _Method("k", _cross_conformal_block, rank_test=True),
     "full-conformal": _Method(None, lambda fits, mspec, spec, block: [
-        full_conformal_set(fits.train, fits.regressor, spec, x, mspec.grid) for x in block.X]),
+        full_conformal_set(fits.train, fits.regressor, spec, x, mspec.grid) for x in block.X],
+        rank_test=True),
 }
 METHOD_TOKENS = tuple(_METHODS)

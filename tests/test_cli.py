@@ -31,12 +31,13 @@ from predint import (
     jackknife_plus,
     lower_quantile,
     pathology_parity,
+    run_trial,
     upper_quantile,
 )
 import predint.cli
 import predint.dataset
-from predint.cli import (EXPERIMENTS, _SIMULATE_ECHO, _UNECHOED, _regressor, _write_output,
-                         build_parser, format_object, main)
+from predint.cli import (EXPERIMENTS, _SIMULATE_ECHO, _UNECHOED, _interval_cells, _regressor,
+                         _write_output, build_parser, format_object, main)
 from predint.regressors import _CLASSES, _SETTINGS
 from predint.rng import _uniforms
 from helpers import derive_rng
@@ -296,6 +297,34 @@ class TestIntervalsOracle:
         got = [[r[0], r[1], r[3], r[4], r[5]] for r in rows]
         spec = IntervalSpec(**levels)
         assert got == self.reference_rows(spec, methods)
+
+    def test_rows_build_no_interval_and_are_scored_as_a_trial(self, tmp_path, seeded_files,
+                                                              monkeypatch):
+        # The command formats _evaluate's endpoint arrays, and its covered
+        # column comes from the scorer of run_trial's reports.
+        built = []
+        init = PredictionInterval.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PredictionInterval, "__init__", counted)
+        train, test = seeded_files
+        argv = ["intervals", "--train", train, "--test", test, "--k", str(self.K),
+                "--seed", str(self.SEED), "--alpha", "0.5"]
+        rc, _ = run_to_file(tmp_path, argv + [f"--method={m}" for m in INTERVAL_METHODS])
+        assert (rc, built) == (0, [])
+        rc, text = run_to_file(tmp_path, argv + [f"--method={m}" for m in ALL_METHODS])
+        assert rc == 0
+        _, rows = data_rows(text)
+        methods = [MethodSpec(m, k_folds=self.K) for m in ALL_METHODS]
+        stats = run_trial(self.TRAIN, self.TEST, MinNormOLS(), methods, [IntervalSpec(0.5)],
+                          seed=self.SEED)
+        for mspec in methods:
+            covered = [int(row[6]) for row in rows if row[1] == mspec.method]
+            assert len(covered) == self.TEST.n
+            assert stats[(mspec.label, 0)].coverages == (float(np.mean(covered)),), mspec.label
 
 
 class TestExitCodes:
@@ -617,6 +646,25 @@ class TestExitCodes:
         else:
             assert rc == 3
             assert len(err) == 1 and err[0].startswith("error:"), err
+
+    def test_a_warning_is_one_line_on_stderr(self, tmp_path, worked_files, capsys):
+        # It printed the warning's file and line, then the source line that
+        # raised it. Each run shows it, and the CSV is the one a run that
+        # ignores warnings writes.
+        train, test = worked_files
+        argv = ["intervals", "--train", train, "--test", test, "--regressor", "mean",
+                "--alpha", "0.5", "--method", "cv+", "--k", "2"]
+        line = "warning: k_folds=2 does not divide n=3; fold sizes will differ by one\n"
+        texts = []
+        for _ in range(2):
+            rc, text = run_to_file(tmp_path, argv)
+            assert (rc, capsys.readouterr().err) == (0, line)
+            texts.append(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            texts.append(run_to_file(tmp_path, argv)[1])
+        assert capsys.readouterr().err == ""
+        assert texts[0] == texts[1] == texts[2]
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -964,16 +1012,17 @@ class TestStreamedOutput:
 
     @pytest.fixture
     def failing_row_three(self, monkeypatch, golden_cases):
-        """The intervals argv, with format_object raising on its third call."""
+        """The intervals argv, with the interval row formatter raising on its
+        third call, after the CSV has its first rows."""
         calls = []
 
-        def format_or_fail(obj):
-            calls.append(obj)
+        def cells_or_fail(lower, upper):
+            calls.append((lower, upper))
             if len(calls) == 3:
                 raise DataError("row 3 cannot be formatted")
-            return format_object(obj)
+            return _interval_cells(lower, upper)
 
-        monkeypatch.setattr(predint.cli, "format_object", format_or_fail)
+        monkeypatch.setattr(predint.cli, "_interval_cells", cells_or_fail)
         return golden_cases[0][0]
 
     def test_a_failing_row_leaves_no_partial_file(self, failing_row_three, tmp_path, capsys):

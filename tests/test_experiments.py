@@ -213,9 +213,27 @@ class TestRunTrial:
         ([MethodSpec("naive")], IntervalSpec(0.1), "specs must be a sequence"),
         (["naive"], [IntervalSpec(0.1)], "methods must hold MethodSpec entries, got 'naive'"),
         ("naive", [IntervalSpec(0.1)], "methods must be a sequence, got 'naive'"),
-    ], ids=["float-spec", "bare-spec", "string-method", "bare-string"])
+        ([MethodSpec("jackknife+"), MethodSpec("cross-conformal", k_folds=3)],
+         [IntervalSpec(0.2, alpha_lo=0.1, alpha_hi=0.1)],
+         "cross-conformal is a rank test on absolute residuals; it defines neither"),
+        ([MethodSpec("jackknife+"), MethodSpec("full-conformal")],
+         [IntervalSpec(0.2, alpha_lo=0.1, alpha_hi=0.1)], "full-conformal is a rank test"),
+        ([MethodSpec("jackknife+"), MethodSpec("cross-conformal")],
+         [IntervalSpec(0.2), IntervalSpec(0.2, inflation_eps=0.1)],
+         "cross-conformal is a rank test"),
+        ([MethodSpec("jackknife+"), MethodSpec("full-conformal")],
+         [IntervalSpec(0.2, inflation_eps=0.1)], "full-conformal is a rank test"),
+        ([MethodSpec("jackknife+"), MethodSpec("cv+", k_folds=1)], [IntervalSpec(0.2)],
+         r"cv\+ needs at least 2 folds and at most n = 6, got 1"),
+        ([MethodSpec("jackknife+"), MethodSpec("cv+", k_folds=7)], [IntervalSpec(0.2)],
+         r"cv\+ needs at least 2 folds and at most n = 6, got 7"),
+    ], ids=["float-spec", "bare-spec", "string-method", "bare-string",
+            "cross-conformal-asymmetric", "full-conformal-asymmetric", "cross-conformal-eps",
+            "full-conformal-eps", "cv+-k=1", "cv+-k>n"])
     def test_entries_are_checked_before_any_fit(self, methods, specs, message):
-        # A float spec or a string method raised AttributeError.
+        # A float spec or a string method raised AttributeError. The level and
+        # fold checks of every entry ran only after the caches of the entries
+        # before it were fitted, or, for the set methods' levels, all of them.
         train, test = gaussian_split(6, 2, 1, seed=8)
         reg = CountingRegressor(MinNormOLS())
         with pytest.raises(ConfigError, match=message):
@@ -353,6 +371,19 @@ class TestEvaluateMethods:
         capsys.readouterr()
         assert rc == 0
         assert reg.fits == 3 + 1  # one fit per left-out row, one full fit
+
+    def test_cli_fold_errors_come_before_any_fit(self, monkeypatch, tmp_path, capsys):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        train.write_text("x,y\n0,0\n1,0\n2,3\n")
+        test.write_text("x,y\n1,0\n")
+        reg = CountingRegressor(MinNormOLS())
+        monkeypatch.setattr(predint.cli, "make_regressor", lambda *a, **kw: reg)
+        for k in ("1", "4"):
+            rc = predint.cli.main(["intervals", "--train", str(train), "--test", str(test),
+                                   "--method", "jackknife+", "--method", "cv+", "--k", k])
+            assert (rc, capsys.readouterr().err) == (
+                2, f"error: cv+ needs at least 2 folds and at most n = 3, got {k}\n")
+        assert reg.fits == 0
 
     def test_one_residual_quantile_per_vector_and_level(self, monkeypatch):
         import predint.intervals as intervals
