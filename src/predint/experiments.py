@@ -18,6 +18,7 @@ both the width mean and its standard error.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,17 +158,18 @@ def evaluate_methods(
     ``specs[s]`` for row j of ``X_test``. Entries follow list positions, so a
     repeated method gives repeated entries. Fits are shared: one cache per
     distinct K (fold seed ``derive_seed(seed, f"folds/{K}")``, derived for
-    K < n only, since a leave-one-out cache deals no folds; ``strict`` as
-    in :func:`build_loo_cache`), one full fit, made only when naive or
-    jackknife reads it and shared through the leave-one-out cache when there
-    is one, one split fit per holdout fraction (``SplitSpec``'s positions at
-    seed ``derive_seed(seed, "split")``, dealt over the canonical row order),
-    and one cross-conformal tau per query row, shared across levels: the
-    uniforms of ``random.Random(derive_seed(seed, "tau"))``, the one
-    generator every predint draw comes from. Each residual quantile is
-    computed once per residual vector and level. Methods are computed a block
-    of rows at a time, each model predicting once a block for all of them;
-    interval objects are made only for the return.
+    K < n only, since a leave-one-out cache deals no folds), one full fit,
+    made only when naive or jackknife reads it and shared through the
+    leave-one-out cache when there is one, one split fit per holdout fraction
+    (``SplitSpec``'s positions at seed ``derive_seed(seed, "split")``, dealt
+    over the canonical row order), and one cross-conformal tau per query row,
+    shared across levels: the uniforms of ``random.Random(derive_seed(seed,
+    "tau"))``, the one generator every predint draw comes from. Each residual
+    quantile is computed once per residual vector and level. Before any fit,
+    each K < n that does not divide n warns once (fold sizes differ by one),
+    or raises ConfigError if ``strict``. Each cache, and the full and split
+    fits together, predict a block of rows at a time for every method reading
+    them; interval objects are made only for the return.
     """
     return [[ends if isinstance(ends, list) else
              list(map(PredictionInterval, ends[0].tolist(), ends[1].tolist())) for ends in per_spec]
@@ -210,21 +212,27 @@ def _evaluate(train, X_test, regressor, methods, specs, seed, strict) -> list:
     ks = [{"n": n, "k": m.k_folds or n}.get(method.folds) for method, m in zip(table, methods)]
     for m, k in zip(methods, ks):  # every entry, before the first fit
         _check_method(m.method, specs, n, k)
-    caches = {k: build_loo_cache(train, regressor, k, strict=strict,
-                                 fold_seed=derive_seed(seed, f"folds/{k}") if k < n else 0)
-              for k in dict.fromkeys(ks) if k is not None}
-    fits = _Fits(train, regressor, seed, caches.get(n))
-    sources = [fits if k is None else caches[k] for k in ks]
+    for k in dict.fromkeys(k for k in ks if k and n % k):  # each uneven K, before any fit
+        if strict:
+            raise ConfigError(f"k_folds={k} does not divide n={n} (strict mode)")
+        warnings.warn(f"k_folds={k} does not divide n={n}; fold sizes will differ by one",
+                      stacklevel=3)
+    sources = {k: build_loo_cache(train, regressor, k,
+                                  fold_seed=derive_seed(seed, f"folds/{k}") if k < n else 0)
+               for k in dict.fromkeys(ks) if k is not None}
+    sources[None] = _Fits(train, regressor, seed, sources.get(n))
 
-    # Each model predicts once per block of rows, for every method and level.
+    # Each source walks the rows in its own blocks, of about _POINT_BLOCK predictions.
     taus = _uniforms(derive_seed(seed, "tau"), len(X_test))
-    step = max(1, _POINT_BLOCK // max([len(c.models) for c in caches.values()], default=1))
     out = [[[] for _ in specs] for _ in methods]
-    for start in range(0, len(X_test), step):
-        block = _Block(X_test[start:start + step], taus[start:start + step])
-        for mspec, method, source, per_spec in zip(methods, table, sources, out):
-            for spec, parts in zip(specs, per_spec):
-                parts.append(method.build(source, mspec, spec, block))
+    for key in dict.fromkeys(ks):
+        step = _POINT_BLOCK if key is None else max(1, _POINT_BLOCK // len(sources[key].models))
+        readers = [entry for entry, k in zip(zip(methods, table, out), ks) if k == key]
+        for start in range(0, len(X_test), step):
+            block = _Block(X_test[start:start + step], taus[start:start + step])
+            for mspec, method, per_spec in readers:
+                for spec, parts in zip(specs, per_spec):
+                    parts.append(method.build(sources[key], mspec, spec, block))
     return [[_joined(parts) for parts in per_spec] for per_spec in out]
 
 

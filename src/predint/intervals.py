@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -310,7 +309,6 @@ def build_loo_cache(
     k_folds: int | None = None,
     *,
     fold_seed: int = 0,
-    strict: bool = False,
 ) -> LooCache:
     """Fit the K fold models (K defaults to n, i.e. leave-one-out) through
     :meth:`Regressor.fit_folds`.
@@ -318,9 +316,10 @@ def build_loo_cache(
     The fold partition is dealt uniformly at random over the canonical row
     order, so it is a function of row content, not row order: the deal is
     the stable argsort of n uniforms of ``random.Random(fold_seed)``. At
-    K = n every fold is a singleton, so ``fold_seed`` is unused. With
-    ``strict`` set, K must divide n; otherwise fold sizes may differ by
-    one and a warning is emitted. For an explicit partition ``fold_of``, build
+    K = n every fold is a singleton, so ``fold_seed`` is unused. When K does
+    not divide n, fold sizes differ by one, silently here;
+    :func:`predint.experiments.evaluate_methods` warns or, strict, refuses
+    before it fits anything. For an explicit partition ``fold_of``, build
     ``LooCache(train, regressor, fold_of)``.
     """
     n = train.n
@@ -333,13 +332,6 @@ def build_loo_cache(
     if k == n:
         fold_of = None
     else:
-        if n % k != 0:
-            if strict:
-                raise ConfigError(f"k_folds={k} does not divide n={n} (strict mode)")
-            warnings.warn(
-                f"k_folds={k} does not divide n={n}; fold sizes will differ by one",
-                stacklevel=2,
-            )
         order = canonical_order(train.features, train.responses)
         deal = order[_permutation(fold_seed, n, "fold_seed")]
         fold_of = np.empty(n, dtype=int)
@@ -412,10 +404,10 @@ def _fixed_center(models, quantiles, spec: IntervalSpec, block: _Block):
 
 # cv+ selects from each model's sorted residuals when the models have at
 # least this many rows each on average, else from candidate rows. At that n,
-# in _evaluate's blocks of _POINT_BLOCK // G rows on a 2-vCPU Xeon, an endpoint
-# costs about 1, 5, 20, 110-180 and 660-770 us grouped and 50, 65-90, 130,
-# 290-460 and 920-960 us by partition at G = 3, 5, 10, 24 and 48. A block of
-# one row pays every elimination round alone: 2.8 ms at n = 1e5, G = 10.
+# in _evaluate's blocks of _POINT_BLOCK // G rows (G this cache's models) on a
+# 2-vCPU Xeon, an endpoint costs about 1, 5, 20, 110-180 and 660-770 us grouped
+# and 50, 65-90, 130, 290-460 and 920-960 us by partition at G = 3, 5, 10, 24
+# and 48. A lone query pays every elimination round: 2.8 ms at n = 1e5, G = 10.
 _GROUPED_ROWS_PER_MODEL = 4096
 
 
@@ -497,7 +489,7 @@ def _check_method(token: str, specs, n: int, k: int | None) -> None:
     folds, _, _, rank_test = _METHODS[token]
     if n < 1:
         raise ConfigError(f"the training set is empty; {token} needs at least one row")
-    if folds == "n" and n < 2:
+    if (folds == "n" or token == "split") and n < 2:
         raise ConfigError(f"{token} needs at least 2 training rows")
     if folds == "n" and k != n:
         raise ConfigError(f"{token} needs a leave-one-out cache (k_folds == n)")

@@ -647,6 +647,7 @@ class TestExitCodes:
             assert rc == 3
             assert len(err) == 1 and err[0].startswith("error:"), err
 
+    @pytest.mark.filterwarnings("default:k_folds=:UserWarning")
     def test_a_warning_is_one_line_on_stderr(self, tmp_path, worked_files, capsys):
         # It printed the warning's file and line, then the source line that
         # raised it. Each run shows it, and the CSV is the one a run that

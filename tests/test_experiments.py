@@ -1,6 +1,7 @@
 """Experiment harness: trial bookkeeping, reports, and the pathology runs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from predint import (
     MinNormOLS,
     ParityAdversary,
     PredictionInterval,
-    Regressor,
     aggregate,
     default_method_list,
     derive_seed,
@@ -38,7 +38,7 @@ from predint import (
     run_trial,
 )
 from predint.rng import _normals
-from helpers import derive_rng
+from helpers import CountingRegressor, derive_rng
 
 MEAN = ConstantMean()
 
@@ -281,19 +281,6 @@ def test_a_trial_of_interval_methods_builds_no_interval_object(monkeypatch):
     assert stats[("jackknife+", 3)].infinite_count == test.n
 
 
-class CountingRegressor(Regressor):
-    """Passes every fit through to ``inner`` and counts it at the training
-    hook, which full, split and fold fits all reach."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.fits = 0
-
-    def _fit(self, X, y):
-        self.fits += 1
-        return self.inner._fit(X, y)
-
-
 class TestEvaluateMethods:
     @pytest.mark.parametrize(
         "X_test",
@@ -383,7 +370,79 @@ class TestEvaluateMethods:
                                    "--method", "jackknife+", "--method", "cv+", "--k", k])
             assert (rc, capsys.readouterr().err) == (
                 2, f"error: cv+ needs at least 2 folds and at most n = 3, got {k}\n")
+        # Strict, K = 2 on 3 rows raised after jackknife+'s three fits.
+        rc = predint.cli.main(["intervals", "--train", str(train), "--test", str(test),
+                               "--method", "jackknife+", "--method", "cv+", "--k", "2",
+                               "--strict-folds"])
+        assert (rc, capsys.readouterr().err) == (
+            2, "error: k_folds=2 does not divide n=3 (strict mode)\n")
         assert reg.fits == 0
+
+    def test_uneven_folds_are_refused_or_warned_before_any_fit(self):
+        # Both came from the cache builder, after the 20 leave-one-out fits of
+        # the jackknife+ entry before cv+.
+        train, test = gaussian_split(20, 2, 2, seed=17)
+        reg, specs = CountingRegressor(MinNormOLS()), [IntervalSpec(0.2)]
+        methods = [MethodSpec("jackknife+"), MethodSpec("cv+", k_folds=7)]
+        with pytest.raises(ConfigError, match=r"^k_folds=7 does not divide n=20 \(strict mode\)$"):
+            evaluate_methods(train, test.features, reg, methods, specs, strict=True)
+        assert reg.fits == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UserWarning, match="^k_folds=7 does not divide n=20; fold sizes"):
+                evaluate_methods(train, test.features, reg, methods, specs)
+            with pytest.raises(UserWarning, match="^k_folds=7 does not divide n=20; fold sizes"):
+                run_trial(train, test, reg, methods, specs)
+        assert reg.fits == 0
+
+    def test_one_warning_per_uneven_k_at_the_caller(self):
+        # cv+ and cross-conformal at K = 7 share one cache and one warning;
+        # K = 5 divides 20 and warns not at all. Each warning points at the
+        # line that called evaluate_methods or run_trial.
+        train, test = gaussian_split(20, 2, 1, seed=18)
+        methods = [MethodSpec("cv+", k_folds=7), MethodSpec("cross-conformal", k_folds=7),
+                   MethodSpec("cv+", k_folds=5), MethodSpec("jackknife-mm"),
+                   MethodSpec("cross-conformal", k_folds=3)]
+        specs = [IntervalSpec(0.2), IntervalSpec(0.4)]
+        with pytest.warns(UserWarning) as record:
+            evaluate_methods(train, test.features, MEAN, methods, specs)
+        with pytest.warns(UserWarning) as trial_record:
+            run_trial(train, test, MEAN, methods, specs)
+        for warned in (record, trial_record):
+            assert [str(w.message) for w in warned] == [
+                f"k_folds={k} does not divide n=20; fold sizes will differ by one"
+                for k in (7, 3)]
+            assert {w.filename for w in warned} == {__file__}
+
+    def test_a_split_of_one_row_fails_before_any_fit(self):
+        # It fitted the full model for naive, then raised "cannot split fewer
+        # than 2 rows".
+        one = Dataset([[0.0]], [1.0])
+        reg = CountingRegressor(MinNormOLS())
+        with pytest.raises(ConfigError, match="split needs at least 2 training rows"):
+            evaluate_methods(one, [[0.5]], reg, [MethodSpec("naive"), MethodSpec("split")],
+                             [IntervalSpec(0.5)])
+        assert reg.fits == 0
+
+    def test_each_cache_answers_in_its_own_blocks(self, monkeypatch):
+        # One block size, set by the 8192 models of jackknife+'s cache, gave
+        # cv+ one-row blocks, where elimination is slowest: 2 * q selections
+        # of one row. Each cache now sizes its own: cv+'s 2 models take the
+        # q rows in one block, and jackknife+ keeps its buffer path.
+        from predint.quantiles import _SortedGroups
+
+        rows, select = [], _SortedGroups.select_rows
+
+        def spy(self, shifts, subtract, k):
+            rows.append(len(shifts))
+            return select(self, shifts, subtract, k)
+
+        monkeypatch.setattr(_SortedGroups, "select_rows", spy)
+        train, test = gaussian_split(8192, 6, 1, seed=19)
+        methods = [MethodSpec("jackknife+"), MethodSpec("cv+", k_folds=2)]
+        out = evaluate_methods(train, test.features, MEAN, methods, [IntervalSpec(0.2)])
+        assert rows == [6, 6]
+        assert all(len(objs) == 6 for per_spec in out for objs in per_spec)
 
     def test_one_residual_quantile_per_vector_and_level(self, monkeypatch):
         import predint.intervals as intervals

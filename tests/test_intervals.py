@@ -14,7 +14,6 @@ paper:
 import itertools
 import math
 import tracemalloc
-import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -60,7 +59,7 @@ from predint import (
     upper_quantile,
 )
 from predint.intervals import _POINT_BLOCK, _Block, _cv_plus_block
-from helpers import derive_rng
+from helpers import CountingRegressor, derive_rng
 
 MEAN = ConstantMean()
 X_PROBE = np.array([1.0])
@@ -348,6 +347,18 @@ def test_bad_query_points_are_data_errors(builder, point, reg):
         builder(cache, point)
 
 
+def built_caches(monkeypatch) -> list:
+    """The caches evaluate_methods builds, listed as they are built."""
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(build_loo_cache(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(predint.experiments, "build_loo_cache", spy)
+    return built
+
+
 class TestCacheConstruction:
     def test_loo_is_the_default(self, worked):
         cache = build_loo_cache(worked, MEAN)
@@ -371,28 +382,44 @@ class TestCacheConstruction:
             assert not cache.fold_of.flags.writeable
             assert LooCache(train, reg).k_folds == 50
 
-    def test_fold_partition_properties(self):
+    def test_fold_partition_properties(self, monkeypatch):
+        # evaluate_methods warns that K = 5 deals 17 rows unevenly; the folds
+        # of the cache it builds differ in size by at most one.
         data, _ = gen_gaussian_linear(17, 2, seed=1)
+        caches = built_caches(monkeypatch)
         with pytest.warns(UserWarning, match="differ by one"):
-            cache = build_loo_cache(data, MEAN, 5, fold_seed=3)
-        sizes = np.bincount(cache.fold_of, minlength=5)
+            evaluate_methods(data, [[0.0, 0.0]], MEAN, [MethodSpec("cv+", k_folds=5)],
+                             [IntervalSpec(0.2)], seed=3)
+        sizes = np.bincount(caches[0].fold_of, minlength=5)
         assert sizes.sum() == 17
         assert sizes.max() - sizes.min() <= 1
 
     def test_strict_mode_requires_divisibility(self):
         data, _ = gen_gaussian_linear(17, 2, seed=1)
+        reg, specs = CountingRegressor(MEAN), [IntervalSpec(0.2)]
         with pytest.raises(ConfigError, match="strict"):
+            evaluate_methods(data, [[0.0, 0.0]], reg, [MethodSpec("cv+", k_folds=5)], specs,
+                             strict=True)
+        assert reg.fits == 0
+        for k in (17, None):  # K = n always fine
+            out = evaluate_methods(data, [[0.0, 0.0]], reg, [MethodSpec("cv+", k_folds=k)],
+                                   specs, strict=True)
+            assert len(out[0][0]) == 1
+        # The cache builder itself deals uneven folds silently, and has no
+        # strict mode: an unexpected divisibility warning fails the suite.
+        assert build_loo_cache(data, MEAN, 5).k_folds == 5
+        with pytest.raises(TypeError, match="strict"):
             build_loo_cache(data, MEAN, 5, strict=True)
-        built = build_loo_cache(data, MEAN, 17, strict=True)  # K = n always fine
-        assert built.k_folds == 17
 
-    def test_fold_partition_depends_on_content_not_order(self):
+    def test_fold_partition_depends_on_content_not_order(self, monkeypatch):
         data, _ = gen_gaussian_linear(12, 2, seed=2)
         perm = derive_rng(0, "fold-perm").permutation(12)
-        with pytest.warns(UserWarning):
-            a = build_loo_cache(data, MEAN, 5, fold_seed=9)
-        with pytest.warns(UserWarning):
-            b = build_loo_cache(data.take(perm), MEAN, 5, fold_seed=9)
+        caches = built_caches(monkeypatch)
+        for train in (data, data.take(perm)):
+            with pytest.warns(UserWarning, match="differ by one"):
+                evaluate_methods(train, [[0.0, 0.0]], MEAN, [MethodSpec("cv+", k_folds=5)],
+                                 [IntervalSpec(0.2)], seed=9)
+        a, b = caches
         # Row i of the original is row perm^-1(i)... simplest check: the
         # map from row content to fold label is identical.
         shuffled = data.take(perm)
@@ -445,9 +472,7 @@ class TestCacheConstruction:
     @pytest.mark.parametrize("k", [2, 5, 12])
     def test_dealt_folds_give_the_requested_k(self, k):
         data, _ = gen_gaussian_linear(12, 2, seed=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # K = 5 does not divide 12
-            cache = build_loo_cache(data, MEAN, k, fold_seed=1)
+        cache = build_loo_cache(data, MEAN, k, fold_seed=1)  # K = 5 does not divide 12
         assert cache.k_folds == len(cache.models) == k
 
     def test_k_bounds(self, worked):
@@ -557,9 +582,7 @@ class TestStructuralRelations:
         for seed in range(25):
             train, x, reg = random_case(seed)
             for k in (None, 3):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    cache = build_loo_cache(train, reg, k)
+                cache = build_loo_cache(train, reg, k)
                 spec = IntervalSpec(0.25)
                 hull = cv_plus(cache, spec, x)
                 s = cross_conformal_set(cache, spec, x, float(rng.random()))
