@@ -188,10 +188,8 @@ def run_audit(
     Returns a list of violation records (empty means the audit passed); each
     record carries the full instance so it can be replayed.
     """
-    if _require_int("trials", trials) < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    if _require_int("d", d) < 1:
-        raise ConfigError(f"d must be >= 1, got {d}")
+    _require_int("trials", trials, 1)
+    _require_int("d", d, 1)
     if _require_int("n", n) > 30:
         raise ConfigError("audit is limited to n <= 30 (pairwise fits are direct)")
     if n < 2:

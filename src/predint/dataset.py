@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, _require_int, _require_real
+from .errors import (ConfigError, DataError, _require_finite, _require_fraction, _require_int,
+                     _require_real)
 from .rng import _normals, _permutation, _uniforms
 
 __all__ = ["Dataset", "SplitSpec", "gen_gaussian_linear", "gen_pathological_abc"]
@@ -202,10 +203,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < _require_real("holdout_fraction", self.holdout_fraction) < 1:
-            raise ConfigError(
-                f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}"
-            )
+        _require_fraction("holdout_fraction", self.holdout_fraction)
 
     def resolve(self, n: int):
         """Return (train_idx, holdout_idx) as sorted integer arrays."""
@@ -225,10 +223,8 @@ def gen_gaussian_linear(n: int, d: int, seed: int):
     order, u the next d and the noise the last n. Pure function of
     (n, d, seed); returns ``(Dataset, beta)``.
     """
-    if _require_int("n", n) < 1:
-        raise ConfigError(f"n must be positive, got {n}")
-    if _require_int("d", d) < 1:
-        raise ConfigError(f"d must be positive, got {d}")
+    _require_int("n", n, 1)
+    _require_int("d", d, 1)
     z = _normals(seed, n * d + d + n)
     X = z[: n * d].reshape(n, d)
     u = z[n * d : n * d + d]
@@ -252,15 +248,13 @@ def gen_pathological_abc(n: int, alpha: float, gamma: float, seed: int,
     C = 2 u3 - 1. ``tau`` must be a finite real number; at the default 0 the
     responses are all zero.
     """
-    if _require_int("n", n) < 1:
-        raise ConfigError(f"n must be positive, got {n}")
+    _require_int("n", n, 1)
     p = 2.0 * _require_real("alpha", alpha) * (1.0 - _require_real("gamma", gamma))
     if not 0.0 < p < 1.0:
         raise ConfigError(
             f"need 0 < 2*alpha*(1-gamma) < 1; got {p} from alpha={alpha}, gamma={gamma}"
         )
-    if not math.isfinite(_require_real("tau", tau)):
-        raise ConfigError(f"tau must be finite, got {tau}")
+    _require_finite("tau", tau)
     X = _uniforms(seed, 3 * n).reshape(n, 3)
     X[:, 0] = X[:, 0] < p
     X[:, 1] = X[:, 1] >= 0.5

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, SplitSpec, gen_gaussian_linear, gen_pathological_abc
-from .errors import ConfigError, DataError, _require_int, _require_real, _require_sequence
+from .errors import (ConfigError, DataError, _require_finite, _require_fraction, _require_int,
+                     _require_sequence, _require_type)
 from .intervals import (
     _METHODS,
     GridSpec,
@@ -70,12 +71,10 @@ class MethodSpec:
         if self.method not in _METHODS:
             raise ConfigError(
                 f"unknown method {self.method!r}; expected one of {', '.join(_METHODS)}")
-        if self.k_folds is not None and _require_int("k_folds", self.k_folds) < 1:
-            raise ConfigError(f"k_folds must be >= 1, got {self.k_folds}")
-        if not 0 < _require_real("split_holdout", self.split_holdout) < 1:
-            raise ConfigError(f"split_holdout must be in (0, 1), got {self.split_holdout}")
-        if not isinstance(self.grid, GridSpec):
-            raise ConfigError(f"grid must be a GridSpec, got {self.grid!r}")
+        if self.k_folds is not None:
+            _require_int("k_folds", self.k_folds, 1)
+        _require_fraction("split_holdout", self.split_holdout)
+        _require_type("grid", self.grid, GridSpec)
 
     @property
     def label(self) -> str:
@@ -207,7 +206,8 @@ def _evaluate(train, X_test, regressor, methods, specs, seed, strict) -> list:
     interval method's endpoint arrays (lower, upper), or a set method's sets."""
     methods = _require_sequence("methods", methods, MethodSpec)
     specs = _require_sequence("specs", specs, IntervalSpec)
-    X_test = _query_rows(X_test, train.d)
+    X_test = _query_rows(X_test, _require_type("train", train, Dataset).d)
+    _require_type("regressor", regressor, Regressor)
     n, table = train.n, [_METHODS[m.method] for m in methods]
     ks = [{"n": n, "k": m.k_folds or n}.get(method.folds) for method, m in zip(table, methods)]
     for m, k in zip(methods, ks):  # every entry, before the first fit
@@ -263,8 +263,7 @@ def run_trial(
     specs = _require_sequence("specs", specs, IntervalSpec)
     if not methods or not specs:
         raise ConfigError("need at least one method and one spec")
-    if test.n < 1:
-        raise ConfigError(f"n_test must be >= 1, got {test.n}")
+    _require_int("n_test", _require_type("test", test, Dataset).n, 1)
     labels = [m.label for m in methods]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"duplicate method labels: {labels}")
@@ -296,8 +295,7 @@ def default_method_list(n: int, k_folds: int = 10) -> list[MethodSpec]:
     """The six default comparison methods (full conformal costs n_grid fits
     per test point and is opt-in)."""
     _require_int("n", n)
-    if _require_int("k_folds", k_folds) < 1:
-        raise ConfigError(f"k_folds must be >= 1, got {k_folds}")
+    _require_int("k_folds", k_folds, 1)
     k = k_folds if k_folds <= n and n % k_folds == 0 else None
     tokens = ("naive", "split", "jackknife", "jackknife+", "jackknife-mm")
     return [MethodSpec(token) for token in tokens] + [MethodSpec("cv+", k_folds=k)]
@@ -311,8 +309,7 @@ def _coverage_reports(trials: int, trial) -> dict:
     :func:`aggregate`, in the key order of the first trial, each report
     listing its rows in trial order.
     """
-    if _require_int("trials", trials) < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    _require_int("trials", trials, 1)
     rows: dict = {}
     for t in range(trials):
         for key, report in trial(t).items():
@@ -336,14 +333,13 @@ def figure2_experiment(
     linear model (the coefficient vector is redrawn every trial). Returns
     ``{d: {label: CoverageReport}}``.
     """
-    d_list = _require_sequence("d_list", d_list)
+    d_list = _require_sequence("d_list", d_list, distinct=True)
     if not d_list:
         raise ConfigError("d_list must name at least one feature dimension")
-    if len(set(d_list)) != len(d_list):
-        raise ConfigError(f"d_list must not repeat a dimension, got {d_list}")
     for d in d_list:  # every entry, before the first trial
-        if _require_int("d", d) < 1:
-            raise ConfigError(f"d must be >= 1, got {d}")
+        _require_int("d", d, 1)
+    _require_int("n", n, 1)
+    _require_int("n_test", n_test, 1)
     if methods is None:
         methods = default_method_list(n)
     specs = [IntervalSpec(alpha)]
@@ -382,12 +378,12 @@ def run_coverage_mc(
     # Every token is checked before the first trial, so a bad one late in
     # the list fails at once rather than after the earlier regressors' runs.
     regs = [make_regressor(t) for t in names]
-    alphas, k_list = _require_sequence("alphas", alphas), _require_sequence("k_list", k_list)
-    if _require_int("d", d) < 1:
-        raise ConfigError(f"d must be >= 1, got {d}")
-    for what, values in (("regressors", names), ("alphas", alphas)):
-        if len(set(values)) != len(values):
-            raise ConfigError(f"{what} must not repeat an entry, got {values}")
+    _require_sequence("regressors", names, distinct=True)
+    alphas = _require_sequence("alphas", alphas, distinct=True)
+    k_list = _require_sequence("k_list", k_list)
+    _require_int("d", d, 1)
+    _require_int("n", n, 1)
+    _require_int("n_test", n_test, 1)
     methods = [MethodSpec("jackknife+"), MethodSpec("jackknife-mm"), MethodSpec("split")]
     methods += [MethodSpec("cv+", k_folds=k) for k in k_list]
     specs = [IntervalSpec(a) for a in alphas]
@@ -425,6 +421,8 @@ def pathology_memorizer(
     The naive and jackknife intervals sit entirely above zero (coverage 0);
     jackknife+ pins its lower endpoint at 0 (coverage 1).
     """
+    _require_int("n", n, 1)
+    _require_int("n_test", n_test, 1)
     regressor = Memorizer(eps=eps)
     methods = [MethodSpec("naive"), MethodSpec("jackknife"), MethodSpec("jackknife+")]
     specs = [IntervalSpec(alpha)]
@@ -454,6 +452,8 @@ class ParityResult:
 
 
 def parity_vacuity_slack(n: int) -> float:
+    """The noncoverage slack 6*sqrt(log(n)/n) of the parity pathology at n >= 1 rows."""
+    _require_int("n", n, 1)
     return 6.0 * math.sqrt(math.log(n) / n)
 
 
@@ -474,16 +474,10 @@ def pathology_parity(
     slack 6*sqrt(log(n)/n) exceeds alpha, since the coverage window is then
     too loose to demonstrate anything.
     """
-    if not _require_real("eps", eps) > 0:
-        raise ConfigError(f"eps must be > 0, got {eps}")
-    if not math.isfinite(eps):
-        raise ConfigError(f"eps must be finite, got {eps}")
-    if not 0.0 < _require_real("alpha", alpha) < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    if _require_int("n_test", n_test) < 1:
-        raise ConfigError(f"n_test must be >= 1, got {n_test}")
-    if _require_int("n", n) < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
+    _require_finite("eps", eps, 0, strict=True)
+    _require_fraction("alpha", alpha)
+    _require_int("n_test", n_test, 1)
+    _require_int("n", n, 1)
     if n == 1:
         # log(1) = 0 zeroes the slack below, yet jackknife+ needs two rows.
         raise ConfigError("pathology is vacuous at n=1: jackknife+ needs at least "
@@ -496,8 +490,7 @@ def pathology_parity(
         )
     if gamma is None:
         gamma = (2.15 / alpha) * math.sqrt(math.log(n) / n)
-    if not 0.0 < _require_real("gamma", gamma) < 1.0:
-        raise ConfigError(f"gamma must be in (0, 1), got {gamma}")
+    _require_fraction("gamma", gamma)
     if tau is None:
         tau = eps * n
 

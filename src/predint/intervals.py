@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError, DataError, _require_int, _require_real
+from .errors import ConfigError, DataError, _require_finite, _require_int, _require_type
 from .quantiles import (
     _POINT_BLOCK,
     _check_alpha,
@@ -91,9 +91,7 @@ class IntervalSpec:
 
     def __post_init__(self):
         p, q = _check_alpha(self.alpha)
-        if not (math.isfinite(_require_real("inflation_eps", self.inflation_eps))
-                and self.inflation_eps >= 0.0):
-            raise ConfigError(f"inflation_eps must be finite and >= 0, got {self.inflation_eps}")
+        _require_finite("inflation_eps", self.inflation_eps, 0)
         if (self.alpha_lo is None) != (self.alpha_hi is None):
             raise ConfigError("asymmetric mode needs both alpha_lo and alpha_hi")
         if self.alpha_lo is not None:
@@ -133,8 +131,8 @@ class GridSpec:
         if _require_int("num_points", self.num_points) < 2:
             raise ConfigError(f"grid needs at least 2 points, got {self.num_points}")
         for bound in (self.lower, self.upper):
-            if bound is not None and not math.isfinite(_require_real("grid bounds", bound)):
-                raise ConfigError(f"grid bounds must be finite, got {bound}")
+            if bound is not None:
+                _require_finite("grid bounds", bound)
         if self.lower is not None and self.upper is not None and self.lower > self.upper:
             raise ConfigError("grid lower bound exceeds upper bound")
 
@@ -322,7 +320,8 @@ def build_loo_cache(
     before it fits anything. For an explicit partition ``fold_of``, build
     ``LooCache(train, regressor, fold_of)``.
     """
-    n = train.n
+    n = _require_type("train", train, Dataset).n
+    _require_type("regressor", regressor, Regressor)
     if n < 1:
         raise ConfigError("cannot build a cache from an empty training set")
     k = n if k_folds is None else _require_int("k_folds", k_folds)
@@ -445,8 +444,8 @@ def _cv_plus_block(cache: LooCache, mspec, spec: IntervalSpec, block: _Block):
 
 def _at(token: str, cache: LooCache, spec: IntervalSpec, x, tau=None):
     """Method ``token``'s interval or set at the query point x: its builder on one row."""
-    block = _Block(_query_rows(x, cache.train.d, one=True), [tau])
-    _check_method(token, [spec], cache.n, cache.k_folds)
+    block = _Block(_query_rows(x, _require_type("cache", cache, LooCache).train.d, one=True), [tau])
+    _check_method(token, [_require_type("spec", spec, IntervalSpec)], cache.n, cache.k_folds)
     ends = _METHODS[token].build(cache, None, spec, block)
     if isinstance(ends, list):
         return ends[0]
@@ -602,11 +601,10 @@ def full_conformal_set(
     points merge into closed intervals. The fits are ``regressor.fit``'s on
     one augmented buffer whose last response each candidate overwrites.
     """
-    _check_method("full-conformal", [spec], train.n, None)
-    if grid is None:
-        grid = GridSpec()
-    elif not isinstance(grid, GridSpec):
-        raise ConfigError(f"grid must be a GridSpec, got {grid!r}")
+    n = _require_type("train", train, Dataset).n
+    _require_type("regressor", regressor, Regressor)
+    _check_method("full-conformal", [_require_type("spec", spec, IntervalSpec)], n, None)
+    grid = GridSpec() if grid is None else _require_type("grid", grid, GridSpec)
     lo = float(grid.lower if grid.lower is not None else np.min(train.responses))
     hi = float(grid.upper if grid.upper is not None else np.max(train.responses))
     if lo > hi:

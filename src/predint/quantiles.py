@@ -165,12 +165,6 @@ class _SortedGroups:
         return offer(1).min(axis=0) + 0.0
 
 
-def _check_n(n: int) -> int:
-    if _require_int("n", n) < 0:
-        raise ConfigError(f"n must be >= 0, got {n}")
-    return int(n)
-
-
 def upper_index(n: int, alpha: float) -> int:
     """The 1-based order-statistic index ceil((1-alpha)(n+1)), computed exactly.
 
@@ -178,13 +172,13 @@ def upper_index(n: int, alpha: float) -> int:
     -inf and +inf respectively.
     """
     p, q = _check_alpha(alpha)
-    return -(-(q - p) * (_check_n(n) + 1) // q)
+    return -(-(q - p) * (int(_require_int("n", n, 0)) + 1) // q)
 
 
 def lower_index(n: int, alpha: float) -> int:
     """The 1-based order-statistic index floor(alpha(n+1)), computed exactly."""
     p, q = _check_alpha(alpha)
-    return p * (_check_n(n) + 1) // q
+    return p * (int(_require_int("n", n, 0)) + 1) // q
 
 
 def upper_quantile(values, alpha: float) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError, DataError, _require_int, _require_real
+from .errors import ConfigError, DataError, _require_finite, _require_int
 
 __all__ = [
     "FittedModel",
@@ -194,9 +194,7 @@ class Ridge(Regressor):
     intercept: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(_require_real("ridge lambda_rel", self.lambda_rel))
-                and self.lambda_rel >= 0):
-            raise ConfigError(f"ridge lambda_rel must be finite and >= 0, got {self.lambda_rel}")
+        _require_finite("ridge lambda_rel", self.lambda_rel, 0)
         if not isinstance(self.intercept, (bool, np.bool_)):
             raise ConfigError(f"ridge intercept must be a bool, got {self.intercept!r}")
 
@@ -243,8 +241,7 @@ class KNN(Regressor):
     k: int = 5
 
     def __post_init__(self):
-        if _require_int("k", self.k) < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+        _require_int("k", self.k, 1)
 
     def _fit(self, X, y):
         if self.k > len(y):
@@ -275,8 +272,7 @@ class Memorizer(Regressor):
     eps: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(_require_real("memorizer eps", self.eps)) and self.eps > 0):
-            raise ConfigError(f"memorizer eps must be finite and > 0, got {self.eps}")
+        _require_finite("memorizer eps", self.eps, 0, strict=True)
 
     def _fit(self, X, y):
         rows = frozenset(np.ascontiguousarray(row).tobytes() for row in X)
@@ -296,8 +292,7 @@ class ParityAdversary(Regressor):
     tau: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(_require_real("tau", self.tau)):
-            raise ConfigError(f"tau must be finite, got {self.tau}")
+        _require_finite("tau", self.tau)
 
     def _fit(self, X, y):
         return ParityModel(self.tau, float(np.prod(_parity_signs(X))))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .dataset import Dataset
-from .errors import ConfigError, DataError, _require_int, _require_real
+from .errors import ConfigError, DataError, _require_finite, _require_int
 from .quantiles import _check_alpha
 from .regressors import Regressor
 from .rng import derive_seed
@@ -72,12 +72,9 @@ def estimate_stability(
     """
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
-    if not (math.isfinite(_require_real("epsilon", epsilon)) and epsilon >= 0):
-        raise ConfigError(f"epsilon must be finite and >= 0, got {epsilon}")
-    if _require_int("n", n) < 2:
-        raise ConfigError(f"n must be >= 2, got {n}")
-    if _require_int("trials", trials) < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    _require_finite("epsilon", epsilon, 0)
+    _require_int("n", n, 2)
+    _require_int("trials", trials, 1)
 
     violations = 0
     for t in range(trials):

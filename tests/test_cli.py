@@ -458,8 +458,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flag, message, value",
-        [("--eps", "eps must be > 0", "nan"), ("--alpha", "alpha must be in (0, 1)", "nan"),
-         ("--eps", "eps must be finite", "inf")],
+        [("--eps", "eps must be finite and > 0", "nan"),
+         ("--alpha", "alpha must be in (0, 1)", "nan"),
+         ("--eps", "eps must be finite and > 0", "inf")],
         ids=["--eps-eps must be > 0", "--alpha-alpha must be in (0, 1)", "--eps-inf"],
     )
     def test_nan_parity_configuration(self, flag, message, value, capsys):
@@ -508,6 +509,16 @@ class TestExitCodes:
                    "--d-list", "2", "--d", "2", "--trials", "2", "--out", str(out)])
         assert rc == 2
         assert "n_test must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_simulate_names_a_bad_training_size(self, experiment, tmp_path, capsys):
+        # figure2 reported Dataset.head's "k must lie in [0, 95], got -5", and
+        # coverage-mc a fold count of -5.
+        out = tmp_path / "o.csv"
+        rc = main(["simulate", "--experiment", experiment, "--n", "-5", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: n must be >= 1, got -5\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [

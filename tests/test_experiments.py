@@ -730,6 +730,13 @@ class TestParityPathology:
 
     def test_slack_formula(self):
         assert parity_vacuity_slack(100) == 6.0 * math.sqrt(math.log(100) / 100)
+        assert parity_vacuity_slack(1) == 0.0
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_slack_needs_a_row(self, n):
+        # log(n) raised ValueError: math domain error here.
+        with pytest.raises(ConfigError, match=f"^n must be >= 1, got {n}$"):
+            parity_vacuity_slack(n)
 
     def test_small_but_valid_run(self):
         # n = 40000 keeps the slack (~0.0977) under alpha = 0.25 while

@@ -3,6 +3,7 @@ the API boundary, and the names README's methods table gives."""
 
 import ast
 import importlib
+import math
 import pathlib
 import re
 
@@ -24,6 +25,7 @@ from predint import (
     Ridge,
     SplitSpec,
     build_loo_cache,
+    cv_plus,
     default_method_list,
     estimate_stability,
     evaluate_methods,
@@ -31,15 +33,21 @@ from predint import (
     full_conformal_set,
     gen_gaussian_linear,
     gen_pathological_abc,
+    jackknife_plus,
+    lower_index,
     make_regressor,
+    parity_vacuity_slack,
     pathology_memorizer,
     pathology_parity,
     run_audit,
     run_coverage_mc,
+    run_trial,
     upper_index,
     upper_quantile,
 )
 from predint.cli import build_parser
+from predint.errors import (_require_finite, _require_fraction, _require_int, _require_sequence,
+                            _require_type)
 
 
 def test_all_has_no_duplicates():
@@ -181,6 +189,104 @@ def test_only_rng_reaches_a_generator(path):
     assert not stream_sources(path.read_text())
 
 
+# The range wordings errors.py owns; a module that writes one itself drifts.
+RANGE_WORDINGS = ("must be >= ", "must be finite", "must be in (0, 1)", "must not repeat")
+
+
+def hand_worded_range_checks(source: str) -> list[str]:
+    """Where ``source`` builds a ConfigError message in one of RANGE_WORDINGS."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ConfigError":
+            texts = [c.value for arg in node.args for c in ast.walk(arg)
+                     if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+            if any(wording in text for text in texts for wording in RANGE_WORDINGS):
+                found.append(f"line {node.lineno}")
+    return found
+
+
+def test_hand_worded_range_checks_are_detected():
+    source = ('raise ConfigError(f"n must be >= 1, got {n}")\n'
+              'raise ConfigError("eps must be finite")\n'
+              'raise ConfigError(f"{a} must be in (0, 1), got {a}")\n'
+              'raise ConfigError(f"{what} must not repeat an entry, got {values}")\n'
+              'raise DataError("query points must be finite")\n'
+              'raise ConfigError(f"k must lie in [0, {n}], got {k}")\n'
+              '"""Entries must be finite."""\n')
+    assert hand_worded_range_checks(source) == ["line 1", "line 2", "line 3", "line 4"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "errors.py"],
+                         ids=lambda path: path.name)
+def test_only_errors_words_a_range_check(path):
+    assert not hand_worded_range_checks(path.read_text())
+
+
+@pytest.mark.parametrize("low, strict", [(None, False), (0, False), (0, True), (2.5, False)])
+def test_require_finite_at_its_edges(low, strict):
+    for bad in (math.nan, math.inf, -math.inf, np.float64(math.nan)):
+        with pytest.raises(ConfigError, match="^x must be finite"):
+            _require_finite("x", bad, low, strict)
+    with pytest.raises(ConfigError, match="^x must be a real number, got True$"):
+        _require_finite("x", True, low, strict)
+    if low is None:
+        assert _require_finite("x", -1e300) == -1e300
+        return
+    bound = f"{'>' if strict else '>='} {low}"
+    below = low - 1
+    with pytest.raises(ConfigError, match=f"^x must be finite and {bound}, got {below}$"):
+        _require_finite("x", below, low, strict)
+    if strict:
+        with pytest.raises(ConfigError, match=f"^x must be finite and > {low}, got {low}$"):
+            _require_finite("x", low, low, strict)
+    else:
+        assert _require_finite("x", low, low) == low
+        if low == 0:
+            assert _require_finite("x", -0.0, low) == 0.0
+    assert _require_finite("x", np.float64(low + 1), low, strict) == low + 1
+
+
+def test_require_int_at_its_bound():
+    for low in (0, 1, 2):
+        with pytest.raises(ConfigError, match=f"^n must be >= {low}, got {low - 1}$"):
+            _require_int("n", low - 1, low)
+        with pytest.raises(ConfigError, match=f"^n must be >= {low}, got {low - 1}$"):
+            _require_int("n", np.int64(low - 1), low)
+        assert _require_int("n", low, low) == low
+        assert _require_int("n", np.int32(low), low) == low
+    assert _require_int("n", -10**30) == -10**30  # no bound, no range check
+    with pytest.raises(ConfigError, match="^n must be an integer, got True$"):
+        _require_int("n", True, 0)
+
+
+def test_require_fraction_is_open():
+    for bad in (0, 1, 0.0, 1.0, -0.5, 1.5, math.nan, math.inf):
+        with pytest.raises(ConfigError, match=rf"^p must be in \(0, 1\), got {bad}$"):
+            _require_fraction("p", bad)
+    with pytest.raises(ConfigError, match="^p must be a real number, got False$"):
+        _require_fraction("p", False)
+    for good in (1e-300, 0.5, np.float64(0.25), np.float32(0.75), 1 - 2**-53):
+        assert _require_fraction("p", good) == good
+
+
+def test_require_sequence_can_refuse_a_repeat():
+    assert _require_sequence("xs", (1, 1)) == [1, 1]
+    assert _require_sequence("xs", (1, 2), distinct=True) == [1, 2]
+    for repeated in ((1, 1), (2, np.int64(2)), ("a", "b", "a")):
+        shown = re.escape(str(list(repeated)))
+        with pytest.raises(ConfigError, match=f"^xs must not repeat an entry, got {shown}$"):
+            _require_sequence("xs", repeated, distinct=True)
+
+
+def test_require_type_names_the_setting_and_the_type():
+    ridge = Ridge()
+    assert _require_type("regressor", ridge, predint.Regressor) is ridge
+    with pytest.raises(ConfigError, match="^grid must be a GridSpec, got 5$"):
+        _require_type("grid", 5, GridSpec)
+    with pytest.raises(ConfigError, match=r"^spec must be an IntervalSpec, got \(0.1,\)$"):
+        _require_type("spec", (0.1,), IntervalSpec)
+
+
 TRAIN = Dataset(np.arange(12.0).reshape(6, 2), np.arange(6.0))
 
 
@@ -213,6 +319,13 @@ def test_integer_settings_reject_non_integers(name, make):
     "name, make",
     [
         ("trials", lambda v: figure2_experiment(n=10, d_list=(2,), trials=v, n_test=3)),
+        ("n", lambda v: figure2_experiment(n=v, d_list=(2,), trials=1, n_test=3)),
+        ("n_test", lambda v: figure2_experiment(n=5, d_list=(2,), trials=1, n_test=v)),
+        ("n", lambda v: run_coverage_mc(n=v, d=2, trials=1, n_test=2)),
+        ("n_test", lambda v: run_coverage_mc(n=6, d=2, trials=1, n_test=v)),
+        ("n", lambda v: pathology_memorizer(n=v, trials=1, n_test=2)),
+        ("n_test", lambda v: pathology_memorizer(n=4, trials=1, n_test=v)),
+        ("n", parity_vacuity_slack),
         ("trials", lambda v: run_coverage_mc(n=6, d=2, trials=v, n_test=2)),
         ("trials", lambda v: pathology_memorizer(n=4, trials=v, n_test=2)),
         ("trials", lambda v: pathology_parity(n=40_000, trials=v, n_test=10)),
@@ -229,7 +342,10 @@ def test_integer_settings_reject_non_integers(name, make):
         ("trials", lambda v: estimate_stability(MinNormOLS(), gaussian_rows, n=5, epsilon=0.1,
                                                 trials=v)),
     ],
-    ids=["figure2_experiment.trials", "run_coverage_mc.trials", "pathology_memorizer.trials",
+    ids=["figure2_experiment.trials", "figure2_experiment.n", "figure2_experiment.n_test",
+         "run_coverage_mc.n", "run_coverage_mc.n_test", "pathology_memorizer.n",
+         "pathology_memorizer.n_test", "parity_vacuity_slack.n",
+         "run_coverage_mc.trials", "pathology_memorizer.trials",
          "pathology_parity.trials", "gen_gaussian_linear.n", "gen_gaussian_linear.d",
          "gen_pathological_abc.n", "pathology_parity.n", "pathology_parity.n_test",
          "run_audit.trials", "run_audit.n", "run_audit.d", "estimate_stability.n",
@@ -316,15 +432,127 @@ def run_command(line):
         (ConfigError, "d must be >= 1, got 0$",
          lambda: run_coverage_mc(n=6, d=0, trials=1, n_test=2)),
         (ConfigError, "d must be >= 1, got 0$", lambda: run_command("audit --n 10 --d 0")),
-        (ConfigError, "d must be positive, got 0$", lambda: run_command("stability --n 6 --d 0")),
+        (ConfigError, "d must be >= 1, got 0$", lambda: run_command("stability --n 6 --d 0")),
         (ConfigError, "d must be >= 1, got 0$",
          lambda: run_command("simulate --experiment coverage-mc --d 0")),
+        # Every range rule in one wording, from errors.py.
+        (ConfigError, "trials must be >= 1, got 0$", lambda: run_audit(0, 10, 0.1, MinNormOLS())),
+        (ConfigError, "n must be >= 1, got 0$", lambda: gen_gaussian_linear(0, 2, 1)),
+        (ConfigError, "d must be >= 1, got 0$", lambda: gen_gaussian_linear(5, 0, 1)),
+        (ConfigError, "n must be >= 1, got 0$", lambda: gen_pathological_abc(0, 0.25, 0.05, 1)),
+        (ConfigError, "k_folds must be >= 1, got 0$", lambda: MethodSpec("cv+", k_folds=0)),
+        (ConfigError, "k_folds must be >= 1, got 0$", lambda: default_method_list(10, 0)),
+        (ConfigError, "trials must be >= 1, got 0$",
+         lambda: figure2_experiment(n=10, d_list=(2,), trials=0, n_test=3)),
+        (ConfigError, "d must be >= 1, got 0$",
+         lambda: figure2_experiment(n=10, d_list=(2, 0), trials=1, n_test=3)),
+        (ConfigError, "n_test must be >= 1, got 0$",
+         lambda: run_trial(TRAIN, TRAIN.head(0), MinNormOLS(), [MethodSpec("naive")],
+                           [IntervalSpec(0.1)])),
+        (ConfigError, "n_test must be >= 1, got 0$",
+         lambda: pathology_parity(n=40_000, trials=1, n_test=0)),
+        (ConfigError, "n must be >= 1, got 0$", lambda: pathology_parity(n=0, trials=1, n_test=10)),
+        (ConfigError, "n must be >= 0, got -5$", lambda: lower_index(-5, 0.1)),
+        (ConfigError, "k must be >= 1, got 0$", lambda: KNN(k=0)),
+        (ConfigError, "n must be >= 2, got 1$",
+         lambda: estimate_stability(MinNormOLS(), gaussian_rows, n=1, epsilon=0.1, trials=2)),
+        (ConfigError, "trials must be >= 1, got 0$",
+         lambda: estimate_stability(MinNormOLS(), gaussian_rows, n=5, epsilon=0.1, trials=0)),
+        (ConfigError, "inflation_eps must be finite and >= 0, got -1.0$",
+         lambda: IntervalSpec(0.1, inflation_eps=-1.0)),
+        (ConfigError, "grid bounds must be finite, got inf$", lambda: GridSpec(lower=math.inf)),
+        (ConfigError, "tau must be finite, got nan$",
+         lambda: gen_pathological_abc(5, 0.25, 0.05, 1, tau=math.nan)),
+        (ConfigError, "ridge lambda_rel must be finite and >= 0, got -1.0$",
+         lambda: Ridge(lambda_rel=-1.0)),
+        (ConfigError, "memorizer eps must be finite and > 0, got 0.0$", lambda: Memorizer(eps=0.0)),
+        (ConfigError, "tau must be finite, got -inf$", lambda: ParityAdversary(tau=-math.inf)),
+        (ConfigError, "epsilon must be finite and >= 0, got -0.5$",
+         lambda: estimate_stability(MinNormOLS(), gaussian_rows, n=5, epsilon=-0.5)),
+        (ConfigError, "eps must be finite and > 0, got 0.0$",
+         lambda: pathology_parity(n=40_000, eps=0.0, trials=1, n_test=10)),
+        (ConfigError, r"holdout_fraction must be in \(0, 1\), got 1.0$",
+         lambda: SplitSpec(holdout_fraction=1.0)),
+        (ConfigError, r"split_holdout must be in \(0, 1\), got 0.0$",
+         lambda: MethodSpec("split", split_holdout=0.0)),
+        (ConfigError, r"alpha must be in \(0, 1\), got 1.0$",
+         lambda: pathology_parity(n=40_000, alpha=1.0, trials=1, n_test=10)),
+        (ConfigError, r"gamma must be in \(0, 1\), got 0.0$",
+         lambda: pathology_parity(n=40_000, gamma=0.0, trials=1, n_test=10)),
+        (ConfigError, r"d_list must not repeat an entry, got \[2, 2\]$",
+         lambda: figure2_experiment(n=10, d_list=(2, 2), trials=1, n_test=3)),
+        (ConfigError, r"regressors must not repeat an entry, got \['mean', 'mean'\]$",
+         lambda: run_coverage_mc(n=6, d=2, trials=1, n_test=2, regressors=("mean", "mean"))),
+        (ConfigError, r"alphas must not repeat an entry, got \[0.1, 0.1\]$",
+         lambda: run_coverage_mc(n=6, d=2, trials=1, n_test=2, alphas=(0.1, 0.1))),
+        (ConfigError, "grid must be a GridSpec, got 5$", lambda: MethodSpec("naive", grid=5)),
+        # The experiment drivers check their own sizes before the first draw.
+        (ConfigError, "n must be >= 1, got -5$",
+         lambda: figure2_experiment(n=-5, d_list=(2,), trials=1, n_test=3)),
+        (ConfigError, "n_test must be >= 1, got -3$",
+         lambda: figure2_experiment(n=5, d_list=(2,), trials=1, n_test=-3)),
+        (ConfigError, "n must be >= 1, got -5$",
+         lambda: run_coverage_mc(n=-5, d=2, trials=1, n_test=2)),
+        (ConfigError, "n_test must be >= 1, got -3$",
+         lambda: run_coverage_mc(n=6, d=2, trials=1, n_test=-3)),
+        (ConfigError, "n must be >= 1, got -5$",
+         lambda: pathology_memorizer(n=-5, trials=1, n_test=2)),
+        (ConfigError, "n_test must be >= 1, got -3$",
+         lambda: pathology_memorizer(n=4, trials=1, n_test=-3)),
+        (ConfigError, "n must be >= 1, got 0$", lambda: parity_vacuity_slack(0)),
+        (ConfigError, "n must be >= 1, got -5$",
+         lambda: run_command("simulate --experiment figure2 --n -5")),
+        (ConfigError, "n must be >= 1, got -5$",
+         lambda: run_command("simulate --experiment coverage-mc --n -5")),
+        (ConfigError, "n_test must be >= 1, got -3$",
+         lambda: run_command("simulate --experiment coverage-mc --n-test -3")),
+        # Wrong-typed core arguments, which raised AttributeError.
+        (ConfigError, f"train must be a Dataset, got {re.escape(repr(TRAIN.features))}$",
+         lambda: evaluate_methods(TRAIN.features, TRAIN.features, MinNormOLS(),
+                                  [MethodSpec("naive")], [IntervalSpec(0.1)])),
+        (ConfigError, f"test must be a Dataset, got {re.escape(repr(TRAIN.features))}$",
+         lambda: run_trial(TRAIN, TRAIN.features, MinNormOLS(), [MethodSpec("naive")],
+                           [IntervalSpec(0.1)])),
+        (ConfigError, "regressor must be a Regressor, got None$",
+         lambda: evaluate_methods(TRAIN, TRAIN.features, None, [MethodSpec("naive")],
+                                  [IntervalSpec(0.1)])),
+        (ConfigError, f"cache must be a LooCache, got {re.escape(repr(TRAIN))}$",
+         lambda: jackknife_plus(TRAIN, IntervalSpec(0.1), [0.0, 1.0])),
+        (ConfigError, "spec must be an IntervalSpec, got 0.1$",
+         lambda: cv_plus(build_loo_cache(TRAIN, MinNormOLS()), 0.1, [0.0, 1.0])),
+        (ConfigError, f"train must be a Dataset, got {re.escape(repr(TRAIN.features))}$",
+         lambda: full_conformal_set(TRAIN.features, MinNormOLS(), IntervalSpec(0.1), [0.0, 1.0])),
+        (ConfigError, "regressor must be a Regressor, got 'ols'$",
+         lambda: full_conformal_set(TRAIN, "ols", IntervalSpec(0.1), [0.0, 1.0])),
+        (ConfigError, "spec must be an IntervalSpec, got 0.1$",
+         lambda: full_conformal_set(TRAIN, MinNormOLS(), 0.1, [0.0, 1.0])),
+        (ConfigError, f"train must be a Dataset, got {re.escape(repr(TRAIN.features))}$",
+         lambda: build_loo_cache(TRAIN.features, MinNormOLS())),
+        (ConfigError, "regressor must be a Regressor, got 'ols'$",
+         lambda: build_loo_cache(TRAIN, "ols")),
     ],
     ids=["Dataset.text", "Dataset.ragged", "Dataset.take.fraction", "Dataset.drop.fraction",
          "Dataset.take.out_of_range", "Dataset.drop.negative", "Dataset.head.text",
          "Dataset.tail_from.past_the_end", "evaluate_methods.X_test", "upper_quantile.values",
          "upper_index.n", "default_method_list.n", "full_conformal_set.grid", "run_audit.d",
-         "run_coverage_mc.d", "cli.audit.d", "cli.stability.d", "cli.coverage-mc.d"],
+         "run_coverage_mc.d", "cli.audit.d", "cli.stability.d", "cli.coverage-mc.d",
+         "run_audit.trials", "gen_gaussian_linear.n", "gen_gaussian_linear.d",
+         "gen_pathological_abc.n", "MethodSpec.k_folds", "default_method_list.k_folds",
+         "figure2_experiment.trials", "figure2_experiment.d", "run_trial.n_test",
+         "pathology_parity.n_test", "pathology_parity.n", "lower_index.n", "KNN.k",
+         "estimate_stability.n", "estimate_stability.trials", "IntervalSpec.inflation_eps",
+         "GridSpec.lower", "gen_pathological_abc.tau", "Ridge.lambda_rel", "Memorizer.eps",
+         "ParityAdversary.tau", "estimate_stability.epsilon", "pathology_parity.eps",
+         "SplitSpec.holdout_fraction", "MethodSpec.split_holdout", "pathology_parity.alpha",
+         "pathology_parity.gamma", "figure2_experiment.d_list", "run_coverage_mc.regressors",
+         "run_coverage_mc.alphas", "MethodSpec.grid", "figure2_experiment.n",
+         "figure2_experiment.n_test", "run_coverage_mc.n", "run_coverage_mc.n_test",
+         "pathology_memorizer.n", "pathology_memorizer.n_test", "parity_vacuity_slack.n",
+         "cli.figure2.n", "cli.coverage-mc.n", "cli.coverage-mc.n-test",
+         "evaluate_methods.train", "run_trial.test", "evaluate_methods.regressor",
+         "jackknife_plus.cache", "cv_plus.spec", "full_conformal_set.train",
+         "full_conformal_set.regressor", "full_conformal_set.spec", "build_loo_cache.train",
+         "build_loo_cache.regressor"],
 )
 def test_bad_input_fails_at_the_boundary(error, message, make):
     # Each raised a raw ValueError, IndexError, TypeError or AttributeError,
