@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, gen_gaussian_linear
-from .errors import ConfigError, _require_int
+from .errors import ConfigError, _require_int, _require_type
 from .intervals import (
     IntervalSpec,
     PredictionInterval,
@@ -54,6 +54,8 @@ VARIANTS = ("plus", "minmax", "both")
 def residual_matrix(data: Dataset, regressor: Regressor) -> np.ndarray:
     """The pairwise-deletion residual matrix with +inf on the diagonal: one fit
     of mu_{-(i,j)} per unordered pair i < j, read at rows i and j."""
+    _require_type("data", data, Dataset)
+    _require_type("regressor", regressor, Regressor)
     if data.n < 3:
         raise ConfigError("residual matrix needs at least 3 rows")
     X, y = data.features, data.responses
@@ -134,7 +136,7 @@ def audit_instance(
     """
     if variant not in VARIANTS:
         raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if data.n < 3:
+    if _require_type("data", data, Dataset).n < 3:  # residual_matrix checks the regressor
         raise ConfigError("audit needs at least 3 rows (2 train + 1 test)")
     p, q = _check_alpha(alpha)
 
@@ -190,6 +192,7 @@ def run_audit(
     """
     _require_int("trials", trials, 1)
     _require_int("d", d, 1)
+    _require_type("regressor", regressor, Regressor)
     if _require_int("n", n) > 30:
         raise ConfigError("audit is limited to n <= 30 (pairwise fits are direct)")
     if n < 2:

@@ -32,7 +32,7 @@ from .experiments import (
     pathology_parity,
     run_coverage_mc,
 )
-from .intervals import METHOD_TOKENS, GridSpec, IntervalSpec, PredictionSet
+from .intervals import METHOD_TOKENS, IntervalSpec, PredictionSet
 from .regressors import (KNN, REGRESSOR_TOKENS, _SETTINGS, Memorizer, ParityAdversary, Ridge,
                          make_regressor)
 from .stability import KINDS, coverage_lower_bounds, estimate_stability
@@ -151,11 +151,9 @@ def cmd_intervals(args) -> int:
         raise DataError(f"{args.test}: feature columns {test_names} do not match "
                         f"the training file's {names}")
     tokens = args.method or ["jackknife+"]
-    grid = GridSpec(num_points=args.grid_points, lower=args.grid_lower, upper=args.grid_upper)
-    methods = [
-        MethodSpec(token, k_folds=args.k, split_holdout=args.split_fraction, grid=grid)
-        for token in tokens
-    ]
+    methods = [MethodSpec(token, k_folds=args.k, split_holdout=args.split_fraction,
+                          grid_points=args.grid_points, grid_lower=args.grid_lower,
+                          grid_upper=args.grid_upper) for token in tokens]
     spec = IntervalSpec(
         alpha=args.alpha,
         alpha_lo=args.alpha_lo,
@@ -349,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="folds for cv+/cross-conformal (default n)")
     p.add_argument("--strict-folds", action="store_true")
     p.add_argument("--split-fraction", type=float, default=MethodSpec.split_holdout)
-    p.add_argument("--grid-points", type=int, default=GridSpec.num_points)
+    p.add_argument("--grid-points", type=int, default=MethodSpec.grid_points)
     p.add_argument("--grid-lower", type=float, default=None)
     p.add_argument("--grid-upper", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)

@@ -2,8 +2,8 @@
 boundary rule: a setting ``name`` that fails a check below raises ConfigError
 ``{name} must be an integer`` / ``a real number`` / ``a sequence`` /
 ``a {kind}``, ``must be >= {low}``, ``must be finite`` (``and >= {low}``, or
-``and > {low}``), ``must be in (0, 1)``, ``must hold {kind} entries`` or
-``must not repeat an entry``, then ``, got {value}``.
+``and > {low}``), ``must be in (0, 1)``, ``must hold {kind} entries`` (or ``hashable
+entries``) or ``must not repeat an entry``, then ``, got {value}``.
 """
 
 import math
@@ -43,8 +43,13 @@ def _require_sequence(name: str, value, kind: type = object, distinct: bool = Fa
     for entry in entries:
         if not isinstance(entry, kind):
             raise ConfigError(f"{name} must hold {kind.__name__} entries, got {entry!r}")
-    if distinct and len(set(entries)) != len(entries):
-        raise ConfigError(f"{name} must not repeat an entry, got {entries}")
+    if distinct:
+        try:
+            repeated = len(set(entries)) != len(entries)
+        except TypeError:  # an unhashable entry
+            raise ConfigError(f"{name} must hold hashable entries, got {entries}") from None
+        if repeated:
+            raise ConfigError(f"{name} must not repeat an entry, got {entries}")
     return entries
 
 
@@ -58,7 +63,12 @@ def _require_real(name: str, value):
 
 def _require_finite(name: str, value, low=None, strict: bool = False):
     """A real ``value`` itself if finite and at least ``low`` (above it if ``strict``)."""
-    if not math.isfinite(_require_real(name, value)) or (
+    _require_real(name, value)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer past float range
+        finite = False
+    if not finite or (
             low is not None and not (value > low if strict else value >= low)):
         bound = "" if low is None else f" and {'>' if strict else '>='} {low}"
         raise ConfigError(f"{name} must be finite{bound}, got {value}")

@@ -28,7 +28,6 @@ from .errors import (ConfigError, DataError, _require_finite, _require_fraction,
                      _require_sequence, _require_type)
 from .intervals import (
     _METHODS,
-    GridSpec,
     IntervalSpec,
     PredictionInterval,
     _Block,
@@ -60,21 +59,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One interval/set construction plus its method-specific knobs."""
+    """One interval/set construction plus its method-specific knobs. Full
+    conformal's grid bounds default to the training response range."""
 
     method: str
     k_folds: int | None = None
     split_holdout: float = 0.5
-    grid: GridSpec = GridSpec()
+    grid_points: int = 200
+    grid_lower: float | None = None
+    grid_upper: float | None = None
 
     def __post_init__(self):
+        # The grid first: the CLI reports a bad grid flag before any other.
+        if _require_int("grid_points", self.grid_points) < 2:
+            raise ConfigError(f"grid needs at least 2 points, got {self.grid_points}")
+        for bound in (self.grid_lower, self.grid_upper):
+            if bound is not None:
+                _require_finite("grid bounds", bound)
+        if None not in (self.grid_lower, self.grid_upper) and self.grid_lower > self.grid_upper:
+            raise ConfigError("grid lower bound exceeds upper bound")
         if self.method not in _METHODS:
             raise ConfigError(
                 f"unknown method {self.method!r}; expected one of {', '.join(_METHODS)}")
         if self.k_folds is not None:
             _require_int("k_folds", self.k_folds, 1)
         _require_fraction("split_holdout", self.split_holdout)
-        _require_type("grid", self.grid, GridSpec)
 
     @property
     def label(self) -> str:

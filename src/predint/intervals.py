@@ -2,13 +2,14 @@
 
 Eight constructions share the two corrected quantile operators; each is one
 row of the method table ``_METHODS``, whose builder answers a block of query
-rows. Naive (in-sample residual quantile around the full fit) and split
-(holdout residual quantile around the split fit) have no public function:
-``experiments._evaluate`` builds them, for
+rows. Naive (in-sample residual quantile around the full fit), split
+(holdout residual quantile around the split fit) and full conformal (refit
+on the augmented sample per candidate y of a grid) read no cache and have no
+public function: ``experiments._evaluate`` builds them, for
 :func:`predint.experiments.evaluate_methods`, the trials and the
-``intervals`` command. The other six are public here, each its builder on a
-block of one row; the four intervals take ``(cache, spec, x)``, ``cache`` a
-:class:`LooCache`:
+``intervals`` command. The other five read a :class:`LooCache` and are public
+here, each its builder on a block of one row; the four intervals take
+``(cache, spec, x)``:
 
 * ``jackknife``          - leave-one-out residual quantile around the full fit
 * ``jackknife_plus``     - quantiles of per-point leave-one-out predictions
@@ -19,7 +20,6 @@ block of one row; the four intervals take ``(cache, spec, x)``, ``cache`` a
                            sweep of the 2n breakpoints per query: O(n log n),
                            plus O(n) per breakpoint between two rejected
                            gaps; no ``np.unique``
-* ``full_conformal_set`` - refit on the augmented sample per candidate y
 
 All intervals are closed. Empty intervals (lower > upper) are kept explicit
 rather than silently swapped. The interval methods accept an epsilon
@@ -58,7 +58,6 @@ from .rng import _permutation
 
 __all__ = [
     "IntervalSpec",
-    "GridSpec",
     "PredictionInterval",
     "PredictionSet",
     "LooCache",
@@ -68,7 +67,6 @@ __all__ = [
     "jackknife_minmax",
     "cv_plus",
     "cross_conformal_set",
-    "full_conformal_set",
     "METHOD_TOKENS",
 ]
 
@@ -114,27 +112,6 @@ class IntervalSpec:
     @property
     def asymmetric(self) -> bool:
         return self.alpha_lo is not None
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Candidate grid for full conformal: ``num_points`` evenly spaced values.
-
-    Bounds default to the observed training response range.
-    """
-
-    num_points: int = 200
-    lower: float | None = None
-    upper: float | None = None
-
-    def __post_init__(self):
-        if _require_int("num_points", self.num_points) < 2:
-            raise ConfigError(f"grid needs at least 2 points, got {self.num_points}")
-        for bound in (self.lower, self.upper):
-            if bound is not None:
-                _require_finite("grid bounds", bound)
-        if self.lower is not None and self.upper is not None and self.lower > self.upper:
-            raise ConfigError("grid lower bound exceeds upper bound")
 
 
 @dataclass(frozen=True)
@@ -223,7 +200,8 @@ class LooCache:
     """
 
     def __init__(self, train, regressor, fold_of=None):
-        n = train.n
+        n = _require_type("train", train, Dataset).n
+        _require_type("regressor", regressor, Regressor)
         if fold_of is None:
             self.k_folds = n
         else:
@@ -320,8 +298,7 @@ def build_loo_cache(
     before it fits anything. For an explicit partition ``fold_of``, build
     ``LooCache(train, regressor, fold_of)``.
     """
-    n = _require_type("train", train, Dataset).n
-    _require_type("regressor", regressor, Regressor)
+    n = _require_type("train", train, Dataset).n  # LooCache checks the regressor
     if n < 1:
         raise ConfigError("cannot build a cache from an empty training set")
     k = n if k_folds is None else _require_int("k_folds", k_folds)
@@ -586,47 +563,41 @@ def _cross_conformal_block(cache: LooCache, mspec, spec: IntervalSpec, block: _B
     return sets
 
 
-def full_conformal_set(
-    train: Dataset,
-    regressor: Regressor,
-    spec: IntervalSpec,
-    x,
-    grid: GridSpec | None = None,
-) -> PredictionSet:
-    """Refit-on-augmented-sample membership over a candidate grid.
+def _full_conformal_block(fits, mspec, spec: IntervalSpec, block: _Block) -> list:
+    """The full-conformal set at each row of a block, over ``mspec``'s grid.
 
     Each candidate y is added to the training set, the model is refit, and y
     is kept iff its own residual is at most the corrected quantile of the
-    original rows' residuals under the refit model. Contiguous accepted grid
-    points merge into closed intervals. The fits are ``regressor.fit``'s on
-    one augmented buffer whose last response each candidate overwrites.
+    original rows' residuals under the refit model; runs of kept grid points
+    merge into closed intervals. The refits are ``regressor.fit``'s on one
+    augmented buffer: each query overwrites its last row, each candidate its
+    last response.
     """
-    n = _require_type("train", train, Dataset).n
-    _require_type("regressor", regressor, Regressor)
-    _check_method("full-conformal", [_require_type("spec", spec, IntervalSpec)], n, None)
-    grid = GridSpec() if grid is None else _require_type("grid", grid, GridSpec)
-    lo = float(grid.lower if grid.lower is not None else np.min(train.responses))
-    hi = float(grid.upper if grid.upper is not None else np.max(train.responses))
+    train, regressor = fits.train, fits.regressor
+    lo = float(train.responses.min() if mspec.grid_lower is None else mspec.grid_lower)
+    hi = float(train.responses.max() if mspec.grid_upper is None else mspec.grid_upper)
     if lo > hi:
         raise ConfigError("grid lower bound exceeds upper bound")
     if not math.isfinite(hi - lo):
         raise ConfigError(f"the grid [{lo}, {hi}] is too wide: its span overflows")
-    ys = np.linspace(lo, hi, grid.num_points)
+    ys = np.linspace(lo, hi, mspec.grid_points)
 
-    x = _query_rows(x, train.d, one=True)[0]
-    X_aug = np.vstack([train.features, x])
+    X_aug = np.vstack([train.features, block.X[:1]])
     y_aug = np.append(train.responses, 0.0)
-    accepted = np.zeros(len(ys), dtype=bool)
-    for idx, y in enumerate(ys):
-        y_aug[-1] = y
-        model = regressor._fit_rows(X_aug, y_aug, canonical_order(X_aug, y_aug))
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the DataError below
-            resid = np.abs(y_aug - model.predict_many(X_aug))
-        if not np.isfinite(resid).all():
-            raise DataError("the full-conformal refit's residuals are not finite")
-        accepted[idx] = resid[-1] <= upper_quantile(resid[:-1], spec.alpha)
-
-    return _runs_to_set(accepted, ys, ys)
+    sets = []
+    for x in block.X:
+        X_aug[-1] = x
+        accepted = np.zeros(len(ys), dtype=bool)
+        for idx, y in enumerate(ys):
+            y_aug[-1] = y
+            model = regressor._fit_rows(X_aug, y_aug, canonical_order(X_aug, y_aug))
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the DataError below
+                resid = np.abs(y_aug - model.predict_many(X_aug))
+            if not np.isfinite(resid).all():
+                raise DataError("the full-conformal refit's residuals are not finite")
+            accepted[idx] = resid[-1] <= upper_quantile(resid[:-1], spec.alpha)
+        sets.append(_runs_to_set(accepted, ys, ys))
+    return sets
 
 
 def _runs_to_set(accepted, lefts, rights) -> PredictionSet:
@@ -649,9 +620,10 @@ def _runs_to_set(accepted, lefts, rights) -> PredictionSet:
 class _Method(NamedTuple):
     """A method's row of the one table every dispatch reads: the cache it reads
     (``folds`` "n", "k" for its K or n, or None), ``build(source, mspec, spec,
-    block)`` answering a :class:`_Block` from that cache or from
-    ``experiments._Fits``, ``floor``, its coverage_lower_bounds key, and
-    ``rank_test``, true for a rank test: it takes only symmetric, uninflated levels."""
+    block)`` answering a :class:`_Block` from that cache or, for no cache, from
+    ``experiments._Fits`` (only ``evaluate_methods`` builds those methods),
+    ``floor``, its coverage_lower_bounds key, and ``rank_test``, true for a
+    rank test: it takes only symmetric, uninflated levels."""
 
     folds: str | None
     build: Callable
@@ -671,8 +643,6 @@ _METHODS = {
         cache.models, cache._quantiles, spec, block), "jackknife_minmax"),
     "cv+": _Method("k", _cv_plus_block, "cv_plus_floor"),  # the floor that holds at every K
     "cross-conformal": _Method("k", _cross_conformal_block, rank_test=True),
-    "full-conformal": _Method(None, lambda fits, mspec, spec, block: [
-        full_conformal_set(fits.train, fits.regressor, spec, x, mspec.grid) for x in block.X],
-        rank_test=True),
+    "full-conformal": _Method(None, _full_conformal_block, rank_test=True),
 }
 METHOD_TOKENS = tuple(_METHODS)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .dataset import Dataset
-from .errors import ConfigError, DataError, _require_finite, _require_int
+from .errors import ConfigError, DataError, _require_finite, _require_int, _require_type
 from .quantiles import _check_alpha
 from .regressors import Regressor
 from .rng import derive_seed
@@ -72,6 +72,7 @@ def estimate_stability(
     """
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
+    _require_type("regressor", regressor, Regressor)
     _require_finite("epsilon", epsilon, 0)
     _require_int("n", n, 2)
     _require_int("trials", trials, 1)

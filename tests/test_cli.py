@@ -11,7 +11,6 @@ import pytest
 from predint import (
     REGRESSOR_TOKENS,
     DataError,
-    GridSpec,
     IntervalSpec,
     MethodSpec,
     MinNormOLS,
@@ -24,7 +23,6 @@ from predint import (
     cross_conformal_set,
     cv_plus,
     derive_seed,
-    full_conformal_set,
     gen_gaussian_linear,
     jackknife,
     jackknife_minmax,
@@ -40,7 +38,7 @@ from predint.cli import (EXPERIMENTS, _SIMULATE_ECHO, _UNECHOED, _interval_cells
                          _write_output, build_parser, format_object, main)
 from predint.regressors import _CLASSES, _SETTINGS
 from predint.rng import _uniforms
-from helpers import derive_rng
+from helpers import derive_rng, full_conformal_oracle
 from test_rng import _LEAKY_OLS, _PROBE, run_probe
 
 WORKED_TRAIN = "x,y\n0,0\n1,0\n2,3\n"
@@ -212,7 +210,8 @@ ALL_METHODS = INTERVAL_METHODS + ("cross-conformal", "full-conformal")
 class TestIntervalsOracle:
     """Every `intervals` row equals its method built here from the library's
     public parts: naive and split from their definitions (a fit and its
-    residual quantiles), the other six from their public functions."""
+    residual quantiles), full conformal from its refits (the tests' grid
+    oracle), the other five from their public functions."""
 
     SEED = 5
     K = 2
@@ -266,7 +265,7 @@ class TestIntervalsOracle:
             "jackknife-mm": lambda x, tau: jackknife_minmax(loo, spec, x),
             "cv+": lambda x, tau: cv_plus(folds, spec, x),
             "cross-conformal": lambda x, tau: cross_conformal_set(folds, spec, x, tau),
-            "full-conformal": lambda x, tau: full_conformal_set(train, reg, spec, x, GridSpec()),
+            "full-conformal": lambda x, tau: full_conformal_oracle(train, reg, spec, x),
         }
         return [
             [str(j), m, *format_object(reference[m](x, float(taus[j])))]
@@ -917,7 +916,7 @@ class TestEcho:
     def test_spec_flag_defaults_are_the_class_defaults(self):
         args = build_parser().parse_args(["intervals", "--train", "a.csv", "--test", "b.csv"])
         assert args.split_fraction == MethodSpec("split").split_holdout
-        assert args.grid_points == GridSpec().num_points
+        assert args.grid_points == MethodSpec("full-conformal").grid_points
         assert args.eps == IntervalSpec(0.1).inflation_eps
 
 

@@ -15,7 +15,6 @@ from predint import (
     CoverageReport,
     DataError,
     Dataset,
-    GridSpec,
     IntervalSpec,
     Memorizer,
     MethodSpec,
@@ -27,7 +26,6 @@ from predint import (
     derive_seed,
     evaluate_methods,
     figure2_experiment,
-    full_conformal_set,
     gen_gaussian_linear,
     gen_pathological_abc,
     make_regressor,
@@ -74,12 +72,15 @@ class TestMethodSpec:
             MethodSpec("split", split_holdout=holdout)
         assert MethodSpec("split", split_holdout=0.25).split_holdout == 0.25
 
-    def test_grid_must_be_a_grid_spec(self):
-        # Checked here: evaluate_methods read grid.lower only after every fold
-        # cache was built, and raised an AttributeError.
-        with pytest.raises(ConfigError, match="grid must be a GridSpec, got 5"):
-            MethodSpec("full-conformal", grid=5)
-        assert MethodSpec("full-conformal", grid=GridSpec(3)).grid == GridSpec(3)
+    def test_grid_is_checked_here(self):
+        # Checked here, before evaluate_methods builds any fold cache, and
+        # before the other knobs, as the CLI reports a bad grid flag first.
+        with pytest.raises(ConfigError, match="^grid_points must be an integer, got 2.5$"):
+            MethodSpec("full-conformal", grid_points=2.5)
+        with pytest.raises(ConfigError, match="^grid needs at least 2 points, got 1$"):
+            MethodSpec("midpoint", grid_points=1)
+        spec = MethodSpec("full-conformal", grid_points=3, grid_lower=-1, grid_upper=2.0)
+        assert (spec.grid_points, spec.grid_lower, spec.grid_upper) == (3, -1, 2.0)
 
 
 class TestCoverageReport:
@@ -142,7 +143,7 @@ class TestRunTrial:
             MethodSpec("jackknife+"),
             MethodSpec("jackknife-mm"),
             MethodSpec("cv+", k_folds=2),
-            MethodSpec("full-conformal", grid=GridSpec(50)),
+            MethodSpec("full-conformal", grid_points=50),
         ]
         stats = run_trial(train, test, MEAN, methods, [IntervalSpec(0.25)], seed=1)
         assert len(stats) == len(methods)
@@ -321,10 +322,14 @@ class TestEvaluateMethods:
         assert reg.fits == 0
 
     def test_full_conformal_rejects_an_empty_training_set(self):
+        # Given grid bounds, nothing reads the empty responses' range.
         empty = Dataset(np.zeros((0, 3)), np.zeros(0))
+        reg = CountingRegressor(MinNormOLS())
         with pytest.raises(ConfigError, match="the training set is empty"):
-            full_conformal_set(empty, MinNormOLS(), IntervalSpec(0.1), np.zeros(3),
-                               GridSpec(lower=-1.0, upper=1.0))
+            evaluate_methods(empty, np.zeros((1, 3)), reg,
+                             [MethodSpec("full-conformal", grid_lower=-1.0, grid_upper=1.0)],
+                             [IntervalSpec(0.1)])
+        assert reg.fits == 0
 
     def test_run_trial_rejects_a_test_set_of_another_width(self):
         train, _ = gaussian_split(8, 1, 3, seed=9)

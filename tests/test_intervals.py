@@ -32,7 +32,6 @@ from predint import (
     ConstantMean,
     DataError,
     Dataset,
-    GridSpec,
     IntervalSpec,
     LooCache,
     Memorizer,
@@ -49,7 +48,6 @@ from predint import (
     cv_plus,
     derive_seed,
     evaluate_methods,
-    full_conformal_set,
     gen_gaussian_linear,
     gen_pathological_abc,
     jackknife,
@@ -59,7 +57,7 @@ from predint import (
     upper_quantile,
 )
 from predint.intervals import _POINT_BLOCK, _Block, _cv_plus_block
-from helpers import CountingRegressor, derive_rng
+from helpers import CountingRegressor, derive_rng, full_conformal_oracle
 
 MEAN = ConstantMean()
 X_PROBE = np.array([1.0])
@@ -79,10 +77,10 @@ def endpoints(iv):
     return (iv.lower, iv.upper)
 
 
-def evaluated(train, token, spec, seed=0):
-    """The object ``evaluate_methods`` builds for ``token`` at X_PROBE: naive
-    and split have no other public builder."""
-    return evaluate_methods(train, [X_PROBE], MEAN, [MethodSpec(token)], [spec], seed)[0][0][0]
+def evaluated(train, token, spec, seed=0, reg=MEAN, x=X_PROBE, **knobs):
+    """The object ``evaluate_methods`` builds for ``token`` at x: naive, split
+    and full conformal have no other public builder."""
+    return evaluate_methods(train, [x], reg, [MethodSpec(token, **knobs)], [spec], seed)[0][0][0]
 
 
 class TestIntervalSpec:
@@ -244,10 +242,8 @@ class TestWorkedExamples:
         assert [endpoints(iv) for iv in s_mid.intervals] == [(-3.0, 3.0)]
 
     def test_full_conformal(self, worked):
-        s = full_conformal_set(
-            worked, MEAN, IntervalSpec(0.25), X_PROBE,
-            GridSpec(num_points=301, lower=-5.0, upper=5.0),
-        )
+        s = evaluated(worked, "full-conformal", IntervalSpec(0.25), grid_points=301,
+                      grid_lower=-5.0, grid_upper=5.0)
         assert [endpoints(iv) for iv in s.intervals] == [(-3.0, 3.0)]
 
 
@@ -297,7 +293,7 @@ class TestModes:
             with pytest.raises(ConfigError):
                 cross_conformal_set(worked_cache, spec, X_PROBE, 0.5)
             with pytest.raises(ConfigError):
-                full_conformal_set(worked, MEAN, spec, X_PROBE)
+                evaluated(worked, "full-conformal", spec)
 
 
 class TestOverflow:
@@ -323,8 +319,9 @@ BUILDERS = {
     "jackknife-mm": lambda cache, x: jackknife_minmax(cache, QUERY_SPEC, x),
     "cv+": lambda cache, x: cv_plus(cache, QUERY_SPEC, x),
     "cross-conformal": lambda cache, x: cross_conformal_set(cache, QUERY_SPEC, x, 0.5),
-    "full-conformal": lambda cache, x: full_conformal_set(
-        cache.train, cache.regressor, QUERY_SPEC, x, GridSpec(num_points=3)),
+    # Full conformal has no one-point function: the engine answers x as a block of one row.
+    "full-conformal": lambda cache, x: evaluated(cache.train, "full-conformal", QUERY_SPEC,
+                                                 reg=cache.regressor, x=x, grid_points=3),
 }
 BAD_POINTS = {
     "short": [0.0, 1.0],
@@ -343,7 +340,8 @@ BAD_POINTS = {
 def test_bad_query_points_are_data_errors(builder, point, reg):
     data, _ = gen_gaussian_linear(6, 3, seed=4)
     cache = build_loo_cache(data, reg)
-    with pytest.raises(DataError, match="a query point must be"):
+    noun = "query points" if builder is BUILDERS["full-conformal"] else "a query point"
+    with pytest.raises(DataError, match=f"^{noun} must be"):
         builder(cache, point)
 
 
@@ -917,7 +915,7 @@ class TestBlockOracle:
             assert [bits(iv) for iv in ivs] == [bits(iv) for iv in want], mspec.label
 
 
-SYMMETRY_METHODS = [MethodSpec(token, k_folds=3, grid=GridSpec(num_points=12))
+SYMMETRY_METHODS = [MethodSpec(token, k_folds=3, grid_points=12)
                     for token in METHOD_TOKENS]
 
 
@@ -1213,9 +1211,8 @@ class TestCrossConformalOracle:
 
 class TestFullConformal:
     def test_membership_matches_direct_refits(self, worked):
-        grid = GridSpec(num_points=41, lower=-4.0, upper=4.0)
-        spec = IntervalSpec(0.25)
-        s = full_conformal_set(worked, MEAN, spec, X_PROBE, grid)
+        s = evaluated(worked, "full-conformal", IntervalSpec(0.25), grid_points=41,
+                      grid_lower=-4.0, grid_upper=4.0)
         for y in np.linspace(-4.0, 4.0, 41):
             aug = Dataset(
                 np.vstack([worked.features, X_PROBE]),
@@ -1229,60 +1226,67 @@ class TestFullConformal:
     @pytest.mark.parametrize("regressor", [MEAN, MinNormOLS(), Ridge(), KNN(k=2), Memorizer()],
                              ids=lambda r: r.token)
     def test_the_shared_buffer_matches_a_refit_per_candidate(self, regressor):
-        # The oracle builds a fresh Dataset for every candidate and fits it.
-        data, _ = gen_gaussian_linear(9, 2, seed=4)
-        x, spec = np.array([0.3, -1.2]), IntervalSpec(0.2)
-        ys = np.linspace(float(data.responses.min()), float(data.responses.max()), 60)
-        accepted = np.zeros(len(ys), dtype=bool)
-        for idx, y in enumerate(ys):
-            model = regressor.fit(Dataset(np.vstack([data.features, x]),
-                                          np.append(data.responses, y)))
-            resid = np.abs(data.responses - model.predict_many(data.features))
-            accepted[idx] = abs(y - model.predict(x)) <= upper_quantile(resid, spec.alpha)
-        want = predint.intervals._runs_to_set(accepted, ys, ys)
-        got = full_conformal_set(data, regressor, spec, x, GridSpec(num_points=60))
-        assert [endpoints(iv) for iv in got.intervals] == [endpoints(iv) for iv in want.intervals]
+        # One block of four queries overwrites the augmented buffer's last row
+        # three times. The third query repeats training rows 5 and 9, so k = 2
+        # neighbours are chosen from three at distance 0 by the canonical
+        # order, which reads the responses, the candidate's included. The
+        # second grid is one value: every candidate is the same.
+        rows, _ = gen_gaussian_linear(10, 2, seed=4)
+        data = Dataset(np.vstack([rows.features[:9], rows.features[5]]), rows.responses)
+        X = np.array([[0.3, -1.2], [1.1, 0.4], data.features[5], [-0.7, 2.0]])
+        spec = IntervalSpec(0.2)
+        for grid in ({}, dict(grid_lower=0.5, grid_upper=0.5)):
+            (got,), = evaluate_methods(
+                data, X, regressor, [MethodSpec("full-conformal", grid_points=60, **grid)], [spec])
+            want = [full_conformal_oracle(data, regressor, spec, x, 60, **grid) for x in X]
+            assert [[bits(iv) for iv in s.intervals] for s in got] == \
+                [[bits(iv) for iv in s.intervals] for s in want], grid
 
     def test_a_query_builds_no_dataset(self, worked, monkeypatch):
         built = []
         own = Dataset._own
         monkeypatch.setattr(Dataset, "_own", lambda self, *a: built.append(1) or own(self, *a))
-        full_conformal_set(worked, MinNormOLS(), IntervalSpec(0.25), X_PROBE)
+        evaluated(worked, "full-conformal", IntervalSpec(0.25), reg=MinNormOLS())
         assert built == []
 
-    @pytest.mark.parametrize("grid", [GridSpec(50, -1e308, 1e308), GridSpec(50, np.float64(-1e308),
-                                                                               np.float64(1e308))])
+    @pytest.mark.parametrize("grid", [(-1e308, 1e308), (np.float64(-1e308), np.float64(1e308))])
     def test_a_grid_whose_span_overflows_is_a_config_error(self, worked, grid):
         # np.linspace overflowed with a RuntimeWarning, then every candidate
         # failed the Dataset's finiteness check with a DataError.
-        with pytest.raises(ConfigError, match="grid"):
-            full_conformal_set(worked, MEAN, IntervalSpec(0.25), X_PROBE, grid)
+        reg = CountingRegressor(MEAN)
+        with pytest.raises(ConfigError, match=r"^the grid \[-1e\+308, 1e\+308\] is too wide"):
+            evaluated(worked, "full-conformal", IntervalSpec(0.25), reg=reg, grid_points=50,
+                      grid_lower=grid[0], grid_upper=grid[1])
+        assert reg.fits == 0
 
     def test_interpolating_regressor_accepts_the_whole_grid(self):
         # A 1-NN rule fits the augmented test pair exactly, so every grid
         # candidate is accepted and the set is one interval spanning the grid.
         data, _ = gen_gaussian_linear(8, 1, seed=3)
-        s = full_conformal_set(
-            data, KNN(k=1), IntervalSpec(0.25), np.array([9.9]),
-            GridSpec(num_points=50, lower=-2.0, upper=2.0),
-        )
+        s = evaluated(data, "full-conformal", IntervalSpec(0.25), reg=KNN(k=1),
+                      x=np.array([9.9]), grid_points=50, grid_lower=-2.0, grid_upper=2.0)
         assert [endpoints(iv) for iv in s.intervals] == [(-2.0, 2.0)]
 
     def test_constant_response_collapses_to_a_point(self):
         data = Dataset([[0.0], [1.0], [2.0], [3.0]], [5.0, 5.0, 5.0, 5.0])
-        s = full_conformal_set(data, MEAN, IntervalSpec(0.25), np.array([1.5]))
+        s = evaluated(data, "full-conformal", IntervalSpec(0.25), x=np.array([1.5]))
         assert [endpoints(iv) for iv in s.intervals] == [(5.0, 5.0)]
 
+    def test_a_defaulted_bound_past_the_given_one_is_a_config_error(self, worked):
+        # The responses span [0, 3]: a lower bound of 5 lies above the default upper bound.
+        with pytest.raises(ConfigError, match="^grid lower bound exceeds upper bound$"):
+            evaluated(worked, "full-conformal", IntervalSpec(0.25), grid_lower=5.0)
+
     def test_grid_validation(self):
-        with pytest.raises(ConfigError):
-            GridSpec(num_points=1)
-        with pytest.raises(ConfigError):
-            GridSpec(num_points=10, lower=2.0, upper=1.0)
+        with pytest.raises(ConfigError, match="^grid needs at least 2 points, got 1$"):
+            MethodSpec("full-conformal", grid_points=1)
+        with pytest.raises(ConfigError, match="^grid lower bound exceeds upper bound$"):
+            MethodSpec("full-conformal", grid_points=10, grid_lower=2.0, grid_upper=1.0)
         for bound in (math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigError, match="finite"):
-                GridSpec(lower=bound)
+                MethodSpec("full-conformal", grid_lower=bound)
             with pytest.raises(ConfigError, match="finite"):
-                GridSpec(upper=bound)
+                MethodSpec("full-conformal", grid_upper=bound)
 
 
 def test_contains_dispatch(worked_cache):

@@ -3,6 +3,7 @@ the API boundary, and the names README's methods table gives."""
 
 import ast
 import importlib
+import inspect
 import math
 import pathlib
 import re
@@ -16,21 +17,21 @@ from predint import (
     ConfigError,
     DataError,
     Dataset,
-    GridSpec,
     IntervalSpec,
+    LooCache,
     MethodSpec,
     Memorizer,
     MinNormOLS,
     ParityAdversary,
     Ridge,
     SplitSpec,
+    audit_instance,
     build_loo_cache,
     cv_plus,
     default_method_list,
     estimate_stability,
     evaluate_methods,
     figure2_experiment,
-    full_conformal_set,
     gen_gaussian_linear,
     gen_pathological_abc,
     jackknife_plus,
@@ -39,6 +40,7 @@ from predint import (
     parity_vacuity_slack,
     pathology_memorizer,
     pathology_parity,
+    residual_matrix,
     run_audit,
     run_coverage_mc,
     run_trial,
@@ -48,6 +50,7 @@ from predint import (
 from predint.cli import build_parser
 from predint.errors import (_require_finite, _require_fraction, _require_int, _require_sequence,
                             _require_type)
+from predint.intervals import _METHODS
 
 
 def test_all_has_no_duplicates():
@@ -281,8 +284,8 @@ def test_require_sequence_can_refuse_a_repeat():
 def test_require_type_names_the_setting_and_the_type():
     ridge = Ridge()
     assert _require_type("regressor", ridge, predint.Regressor) is ridge
-    with pytest.raises(ConfigError, match="^grid must be a GridSpec, got 5$"):
-        _require_type("grid", 5, GridSpec)
+    with pytest.raises(ConfigError, match="^train must be a Dataset, got 5$"):
+        _require_type("train", 5, Dataset)
     with pytest.raises(ConfigError, match=r"^spec must be an IntervalSpec, got \(0.1,\)$"):
         _require_type("spec", (0.1,), IntervalSpec)
 
@@ -298,13 +301,13 @@ def gaussian_rows(size, seed):
 @pytest.mark.parametrize(
     "name, make",
     [
-        ("num_points", lambda v: GridSpec(num_points=v)),
+        ("grid_points", lambda v: MethodSpec("full-conformal", grid_points=v)),
         ("k_folds", lambda v: MethodSpec("cv+", k_folds=v)),
         ("k_folds", lambda v: build_loo_cache(TRAIN, MinNormOLS(), v)),
         ("k_folds", lambda v: default_method_list(12, v)),
         ("k", lambda v: KNN(k=v)),
     ],
-    ids=["GridSpec.num_points", "MethodSpec.k_folds", "build_loo_cache.k_folds",
+    ids=["MethodSpec.grid_points", "MethodSpec.k_folds", "build_loo_cache.k_folds",
          "default_method_list.k_folds", "KNN.k"],
 )
 def test_integer_settings_reject_non_integers(name, make):
@@ -362,8 +365,8 @@ def test_integer_sizes_reject_non_integers(name, make):
     "name, make",
     [
         ("inflation_eps", lambda v: IntervalSpec(0.1, inflation_eps=v)),
-        ("grid bounds", lambda v: GridSpec(lower=v)),
-        ("grid bounds", lambda v: GridSpec(upper=v)),
+        ("grid bounds", lambda v: MethodSpec("full-conformal", grid_lower=v)),
+        ("grid bounds", lambda v: MethodSpec("full-conformal", grid_upper=v)),
         ("ridge lambda_rel", lambda v: Ridge(lambda_rel=v)),
         ("memorizer eps", lambda v: Memorizer(eps=v)),
         ("tau", lambda v: ParityAdversary(tau=v)),
@@ -375,7 +378,8 @@ def test_integer_sizes_reject_non_integers(name, make):
         ("holdout_fraction", lambda v: SplitSpec(holdout_fraction=v)),
         ("split_holdout", lambda v: MethodSpec("split", split_holdout=v)),
     ],
-    ids=["IntervalSpec.inflation_eps", "GridSpec.lower", "GridSpec.upper", "Ridge.lambda_rel",
+    ids=["IntervalSpec.inflation_eps", "MethodSpec.grid_lower", "MethodSpec.grid_upper",
+         "Ridge.lambda_rel",
          "Memorizer.eps", "ParityAdversary.tau", "gen_pathological_abc.tau",
          "estimate_stability.epsilon", "pathology_parity.eps", "pathology_parity.alpha",
          "pathology_parity.gamma", "SplitSpec.holdout_fraction", "MethodSpec.split_holdout"],
@@ -426,8 +430,6 @@ def run_command(line):
         (ConfigError, "values must be numbers", lambda: upper_quantile("abc", 0.1)),
         (ConfigError, "n must be >= 0", lambda: upper_index(-5, 0.1)),
         (ConfigError, "n must be an integer", lambda: default_method_list("10")),
-        (ConfigError, "grid must be a GridSpec",
-         lambda: full_conformal_set(TRAIN, MinNormOLS(), IntervalSpec(0.1), [0.0, 1.0], grid=5)),
         (ConfigError, "d must be >= 1, got 0$", lambda: run_audit(1, 10, 0.1, MinNormOLS(), d=0)),
         (ConfigError, "d must be >= 1, got 0$",
          lambda: run_coverage_mc(n=6, d=0, trials=1, n_test=2)),
@@ -460,7 +462,8 @@ def run_command(line):
          lambda: estimate_stability(MinNormOLS(), gaussian_rows, n=5, epsilon=0.1, trials=0)),
         (ConfigError, "inflation_eps must be finite and >= 0, got -1.0$",
          lambda: IntervalSpec(0.1, inflation_eps=-1.0)),
-        (ConfigError, "grid bounds must be finite, got inf$", lambda: GridSpec(lower=math.inf)),
+        (ConfigError, "grid bounds must be finite, got inf$",
+         lambda: MethodSpec("full-conformal", grid_lower=math.inf)),
         (ConfigError, "tau must be finite, got nan$",
          lambda: gen_pathological_abc(5, 0.25, 0.05, 1, tau=math.nan)),
         (ConfigError, "ridge lambda_rel must be finite and >= 0, got -1.0$",
@@ -485,7 +488,9 @@ def run_command(line):
          lambda: run_coverage_mc(n=6, d=2, trials=1, n_test=2, regressors=("mean", "mean"))),
         (ConfigError, r"alphas must not repeat an entry, got \[0.1, 0.1\]$",
          lambda: run_coverage_mc(n=6, d=2, trials=1, n_test=2, alphas=(0.1, 0.1))),
-        (ConfigError, "grid must be a GridSpec, got 5$", lambda: MethodSpec("naive", grid=5)),
+        # The retired grid= keyword fails at the constructor, as Python's own TypeError.
+        (TypeError, r"MethodSpec.__init__\(\) got an unexpected keyword argument 'grid'$",
+         lambda: MethodSpec("naive", grid=5)),
         # The experiment drivers check their own sizes before the first draw.
         (ConfigError, "n must be >= 1, got -5$",
          lambda: figure2_experiment(n=-5, d_list=(2,), trials=1, n_test=3)),
@@ -521,27 +526,54 @@ def run_command(line):
         (ConfigError, "spec must be an IntervalSpec, got 0.1$",
          lambda: cv_plus(build_loo_cache(TRAIN, MinNormOLS()), 0.1, [0.0, 1.0])),
         (ConfigError, f"train must be a Dataset, got {re.escape(repr(TRAIN.features))}$",
-         lambda: full_conformal_set(TRAIN.features, MinNormOLS(), IntervalSpec(0.1), [0.0, 1.0])),
-        (ConfigError, "regressor must be a Regressor, got 'ols'$",
-         lambda: full_conformal_set(TRAIN, "ols", IntervalSpec(0.1), [0.0, 1.0])),
-        (ConfigError, "spec must be an IntervalSpec, got 0.1$",
-         lambda: full_conformal_set(TRAIN, MinNormOLS(), 0.1, [0.0, 1.0])),
-        (ConfigError, f"train must be a Dataset, got {re.escape(repr(TRAIN.features))}$",
          lambda: build_loo_cache(TRAIN.features, MinNormOLS())),
         (ConfigError, "regressor must be a Regressor, got 'ols'$",
          lambda: build_loo_cache(TRAIN, "ols")),
+        (ConfigError, "regressor must be a Regressor, got 'ols'$",
+         lambda: estimate_stability("ols", gaussian_rows, n=5, epsilon=0.1)),
+        (ConfigError, "regressor must be a Regressor, got 'ols'$",
+         lambda: run_audit(1, 5, 0.1, "ols")),
+        (ConfigError, "regressor must be a Regressor, got 'ols'$",
+         lambda: audit_instance(TRAIN, "ols", 0.1)),
+        (ConfigError, "regressor must be a Regressor, got 'ols'$",
+         lambda: residual_matrix(TRAIN, "ols")),
+        (ConfigError, "regressor must be a Regressor, got 'ols'$", lambda: LooCache(TRAIN, "ols")),
+        (ConfigError, f"train must be a Dataset, got {re.escape(repr(TRAIN.features))}$",
+         lambda: LooCache(TRAIN.features, MinNormOLS())),
+        (ConfigError, f"data must be a Dataset, got {re.escape(repr(TRAIN.features))}$",
+         lambda: audit_instance(TRAIN.features, MinNormOLS(), 0.1)),
+        (ConfigError, f"data must be a Dataset, got {re.escape(repr(TRAIN.features))}$",
+         lambda: residual_matrix(TRAIN.features, MinNormOLS())),
+        # An unhashable entry of a no-repeat sequence, which raised a raw TypeError.
+        (ConfigError, r"d_list must hold hashable entries, got \[\[2\]\]$",
+         lambda: figure2_experiment(n=10, d_list=[[2]], trials=1, n_test=3)),
+        (ConfigError, r"alphas must hold hashable entries, got \[\[0.1\]\]$",
+         lambda: run_coverage_mc(n=6, d=2, trials=1, n_test=2, alphas=[[0.1]])),
+        # An integer past float range, which raised a raw OverflowError.
+        (ConfigError, f"ridge lambda_rel must be finite and >= 0, got {10**400}$",
+         lambda: Ridge(lambda_rel=10**400)),
+        (ConfigError, f"inflation_eps must be finite and >= 0, got {10**400}$",
+         lambda: IntervalSpec(0.1, inflation_eps=10**400)),
+        (ConfigError, f"memorizer eps must be finite and > 0, got {10**400}$",
+         lambda: Memorizer(eps=10**400)),
+        (ConfigError, f"eps must be finite and > 0, got {10**400}$",
+         lambda: pathology_parity(n=40_000, eps=10**400, trials=1, n_test=10)),
+        (ConfigError, f"epsilon must be finite and >= 0, got {10**400}$",
+         lambda: estimate_stability(MinNormOLS(), gaussian_rows, n=5, epsilon=10**400)),
+        (ConfigError, f"grid bounds must be finite, got {10**400}$",
+         lambda: MethodSpec("full-conformal", grid_lower=10**400)),
     ],
     ids=["Dataset.text", "Dataset.ragged", "Dataset.take.fraction", "Dataset.drop.fraction",
          "Dataset.take.out_of_range", "Dataset.drop.negative", "Dataset.head.text",
          "Dataset.tail_from.past_the_end", "evaluate_methods.X_test", "upper_quantile.values",
-         "upper_index.n", "default_method_list.n", "full_conformal_set.grid", "run_audit.d",
+         "upper_index.n", "default_method_list.n", "run_audit.d",
          "run_coverage_mc.d", "cli.audit.d", "cli.stability.d", "cli.coverage-mc.d",
          "run_audit.trials", "gen_gaussian_linear.n", "gen_gaussian_linear.d",
          "gen_pathological_abc.n", "MethodSpec.k_folds", "default_method_list.k_folds",
          "figure2_experiment.trials", "figure2_experiment.d", "run_trial.n_test",
          "pathology_parity.n_test", "pathology_parity.n", "lower_index.n", "KNN.k",
          "estimate_stability.n", "estimate_stability.trials", "IntervalSpec.inflation_eps",
-         "GridSpec.lower", "gen_pathological_abc.tau", "Ridge.lambda_rel", "Memorizer.eps",
+         "MethodSpec.grid_lower", "gen_pathological_abc.tau", "Ridge.lambda_rel", "Memorizer.eps",
          "ParityAdversary.tau", "estimate_stability.epsilon", "pathology_parity.eps",
          "SplitSpec.holdout_fraction", "MethodSpec.split_holdout", "pathology_parity.alpha",
          "pathology_parity.gamma", "figure2_experiment.d_list", "run_coverage_mc.regressors",
@@ -550,9 +582,14 @@ def run_command(line):
          "pathology_memorizer.n", "pathology_memorizer.n_test", "parity_vacuity_slack.n",
          "cli.figure2.n", "cli.coverage-mc.n", "cli.coverage-mc.n-test",
          "evaluate_methods.train", "run_trial.test", "evaluate_methods.regressor",
-         "jackknife_plus.cache", "cv_plus.spec", "full_conformal_set.train",
-         "full_conformal_set.regressor", "full_conformal_set.spec", "build_loo_cache.train",
-         "build_loo_cache.regressor"],
+         "jackknife_plus.cache", "cv_plus.spec", "build_loo_cache.train",
+         "build_loo_cache.regressor", "estimate_stability.regressor", "run_audit.regressor",
+         "audit_instance.regressor", "residual_matrix.regressor", "LooCache.regressor",
+         "LooCache.train", "audit_instance.data", "residual_matrix.data",
+         "figure2_experiment.d_list.unhashable", "run_coverage_mc.alphas.unhashable",
+         "Ridge.lambda_rel.overflow", "IntervalSpec.inflation_eps.overflow",
+         "Memorizer.eps.overflow", "pathology_parity.eps.overflow",
+         "estimate_stability.epsilon.overflow", "MethodSpec.grid_lower.overflow"],
 )
 def test_bad_input_fails_at_the_boundary(error, message, make):
     # Each raised a raw ValueError, IndexError, TypeError or AttributeError,
@@ -562,13 +599,24 @@ def test_bad_input_fails_at_the_boundary(error, message, make):
 
 
 def test_methods_table_names_resolve():
-    # Every backticked name in the first column of README's methods table is
-    # a name predint exports, so the table cannot name a retired function.
+    # Each row of README's methods table names its builder and its token. A
+    # method that reads no cache is built by evaluate_methods alone; every
+    # other row names a public function over a cache, run on one query point.
+    # So the table cannot name a retired function or miss a token, and a
+    # refitting one-point function cannot come back unnoticed.
     section = README.read_text().split("## Methods and guarantees", 1)[1].split("\n## ", 1)[0]
     rows = [line for line in section.splitlines() if line.startswith("|")][2:]
-    names = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
-    assert len(names) >= 8
-    assert not [name for name in names if not hasattr(predint, name)]
+    built_by = {}
+    for row in rows:
+        (name,), (token,) = (re.findall(r"`([^`]+)`", cell) for cell in row.split("|")[1:3])
+        built_by[token] = name
+    assert list(built_by) == list(predint.METHOD_TOKENS)
+    for token, name in built_by.items():
+        if _METHODS[token].folds is None:
+            assert name == "evaluate_methods", token
+        else:
+            assert name in predint.__all__, token
+            assert next(iter(inspect.signature(getattr(predint, name)).parameters)) == "cache"
 
 
 def test_the_benchmark_tracer_finds_every_name_it_wraps():
