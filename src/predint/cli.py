@@ -22,17 +22,9 @@ import warnings
 from .audit import VARIANTS, run_audit
 from .dataset import _load_columns, _load_dataset, gen_gaussian_linear
 from .errors import ConfigError, DataError, PredintError
-from .experiments import (
-    MethodSpec,
-    _evaluate,
-    _scored,
-    default_method_list,
-    figure2_experiment,
-    pathology_memorizer,
-    pathology_parity,
-    run_coverage_mc,
-)
-from .intervals import METHOD_TOKENS, IntervalSpec, PredictionSet
+from .experiments import (default_method_list, figure2_experiment, pathology_memorizer,
+                          pathology_parity, run_coverage_mc)
+from .intervals import METHOD_TOKENS, IntervalSpec, MethodSpec, PredictionSet, _evaluate, _scored
 from .regressors import (KNN, REGRESSOR_TOKENS, _SETTINGS, Memorizer, ParityAdversary, Ridge,
                          make_regressor)
 from .stability import KINDS, coverage_lower_bounds, estimate_stability

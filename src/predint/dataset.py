@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DataError, _require_finite, _require_fraction, _require_int,
-                     _require_real)
+from .errors import ConfigError, DataError, _require_finite, _require_fraction, _require_int
 from .rng import _normals, _permutation, _uniforms
 
 __all__ = ["Dataset", "SplitSpec", "gen_gaussian_linear", "gen_pathological_abc"]
@@ -207,7 +206,7 @@ class SplitSpec:
 
     def resolve(self, n: int):
         """Return (train_idx, holdout_idx) as sorted integer arrays."""
-        if _require_int("n", n) < 2:
+        if _require_finite("n", _require_int("n", n)) < 2:
             raise ConfigError("cannot split fewer than 2 rows")
         size = min(max(int(round(n * self.holdout_fraction)), 1), n - 1)
         perm = _permutation(self.seed, n)
@@ -249,7 +248,7 @@ def gen_pathological_abc(n: int, alpha: float, gamma: float, seed: int,
     responses are all zero.
     """
     _require_int("n", n, 1)
-    p = 2.0 * _require_real("alpha", alpha) * (1.0 - _require_real("gamma", gamma))
+    p = 2.0 * _require_finite("alpha", alpha) * (1.0 - _require_finite("gamma", gamma))
     if not 0.0 < p < 1.0:
         raise ConfigError(
             f"need 0 < 2*alpha*(1-gamma) < 1; got {p} from alpha={alpha}, gamma={gamma}"

@@ -5,10 +5,10 @@ row of the method table ``_METHODS``, whose builder answers a block of query
 rows. Naive (in-sample residual quantile around the full fit), split
 (holdout residual quantile around the split fit) and full conformal (refit
 on the augmented sample per candidate y of a grid) read no cache and have no
-public function: ``experiments._evaluate`` builds them, for
-:func:`predint.experiments.evaluate_methods`, the trials and the
-``intervals`` command. The other five read a :class:`LooCache` and are public
-here, each its builder on a block of one row; the four intervals take
+public function: ``_evaluate``, the one block loop under
+:func:`evaluate_methods`, the trials and the ``intervals`` command, builds
+them from :class:`_Fits`. The other five read a :class:`LooCache` and are
+public, each its builder on a block of one row; the four intervals take
 ``(cache, spec, x)``:
 
 * ``jackknife``          - leave-one-out residual quantile around the full fit
@@ -35,13 +35,15 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset
-from .errors import ConfigError, DataError, _require_finite, _require_int, _require_type
+from .dataset import Dataset, SplitSpec
+from .errors import (ConfigError, DataError, _require_finite, _require_fraction, _require_int,
+                     _require_sequence, _require_type)
 from .quantiles import (
     _POINT_BLOCK,
     _check_alpha,
@@ -54,7 +56,7 @@ from .quantiles import (
     upper_quantile,
 )
 from .regressors import FittedModel, Regressor, _fold_sizes, canonical_order
-from .rng import _permutation
+from .rng import _permutation, _uniforms, derive_seed
 
 __all__ = [
     "IntervalSpec",
@@ -68,6 +70,8 @@ __all__ = [
     "cv_plus",
     "cross_conformal_set",
     "METHOD_TOKENS",
+    "MethodSpec",
+    "evaluate_methods",
 ]
 
 
@@ -294,8 +298,8 @@ def build_loo_cache(
     the stable argsort of n uniforms of ``random.Random(fold_seed)``. At
     K = n every fold is a singleton, so ``fold_seed`` is unused. When K does
     not divide n, fold sizes differ by one, silently here;
-    :func:`predint.experiments.evaluate_methods` warns or, strict, refuses
-    before it fits anything. For an explicit partition ``fold_of``, build
+    :func:`evaluate_methods` warns or, strict, refuses before it fits
+    anything. For an explicit partition ``fold_of``, build
     ``LooCache(train, regressor, fold_of)``.
     """
     n = _require_type("train", train, Dataset).n  # LooCache checks the regressor
@@ -441,9 +445,9 @@ def cv_plus(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval:
     bit for bit. Each endpoint is an order statistic of the n candidates
     ``prediction -+ residual``, one per row, from the prediction at x of the
     model fitted without that row's fold. It runs the block builder of
-    :func:`predint.experiments.evaluate_methods` on a block of one. With at
-    least ``_GROUPED_ROWS_PER_MODEL`` rows per model (parity's two models, or
-    K folds at large n) it selects from each model's sorted residuals and
+    :func:`evaluate_methods` on a block of one. With at least
+    ``_GROUPED_ROWS_PER_MODEL`` rows per model (parity's two models, or K
+    folds at large n) it selects from each model's sorted residuals and
     builds no n-vector; otherwise from a buffer of candidate rows. Both paths
     compute each candidate with the same float operation and return a zero
     as 0.0, so they agree bit for bit.
@@ -621,7 +625,7 @@ class _Method(NamedTuple):
     """A method's row of the one table every dispatch reads: the cache it reads
     (``folds`` "n", "k" for its K or n, or None), ``build(source, mspec, spec,
     block)`` answering a :class:`_Block` from that cache or, for no cache, from
-    ``experiments._Fits`` (only ``evaluate_methods`` builds those methods),
+    :class:`_Fits` (only ``evaluate_methods`` builds those methods),
     ``floor``, its coverage_lower_bounds key, and ``rank_test``, true for a
     rank test: it takes only symmetric, uninflated levels."""
 
@@ -646,3 +650,151 @@ _METHODS = {
     "full-conformal": _Method(None, _full_conformal_block, rank_test=True),
 }
 METHOD_TOKENS = tuple(_METHODS)
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """One interval/set construction plus its method-specific knobs. Full
+    conformal's grid bounds default to the training response range."""
+
+    method: str
+    k_folds: int | None = None
+    split_holdout: float = 0.5
+    grid_points: int = 200
+    grid_lower: float | None = None
+    grid_upper: float | None = None
+
+    def __post_init__(self):
+        # The grid first: the CLI reports a bad grid flag before any other.
+        if _require_int("grid_points", self.grid_points) < 2:
+            raise ConfigError(f"grid needs at least 2 points, got {self.grid_points}")
+        for bound in (self.grid_lower, self.grid_upper):
+            if bound is not None:
+                _require_finite("grid bounds", bound)
+        if None not in (self.grid_lower, self.grid_upper) and self.grid_lower > self.grid_upper:
+            raise ConfigError("grid lower bound exceeds upper bound")
+        if self.method not in _METHODS:
+            raise ConfigError(
+                f"unknown method {self.method!r}; expected one of {', '.join(_METHODS)}")
+        if self.k_folds is not None:
+            _require_int("k_folds", self.k_folds, 1)
+        _require_fraction("split_holdout", self.split_holdout)
+
+    @property
+    def label(self) -> str:
+        if _METHODS[self.method].folds == "k" and self.k_folds is not None:
+            return f"{self.method}(K={self.k_folds})"
+        return self.method
+
+
+def evaluate_methods(
+    train: Dataset,
+    X_test,
+    regressor: Regressor,
+    methods: list[MethodSpec],
+    specs: list[IntervalSpec],
+    seed: int = 0,
+    *,
+    strict: bool = False,
+) -> list:
+    """Prediction objects of every method at every level and query row.
+
+    Returns ``out[m][s][j]``: the interval or set of ``methods[m]`` at
+    ``specs[s]`` for row j of ``X_test``. Entries follow list positions, so a
+    repeated method gives repeated entries. Fits are shared: one cache per
+    distinct K (fold seed ``derive_seed(seed, f"folds/{K}")``, derived for
+    K < n only, since a leave-one-out cache deals no folds), one full fit,
+    made only when naive or jackknife reads it and shared through the
+    leave-one-out cache when there is one, one split fit per holdout fraction
+    (``SplitSpec``'s positions at seed ``derive_seed(seed, "split")``, dealt
+    over the canonical row order), and one cross-conformal tau per query row,
+    shared across levels: the uniforms of ``random.Random(derive_seed(seed,
+    "tau"))``, the one generator every predint draw comes from. Each residual
+    quantile is computed once per residual vector and level. Before any fit,
+    each K < n that does not divide n warns once (fold sizes differ by one),
+    or raises ConfigError if ``strict``. Each cache, and the full and split
+    fits together, predict a block of rows at a time for every method reading
+    them; interval objects are made only for the return.
+    """
+    return [[ends if isinstance(ends, list) else
+             list(map(PredictionInterval, ends[0].tolist(), ends[1].tolist())) for ends in per_spec]
+            for per_spec in _evaluate(train, X_test, regressor, methods, specs, seed, strict)]
+
+
+class _Fits(dict):
+    """The ``([model], quantiles)`` of the methods that read no cache, made on
+    first use: ``fits[None]`` the full fit (``loo``'s when given), ``fits[h]``
+    the split at holdout h, as :func:`evaluate_methods` describes. Sorted
+    positions of the canonical order keep each part in its canonical order."""
+
+    def __init__(self, train: Dataset, regressor: Regressor, seed: int, loo=None):
+        self.train, self.regressor, self.seed, self.loo = train, regressor, seed, loo
+
+    def __missing__(self, holdout):
+        X, y, held = self.train.features, self.train.responses, slice(None)
+        if holdout is None:
+            model = self.regressor.fit(self.train) if self.loo is None else self.loo.full_model
+        else:
+            fit_at, hold_at = SplitSpec(holdout, derive_seed(self.seed, "split")).resolve(len(y))
+            order = canonical_order(X, y)
+            model, held = self.regressor._fit_rows(X, y, order[fit_at]), order[hold_at]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the DataError below
+            residuals = y[held] - model.predict_many(X[held])
+        if not np.isfinite(residuals).all():
+            raise DataError(f"the {'full' if holdout is None else 'split'} model's residuals "
+                            "are not finite")
+        self[holdout] = [model], _residual_quantiles(residuals)
+        return self[holdout]
+
+
+def _evaluate(train, X_test, regressor, methods, specs, seed, strict) -> list:
+    """:func:`evaluate_methods` with no interval objects: ``out[m][s]`` is an
+    interval method's endpoint arrays (lower, upper), or a set method's sets."""
+    methods = _require_sequence("methods", methods, MethodSpec)
+    specs = _require_sequence("specs", specs, IntervalSpec)
+    X_test = _query_rows(X_test, _require_type("train", train, Dataset).d)
+    _require_type("regressor", regressor, Regressor)
+    n, table = train.n, [_METHODS[m.method] for m in methods]
+    ks = [{"n": n, "k": m.k_folds or n}.get(method.folds) for method, m in zip(table, methods)]
+    for m, k in zip(methods, ks):  # every entry, before the first fit
+        _check_method(m.method, specs, n, k)
+    for k in dict.fromkeys(k for k in ks if k and n % k):  # each uneven K, before any fit
+        if strict:
+            raise ConfigError(f"k_folds={k} does not divide n={n} (strict mode)")
+        warnings.warn(f"k_folds={k} does not divide n={n}; fold sizes will differ by one",
+                      stacklevel=3)
+    sources = {k: build_loo_cache(train, regressor, k,
+                                  fold_seed=derive_seed(seed, f"folds/{k}") if k < n else 0)
+               for k in dict.fromkeys(ks) if k is not None}
+    sources[None] = _Fits(train, regressor, seed, sources.get(n))
+
+    # Each source walks the rows in its own blocks, of about _POINT_BLOCK predictions.
+    taus = _uniforms(derive_seed(seed, "tau"), len(X_test))
+    out = [[[] for _ in specs] for _ in methods]
+    for key in dict.fromkeys(ks):
+        step = _POINT_BLOCK if key is None else max(1, _POINT_BLOCK // len(sources[key].models))
+        readers = [entry for entry, k in zip(zip(methods, table, out), ks) if k == key]
+        for start in range(0, len(X_test), step):
+            block = _Block(X_test[start:start + step], taus[start:start + step])
+            for mspec, method, per_spec in readers:
+                for spec, parts in zip(specs, per_spec):
+                    parts.append(method.build(sources[key], mspec, spec, block))
+    return [[_joined(parts) for parts in per_spec] for per_spec in out]
+
+
+def _joined(parts):
+    """One method's block results in row order: sets listed, endpoint arrays joined."""
+    if not parts or isinstance(parts[0], list):
+        return [s for part in parts for s in part]
+    return tuple(np.concatenate(ends) for ends in zip(*parts))
+
+
+def _scored(ends, responses):
+    """The hits and widths of one method's endpoint arrays or sets at the test
+    responses, each width as :class:`PredictionInterval`'s."""
+    if isinstance(ends, list):
+        return [s.contains(y) for s, y in zip(ends, responses)], np.array([s.width for s in ends])
+    lower, upper = ends
+    with np.errstate(invalid="ignore"):
+        widths = np.where(lower > upper, 0.0, upper - lower)
+    return (lower <= responses) & (responses <= upper), widths

@@ -24,6 +24,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError, DataError, _require_finite, _require_int
+from .quantiles import _POINT_BLOCK
 
 __all__ = [
     "FittedModel",
@@ -82,16 +83,18 @@ class KnnModel(FittedModel):
         self.k = k
 
     def predict_many(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
         out = np.empty(len(X))
+        step = max(1, _POINT_BLOCK // len(self.y))  # about _POINT_BLOCK (query, row) pairs
         with np.errstate(over="ignore"):  # an overflow is the DataError below
-            for i, x in enumerate(np.asarray(X, dtype=float)):
-                diff = self.X - x
-                dist2 = np.einsum("ij,ij->i", diff, diff)
+            for start in range(0, len(X), step):
+                diff = self.X - X[start:start + step, None]
+                dist2 = np.einsum("qij,qij->qi", diff, diff)
                 if not np.isfinite(dist2).all():
                     raise DataError("knn distances overflow: the features are too large")
                 # Stable argsort: exact distance ties go to the lower row index.
-                nearest = np.argsort(dist2, kind="stable")[: self.k]
-                out[i] = np.mean(self.y[nearest])
+                nearest = np.argsort(dist2, axis=1, kind="stable")[:, : self.k]
+                out[start:start + step] = self.y[nearest].mean(axis=1)
         return out
 
 

@@ -106,7 +106,8 @@ def coverage_lower_bounds(alpha: float, nu: float, n: int, k_folds: int) -> dict
     """
     _check_alpha(alpha)
     _check_alpha(nu, "nu")
-    if _require_int("n", n) < 1 or not 1 <= _require_int("k_folds", k_folds) <= n:
+    _require_finite("n", _require_int("n", n))  # an n past float range overflows the slack
+    if n < 1 or not 1 <= _require_int("k_folds", k_folds) <= n:
         raise ConfigError(f"need 1 <= k_folds <= n, got k_folds={k_folds}, n={n}")
     alpha, nu = float(alpha), float(nu)  # a Decimal level meets float terms
 

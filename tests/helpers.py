@@ -4,13 +4,14 @@
 labels) from numpy's PCG64 on a child seed of :func:`predint.derive_seed`,
 so every fixture is reproducible and independent of the package's own
 streams. No predint command draws from it. ``full_conformal_oracle`` is the
-slow reference for the engine's full-conformal sets.
+slow reference for the engine's full-conformal sets, and ``knn_oracle`` the
+row-by-row reference for batched k-NN predictions.
 """
 
 import numpy as np
 
-from predint import (Dataset, PredictionInterval, PredictionSet, Regressor, derive_seed,
-                     upper_quantile)
+from predint import (DataError, Dataset, PredictionInterval, PredictionSet, Regressor,
+                     derive_seed, upper_quantile)
 
 
 def derive_rng(master: int, tag: str, index: int | str = 0) -> np.random.Generator:
@@ -57,3 +58,19 @@ def full_conformal_oracle(train, regressor, spec, x, grid_points=200, grid_lower
             runs.append(PredictionInterval(float(ys[start]), float(ys[idx - 1])))
             start = None
     return PredictionSet(tuple(runs))
+
+
+def knn_oracle(model, X) -> np.ndarray:
+    """A fitted k-NN model's predictions at the rows of X, one row at a time:
+    the mean response of the k training rows nearest in squared Euclidean
+    distance, exact ties going to the lower row index."""
+    out = np.empty(len(X))
+    with np.errstate(over="ignore"):  # an overflow is the DataError below
+        for i, x in enumerate(np.asarray(X, dtype=float)):
+            diff = model.X - x
+            dist2 = np.einsum("ij,ij->i", diff, diff)
+            if not np.isfinite(dist2).all():
+                raise DataError("knn distances overflow: the features are too large")
+            nearest = np.argsort(dist2, kind="stable")[: model.k]
+            out[i] = np.mean(model.y[nearest])
+    return out

@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import predint.experiments
 import predint.intervals
 import predint.regressors
 from predint import (
@@ -353,7 +352,7 @@ def built_caches(monkeypatch) -> list:
         built.append(build_loo_cache(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(predint.experiments, "build_loo_cache", spy)
+    monkeypatch.setattr(predint.intervals, "build_loo_cache", spy)
     return built
 
 
@@ -892,7 +891,10 @@ class TestBlockOracle:
         y = rng.integers(0, 3, size=self.N).astype(float)
         return Dataset(X[: self.N], y), np.concatenate([X[self.N :], X[:4]])
 
-    @pytest.mark.parametrize("block", ["one-block", "many-blocks"])
+    # _POINT_BLOCK sizes both the engine's blocks and cv+'s candidate buffers:
+    # 2 * N makes two-row blocks and two-candidate buffers, 1 one of each.
+    @pytest.mark.parametrize("block", [None, 2 * N, 1],
+                             ids=["one-block", "many-blocks", "one-row-blocks"])
     @pytest.mark.parametrize(
         "spec",
         [IntervalSpec(0.2), IntervalSpec(0.3, alpha_lo=0.1, alpha_hi=0.2),
@@ -905,9 +907,8 @@ class TestBlockOracle:
         ids=lambda r: r.token,
     )
     def test_matches_the_per_query_references(self, tied, reg, spec, block, monkeypatch):
-        if block == "many-blocks":  # blocks of 2 rows, buffers of one candidate row
-            monkeypatch.setattr(predint.experiments, "_POINT_BLOCK", 2 * self.N)
-            monkeypatch.setattr(predint.intervals, "_POINT_BLOCK", 1)
+        if block is not None:
+            monkeypatch.setattr(predint.intervals, "_POINT_BLOCK", block)
         train, X = tied
         got = evaluate_methods(train, X, reg, self.METHODS, [spec], seed=5)
         for mspec, (ivs,) in zip(self.METHODS, got):

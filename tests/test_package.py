@@ -27,6 +27,7 @@ from predint import (
     SplitSpec,
     audit_instance,
     build_loo_cache,
+    coverage_lower_bounds,
     cv_plus,
     default_method_list,
     estimate_stability,
@@ -223,6 +224,44 @@ def test_hand_worded_range_checks_are_detected():
                          ids=lambda path: path.name)
 def test_only_errors_words_a_range_check(path):
     assert not hand_worded_range_checks(path.read_text())
+
+
+# The method table's protocol: the names its builders and the block loop share.
+ENGINE_NAMES = ("_Block", "_check_method", "_query_rows", "_residual_quantiles", "_Fits")
+
+
+def engine_leaks(source: str, owner: bool) -> list[str]:
+    """Where ``source`` imports or reads one of ENGINE_NAMES, unless it is the
+    ``owner`` of the table; or, if it is, where it imports experiments."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        if (any(name.split(".")[-1] == "experiments" for name in names) if owner
+                else any(name in ENGINE_NAMES for name in names)):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_engine_leaks_are_detected():
+    source = ("from .intervals import _Block, build_loo_cache\nimport predint.experiments\n"
+              "from . import experiments\nfrom .experiments import run_trial\n"
+              "intervals._Fits(train)\nfrom .intervals import _METHODS, _evaluate\n")
+    assert engine_leaks(source, owner=False) == ["line 1", "line 5"]
+    assert engine_leaks(source, owner=True) == ["line 2", "line 3", "line 4"]
+
+
+# One module holds the method table, its builders, their sources and the block
+# loop, so a new method or source edits that module alone.
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_the_method_table_protocol_stays_in_intervals(path):
+    assert not engine_leaks(path.read_text(), owner=path.name == "intervals.py")
 
 
 @pytest.mark.parametrize("low, strict", [(None, False), (0, False), (0, True), (2.5, False)])
@@ -562,6 +601,15 @@ def run_command(line):
          lambda: estimate_stability(MinNormOLS(), gaussian_rows, n=5, epsilon=10**400)),
         (ConfigError, f"grid bounds must be finite, got {10**400}$",
          lambda: MethodSpec("full-conformal", grid_lower=10**400)),
+        (ConfigError, f"alpha must be finite, got {10**400}$",
+         lambda: gen_pathological_abc(5, 10**400, 0.05, 1)),
+        (ConfigError, f"gamma must be finite, got {10**400}$",
+         lambda: gen_pathological_abc(5, 0.25, 10**400, 1)),
+        (ConfigError, f"n must be finite, got {10**400}$", lambda: parity_vacuity_slack(10**400)),
+        (ConfigError, f"n must be finite, got {10**400}$",
+         lambda: coverage_lower_bounds(0.1, 0.0, 10**400, 5)),
+        (ConfigError, f"n must be finite, got {10**400}$",
+         lambda: SplitSpec(0.5).resolve(10**400)),
     ],
     ids=["Dataset.text", "Dataset.ragged", "Dataset.take.fraction", "Dataset.drop.fraction",
          "Dataset.take.out_of_range", "Dataset.drop.negative", "Dataset.head.text",
@@ -589,7 +637,10 @@ def run_command(line):
          "figure2_experiment.d_list.unhashable", "run_coverage_mc.alphas.unhashable",
          "Ridge.lambda_rel.overflow", "IntervalSpec.inflation_eps.overflow",
          "Memorizer.eps.overflow", "pathology_parity.eps.overflow",
-         "estimate_stability.epsilon.overflow", "MethodSpec.grid_lower.overflow"],
+         "estimate_stability.epsilon.overflow", "MethodSpec.grid_lower.overflow",
+         "gen_pathological_abc.alpha.overflow", "gen_pathological_abc.gamma.overflow",
+         "parity_vacuity_slack.n.overflow", "coverage_lower_bounds.n.overflow",
+         "SplitSpec.resolve.n.overflow"],
 )
 def test_bad_input_fails_at_the_boundary(error, message, make):
     # Each raised a raw ValueError, IndexError, TypeError or AttributeError,

@@ -35,7 +35,7 @@ from predint import (
     make_regressor,
 )
 from predint.regressors import _CLASSES, _SETTINGS
-from helpers import derive_rng
+from helpers import derive_rng, knn_oracle
 
 
 def gaussian(n, d, seed=0):
@@ -531,6 +531,28 @@ def test_linear_predictions_agree_with_the_dot_product(reg):
             want = float(np.dot(x, model.coef) + model.intercept)
             scale = float(np.abs(x * model.coef).sum()) + abs(model.intercept)
             assert abs(got - want) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 100], ids=["default", "one-row", "few-rows"])
+@pytest.mark.parametrize("seed", range(4))
+def test_knn_predictions_are_the_row_loop_where_ties_decide(seed, chunk, monkeypatch):
+    """A chunk of queries has the bits of the per-row loop on small-integer
+    features: duplicated training rows, and exact distance ties at the k-th
+    neighbour, so the stable order picks the neighbours. ``chunk`` sets the
+    (query, row) pairs of a chunk, so chunks hold one row or a few."""
+    if chunk is not None:
+        monkeypatch.setattr(predint.regressors, "_POINT_BLOCK", chunk)
+    rng = derive_rng(seed, "knn-ties")
+    for n, d in ((8, 1), (12, 2), (40, 3), (25, 5)):
+        base = rng.integers(-2, 3, size=(n, d)).astype(float)
+        X = np.vstack([base, base[: n // 2]])
+        y = rng.normal(size=len(X))  # distinct, so which tied row is picked shows
+        queries = np.vstack([X[:4], rng.integers(-2, 3, size=(16, d)).astype(float)])
+        dist2 = np.sort(((queries[:, None] - X) ** 2).sum(axis=2), axis=1)
+        for k in range(1, min(7, len(X) - 1) + 1):
+            assert (dist2[:, k - 1] == dist2[:, k]).any(), (n, d, k)  # a tie at the k-th
+            model = KNN(k=k).fit(Dataset(X, y))
+            assert model.predict_many(queries).tobytes() == knn_oracle(model, queries).tobytes()
 
 
 def test_overflowing_knn_distances_are_a_data_error():
