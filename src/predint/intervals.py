@@ -55,7 +55,7 @@ from .quantiles import (
     upper_index,
     upper_quantile,
 )
-from .regressors import FittedModel, Regressor, _fold_sizes, canonical_order
+from .regressors import FittedModel, LinearModel, Regressor, _fold_sizes, canonical_order
 from .rng import _permutation, _uniforms, derive_seed
 
 __all__ = [
@@ -262,6 +262,11 @@ class LooCache:
         return residuals
 
     @functools.cached_property
+    def _stack(self):
+        """The models' stacked coefficients for :class:`_Block`, once per cache."""
+        return _linear_stack(self.models)
+
+    @functools.cached_property
     def _gather_index(self) -> np.ndarray:
         # A copy only for narrower indices, such as parity's one byte a row.
         return self._model_index.astype(np.intp, copy=False)
@@ -280,7 +285,7 @@ class LooCache:
     def predictions_at(self, x) -> np.ndarray:
         """Per-row fold predictions mu_{-fold(i)}(x), one entry per row."""
         return _Block(_query_rows(x, self.train.d, one=True), None).predictions(
-            self.models)[0, self.model_of]
+            self.models, self._stack)[0, self.model_of]
 
 
 def build_loo_cache(
@@ -352,31 +357,54 @@ def _query_rows(X, d: int, one: bool = False) -> np.ndarray:
     return X[None] if one else X
 
 
+def _linear_stack(models):
+    """``(C, b)``, the (G, d) coefficients and (G,) intercepts of ``models``
+    one row a model, when every model is a :class:`LinearModel`; else None."""
+    if not all(type(model) is LinearModel for model in models):
+        return None
+    return np.array([m.coef for m in models]), np.array([m.intercept for m in models])
+
+
 class _Block:
     """Query rows ``X`` (q, d) and their cross-conformal ``taus``. The (q, G)
-    ``predictions(models)`` of ``models[g].predict_many(X)``, a DataError
-    unless finite, are made once for all methods and levels that read them."""
+    ``predictions(models, stack)`` of ``models[g].predict_many(X)``, a
+    DataError unless finite, are made once for all methods and levels that
+    read them. Given ``models``' :func:`_linear_stack`, they are one stacked
+    product, chunked to about ``16 * _POINT_BLOCK`` (row, model, feature)
+    cells; it sums each row's products along the row, as
+    ``LinearModel.predict_many`` does, so every entry has the same bits."""
 
     def __init__(self, X, taus):
         self.X, self.taus, self._memo = X, taus, {}
 
-    def predictions(self, models) -> np.ndarray:
+    def predictions(self, models, stack=None) -> np.ndarray:
         key = tuple(models)
         if key not in self._memo:
             per_model = np.empty((len(self.X), len(key)))
-            for g, model in enumerate(key):
-                per_model[:, g] = model.predict_many(self.X)
+            if stack is None:
+                for g, model in enumerate(key):
+                    per_model[:, g] = model.predict_many(self.X)
+            else:
+                C, b = stack
+                step = max(1, 16 * _POINT_BLOCK // max(1, self.X.size))
+                with np.errstate(over="ignore", invalid="ignore"):  # the DataError below
+                    for start in range(0, len(key), step):
+                        g = slice(start, start + step)
+                        # In X's layout, as predict_many's products; einsum, unlike a
+                        # broadcast product, allocates no buffer beside the chunk.
+                        rows = np.einsum("qd,gd->qgd", self.X, C[g]).sum(axis=2)
+                        np.add(rows, b[g], out=per_model[:, g])
             if not np.isfinite(per_model).all():
                 raise DataError("model predictions at the query points are not finite")
             self._memo[key] = per_model
         return self._memo[key]
 
 
-def _fixed_center(models, quantiles, spec: IntervalSpec, block: _Block):
+def _fixed_center(models, quantiles, spec: IntervalSpec, block: _Block, stack=None):
     """Endpoint arrays ``min + q_lo - eps`` and ``max + q_hi + eps`` of each
     row of the block's predictions of ``models``, ``(q_lo, q_hi) = quantiles(spec)``:
     jackknife-mm on a cache's models; naive, split and jackknife on one."""
-    per_model = block.predictions(models)
+    per_model = block.predictions(models, stack)
     q_lo, q_hi = quantiles(spec)
     eps = spec.inflation_eps
     return per_model.min(axis=1) + q_lo - eps, per_model.max(axis=1) + q_hi + eps
@@ -393,7 +421,7 @@ _GROUPED_ROWS_PER_MODEL = 4096
 
 def _cv_plus_block(cache: LooCache, mspec, spec: IntervalSpec, block: _Block):
     """cv+ endpoint arrays from the block's (q, G) fold predictions."""
-    per_model = block.predictions(cache.models)
+    per_model = block.predictions(cache.models, cache._stack)
     n = cache.n
     lo_alpha, hi_alpha = (spec.alpha_lo, spec.alpha_hi) if spec.asymmetric else (spec.alpha,) * 2
     k_lo, k_hi = lower_index(n, lo_alpha), upper_index(n, hi_alpha)
@@ -523,7 +551,7 @@ def cross_conformal_set(
 def _cross_conformal_block(cache: LooCache, mspec, spec: IntervalSpec, block: _Block) -> list:
     """The cross-conformal set at each row of a block, by one sorted sweep."""
     n, r, sets = cache.n, cache.residuals, []
-    for row, tau in zip(block.predictions(cache.models), block.taus):
+    for row, tau in zip(block.predictions(cache.models, cache._stack), block.taus):
         need, m = _strict_needed(n, spec.alpha, tau), row[cache.model_of]
         lo, hi = m - r, m + r
         # Distinct breakpoints by a neighbour mask: np.unique imports numpy.ma.
@@ -567,6 +595,18 @@ def _cross_conformal_block(cache: LooCache, mspec, spec: IntervalSpec, block: _B
     return sets
 
 
+def _grid(responses, mspec) -> np.ndarray:
+    """Full conformal's candidate responses: ``mspec.grid_points`` evenly
+    spaced over its bounds, which default to the range of ``responses``."""
+    lo = float(responses.min() if mspec.grid_lower is None else mspec.grid_lower)
+    hi = float(responses.max() if mspec.grid_upper is None else mspec.grid_upper)
+    if lo > hi:
+        raise ConfigError("grid lower bound exceeds upper bound")
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"the grid [{lo}, {hi}] is too wide: its span overflows")
+    return np.linspace(lo, hi, mspec.grid_points)
+
+
 def _full_conformal_block(fits, mspec, spec: IntervalSpec, block: _Block) -> list:
     """The full-conformal set at each row of a block, over ``mspec``'s grid.
 
@@ -577,15 +617,7 @@ def _full_conformal_block(fits, mspec, spec: IntervalSpec, block: _Block) -> lis
     augmented buffer: each query overwrites its last row, each candidate its
     last response.
     """
-    train, regressor = fits.train, fits.regressor
-    lo = float(train.responses.min() if mspec.grid_lower is None else mspec.grid_lower)
-    hi = float(train.responses.max() if mspec.grid_upper is None else mspec.grid_upper)
-    if lo > hi:
-        raise ConfigError("grid lower bound exceeds upper bound")
-    if not math.isfinite(hi - lo):
-        raise ConfigError(f"the grid [{lo}, {hi}] is too wide: its span overflows")
-    ys = np.linspace(lo, hi, mspec.grid_points)
-
+    train, regressor, ys = fits.train, fits.regressor, fits.grids[mspec]
     X_aug = np.vstack([train.features, block.X[:1]])
     y_aug = np.append(train.responses, 0.0)
     sets = []
@@ -644,7 +676,7 @@ _METHODS = {
         [cache.full_model], cache._quantiles, spec, block)),
     "jackknife+": _Method("n", _cv_plus_block, "jackknife_plus"),
     "jackknife-mm": _Method("n", lambda cache, mspec, spec, block: _fixed_center(
-        cache.models, cache._quantiles, spec, block), "jackknife_minmax"),
+        cache.models, cache._quantiles, spec, block, cache._stack), "jackknife_minmax"),
     "cv+": _Method("k", _cv_plus_block, "cv_plus_floor"),  # the floor that holds at every K
     "cross-conformal": _Method("k", _cross_conformal_block, rank_test=True),
     "full-conformal": _Method(None, _full_conformal_block, rank_test=True),
@@ -712,9 +744,11 @@ def evaluate_methods(
     "tau"))``, the one generator every predint draw comes from. Each residual
     quantile is computed once per residual vector and level. Before any fit,
     each K < n that does not divide n warns once (fold sizes differ by one),
-    or raises ConfigError if ``strict``. Each cache, and the full and split
-    fits together, predict a block of rows at a time for every method reading
-    them; interval objects are made only for the return.
+    or raises ConfigError if ``strict``, and each full-conformal grid is
+    resolved, so a bound past the other raises ConfigError. Each cache, and
+    the full and split fits together, predict a block of rows at a time for
+    every method reading them; a cache of linear models predicts it as one
+    stacked product. Interval objects are made only for the return.
     """
     return [[ends if isinstance(ends, list) else
              list(map(PredictionInterval, ends[0].tolist(), ends[1].tolist())) for ends in per_spec]
@@ -725,10 +759,12 @@ class _Fits(dict):
     """The ``([model], quantiles)`` of the methods that read no cache, made on
     first use: ``fits[None]`` the full fit (``loo``'s when given), ``fits[h]``
     the split at holdout h, as :func:`evaluate_methods` describes. Sorted
-    positions of the canonical order keep each part in its canonical order."""
+    positions of the canonical order keep each part in its canonical order.
+    ``grids[mspec]`` is a full-conformal entry's :func:`_grid`."""
 
-    def __init__(self, train: Dataset, regressor: Regressor, seed: int, loo=None):
+    def __init__(self, train: Dataset, regressor: Regressor, seed: int, loo=None, grids=None):
         self.train, self.regressor, self.seed, self.loo = train, regressor, seed, loo
+        self.grids = grids
 
     def __missing__(self, holdout):
         X, y, held = self.train.features, self.train.responses, slice(None)
@@ -763,10 +799,11 @@ def _evaluate(train, X_test, regressor, methods, specs, seed, strict) -> list:
             raise ConfigError(f"k_folds={k} does not divide n={n} (strict mode)")
         warnings.warn(f"k_folds={k} does not divide n={n}; fold sizes will differ by one",
                       stacklevel=3)
+    grids = {m: _grid(train.responses, m) for m in methods if m.method == "full-conformal"}
     sources = {k: build_loo_cache(train, regressor, k,
                                   fold_seed=derive_seed(seed, f"folds/{k}") if k < n else 0)
                for k in dict.fromkeys(ks) if k is not None}
-    sources[None] = _Fits(train, regressor, seed, sources.get(n))
+    sources[None] = _Fits(train, regressor, seed, sources.get(n), grids)
 
     # Each source walks the rows in its own blocks, of about _POINT_BLOCK predictions.
     taus = _uniforms(derive_seed(seed, "tau"), len(X_test))

@@ -8,6 +8,8 @@ canonical order is the one override point for training; a subset's canonical
 order is the full order restricted to it, so fold and pair fits sort once.
 Fitting an empty training set yields the zero function; that convention keeps
 leave-one-out and leave-pair-out machinery total without special cases.
+Least squares, ridge and the mean share one prediction rule, ``LinearModel``:
+the mean's coefficients are zero, and so are the zero function's.
 
 Prediction is pure: repeated calls with the same input return the identical
 float. ``predict_many(X)`` is the one method a model writes, computing each
@@ -57,15 +59,9 @@ class FittedModel:
         raise NotImplementedError
 
 
-class ConstantModel(FittedModel):
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def predict_many(self, X) -> np.ndarray:
-        return np.full(len(X), self.value)
-
-
 class LinearModel(FittedModel):
+    """x -> x . coef + intercept."""
+
     def __init__(self, coef: np.ndarray, intercept: float):
         self.coef = np.asarray(coef, dtype=float)
         self.intercept = float(intercept)
@@ -134,7 +130,7 @@ class Regressor:
     def _fit_rows(self, X: np.ndarray, y: np.ndarray, kept: np.ndarray) -> FittedModel:
         """The fit on rows ``kept`` of (X, y), in canonical order; zero if none."""
         if kept.size == 0:
-            return ConstantModel(0.0)
+            return LinearModel(np.zeros(X.shape[1]), 0.0)
         return self._fit(X[kept], y[kept])
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> FittedModel:
@@ -260,7 +256,7 @@ class ConstantMean(Regressor):
 
     def _fit(self, X, y):
         with np.errstate(over="ignore"):  # an overflow is the callers' DataError
-            return ConstantModel(float(np.mean(y)))
+            return LinearModel(np.zeros(X.shape[1]), np.mean(y))
 
 
 @dataclass(frozen=True)

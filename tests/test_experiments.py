@@ -228,9 +228,19 @@ class TestRunTrial:
          r"cv\+ needs at least 2 folds and at most n = 6, got 1"),
         ([MethodSpec("jackknife+"), MethodSpec("cv+", k_folds=7)], [IntervalSpec(0.2)],
          r"cv\+ needs at least 2 folds and at most n = 6, got 7"),
+        # The grid was resolved only when full conformal's block ran, after
+        # every cache was fitted: 6 and 3 fits here.
+        ([MethodSpec("jackknife+"), MethodSpec("full-conformal", grid_lower=100.0)],
+         [IntervalSpec(0.2)], "^grid lower bound exceeds upper bound$"),
+        ([MethodSpec("cv+", k_folds=3), MethodSpec("full-conformal", grid_upper=-100.0)],
+         [IntervalSpec(0.2)], "^grid lower bound exceeds upper bound$"),
+        ([MethodSpec("jackknife-mm"),
+          MethodSpec("full-conformal", grid_lower=-1e308, grid_upper=1e308)],
+         [IntervalSpec(0.2)], r"^the grid \[-1e\+308, 1e\+308\] is too wide: its span overflows$"),
     ], ids=["float-spec", "bare-spec", "string-method", "bare-string",
             "cross-conformal-asymmetric", "full-conformal-asymmetric", "cross-conformal-eps",
-            "full-conformal-eps", "cv+-k=1", "cv+-k>n"])
+            "full-conformal-eps", "cv+-k=1", "cv+-k>n", "grid-lower-above-responses",
+            "grid-upper-below-responses", "grid-too-wide"])
     def test_entries_are_checked_before_any_fit(self, methods, specs, message):
         # A float spec or a string method raised AttributeError. The level and
         # fold checks of every entry ran only after the caches of the entries

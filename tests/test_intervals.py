@@ -916,6 +916,87 @@ class TestBlockOracle:
             assert [bits(iv) for iv in ivs] == [bits(iv) for iv in want], mspec.label
 
 
+class TestStackedPredictions:
+    """A list of LinearModels predicts a block as one stacked product,
+    chunked over the models, with the bits of each model's ``predict_many``."""
+
+    LINEAR = [MinNormOLS(), Ridge(), Ridge(intercept=False), MEAN]
+
+    @staticmethod
+    def check(models, X):
+        """Rows X row-major, column-major and as a column selection (the
+        layout of the CLI's query rows): each model sums along X's layout."""
+        stack = predint.intervals._linear_stack(models)
+        assert stack is not None
+        d = X.shape[1]
+        for rows in (X, np.asfortranarray(X), np.hstack([X, X])[:, list(range(d))]):
+            stacked = _Block(rows, None).predictions(models, stack)
+            loop = np.column_stack([model.predict_many(rows) for model in models])
+            assert stacked.tobytes() == loop.tobytes()
+
+    # 8 makes one-row blocks whose chunks hold 1 to 16 of the 30 models.
+    @pytest.mark.parametrize("point_block", [None, 8], ids=["engine", "split-chunks"])
+    @pytest.mark.parametrize("d", [1, 7, 60])
+    @pytest.mark.parametrize("reg", LINEAR,
+                             ids=lambda r: r.token + str(getattr(r, "intercept", "")))
+    def test_a_cache_matches_the_per_model_loop(self, reg, d, point_block, monkeypatch):
+        if point_block is not None:
+            monkeypatch.setattr(predint.intervals, "_POINT_BLOCK", point_block)
+        rng = derive_rng(11, "stacked", d)
+        train = Dataset(rng.standard_normal((30, d)), rng.standard_normal(30))
+        X = np.vstack([rng.standard_normal((150, d)) * 100, np.zeros((1, d)), -train.features])
+        for k in (30, 4):
+            cache = build_loo_cache(train, reg, k)
+            step = max(1, predint.intervals._POINT_BLOCK // len(cache.models))  # the engine's
+            for start in range(0, len(X), step):
+                self.check(cache.models, X[start:start + step])
+
+    def test_empty_fits_match_the_per_model_loop(self):
+        train = gen_gaussian_linear(12, 3, seed=4)[0]
+        X = derive_rng(4, "empty").normal(size=(9, 3))
+        none = np.arange(0)
+        models = [reg._fit_rows(train.features, train.responses, none) for reg in self.LINEAR]
+        self.check(models, np.vstack([X, -np.abs(X), np.full((1, 3), -0.0)]))
+        self.check(models + [MEAN.fit(train), MinNormOLS().fit(train)], X)
+
+    def test_other_models_keep_the_per_model_loop(self):
+        train = gen_pathological_abc(12, 0.25, 0.05, seed=3)
+        for reg in (KNN(k=2), Memorizer(), ParityAdversary()):
+            assert build_loo_cache(train, reg)._stack is None
+        models = [MEAN.fit(train), KNN(k=2).fit(train)]
+        assert predint.intervals._linear_stack(models) is None
+
+    def test_a_figure2_block_stays_near_its_chunk(self):
+        # n = 100 models of d = 180 at 20 rows: the whole (20, 100, 180)
+        # product would be 2.9 MB; a chunk is about 16 * _POINT_BLOCK cells.
+        train, _ = gen_gaussian_linear(100, 180, seed=2)
+        cache = build_loo_cache(train, MinNormOLS())
+        X = derive_rng(2, "figure2-block").standard_normal((_POINT_BLOCK // 100, 180))
+        stack = cache._stack
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _Block(X, None).predictions(cache.models, stack)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * 16 * _POINT_BLOCK
+
+    def test_a_leave_one_out_cache_predicts_once_per_block(self, monkeypatch):
+        # The mean at n = 3000 > _POINT_BLOCK walks one-row blocks. Each block
+        # called predict_many once per model: 40 * 3000 calls beside the
+        # cache's 3000 in-sample ones.
+        rng = derive_rng(6, "one-per-block")
+        train = Dataset(rng.standard_normal((3000, 2)), rng.standard_normal(3000))
+        calls, model_type = [], type(MEAN.fit(train))
+        predict_many = model_type.predict_many
+        monkeypatch.setattr(model_type, "predict_many",
+                            lambda self, X: calls.append(len(X)) or predict_many(self, X))
+        evaluate_methods(train, rng.standard_normal((40, 2)), MEAN, [MethodSpec("jackknife+")],
+                         [IntervalSpec(0.1)])
+        assert len(calls) <= train.n + 40
+
+
 SYMMETRY_METHODS = [MethodSpec(token, k_folds=3, grid_points=12)
                     for token in METHOD_TOKENS]
 

@@ -564,9 +564,39 @@ def test_overflowing_knn_distances_are_a_data_error():
 @pytest.mark.parametrize("reg", ALL_REGRESSORS + [ParityAdversary(tau=2.0)],
                          ids=lambda r: r.token + str(getattr(r, "intercept", "")))
 def test_empty_fit_is_the_zero_function(reg):
+    # A LinearModel with zero coefficients: +0.0 at every row, as the fill
+    # of the constant model it replaced, negative and -0.0 features included.
     empty = Dataset(np.empty((0, 3)), np.empty(0))
     model = reg.fit(empty)
     assert model.predict([1.0, 2.0, 3.0]) == 0.0
+    probes = np.array([[1.0, 2.0, 3.0], [-1.0, -2.0, -3.0], [-0.0, -0.0, -0.0], [0.0, -5.0, 2.5]])
+    for model in (model, reg._fit_rows(probes, np.ones(4), np.arange(0))):
+        assert type(model) is predint.regressors.LinearModel
+        assert model.predict_many(probes).tobytes() == np.full(len(probes), 0.0).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_mean_fit_is_a_linear_model_with_the_mean_everywhere(seed):
+    # The bits of the constant model it replaced: np.full of float(np.mean(y)).
+    train, queries = integer_ties(seed)
+    queries = np.vstack([queries, -np.abs(queries), np.zeros((1, 3)), np.full((1, 3), -0.0)])
+    for rows in (train, train.head(1), Dataset(train.features, np.zeros(train.n))):
+        model = ConstantMean().fit(rows)
+        assert type(model) is predint.regressors.LinearModel
+        assert not model.coef.any() and model.coef.shape == (3,)
+        want = np.full(len(queries), float(np.mean(rows.responses)))
+        assert model.predict_many(queries).tobytes() == want.tobytes()
+
+
+def test_the_mean_of_negative_zeros_is_positive_zero_beside_a_non_negative_feature():
+    # The one input where the linear form can move a bit: x * 0.0 is +0.0 for
+    # x >= +0.0, and -0.0 + +0.0 is +0.0, so a -0.0 mean gives +0.0 at such
+    # rows where the constant model gave -0.0. (numpy 2's mean of -0.0s is
+    # +0.0 already, and so is its row sum of -0.0 products.)
+    model = ConstantMean().fit(Dataset([[1.0, -1.0], [2.0, 3.0]], [-0.0, -0.0]))
+    got = model.predict_many(np.array([[-1.0, 0.0], [1.0, 2.0], [-1.0, -2.0], [-0.0, -3.0]]))
+    assert not got.any()
+    assert [math.copysign(1.0, v) for v in got[:2].tolist()] == [1.0, 1.0]
 
 
 def test_canonical_order_sorts_by_features_then_response():
