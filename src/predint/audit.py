@@ -68,15 +68,21 @@ def residual_matrix(data: Dataset, regressor: Regressor) -> np.ndarray:
     return R
 
 
+def _square(name: str, M, dtype=None) -> np.ndarray:
+    """``M`` as an array if it is a square 2-D matrix, else a ConfigError."""
+    M = np.asarray(M, dtype=dtype)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ConfigError(f"{name} must be a square 2-D array, got shape {M.shape}")
+    return M
+
+
 def comparison_matrix(R: np.ndarray, variant: str = "plus") -> np.ndarray:
     """0/1 contest matrix from a residual matrix.
 
     plus:   A_ij = 1{ R_ij > R_ji }
     minmax: A_ij = 1{ min_j' R_ij' > R_ji }
     """
-    R = np.asarray(R, dtype=float)
-    if R.ndim != 2 or R.shape[0] != R.shape[1]:
-        raise ConfigError("residual matrix must be square")
+    R = _square("residual matrix", R, float)
     if variant == "plus":
         A = R > R.T
     elif variant == "minmax":
@@ -94,7 +100,7 @@ def strange_set(A: np.ndarray, alpha: float) -> list[int]:
     integer arithmetic, never floating-point.
     """
     p, q = _check_alpha(alpha)
-    A = np.asarray(A)
+    A = _square("comparison matrix", A)
     m = A.shape[0]  # m = n + 1
     threshold = (q - p) * m
     return [i for i, wins in enumerate(A.sum(axis=1).tolist()) if wins * q >= threshold]

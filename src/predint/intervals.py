@@ -55,7 +55,7 @@ from .quantiles import (
     upper_index,
     upper_quantile,
 )
-from .regressors import FittedModel, LinearModel, Regressor, _fold_sizes, canonical_order
+from .regressors import FittedModel, LinearStack, Regressor, _fold_sizes, canonical_order
 from .rng import _permutation, _uniforms, derive_seed
 
 __all__ = [
@@ -182,10 +182,10 @@ class LooCache:
     """Fold models and residuals, shared across interval constructions.
 
     The cache fits its own models: ``LooCache(train, regressor, fold_of)``
-    calls :meth:`Regressor.fit_folds` once on its checked partition, so
-    ``models[model_of[i]]`` is fitted without row i's fold by construction,
-    and ``signed_residuals[i]`` is row i's response minus its prediction
-    there. ``k_folds`` counts the labels of ``fold_of`` that hold a row; at
+    calls :meth:`Regressor.fit_folds` once on its checked partition of a
+    nonempty training set, so ``models[model_of[i]]`` is fitted without row
+    i's fold by construction, and ``signed_residuals[i]`` is row i's
+    response minus its prediction there. ``k_folds`` counts the labels of ``fold_of`` that hold a row; at
     ``k_folds == n`` the folds are singletons: the classic leave-one-out fits.
     ``fold_of=None`` is that partition with no label vector: the cache holds
     none, and ``fold_of`` reads as ``arange(n)``, built on first read.
@@ -193,9 +193,10 @@ class LooCache:
     for CV+ (absolute or signed, by the spec's mode) and each residual
     quantile are computed on first use only. Immutable once built.
 
-    ``fit_folds`` is an override point, so its result is checked: ``model_of``
-    (integer) and ``in_sample`` are 1-D arrays of length n and every model is
-    some row's (``ConfigError``), and the in-sample residuals are finite
+    ``fit_folds`` is an override point, so its result is checked: the models
+    are :class:`FittedModel` instances, ``model_of`` (integer) and
+    ``in_sample`` are 1-D arrays of length n and every model is some row's
+    (``ConfigError``), and the in-sample residuals are finite
     (:class:`DataError`), as :class:`_Block` checks the predictions of the
     models at a block's rows (one value per model, not per row). So no vector
     ``prediction +- residual`` holds NaN, and queries need no per-row NaN
@@ -206,12 +207,16 @@ class LooCache:
     def __init__(self, train, regressor, fold_of=None):
         n = _require_type("train", train, Dataset).n
         _require_type("regressor", regressor, Regressor)
+        if n < 1:
+            raise ConfigError("cannot build a cache from an empty training set")
         if fold_of is None:
             self.k_folds = n
         else:
             fold_of = np.asarray(fold_of)
             self.k_folds = int(np.count_nonzero(_fold_sizes(fold_of, n)))
         models, model_of, in_sample = regressor.fit_folds(train, fold_of)
+        # A list of the models, unless they are a LinearStack: it stays one.
+        checked = _require_sequence("fit_folds' models", models, FittedModel)
         if not (isinstance(model_of, np.ndarray) and model_of.shape == (n,)
                 and np.issubdtype(model_of.dtype, np.integer)):
             raise ConfigError(f"model_of must be a 1-D integer array of length {n}")
@@ -219,15 +224,15 @@ class LooCache:
             raise ConfigError(f"in_sample must be a 1-D array of length {n}")
         self.train = train
         self.regressor = regressor
-        self.models = models
+        self.models = models if isinstance(models, LinearStack) else checked
         # np.take copies an index array that is read-only or not intp on every
         # call, so the buffer path gathers through a private writeable intp
         # reference (``_gather_index``); the public index arrays are frozen views.
         self._model_index = model_of
         self._fold_of, self.model_of = fold_of, model_of.view()
-        if model_of.min() < 0 or model_of.max() >= len(models):
+        if model_of.min() < 0 or model_of.max() >= len(self.models):
             raise ConfigError("model_of must index into models")
-        if not np.bincount(model_of, minlength=len(models)).all():
+        if not np.bincount(model_of, minlength=len(self.models)).all():
             raise ConfigError("model_of must use every one of models")
         owned = in_sample.flags.owndata and in_sample.flags.writeable and in_sample.dtype == float
         with np.errstate(over="ignore"):  # an overflow is the DataError below
@@ -262,11 +267,6 @@ class LooCache:
         return residuals
 
     @functools.cached_property
-    def _stack(self):
-        """The models' stacked coefficients for :class:`_Block`, once per cache."""
-        return _linear_stack(self.models)
-
-    @functools.cached_property
     def _gather_index(self) -> np.ndarray:
         # A copy only for narrower indices, such as parity's one byte a row.
         return self._model_index.astype(np.intp, copy=False)
@@ -285,7 +285,7 @@ class LooCache:
     def predictions_at(self, x) -> np.ndarray:
         """Per-row fold predictions mu_{-fold(i)}(x), one entry per row."""
         return _Block(_query_rows(x, self.train.d, one=True), None).predictions(
-            self.models, self._stack)[0, self.model_of]
+            self.models)[0, self.model_of]
 
 
 def build_loo_cache(
@@ -308,14 +308,11 @@ def build_loo_cache(
     ``LooCache(train, regressor, fold_of)``.
     """
     n = _require_type("train", train, Dataset).n  # LooCache checks the regressor
-    if n < 1:
-        raise ConfigError("cannot build a cache from an empty training set")
     k = n if k_folds is None else _require_int("k_folds", k_folds)
-    if not 1 <= k <= n:
-        raise ConfigError(f"k_folds must be in [1, {n}], got {k}")
-
-    if k == n:
+    if k == n or n == 0:  # leave-one-out, or the empty training set LooCache rejects
         fold_of = None
+    elif not 1 <= k <= n:
+        raise ConfigError(f"k_folds must be in [1, {n}], got {k}")
     else:
         order = canonical_order(train.features, train.responses)
         deal = order[_permutation(fold_seed, n, "fold_seed")]
@@ -357,54 +354,34 @@ def _query_rows(X, d: int, one: bool = False) -> np.ndarray:
     return X[None] if one else X
 
 
-def _linear_stack(models):
-    """``(C, b)``, the (G, d) coefficients and (G,) intercepts of ``models``
-    one row a model, when every model is a :class:`LinearModel`; else None."""
-    if not all(type(model) is LinearModel for model in models):
-        return None
-    return np.array([m.coef for m in models]), np.array([m.intercept for m in models])
-
-
 class _Block:
     """Query rows ``X`` (q, d) and their cross-conformal ``taus``. The (q, G)
-    ``predictions(models, stack)`` of ``models[g].predict_many(X)``, a
-    DataError unless finite, are made once for all methods and levels that
-    read them. Given ``models``' :func:`_linear_stack`, they are one stacked
-    product, chunked to about ``16 * _POINT_BLOCK`` (row, model, feature)
-    cells; it sums each row's products along the row, as
-    ``LinearModel.predict_many`` does, so every entry has the same bits."""
+    ``predictions(models)`` of ``models[g].predict_many(X)``, a DataError
+    unless finite, are made once for all methods and levels that read them."""
 
     def __init__(self, X, taus):
         self.X, self.taus, self._memo = X, taus, {}
 
-    def predictions(self, models, stack=None) -> np.ndarray:
+    def predictions(self, models) -> np.ndarray:
         key = tuple(models)
         if key not in self._memo:
-            per_model = np.empty((len(self.X), len(key)))
-            if stack is None:
+            if isinstance(models, LinearStack):
+                per_model = models.block(self.X)
+            else:
+                per_model = np.empty((len(self.X), len(key)))
                 for g, model in enumerate(key):
                     per_model[:, g] = model.predict_many(self.X)
-            else:
-                C, b = stack
-                step = max(1, 16 * _POINT_BLOCK // max(1, self.X.size))
-                with np.errstate(over="ignore", invalid="ignore"):  # the DataError below
-                    for start in range(0, len(key), step):
-                        g = slice(start, start + step)
-                        # In X's layout, as predict_many's products; einsum, unlike a
-                        # broadcast product, allocates no buffer beside the chunk.
-                        rows = np.einsum("qd,gd->qgd", self.X, C[g]).sum(axis=2)
-                        np.add(rows, b[g], out=per_model[:, g])
             if not np.isfinite(per_model).all():
                 raise DataError("model predictions at the query points are not finite")
             self._memo[key] = per_model
         return self._memo[key]
 
 
-def _fixed_center(models, quantiles, spec: IntervalSpec, block: _Block, stack=None):
+def _fixed_center(models, quantiles, spec: IntervalSpec, block: _Block):
     """Endpoint arrays ``min + q_lo - eps`` and ``max + q_hi + eps`` of each
     row of the block's predictions of ``models``, ``(q_lo, q_hi) = quantiles(spec)``:
     jackknife-mm on a cache's models; naive, split and jackknife on one."""
-    per_model = block.predictions(models, stack)
+    per_model = block.predictions(models)
     q_lo, q_hi = quantiles(spec)
     eps = spec.inflation_eps
     return per_model.min(axis=1) + q_lo - eps, per_model.max(axis=1) + q_hi + eps
@@ -421,7 +398,7 @@ _GROUPED_ROWS_PER_MODEL = 4096
 
 def _cv_plus_block(cache: LooCache, mspec, spec: IntervalSpec, block: _Block):
     """cv+ endpoint arrays from the block's (q, G) fold predictions."""
-    per_model = block.predictions(cache.models, cache._stack)
+    per_model = block.predictions(cache.models)
     n = cache.n
     lo_alpha, hi_alpha = (spec.alpha_lo, spec.alpha_hi) if spec.asymmetric else (spec.alpha,) * 2
     k_lo, k_hi = lower_index(n, lo_alpha), upper_index(n, hi_alpha)
@@ -551,7 +528,7 @@ def cross_conformal_set(
 def _cross_conformal_block(cache: LooCache, mspec, spec: IntervalSpec, block: _Block) -> list:
     """The cross-conformal set at each row of a block, by one sorted sweep."""
     n, r, sets = cache.n, cache.residuals, []
-    for row, tau in zip(block.predictions(cache.models, cache._stack), block.taus):
+    for row, tau in zip(block.predictions(cache.models), block.taus):
         need, m = _strict_needed(n, spec.alpha, tau), row[cache.model_of]
         lo, hi = m - r, m + r
         # Distinct breakpoints by a neighbour mask: np.unique imports numpy.ma.
@@ -676,7 +653,7 @@ _METHODS = {
         [cache.full_model], cache._quantiles, spec, block)),
     "jackknife+": _Method("n", _cv_plus_block, "jackknife_plus"),
     "jackknife-mm": _Method("n", lambda cache, mspec, spec, block: _fixed_center(
-        cache.models, cache._quantiles, spec, block, cache._stack), "jackknife_minmax"),
+        cache.models, cache._quantiles, spec, block), "jackknife_minmax"),
     "cv+": _Method("k", _cv_plus_block, "cv_plus_floor"),  # the floor that holds at every K
     "cross-conformal": _Method("k", _cross_conformal_block, rank_test=True),
     "full-conformal": _Method(None, _full_conformal_block, rank_test=True),
@@ -747,8 +724,7 @@ def evaluate_methods(
     or raises ConfigError if ``strict``, and each full-conformal grid is
     resolved, so a bound past the other raises ConfigError. Each cache, and
     the full and split fits together, predict a block of rows at a time for
-    every method reading them; a cache of linear models predicts it as one
-    stacked product. Interval objects are made only for the return.
+    every method reading them. Interval objects are made only for the return.
     """
     return [[ends if isinstance(ends, list) else
              list(map(PredictionInterval, ends[0].tolist(), ends[1].tolist())) for ends in per_spec]

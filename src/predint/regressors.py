@@ -19,6 +19,7 @@ of one row, so batch and single evaluations agree exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,6 +71,32 @@ class LinearModel(FittedModel):
         # Row sums: one row's bits in any block (np.dot's vary); callers check finiteness.
         with np.errstate(over="ignore", invalid="ignore"):
             return (np.asarray(X, dtype=float) * self.coef).sum(axis=1) + self.intercept
+
+
+class LinearStack(list):
+    """Fold models that are all exactly :class:`LinearModel`, as base ``fit_folds``
+    returns them. ``block(X)``, their (q, G) predictions, is one product with the
+    (G, d) coefficients, stacked at the first call, in chunks of about
+    ``16 * _POINT_BLOCK`` (row, model, feature) cells. It sums each row's
+    products along the row, as ``LinearModel.predict_many`` does, so every
+    entry has the same bits."""
+
+    @functools.cached_property
+    def _stacked(self):
+        return np.array([m.coef for m in self]), np.array([m.intercept for m in self])
+
+    def block(self, X: np.ndarray) -> np.ndarray:
+        C, b = self._stacked
+        per_model = np.empty((len(X), len(self)))
+        step = max(1, 16 * _POINT_BLOCK // max(1, X.size))
+        with np.errstate(over="ignore", invalid="ignore"):  # callers check finiteness
+            for start in range(0, len(self), step):
+                g = slice(start, start + step)
+                # In X's layout, as predict_many's products; einsum, unlike a
+                # broadcast product, allocates no buffer beside the chunk.
+                rows = np.einsum("qd,gd->qgd", X, C[g]).sum(axis=2)
+                np.add(rows, b[g], out=per_model[:, g])
+        return per_model
 
 
 class KnnModel(FittedModel):
@@ -142,7 +169,8 @@ class Regressor:
         Every model is some row's, and the cache may write its residuals into
         ``in_sample``. ``fold_of=None`` is leave-one-out, every row its own
         fold. This reference refits each nonempty fold on the other rows, in
-        the canonical order of all n, which is their own."""
+        the canonical order of all n, which is their own. When every model is
+        a :class:`LinearModel`, ``models`` is one :class:`LinearStack`."""
         n = train.n
         if fold_of is None:
             fold_of, folds = np.arange(n), range(n)
@@ -160,6 +188,7 @@ class Regressor:
             model_of[rows] = j
             models.append(self._fit_rows(X, y, order[labels_in_order != fold]))
             in_sample[rows] = models[-1].predict_many(X[rows])
+        models = LinearStack(models) if all(type(m) is LinearModel for m in models) else models
         return models, model_of, in_sample
 
 

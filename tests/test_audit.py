@@ -14,6 +14,7 @@ both variants.
 """
 
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -209,6 +210,16 @@ class TestStrangeSet:
     def test_float32_matches_its_float_value(self):
         A = np.array([[0, 1, 1, 1], [0, 0, 1, 1], [0, 0, 0, 1], [0, 0, 0, 0]])
         assert strange_set(A, np.float32(0.25)) == strange_set(A, 0.25) == [0]
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2), (2, 2, 2), ()], ids=str)
+    def test_the_matrix_must_be_square(self, shape):
+        # A 1-D array raised numpy's AxisError; a 3x2 matrix counted against m = 3.
+        got = re.escape(str(shape))
+        message = rf"^comparison matrix must be a square 2-D array, got shape {got}$"
+        with pytest.raises(ConfigError, match=message):
+            strange_set(np.zeros(shape, dtype=int), 0.25)
+        with pytest.raises(ConfigError, match=message.replace("comparison", "residual")):
+            comparison_matrix(np.zeros(shape))
 
     @pytest.mark.parametrize("alpha", ["0.5", True, 0.5 + 0j, math.nan], ids=repr)
     def test_alpha_must_be_a_real_number(self, worked_R, alpha):

@@ -56,6 +56,7 @@ from predint import (
     upper_quantile,
 )
 from predint.intervals import _POINT_BLOCK, _Block, _cv_plus_block
+from predint.regressors import LinearStack
 from helpers import CountingRegressor, derive_rng, full_conformal_oracle
 
 MEAN = ConstantMean()
@@ -526,6 +527,39 @@ class TestCacheConstruction:
                 LooCache(worked, folds_reshaped(model_of_as=model_of_as), np.arange(3))
         assert LooCache(worked, folds_reshaped(), np.arange(3)).n == 3
 
+    def test_fold_models_are_checked(self, worked):
+        def folds_as(models_as):
+            class Recast(ConstantMean):
+                def fit_folds(self, train, fold_of):
+                    models, model_of, in_sample = super().fit_folds(train, fold_of)
+                    return models_as(models), model_of, in_sample
+            return Recast()
+
+        # None raised a raw TypeError; a non-model, an AttributeError at the first query.
+        with pytest.raises(ConfigError, match="^fit_folds' models must be a sequence, got None$"):
+            LooCache(worked, folds_as(lambda models: None))
+        with pytest.raises(ConfigError, match="^fit_folds' models must hold FittedModel entries"):
+            LooCache(worked, folds_as(lambda models: [object()] * len(models)))
+        # Other iterables of models are held as a list; a LinearStack stays one.
+        spec = IntervalSpec(0.25)
+        want = endpoints(jackknife_plus(build_loo_cache(worked, MEAN), spec, X_PROBE))
+        for models_as, kind in ((tuple, list), (iter, list), (list, list),
+                                (lambda models: models, LinearStack)):
+            cache = LooCache(worked, folds_as(models_as))
+            assert type(cache.models) is kind
+            assert endpoints(jackknife_plus(cache, spec, X_PROBE)) == want
+
+    @pytest.mark.parametrize("k", [None, 0, 1, 3])
+    def test_an_empty_training_set_is_refused(self, k):
+        # LooCache raised numpy's "zero-size array to reduction operation".
+        empty = Dataset(np.zeros((0, 2)), np.zeros(0))
+        message = "^cannot build a cache from an empty training set$"
+        with pytest.raises(ConfigError, match=message):
+            build_loo_cache(empty, MEAN, k)
+        for fold_of in (None, np.zeros(0, dtype=int)):
+            with pytest.raises(ConfigError, match=message):
+                LooCache(empty, MEAN, fold_of)
+
     def test_non_finite_residuals_are_rejected(self):
         # Each leave-one-out memorizer predicts (1 + eps)(n - 1) = inf on its
         # left-out row, so every in-sample residual is -inf.
@@ -917,8 +951,9 @@ class TestBlockOracle:
 
 
 class TestStackedPredictions:
-    """A list of LinearModels predicts a block as one stacked product,
-    chunked over the models, with the bits of each model's ``predict_many``."""
+    """Base ``fit_folds`` returns linear fold models as one LinearStack, whose
+    ``block`` is one stacked product, chunked over the models, with the bits
+    of each model's ``predict_many``."""
 
     LINEAR = [MinNormOLS(), Ridge(), Ridge(intercept=False), MEAN]
 
@@ -926,15 +961,21 @@ class TestStackedPredictions:
     def check(models, X):
         """Rows X row-major, column-major and as a column selection (the
         layout of the CLI's query rows): each model sums along X's layout."""
-        stack = predint.intervals._linear_stack(models)
-        assert stack is not None
         d = X.shape[1]
         for rows in (X, np.asfortranarray(X), np.hstack([X, X])[:, list(range(d))]):
-            stacked = _Block(rows, None).predictions(models, stack)
+            stacked = models.block(rows)
             loop = np.column_stack([model.predict_many(rows) for model in models])
             assert stacked.tobytes() == loop.tobytes()
 
-    # 8 makes one-row blocks whose chunks hold 1 to 16 of the 30 models.
+    @pytest.mark.parametrize("reg", LINEAR,
+                             ids=lambda r: r.token + str(getattr(r, "intercept", "")))
+    def test_linear_fold_models_come_as_one_stack(self, reg):
+        train = gen_pathological_abc(12, 0.25, 0.05, seed=3)
+        for k in (12, 4):
+            assert type(build_loo_cache(train, reg, k).models) is LinearStack, k
+
+    # 8 makes one- and two-row engine blocks; the kernel's 1 makes chunks of
+    # 16 // (rows * d) models, so some block of every case spans several chunks.
     @pytest.mark.parametrize("point_block", [None, 8], ids=["engine", "split-chunks"])
     @pytest.mark.parametrize("d", [1, 7, 60])
     @pytest.mark.parametrize("reg", LINEAR,
@@ -942,41 +983,63 @@ class TestStackedPredictions:
     def test_a_cache_matches_the_per_model_loop(self, reg, d, point_block, monkeypatch):
         if point_block is not None:
             monkeypatch.setattr(predint.intervals, "_POINT_BLOCK", point_block)
+            monkeypatch.setattr(predint.regressors, "_POINT_BLOCK", 1)
+        chunks, einsum = [], np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *args: chunks.append(1) or einsum(*args))
         rng = derive_rng(11, "stacked", d)
         train = Dataset(rng.standard_normal((30, d)), rng.standard_normal(30))
         X = np.vstack([rng.standard_normal((150, d)) * 100, np.zeros((1, d)), -train.features])
+        most = 0
         for k in (30, 4):
             cache = build_loo_cache(train, reg, k)
             step = max(1, predint.intervals._POINT_BLOCK // len(cache.models))  # the engine's
             for start in range(0, len(X), step):
+                before = len(chunks)
                 self.check(cache.models, X[start:start + step])
+                most = max(most, (len(chunks) - before) // 3)
+        assert most > 1 or point_block is None
 
     def test_empty_fits_match_the_per_model_loop(self):
         train = gen_gaussian_linear(12, 3, seed=4)[0]
         X = derive_rng(4, "empty").normal(size=(9, 3))
         none = np.arange(0)
         models = [reg._fit_rows(train.features, train.responses, none) for reg in self.LINEAR]
-        self.check(models, np.vstack([X, -np.abs(X), np.full((1, 3), -0.0)]))
-        self.check(models + [MEAN.fit(train), MinNormOLS().fit(train)], X)
+        self.check(LinearStack(models), np.vstack([X, -np.abs(X), np.full((1, 3), -0.0)]))
+        self.check(LinearStack(models + [MEAN.fit(train), MinNormOLS().fit(train)]), X)
 
     def test_other_models_keep_the_per_model_loop(self):
         train = gen_pathological_abc(12, 0.25, 0.05, seed=3)
         for reg in (KNN(k=2), Memorizer(), ParityAdversary()):
-            assert build_loo_cache(train, reg)._stack is None
-        models = [MEAN.fit(train), KNN(k=2).fit(train)]
-        assert predint.intervals._linear_stack(models) is None
+            for k in (12, 4):
+                assert type(build_loo_cache(train, reg, k).models) is list, (reg.token, k)
+
+        # A subclass may predict by another rule, so only exact LinearModels stack.
+        class Shifted(predint.regressors.LinearModel):
+            def predict_many(self, X):
+                return super().predict_many(X) + 1.0
+
+        class ShiftedMean(ConstantMean):
+            def _fit(self, X, y):
+                model = super()._fit(X, y)
+                return Shifted(model.coef, model.intercept)
+
+        cache = build_loo_cache(train, ShiftedMean())
+        assert type(cache.models) is list
+        x = np.array([0.5, -1.0, 2.0])
+        want = [model.predict(x) for model in cache.models]
+        assert cache.predictions_at(x).tolist() == [want[g] for g in cache.model_of]
 
     def test_a_figure2_block_stays_near_its_chunk(self):
         # n = 100 models of d = 180 at 20 rows: the whole (20, 100, 180)
         # product would be 2.9 MB; a chunk is about 16 * _POINT_BLOCK cells.
         train, _ = gen_gaussian_linear(100, 180, seed=2)
-        cache = build_loo_cache(train, MinNormOLS())
+        models = build_loo_cache(train, MinNormOLS()).models
         X = derive_rng(2, "figure2-block").standard_normal((_POINT_BLOCK // 100, 180))
-        stack = cache._stack
+        models.block(X[:1])  # stacks the (100, 180) coefficients, as a cache's first block does
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            _Block(X, None).predictions(cache.models, stack)
+            _Block(X, None).predictions(models)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()

@@ -226,6 +226,42 @@ def test_only_errors_words_a_range_check(path):
     assert not hand_worded_range_checks(path.read_text())
 
 
+def linear_model_reads(source: str) -> list[str]:
+    """Where ``source`` names ``LinearModel`` or reads an attribute ``coef``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            hit = any(alias.name == "LinearModel" for alias in node.names)
+        elif isinstance(node, ast.Name):
+            hit = node.id == "LinearModel"
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr in ("LinearModel", "coef")
+        else:
+            continue
+        if hit:
+            lines.add(node.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_linear_model_reads_are_detected():
+    source = ("from .regressors import LinearModel as Linear, Regressor\n"
+              "isinstance(model, LinearModel)\n"
+              "predint.regressors.LinearModel\n"
+              "C = np.array([m.coef for m in models])\n"
+              "coef, intercept = fit(X, y)\n"
+              "from .regressors import LinearStack\n"
+              '"LinearModel.coef"\n')
+    assert linear_model_reads(source) == ["line 1", "line 2", "line 3", "line 4"]
+
+
+# regressors.py owns LinearModel's parts; other modules predict through the
+# models or their LinearStack, so a stacked rule has one home.
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "regressors.py"],
+                         ids=lambda path: path.name)
+def test_only_regressors_reads_a_linear_model(path):
+    assert not linear_model_reads(path.read_text())
+
+
 # The method table's protocol: the names its builders and the block loop share.
 ENGINE_NAMES = ("_Block", "_check_method", "_query_rows", "_residual_quantiles", "_Fits")
 
