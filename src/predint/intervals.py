@@ -55,7 +55,7 @@ from .quantiles import (
     upper_index,
     upper_quantile,
 )
-from .regressors import FittedModel, LinearStack, Regressor, _fold_sizes, canonical_order
+from .regressors import FittedModel, LinearStack, Regressor, _fold_sizes, _points, canonical_order
 from .rng import _permutation, _uniforms, derive_seed
 
 __all__ = [
@@ -201,7 +201,8 @@ class LooCache:
     models at a block's rows (one value per model, not per row). So no vector
     ``prediction +- residual`` holds NaN, and queries need no per-row NaN
     scan. The residuals go into
-    ``in_sample`` itself when it owns its float data and is writeable.
+    ``in_sample`` itself when it owns its float data and is writeable. Every
+    reader gathers row i's fold prediction by indexing with ``model_of``.
     """
 
     def __init__(self, train, regressor, fold_of=None):
@@ -225,11 +226,7 @@ class LooCache:
         self.train = train
         self.regressor = regressor
         self.models = models if isinstance(models, LinearStack) else checked
-        # np.take copies an index array that is read-only or not intp on every
-        # call, so the buffer path gathers through a private writeable intp
-        # reference (``_gather_index``); the public index arrays are frozen views.
-        self._model_index = model_of
-        self._fold_of, self.model_of = fold_of, model_of.view()
+        self._fold_of, self.model_of = fold_of, model_of
         if model_of.min() < 0 or model_of.max() >= len(self.models):
             raise ConfigError("model_of must index into models")
         if not np.bincount(model_of, minlength=len(self.models)).all():
@@ -265,11 +262,6 @@ class LooCache:
         residuals = np.abs(self.signed_residuals)
         residuals.flags.writeable = False
         return residuals
-
-    @functools.cached_property
-    def _gather_index(self) -> np.ndarray:
-        # A copy only for narrower indices, such as parity's one byte a row.
-        return self._model_index.astype(np.intp, copy=False)
 
     def _sorted_groups(self, absolute: bool) -> _SortedGroups:
         """Each model's rows' residuals, sorted, once per mode; one copy a model."""
@@ -346,12 +338,12 @@ def _query_rows(X, d: int, one: bool = False) -> np.ndarray:
         X = np.asarray(X, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{noun} must be numbers: {exc}") from None
-    if (X.shape != (d,)) if one else (X.ndim != 2 or X.shape[1] != d):
-        form = f"a 1-D vector of {d} numbers" if one else f"a 2-D array with {d} columns"
-        raise DataError(f"{noun} must be {form}, got shape {X.shape}")
+    if one and X.shape != (d,):
+        raise DataError(f"a query point must be a 1-D vector of {d} numbers, got shape {X.shape}")
+    X = _points(X[None] if one else X, d)
     if not np.isfinite(X).all():
         raise DataError(f"{noun} must be finite (no NaN or infinities)")
-    return X[None] if one else X
+    return X
 
 
 class _Block:
@@ -414,16 +406,13 @@ def _cv_plus_block(cache: LooCache, mspec, spec: IntervalSpec, block: _Block):
         lo, hi = np.empty(len(per_model)), np.empty(len(per_model))
         # Rows of n candidates, about _POINT_BLOCK candidates at a time.
         step = max(1, _POINT_BLOCK // n)
-        buf = np.empty((min(step, len(per_model)), n))
         for start in range(0, len(per_model), step):
             rows = slice(start, start + step)
-            work = buf[: len(lo[rows])]
             for shift, k, out in ((lo_shift, k_lo, lo), (np.add, k_hi, hi)):
-                # mode="raise" would write through a hidden copy of ``out``;
-                # model_of was range-checked when the cache was built.
-                np.take(per_model[rows], cache._gather_index, axis=1, out=work, mode="clip")
+                work = per_model[rows][:, cache.model_of]
                 shift(work, residuals, out=work)
                 out[rows] = _select_inplace(work, k)
+                del work  # one candidate array at a time
     eps = spec.inflation_eps
     return lo - eps, hi + eps
 
@@ -453,9 +442,10 @@ def cv_plus(cache: LooCache, spec: IntervalSpec, x) -> PredictionInterval:
     :func:`evaluate_methods` on a block of one. With at least
     ``_GROUPED_ROWS_PER_MODEL`` rows per model (parity's two models, or K
     folds at large n) it selects from each model's sorted residuals and
-    builds no n-vector; otherwise from a buffer of candidate rows. Both paths
-    compute each candidate with the same float operation and return a zero
-    as 0.0, so they agree bit for bit.
+    builds no n-vector; otherwise from candidate rows indexed by ``model_of``,
+    one end at a time (an index narrower than intp, as parity's one byte a
+    row, is converted per chunk). Both paths compute each candidate with the
+    same float operation and return a zero as 0.0, so they agree bit for bit.
     """
     return _at("cv+", cache, spec, x)
 
@@ -592,7 +582,9 @@ def _full_conformal_block(fits, mspec, spec: IntervalSpec, block: _Block) -> lis
     original rows' residuals under the refit model; runs of kept grid points
     merge into closed intervals. The refits are ``regressor.fit``'s on one
     augmented buffer: each query overwrites its last row, each candidate its
-    last response.
+    last response. The canonical order of the augmented rows is sorted once
+    per query: y can move the query row only past a training row with
+    exactly its features, so on such a tie it is sorted per candidate.
     """
     train, regressor, ys = fits.train, fits.regressor, fits.grids[mspec]
     X_aug = np.vstack([train.features, block.X[:1]])
@@ -600,10 +592,12 @@ def _full_conformal_block(fits, mspec, spec: IntervalSpec, block: _Block) -> lis
     sets = []
     for x in block.X:
         X_aug[-1] = x
+        order = None if (train.features == x).all(axis=1).any() else canonical_order(X_aug, y_aug)
         accepted = np.zeros(len(ys), dtype=bool)
         for idx, y in enumerate(ys):
             y_aug[-1] = y
-            model = regressor._fit_rows(X_aug, y_aug, canonical_order(X_aug, y_aug))
+            model = regressor._fit_rows(X_aug, y_aug, canonical_order(X_aug, y_aug)
+                                        if order is None else order)
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the DataError below
                 resid = np.abs(y_aug - model.predict_many(X_aug))
             if not np.isfinite(resid).all():

@@ -95,7 +95,7 @@ def _select_inplace(buf: np.ndarray, k: int):
 
 
 # The most elements a blocked step holds at once: (breakpoint, row) pairs in
-# the cross-conformal sweep, candidates in cv+'s buffer rows, (group, row)
+# the cross-conformal sweep, candidates in cv+'s candidate rows, (group, row)
 # offers in a grouped selection, and predictions in a block of query rows. A
 # value of 32 read 0.1 to 0.2 MB higher in peak RSS on the 500 x 20 scoring
 # benchmark, where 2048 tests 4 breakpoints a block (2-vCPU Xeon VM, numpy 2.4).

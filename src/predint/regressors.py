@@ -12,9 +12,9 @@ Least squares, ridge and the mean share one prediction rule, ``LinearModel``:
 the mean's coefficients are zero, and so are the zero function's.
 
 Prediction is pure: repeated calls with the same input return the identical
-float. ``predict_many(X)`` is the one method a model writes, computing each
-row by the same arithmetic in a block of any size; ``predict(x)`` is its block
-of one row, so batch and single evaluations agree exactly.
+float. ``predict_many(X)``, the one method a model writes, checks X's shape
+with ``_points`` and computes each row by the same arithmetic in a block of
+any size; ``predict(x)`` is its block of one row, so the two agree exactly.
 """
 
 from __future__ import annotations
@@ -50,6 +50,14 @@ def canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.lexsort(keys)
 
 
+def _points(X, d: int) -> np.ndarray:
+    """X as a float (q, d) block of query points, else a :class:`DataError`."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != d:
+        raise DataError(f"query points must be a 2-D array with {d} columns, got shape {X.shape}")
+    return X
+
+
 class FittedModel:
     """A fitted prediction rule. Evaluation is pure and deterministic."""
 
@@ -70,7 +78,7 @@ class LinearModel(FittedModel):
     def predict_many(self, X) -> np.ndarray:
         # Row sums: one row's bits in any block (np.dot's vary); callers check finiteness.
         with np.errstate(over="ignore", invalid="ignore"):
-            return (np.asarray(X, dtype=float) * self.coef).sum(axis=1) + self.intercept
+            return (_points(X, len(self.coef)) * self.coef).sum(axis=1) + self.intercept
 
 
 class LinearStack(list):
@@ -106,7 +114,7 @@ class KnnModel(FittedModel):
         self.k = k
 
     def predict_many(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        X = _points(X, self.X.shape[1])
         out = np.empty(len(X))
         step = max(1, _POINT_BLOCK // len(self.y))  # about _POINT_BLOCK (query, row) pairs
         with np.errstate(over="ignore"):  # an overflow is the DataError below
@@ -128,9 +136,7 @@ class MemorizerModel(FittedModel):
         self.fresh_value = float(fresh_value)
 
     def predict_many(self, X) -> np.ndarray:
-        X = np.ascontiguousarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.d:
-            raise ConfigError(f"expected points of dimension {self.d}")
+        X = np.ascontiguousarray(_points(X, self.d))
         return np.array([0.0 if row.tobytes() in self.rows else self.fresh_value for row in X])
 
 
@@ -140,7 +146,7 @@ class ParityModel(FittedModel):
         self.sign_product = float(sign_product)
 
     def predict_many(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        X = _points(X, 3)
         return self.tau * X[:, 0] * X[:, 2] * self.sign_product
 
 

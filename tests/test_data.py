@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import predint.dataset
 from predint import (
     ConfigError,
     DataError,
@@ -88,6 +89,9 @@ class TestDataset:
         assert data.drop([1]).responses.tolist() == [0.0, 3.0]
         assert data.head(2).n == 2
         assert data.tail_from(2).responses.tolist() == [3.0]
+        # An empty list is a float array to numpy; it selects no row.
+        assert data.take([]).n == 0 and data.take([]).d == 1
+        assert data.drop([]).responses.tolist() == [0.0, 0.0, 3.0]
 
     def test_empty_dataset_is_allowed(self):
         # Zero rows with a positive number of columns is legal; leave-one-out
@@ -165,6 +169,14 @@ class TestCsv:
         path.write_text("x,y\n1,2\n3\n")
         with pytest.raises(DataError, match="row 2 has 1 cells"):
             _load_dataset(str(path), "y")
+
+    def test_an_empty_column_name_is_refused(self, tmp_path):
+        path = tmp_path / "t.csv"
+        for header in ("x1,,y", "x1, ,y", " ,y"):
+            path.write_text(f"{header}\n" + ",".join("1" * len(header.split(","))) + "\n")
+            with pytest.raises(DataError) as info:
+                _load_dataset(str(path), "y")
+            assert str(info.value) == f"{path}: header has an empty column name"
 
     def test_empty_and_missing_files(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -280,6 +292,20 @@ class TestGaussianLinear:
         assert data.features.tobytes() == X.tobytes()
         assert got_beta.tobytes() == beta.tobytes()
         assert data.responses.tobytes() == (X @ beta + np.array(z[n * d + d :])).tobytes()
+
+    def test_a_zero_direction_falls_back_to_the_first_axis(self, monkeypatch):
+        n, d, seed = 4, 3, 2
+
+        def zero_direction(seed, count):
+            z = _normals(seed, count)
+            z[n * d : n * d + d] = 0.0
+            return z
+
+        monkeypatch.setattr(predint.dataset, "_normals", zero_direction)
+        data, beta = gen_gaussian_linear(n, d, seed)
+        assert beta.tolist() == [math.sqrt(10.0), 0.0, 0.0]
+        noise = zero_direction(seed, n * d + d + n)[n * d + d :]
+        assert data.responses.tobytes() == (data.features @ beta + noise).tobytes()
 
     def test_validation(self):
         with pytest.raises(ConfigError):

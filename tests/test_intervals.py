@@ -682,7 +682,7 @@ def bits(iv):
 
 
 class TestStreamingKernel:
-    """cv+, jackknife+ and jackknife-mm select from one reusable buffer; they
+    """cv+, jackknife+ and jackknife-mm select in place from candidate rows; they
     must equal, bit for bit, the quantile operators applied to freshly built
     ``predictions_at(x) +- residuals``."""
 
@@ -1386,6 +1386,26 @@ class TestFullConformal:
             want = [full_conformal_oracle(data, regressor, spec, x, 60, **grid) for x in X]
             assert [[bits(iv) for iv in s.intervals] for s in got] == \
                 [[bits(iv) for iv in s.intervals] for s in want], grid
+
+    @pytest.mark.parametrize("regressor", [Ridge(), KNN(k=1)], ids=lambda r: r.token)
+    def test_the_rows_are_sorted_once_per_query_but_on_a_feature_tie(self, regressor,
+                                                                      monkeypatch):
+        # The second query repeats training rows 5 and 9, so each candidate y
+        # decides its place among them and is sorted on its own: the 1-NN fit
+        # predicts the least of the three responses there, and an order sorted
+        # once would move decisions. The other queries sort once for all 60.
+        rows, _ = gen_gaussian_linear(10, 2, seed=4)
+        data = Dataset(np.vstack([rows.features[:9], rows.features[5]]), rows.responses)
+        spec, calls, sort = IntervalSpec(0.2), [], predint.intervals.canonical_order
+        monkeypatch.setattr(predint.intervals, "canonical_order",
+                            lambda X, y: calls.append(1) or sort(X, y))
+        for x, sorts in zip([[0.3, -1.2], data.features[5], [-0.7, 2.0]], (1, 60, 1)):
+            calls.clear()
+            (got,), = evaluate_methods(data, [x], regressor,
+                                       [MethodSpec("full-conformal", grid_points=60)], [spec])
+            assert len(calls) == sorts
+            want = full_conformal_oracle(data, regressor, spec, x, 60)
+            assert [bits(iv) for iv in got[0].intervals] == [bits(iv) for iv in want.intervals]
 
     def test_a_query_builds_no_dataset(self, worked, monkeypatch):
         built = []

@@ -7,6 +7,7 @@ training set must produce the identical sequence of float operations.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -518,6 +519,23 @@ def test_a_row_has_the_same_bits_alone_and_in_any_block(reg, seed):
     for size in range(1, len(queries)):
         blocks = [model.predict_many(queries[i:i + size]) for i in range(0, len(queries), size)]
         assert [v.hex() for v in np.concatenate(blocks).tolist()] == whole, size
+
+
+@pytest.mark.parametrize(
+    "reg", ALL_REGRESSORS + [ParityAdversary(tau=2.7)],
+    ids=lambda r: r.token + str(getattr(r, "intercept", "")),
+)
+def test_points_of_the_wrong_shape_are_a_data_error(reg):
+    """Every model checks its points' shape in ``predict_many``, and so in
+    ``predict``, with one DataError wording; a parity model reads columns 0
+    and 2 only, so 4 columns are refused, not answered."""
+    model = reg.fit(integer_ties(0)[0])
+    wrong = [(model.predict_many, np.ones(shape), shape) for shape in [(2, 2), (2, 4), (3,)]]
+    wrong += [(model.predict, np.ones(d), (1, d)) for d in (2, 4)]
+    for call, points, shape in wrong:
+        want = f"query points must be a 2-D array with 3 columns, got shape {shape}"
+        with pytest.raises(DataError, match=f"^{re.escape(want)}$"):
+            call(points)
 
 
 @pytest.mark.parametrize("reg", ALL_REGRESSORS[:3], ids=lambda r: r.token + str(getattr(r, "intercept", "")))
